@@ -189,7 +189,8 @@ fn overhead_phase(dir: &Path, reps: usize, max_overhead_pct: f64) {
     let mut s = DurableSession::open(dir).expect("reopen durable session");
     let repo = s.db().workload();
     // Production config: repository on, slow capture off — the cost being
-    // measured is fingerprinting + counter folding, not plan re-runs.
+    // measured is fingerprinting, counter folding and per-operator
+    // profiling, not slow-log rendering.
     let mut cfg = repo.config();
     cfg.enabled = true;
     cfg.slow_nanos = u64::MAX;

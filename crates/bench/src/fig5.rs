@@ -606,11 +606,15 @@ mod tests {
     use super::*;
 
     fn tiny_cfg() -> Fig5Config {
+        // Tests run on parallel threads and each removes its directory when
+        // done, so every config gets a directory of its own.
+        static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Fig5Config {
             tuple_counts: vec![2_000],
             pool_pages: 16,
             n_queries: 2,
-            dir: std::env::temp_dir().join("orion_fig5_test"),
+            dir: std::env::temp_dir().join(format!("orion_fig5_test_{}_{n}", std::process::id())),
             ..Fig5Config::default()
         }
     }

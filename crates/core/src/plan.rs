@@ -2,7 +2,7 @@
 //!
 //! A [`Plan`] is a small algebra tree (scan / select / project / join /
 //! threshold). The same tree can be executed by the probabilistic operators
-//! ([`execute`]) and by the brute-force possible-worlds reference engine
+//! ([`run`]) and by the brute-force possible-worlds reference engine
 //! ([`crate::pws`]), which is how the test suite certifies PWS consistency.
 
 use crate::error::{EngineError, Result};
@@ -20,6 +20,7 @@ use crate::stats_catalog::{
 use crate::threshold::{threshold_attrs, threshold_pred, threshold_pred_masked};
 use orion_obs::{AltPath, ExecStats, OpProfile, Span};
 use orion_pdf::prelude::Interval;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -59,6 +60,18 @@ impl Plan {
     /// Convenience: join with another plan.
     pub fn join_on(self, other: Plan, pred: Option<Predicate>) -> Plan {
         Plan::Join(Box::new(self), Box::new(other), pred)
+    }
+
+    /// The table names the plan scans, left to right.
+    pub fn scans(&self) -> Vec<&str> {
+        match self {
+            Plan::Scan(name) => vec![name],
+            Plan::Select(p, _)
+            | Plan::Project(p, _)
+            | Plan::ThresholdAttrs(p, ..)
+            | Plan::ThresholdPred(p, ..) => p.scans(),
+            Plan::Join(l, r, _) => [l.scans(), r.scans()].concat(),
+        }
     }
 
     /// Whether the plan contains threshold operators (which possible-worlds
@@ -119,8 +132,8 @@ pub fn estimate_rows(plan: &Plan, catalog: &StatsCatalog) -> u64 {
     estimate_node(plan, catalog).0.round().max(0.0) as u64
 }
 
-/// Attaches `est_rows` to every node of a profile tree produced by
-/// [`execute_profiled`] over the same plan. The profile mirrors the plan
+/// Attaches `est_rows` to every node of a profile tree produced by a
+/// profiled [`run`] over the same plan. The profile mirrors the plan
 /// shape (one node per operator, children in input order), so the walk is
 /// positional.
 pub fn annotate_estimates(profile: &mut OpProfile, plan: &Plan, catalog: &StatsCatalog) {
@@ -319,7 +332,7 @@ pub fn plan_select_access(
     }
 }
 
-/// The operator name a plan node traces under.
+/// The operator name a plan node traces and profiles under.
 fn op_name(plan: &Plan) -> &'static str {
     match plan {
         Plan::Scan(_) => "Scan",
@@ -331,10 +344,23 @@ fn op_name(plan: &Plan) -> &'static str {
     }
 }
 
+/// The argument summary a plan node profiles under (`EXPLAIN`'s brackets).
+fn op_detail(plan: &Plan) -> String {
+    match plan {
+        Plan::Scan(name) => name.clone(),
+        Plan::Select(_, pred) => pred.to_string(),
+        Plan::Project(_, cols) => cols.join(", "),
+        Plan::Join(_, _, Some(pred)) => pred.to_string(),
+        Plan::Join(_, _, None) => "cross".to_string(),
+        Plan::ThresholdAttrs(_, attrs, op, prob) => format!("Pr({}) {op} {prob}", attrs.join(", ")),
+        Plan::ThresholdPred(_, pred, op, prob) => format!("Pr({pred}) {op} {prob}"),
+    }
+}
+
 /// A span on the driver's `exec` lane, inert when tracing is off (one
 /// relaxed atomic load). Operator spans open before child recursion, so
 /// they nest like the plan tree and cover inclusive time — self time lives
-/// in the `ExecStats` args the profiled executor attaches.
+/// in the `ExecStats` args a profiled run attaches.
 fn op_span(opts: &ExecOptions, plan: &Plan) -> Span {
     match opts.tracer() {
         // Thread-keyed lane: concurrent queries on other threads get their
@@ -344,166 +370,120 @@ fn op_span(opts: &ExecOptions, plan: &Plan) -> Span {
     }
 }
 
-/// Executes a plan with the probabilistic operators.
+/// Executes a plan with the probabilistic operators, scans resolved against
+/// a table map. [`run`] without a catalog, the profile dropped.
 pub fn execute(
     plan: &Plan,
     tables: &HashMap<String, Relation>,
     reg: &mut HistoryRegistry,
     opts: &ExecOptions,
 ) -> Result<Relation> {
-    let mut span = op_span(opts, plan);
-    let out = match plan {
-        Plan::Scan(name) => tables
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EngineError::Operator(format!("unknown table '{name}'"))),
-        Plan::Select(p, pred) => {
-            let input = execute(p, tables, reg, opts)?;
-            let ap = plan_select_access(&input, pred, None, opts)?;
-            select_masked(&input, pred, ap.mask.as_deref(), reg, opts)
-        }
-        Plan::Project(p, cols) => {
-            let input = execute(p, tables, reg, opts)?;
-            let refs: Vec<&str> = cols.iter().map(|s| s.as_str()).collect();
-            project(&input, &refs, reg, opts)
-        }
-        Plan::Join(l, r, pred) => {
-            let left = execute(l, tables, reg, opts)?;
-            let right = execute(r, tables, reg, opts)?;
-            join(&left, &right, pred.as_ref(), reg, opts)
-        }
-        Plan::ThresholdAttrs(p, attrs, op, prob) => {
-            let input = execute(p, tables, reg, opts)?;
-            let refs: Vec<&str> = attrs.iter().map(|s| s.as_str()).collect();
-            threshold_attrs(&input, &refs, *op, *prob, reg, opts)
-        }
-        Plan::ThresholdPred(p, pred, op, prob) => {
-            let input = execute(p, tables, reg, opts)?;
-            let ap = plan_threshold_access(&input, pred, *op, *prob, None, opts)?;
-            match &ap.mask {
-                Some(m) => threshold_pred_masked(&input, pred, *op, *prob, Some(m), reg, opts),
-                // No persistent index chose to serve this: the transient
-                // support-interval fallback inside threshold_pred may
-                // still prune.
-                None => threshold_pred(&input, pred, *op, *prob, reg, opts),
-            }
-        }
-    }?;
-    if span.is_recording() {
-        span.arg("tuples_out", out.len() as u64);
-    }
-    Ok(out)
+    run(plan, &|name| tables.get(name), reg, opts, None).map(|(rel, _)| rel.into_owned())
 }
 
-/// Executes a plan like [`execute`], additionally building an [`OpProfile`]
-/// tree mirroring the plan. Each operator runs with its own
-/// [`ExecStats`] collector (pdf-operation counters flow in through
-/// `ExecOptions::stats`); tuple flow and wall time are recorded here, at
-/// the operator boundaries.
-pub fn execute_profiled(
+/// The plan runner: every query — SQL `SELECT`, `EXPLAIN`, the differential
+/// oracles — executes through this one recursion.
+///
+/// `source` resolves scan names; a scan hands its relation on by reference,
+/// so only a plan that *is* a bare scan ever copies a stored table
+/// (`into_owned` on the result). `catalog` feeds the access-path planner's
+/// cost estimates; path choice never changes results, only which
+/// (bitwise-identical) execution strategy pays for them.
+///
+/// Profiling is on exactly when the caller attached a collector
+/// (`opts.stats`): each operator then counts into a collector of its own,
+/// snapshotted into the returned [`OpProfile`] tree (tuple flow and self
+/// time are recorded here, at the operator boundaries) and rolled up into
+/// the caller's collector. Without one, operators run on `opts` as given
+/// and the returned profile is empty.
+pub fn run<'t>(
     plan: &Plan,
-    tables: &HashMap<String, Relation>,
-    reg: &mut HistoryRegistry,
-    opts: &ExecOptions,
-) -> Result<(Relation, OpProfile)> {
-    execute_profiled_with(plan, tables, reg, opts, None)
-}
-
-/// [`execute_profiled`] with a stats catalog for the access-path planner:
-/// alternative costs in the profile tree use catalog estimates instead of
-/// the magic fallback constants. Path choice never changes results — only
-/// which (bitwise-identical) execution strategy pays for them.
-pub fn execute_profiled_with(
-    plan: &Plan,
-    tables: &HashMap<String, Relation>,
+    source: &dyn Fn(&str) -> Option<&'t Relation>,
     reg: &mut HistoryRegistry,
     opts: &ExecOptions,
     catalog: Option<&StatsCatalog>,
-) -> Result<(Relation, OpProfile)> {
-    let stats = Arc::new(ExecStats::new());
-    let node_opts = ExecOptions { stats: Some(stats.clone()), ..opts.clone() };
+) -> Result<(Cow<'t, Relation>, OpProfile)> {
     let mut span = op_span(opts, plan);
-    // Children run before each node's timer starts, so elapsed time is
-    // per-operator (self time), not inclusive of inputs.
-    let (rel, mut profile) = match plan {
+    let stats = opts.stats.as_ref().map(|_| Arc::new(ExecStats::new()));
+    let own_opts = stats.as_ref().map(|s| ExecOptions { stats: Some(s.clone()), ..opts.clone() });
+    let node_opts = own_opts.as_ref().unwrap_or(opts);
+    let mut children = Vec::new();
+    let mut input = |p: &Plan, reg: &mut HistoryRegistry| -> Result<Cow<'t, Relation>> {
+        let (rel, profile) = run(p, source, reg, opts, catalog)?;
+        if let Some(s) = &stats {
+            s.tuples_in.add(rel.len() as u64);
+            children.push(profile);
+        }
+        Ok(rel)
+    };
+    // Inputs (and the access-path decision) come before each node's timer
+    // starts, so elapsed time is per-operator self time.
+    let timer = || stats.as_deref().map(ExecStats::timer);
+    let mut alternatives = Vec::new();
+    let out = match plan {
         Plan::Scan(name) => {
-            let _t = stats.timer();
-            let rel = tables
-                .get(name)
-                .cloned()
-                .ok_or_else(|| EngineError::Operator(format!("unknown table '{name}'")))?;
-            (rel, OpProfile::new("Scan", name.as_str()))
+            let _t = timer();
+            Cow::Borrowed(
+                source(name)
+                    .ok_or_else(|| EngineError::Operator(format!("unknown table '{name}'")))?,
+            )
         }
         Plan::Select(p, pred) => {
-            let (input, child) = execute_profiled_with(p, tables, reg, opts, catalog)?;
-            stats.tuples_in.add(input.len() as u64);
-            let ap = plan_select_access(&input, pred, catalog, opts)?;
-            let _t = stats.timer();
-            let out = select_masked(&input, pred, ap.mask.as_deref(), reg, &node_opts)?;
-            (
-                out,
-                OpProfile::new("Select", pred.to_string())
-                    .with_alternatives(ap.alternatives)
-                    .with_child(child),
-            )
+            let rel = input(p, reg)?;
+            let ap = plan_select_access(&rel, pred, catalog, opts)?;
+            alternatives = ap.alternatives;
+            let _t = timer();
+            Cow::Owned(select_masked(&rel, pred, ap.mask.as_deref(), reg, node_opts)?)
         }
         Plan::Project(p, cols) => {
-            let (input, child) = execute_profiled_with(p, tables, reg, opts, catalog)?;
-            stats.tuples_in.add(input.len() as u64);
+            let rel = input(p, reg)?;
             let refs: Vec<&str> = cols.iter().map(|s| s.as_str()).collect();
-            let _t = stats.timer();
-            let out = project(&input, &refs, reg, &node_opts)?;
-            (out, OpProfile::new("Project", cols.join(", ")).with_child(child))
+            let _t = timer();
+            Cow::Owned(project(&rel, &refs, reg, node_opts)?)
         }
         Plan::Join(l, r, pred) => {
-            let (left, lp) = execute_profiled_with(l, tables, reg, opts, catalog)?;
-            let (right, rp) = execute_profiled_with(r, tables, reg, opts, catalog)?;
-            stats.tuples_in.add((left.len() + right.len()) as u64);
-            let _t = stats.timer();
-            let out = join(&left, &right, pred.as_ref(), reg, &node_opts)?;
-            let detail = match pred {
-                Some(p) => p.to_string(),
-                None => "cross".to_string(),
-            };
-            (out, OpProfile::new("Join", detail).with_child(lp).with_child(rp))
+            let left = input(l, reg)?;
+            let right = input(r, reg)?;
+            let _t = timer();
+            Cow::Owned(join(&left, &right, pred.as_ref(), reg, node_opts)?)
         }
         Plan::ThresholdAttrs(p, attrs, op, prob) => {
-            let (input, child) = execute_profiled_with(p, tables, reg, opts, catalog)?;
-            stats.tuples_in.add(input.len() as u64);
+            let rel = input(p, reg)?;
             let refs: Vec<&str> = attrs.iter().map(|s| s.as_str()).collect();
-            let _t = stats.timer();
-            let out = threshold_attrs(&input, &refs, *op, *prob, reg, &node_opts)?;
-            let detail = format!("Pr({}) {op} {prob}", attrs.join(", "));
-            (out, OpProfile::new("ThresholdAttrs", detail).with_child(child))
+            let _t = timer();
+            Cow::Owned(threshold_attrs(&rel, &refs, *op, *prob, reg, node_opts)?)
         }
         Plan::ThresholdPred(p, pred, op, prob) => {
-            let (input, child) = execute_profiled_with(p, tables, reg, opts, catalog)?;
-            stats.tuples_in.add(input.len() as u64);
-            let ap = plan_threshold_access(&input, pred, *op, *prob, catalog, opts)?;
-            let _t = stats.timer();
-            let out = match &ap.mask {
-                Some(m) => {
-                    threshold_pred_masked(&input, pred, *op, *prob, Some(m), reg, &node_opts)?
-                }
-                None => threshold_pred(&input, pred, *op, *prob, reg, &node_opts)?,
-            };
-            let detail = format!("Pr({pred}) {op} {prob}");
-            (
-                out,
-                OpProfile::new("ThresholdPred", detail)
-                    .with_alternatives(ap.alternatives)
-                    .with_child(child),
-            )
+            let rel = input(p, reg)?;
+            let ap = plan_threshold_access(&rel, pred, *op, *prob, catalog, opts)?;
+            alternatives = ap.alternatives;
+            let _t = timer();
+            Cow::Owned(match &ap.mask {
+                Some(m) => threshold_pred_masked(&rel, pred, *op, *prob, Some(m), reg, node_opts)?,
+                // No persistent index chose to serve this: the transient
+                // support-interval fallback inside threshold_pred may
+                // still prune.
+                None => threshold_pred(&rel, pred, *op, *prob, reg, node_opts)?,
+            })
         }
     };
-    stats.tuples_out.add(rel.len() as u64);
+    if span.is_recording() {
+        span.arg("tuples_out", out.len() as u64);
+    }
+    let (Some(stats), Some(total)) = (stats, &opts.stats) else {
+        return Ok((out, OpProfile::default()));
+    };
+    stats.tuples_out.add(out.len() as u64);
+    let mut profile =
+        OpProfile::new(op_name(plan), op_detail(plan)).with_alternatives(alternatives);
+    profile.children = children;
     profile.stats = stats.snapshot();
+    total.absorb(&profile.stats);
     if span.is_recording() {
         // The per-operator ExecStats delta rides on the span, so the trace
         // alone explains where pdf work happened.
         span.arg("detail", profile.detail.as_str());
         span.arg("tuples_in", profile.stats.tuples_in);
-        span.arg("tuples_out", profile.stats.tuples_out);
         span.arg("pdf_products", profile.stats.pdf_products);
         span.arg("pdf_floors", profile.stats.pdf_floors);
         span.arg("pdf_marginalizations", profile.stats.pdf_marginalizations);
@@ -511,7 +491,7 @@ pub fn execute_profiled_with(
         span.arg("pairs_pruned", profile.stats.pairs_pruned);
         span.arg("self_nanos", profile.stats.elapsed_nanos);
     }
-    Ok((rel, profile))
+    Ok((out, profile))
 }
 
 #[cfg(test)]
@@ -567,13 +547,25 @@ mod tests {
         assert_eq!(out.value(0, "id").unwrap(), &Value::Int(1));
     }
 
+    /// A profiled run: [`run`] with a fresh collector attached.
+    fn profiled(
+        plan: &Plan,
+        tables: &HashMap<String, Relation>,
+        reg: &mut HistoryRegistry,
+        opts: &ExecOptions,
+    ) -> (Relation, OpProfile) {
+        let opts = opts.clone().with_stats(Arc::new(ExecStats::new()));
+        let (rel, profile) = run(plan, &|name| tables.get(name), reg, &opts, None).unwrap();
+        (rel.into_owned(), profile)
+    }
+
     #[test]
-    fn execute_profiled_matches_execute_and_counts() {
+    fn run_counts_per_operator_and_rolls_up_into_the_callers_collector() {
         let (tables, mut reg) = db();
         let plan = Plan::scan("t").select(Predicate::cmp("x", CmpOp::Lt, 8.0)).project(&["id"]);
-        let (out, profile) =
-            execute_profiled(&plan, &tables, &mut reg, &ExecOptions::default()).unwrap();
-        assert_eq!(out.len(), 2);
+        let total = Arc::new(ExecStats::new());
+        let opts = ExecOptions::default().with_stats(total.clone());
+        let (_, profile) = run(&plan, &|name| tables.get(name), &mut reg, &opts, None).unwrap();
         assert_eq!(profile.name, "Project");
         assert_eq!(profile.stats.tuples_in, 2);
         assert_eq!(profile.stats.tuples_out, 2);
@@ -586,6 +578,11 @@ mod tests {
         let scan = &sel.children[0];
         assert_eq!(scan.name, "Scan");
         assert_eq!(scan.stats.tuples_out, 2);
+        assert_eq!(total.snapshot().pdf_floors, 2, "the statement total sees every operator");
+        // No collector, no profile.
+        let plain = ExecOptions::default();
+        let (_, profile) = run(&plan, &|name| tables.get(name), &mut reg, &plain, None).unwrap();
+        assert_eq!(profile, OpProfile::default());
     }
 
     #[test]
@@ -620,8 +617,7 @@ mod tests {
         let scan = Plan::scan("t");
         assert_eq!(estimate_rows(&scan, &catalog), 2, "analyzed scan uses real row count");
         let plan = scan.select(Predicate::cmp("x", CmpOp::Lt, 8.0)).project(&["id"]);
-        let (_, mut profile) =
-            execute_profiled(&plan, &tables, &mut reg, &ExecOptions::default()).unwrap();
+        let (_, mut profile) = profiled(&plan, &tables, &mut reg, &ExecOptions::default());
         annotate_estimates(&mut profile, &plan, &catalog);
         assert!(profile.est_rows.is_some());
         let sel = &profile.children[0];
@@ -682,8 +678,7 @@ mod tests {
                 indexes: Some(handle.clone()),
                 ..ExecOptions::default()
             };
-            let (out, profile) =
-                execute_profiled_with(&plan, &tables, &mut reg, &opts, None).unwrap();
+            let (out, profile) = profiled(&plan, &tables, &mut reg, &opts);
             assert_eq!(ids(&out), ids(&base), "mode {mode:?} must match the scan bitwise");
             assert_eq!(profile.alternatives.len(), 2, "scan and index both priced");
             assert!(profile.alternatives[1].chosen, "index path wins under {mode:?}");
@@ -737,21 +732,18 @@ mod tests {
             indexes: Some(handle.clone()),
             ..ExecOptions::default()
         };
-        let (out, profile) =
-            execute_profiled_with(&plan, &tables, &mut reg, &cost_opts, None).unwrap();
+        let (out, profile) = profiled(&plan, &tables, &mut reg, &cost_opts);
         assert_eq!(ids(&out), ids(&base));
         assert!(profile.alternatives[0].chosen, "cold build: scan wins on cost");
         // Rule mode forces the index (building it as a side effect) ...
         let rule_opts = ExecOptions { planner: PlannerMode::Rule, ..cost_opts.clone() };
-        let (out, profile) =
-            execute_profiled_with(&plan, &tables, &mut reg, &rule_opts, None).unwrap();
+        let (out, profile) = profiled(&plan, &tables, &mut reg, &rule_opts);
         assert_eq!(ids(&out), ids(&base));
         assert!(profile.alternatives[1].chosen, "rule mode always takes a usable index");
         assert_eq!(profile.stats.index_probes, 100);
         assert_eq!(profile.stats.index_pruned, 90);
         // ... after which the Cost planner flips to the now-fresh index.
-        let (out, profile) =
-            execute_profiled_with(&plan, &tables, &mut reg, &cost_opts, None).unwrap();
+        let (out, profile) = profiled(&plan, &tables, &mut reg, &cost_opts);
         assert_eq!(ids(&out), ids(&base));
         assert!(profile.alternatives[1].chosen, "fresh build: index-range wins on cost");
     }

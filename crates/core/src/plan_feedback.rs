@@ -13,7 +13,6 @@
 //! future join-ordering cost model measured errors instead of magic
 //! constants.
 
-use crate::plan::Plan;
 use orion_obs::{json, OpProfile};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -94,35 +93,16 @@ impl PlanFeedbackStore {
         entry.last_actual = actual;
     }
 
-    /// Walks a profiled plan, folding every operator's annotated `est_rows`
-    /// against its measured `tuples_out`. The traversal mirrors
-    /// [`crate::plan::annotate_estimates`]: profile children line up
-    /// positionally with the plan's children, so the same walk attributes
-    /// each profile node to its plan operator.
-    pub fn fold(&self, profile: &OpProfile, plan: &Plan) {
+    /// Walks an annotated profile ([`crate::plan::annotate_estimates`]),
+    /// folding every operator's `est_rows` against its measured
+    /// `tuples_out`.
+    pub fn fold(&self, profile: &OpProfile) {
         if let Some(est) = profile.est_rows {
-            let table = plan_table(plan).unwrap_or("*");
+            let table = profile_table(profile).unwrap_or("*");
             self.observe(table, &profile.name, est, profile.stats.tuples_out);
         }
-        match plan {
-            Plan::Scan(_) => {}
-            Plan::Select(p, _)
-            | Plan::Project(p, _)
-            | Plan::ThresholdAttrs(p, ..)
-            | Plan::ThresholdPred(p, ..) => {
-                if let Some(child) = profile.children.first() {
-                    self.fold(child, p);
-                }
-            }
-            Plan::Join(l, r, _) => {
-                let mut kids = profile.children.iter();
-                if let Some(lp) = kids.next() {
-                    self.fold(lp, l);
-                }
-                if let Some(rp) = kids.next() {
-                    self.fold(rp, r);
-                }
-            }
+        for child in &profile.children {
+            self.fold(child);
         }
     }
 
@@ -200,23 +180,20 @@ impl PlanFeedbackStore {
     }
 }
 
-/// The base table a plan subtree reads: a scan's name threaded up through
-/// the unary operators. Joins mix tables, so attribution stops there.
-fn plan_table(plan: &Plan) -> Option<&str> {
-    match plan {
-        Plan::Scan(name) => Some(name),
-        Plan::Select(p, _)
-        | Plan::Project(p, _)
-        | Plan::ThresholdAttrs(p, ..)
-        | Plan::ThresholdPred(p, ..) => plan_table(p),
-        Plan::Join(..) => None,
+/// The base table a profiled subtree reads: the scan's table (a leaf's
+/// detail) threaded up through the unary operators. Joins mix tables, so
+/// attribution stops there.
+fn profile_table(profile: &OpProfile) -> Option<&str> {
+    match profile.children.as_slice() {
+        [] => Some(&profile.detail),
+        [input] => profile_table(input),
+        _ => None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predicate::{CmpOp, Predicate};
     use orion_obs::ExecStatsSnapshot;
 
     #[test]
@@ -242,34 +219,36 @@ mod tests {
         assert_eq!((s.last_est, s.last_actual), (100, 25));
     }
 
-    fn profiled(name: &str, est: u64, actual: u64, children: Vec<OpProfile>) -> OpProfile {
-        let mut p = OpProfile::new(name, "")
+    fn profiled(name: &str, table: &str, est: u64, actual: u64, kids: Vec<OpProfile>) -> OpProfile {
+        let mut p = OpProfile::new(name, table)
             .with_stats(ExecStatsSnapshot { tuples_out: actual, ..Default::default() });
         p.est_rows = Some(est);
-        p.children = children;
+        p.children = kids;
         p
     }
 
     #[test]
-    fn fold_mirrors_plan_walk_and_attributes_tables() {
+    fn fold_walks_the_profile_and_attributes_tables() {
         // σ over scan(readings) joined with scan(sites): the join node gets
         // "*", each side keeps its base table.
-        let plan = Plan::Join(
-            Box::new(Plan::scan("readings").select(Predicate::cmp("v", CmpOp::Lt, 50.0))),
-            Box::new(Plan::scan("sites")),
-            None,
-        );
         let profile = profiled(
             "Join",
+            "cross",
             40,
             60,
             vec![
-                profiled("Select", 10, 20, vec![profiled("Scan", 100, 100, vec![])]),
-                profiled("Scan", 5, 5, vec![]),
+                profiled(
+                    "Select",
+                    "v < 50",
+                    10,
+                    20,
+                    vec![profiled("Scan", "readings", 100, 100, vec![])],
+                ),
+                profiled("Scan", "sites", 5, 5, vec![]),
             ],
         );
         let store = PlanFeedbackStore::new();
-        store.fold(&profile, &plan);
+        store.fold(&profile);
         let keys: Vec<(String, String)> =
             store.summaries().iter().map(|s| (s.table.clone(), s.op.clone())).collect();
         assert_eq!(

@@ -37,7 +37,8 @@ pub struct ExecOptions {
     /// Execution-stats collector. When present, the operators count the pdf
     /// operations they perform (products, floors, marginalizations,
     /// history collapses) into it; tuple flow and wall time are recorded by
-    /// the profiled executors, which know operator boundaries.
+    /// the plan runner ([`crate::plan::run`]), which knows operator
+    /// boundaries and profiles exactly when a collector is attached here.
     pub stats: Option<Arc<ExecStats>>,
     /// Worker threads for morsel-parallel operators. `0` (the default)
     /// means auto: the `ORION_THREADS` environment variable if set,

@@ -3,9 +3,10 @@
 //! An [`ExecStats`] is a bundle of atomic counters that the relational
 //! operators increment while they run: tuple flow, the three pdf operations
 //! the paper's cost model is built on (`product`, `floor`, `marginalize`),
-//! history-dependent collapses, and wall time. The profiled executors hand
-//! each operator its own `Arc<ExecStats>` (via `ExecOptions::stats`), then
-//! snapshot it into an [`crate::OpProfile`] node.
+//! history-dependent collapses, and wall time. The plan runner hands each
+//! operator its own `Arc<ExecStats>` (via `ExecOptions::stats`), snapshots
+//! it into an [`crate::OpProfile`] node, and rolls it up into the caller's
+//! whole-statement collector ([`ExecStats::absorb`]).
 
 use crate::metrics::Counter;
 use crate::{fmt_nanos, json};
@@ -86,6 +87,28 @@ impl ExecStats {
                 lanes.push(WorkerLane { worker, morsels, busy_nanos });
                 lanes.sort_by_key(|l| l.worker);
             }
+        }
+    }
+
+    /// Adds a snapshot's counters and worker lanes into this collector: how
+    /// the plan runner rolls each operator's own collector up into the
+    /// whole-statement one its caller attached.
+    pub fn absorb(&self, s: &ExecStatsSnapshot) {
+        self.tuples_in.add(s.tuples_in);
+        self.tuples_out.add(s.tuples_out);
+        self.pdf_products.add(s.pdf_products);
+        self.pdf_floors.add(s.pdf_floors);
+        self.pdf_marginalizations.add(s.pdf_marginalizations);
+        self.collapses.add(s.collapses);
+        self.pairs_pruned.add(s.pairs_pruned);
+        self.batches.add(s.batches);
+        self.batch_rows.add(s.batch_rows);
+        self.batch_selected.add(s.batch_selected);
+        self.index_probes.add(s.index_probes);
+        self.index_pruned.add(s.index_pruned);
+        self.elapsed_nanos.add(s.elapsed_nanos);
+        for l in &s.workers {
+            self.record_worker(l.worker, l.morsels, l.busy_nanos);
         }
     }
 
@@ -291,6 +314,20 @@ mod tests {
         assert_eq!(snap.pdf_floors, 2);
         assert_eq!(snap.pdf_marginalizations, 3);
         assert_eq!(snap.collapses, 1);
+    }
+
+    #[test]
+    fn absorb_rolls_a_snapshot_up() {
+        let node = ExecStats::new();
+        node.pdf_floors.add(2);
+        node.record_worker(1, 3, 500);
+        let total = ExecStats::new();
+        total.pdf_floors.inc();
+        total.absorb(&node.snapshot());
+        total.absorb(&node.snapshot());
+        let snap = total.snapshot();
+        assert_eq!(snap.pdf_floors, 5);
+        assert_eq!(snap.workers, vec![WorkerLane { worker: 1, morsels: 6, busy_nanos: 1_000 }]);
     }
 
     #[test]

@@ -3,20 +3,13 @@
 
 use crate::ast::*;
 use crate::error::{Result, SqlError};
+use crate::lower::{lower, Lowered};
 use crate::parser::parse;
-use orion_core::agg;
-use orion_core::join::join;
-use orion_core::plan::{
-    annotate_estimates, execute_profiled_with, plan_select_access, plan_threshold_access, Plan,
-};
+use orion_core::plan::{self, annotate_estimates, Plan};
 use orion_core::prelude::*;
-use orion_core::project::project;
-use orion_core::select::select_masked;
-use orion_core::threshold::{
-    predicate_probability, threshold_attrs, threshold_pred, threshold_pred_masked,
-};
 use orion_obs::{ExecStats, MetricsRegistry, OpProfile, Tracer, WorkloadRepo};
 use orion_pdf::prelude::*;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -65,6 +58,8 @@ pub struct Database {
     txn_db: Option<SharedDurableDb>,
     workload: Option<Arc<WorkloadRepo>>,
     feedback: Arc<PlanFeedbackStore>,
+    /// The last SELECT's operator profile, when it ran profiled.
+    profile: Option<OpProfile>,
 }
 
 impl Default for Database {
@@ -96,6 +91,7 @@ impl Database {
             txn_db: None,
             workload: None,
             feedback: Arc::new(PlanFeedbackStore::new()),
+            profile: None,
         }
     }
 
@@ -166,6 +162,15 @@ impl Database {
     /// the session layer reads the deltas for the workload repository.
     pub fn set_exec_stats(&mut self, stats: Arc<ExecStats>) {
         self.opts.stats = Some(stats);
+    }
+
+    /// Takes the operator profile the last SELECT produced while running,
+    /// planner estimates attached — what `EXPLAIN ANALYZE` of it would
+    /// print. `None` when that SELECT ran without a collector
+    /// ([`Database::set_exec_stats`]) or failed, or the profile was already
+    /// taken.
+    pub fn take_profile(&mut self) -> Option<OpProfile> {
+        self.profile.take()
     }
 
     /// Bumps the staleness epoch of every index over `table` (DML makes
@@ -277,9 +282,7 @@ impl Database {
                 self.note_index_mutation(&table);
                 Ok(Output::Count(n))
             }
-            Statement::Select { items, from, filter, distinct, order_by, limit } => {
-                self.select(items, from, filter, distinct, order_by, limit)
-            }
+            select @ Statement::Select { .. } => self.select(lower(select)?),
             Statement::Update { table, sets, filter } => self.update(table, sets, filter),
             Statement::Delete { table, filter } => {
                 let pred = filter.map(|p| translate_pred(&p)).transpose()?;
@@ -353,140 +356,86 @@ impl Database {
         }
     }
 
-    /// `EXPLAIN [ANALYZE | TRACE] SELECT ...`: lowers the statement onto
-    /// the core plan algebra and executes it with per-operator profiling.
-    /// All forms run the query (the result relation is discarded); the
-    /// plain form renders only the plan shape. `TRACE` additionally runs
-    /// with the global tracer enabled and writes a Chrome trace-event JSON
-    /// file (to `ORION_TRACE_FILE` if set, else the system temp dir).
-    /// Post-relational stages (DISTINCT, ORDER BY, LIMIT, computed select
-    /// items, aggregates) are not part of the operator algebra and are
-    /// rejected.
+    /// `EXPLAIN [ANALYZE | TRACE] SELECT ...`: runs the statement exactly as
+    /// `SELECT` would, always profiled, and returns the operator tree in
+    /// place of the rows. All forms run the query; the plain form renders
+    /// only the plan shape. `TRACE` additionally runs with the global tracer
+    /// enabled and writes a Chrome trace-event JSON file (to
+    /// `ORION_TRACE_FILE` if set, else the system temp dir). Post-relational
+    /// stages (DISTINCT, ORDER BY, LIMIT, computed select items, aggregates)
+    /// are not part of the operator algebra and are rejected.
     fn explain(&mut self, analyze: bool, trace: bool, inner: Statement) -> Result<Output> {
-        let Statement::Select { items, from, filter, distinct, order_by, limit } = inner else {
-            return Err(SqlError::Exec("EXPLAIN supports only SELECT statements".into()));
-        };
-        if distinct || order_by.is_some() || limit.is_some() {
+        let lowered = lower(inner)?;
+        if !lowered.post.is_empty() {
             return Err(SqlError::Exec(
-                "EXPLAIN covers the relational pipeline only \
-                 (no DISTINCT / ORDER BY / LIMIT)"
+                "EXPLAIN covers the relational pipeline only (no DISTINCT / ORDER BY / \
+                 LIMIT, computed select items or aggregates)"
                     .into(),
             ));
         }
-        let scan_names: Vec<String> = match &from {
-            FromClause::Table(name) => vec![name.clone()],
-            FromClause::Join { left, right, .. } => vec![left.clone(), right.clone()],
-        };
-        let mut plan = match from {
-            FromClause::Table(name) => Plan::Scan(name),
-            FromClause::Join { left, right, on } => Plan::Join(
-                Box::new(Plan::Scan(left)),
-                Box::new(Plan::Scan(right)),
-                on.map(|p| translate_pred(&p)).transpose()?,
-            ),
-        };
-        // Mirror `select()`: one σ for all PWS conjuncts, then thresholds.
-        if let Some(f) = filter {
-            let mut pws_parts: Vec<Predicate> = Vec::new();
-            let mut thresholds: Vec<Pred> = Vec::new();
-            for c in split_conjuncts(f) {
-                match c {
-                    Pred::ProbThreshold(..) | Pred::AttrThreshold(..) => thresholds.push(c),
-                    other => pws_parts.push(translate_pred(&other)?),
-                }
-            }
-            if !pws_parts.is_empty() {
-                let pred = if pws_parts.len() == 1 {
-                    pws_parts.pop().expect("one part")
-                } else {
-                    Predicate::And(pws_parts)
-                };
-                plan = plan.select(pred);
-            }
-            for t in thresholds {
-                plan = match t {
-                    Pred::ProbThreshold(inner, op, p) => {
-                        Plan::ThresholdPred(Box::new(plan), translate_pred(&inner)?, op, p)
-                    }
-                    Pred::AttrThreshold(attrs, op, p) => {
-                        Plan::ThresholdAttrs(Box::new(plan), attrs, op, p)
-                    }
-                    _ => unreachable!("partitioned above"),
-                };
-            }
-        }
-        if !items.iter().any(|i| matches!(i, SelectItem::Wildcard)) {
-            let cols: Vec<String> = items
-                .iter()
-                .map(|i| match i {
-                    SelectItem::Column(c) => Ok(c.clone()),
-                    other => Err(SqlError::Exec(format!(
-                        "EXPLAIN covers the relational pipeline only \
-                         (unsupported select item {other:?})"
-                    ))),
-                })
-                .collect::<Result<_>>()?;
-            plan = Plan::Project(Box::new(plan), cols);
-        }
-        // System tables join the plan like any stored relation: materialize
-        // them into a merged table map scoped to this query.
-        let mut vtables: Option<HashMap<String, Relation>> = None;
-        for n in &scan_names {
-            if let Some(rel) = self.virtual_table(n)? {
-                vtables.get_or_insert_with(|| self.tables.clone()).insert(n.clone(), rel);
-            }
-        }
-        let tables = vtables.as_ref().unwrap_or(&self.tables);
-        // The result relation is discarded like any undisplayed SELECT
-        // output (a bare Scan result holds no refs of its own, so an
-        // explicit release here could over-release the stored table).
-        if !trace {
-            let (_rel, mut profile) =
-                execute_profiled_with(&plan, tables, &mut self.reg, &self.opts, Some(&self.stats))?;
-            annotate_estimates(&mut profile, &plan, &self.stats);
-            self.feedback.fold(&profile, &plan);
-            return Ok(Output::Explain { profile, analyze, trace: None });
-        }
         let tracer = Tracer::global();
         let was_enabled = tracer.enabled();
-        if !was_enabled {
-            // Ambient tracing was off: start from empty rings so the file
-            // holds exactly this query. When `ORION_TRACE=1` keep whatever
-            // the process recorded so far (WAL, checkpoints) — the query's
-            // spans are distinguished by their trace id.
-            tracer.clear();
-            tracer.set_enabled(true);
+        let mut query_id = 0;
+        if trace {
+            if !was_enabled {
+                // Ambient tracing was off: start from empty rings so the
+                // file holds exactly this query. When `ORION_TRACE=1` keep
+                // whatever the process recorded so far (WAL, checkpoints) —
+                // the query's spans are distinguished by their trace id.
+                tracer.clear();
+                tracer.set_enabled(true);
+            }
+            query_id = tracer.begin_trace();
         }
-        let query_id = tracer.begin_trace();
-        let result =
-            execute_profiled_with(&plan, tables, &mut self.reg, &self.opts, Some(&self.stats));
-        if !was_enabled {
+        // EXPLAIN profiles even when the session attached no collector.
+        let own_collector = self.opts.stats.is_none();
+        if own_collector {
+            self.opts.stats = Some(Arc::default());
+        }
+        // The result relation is discarded like any undisplayed SELECT
+        // output.
+        let ran = self.select(lowered);
+        if own_collector {
+            self.opts.stats = None;
+        }
+        if trace && !was_enabled {
             tracer.set_enabled(false);
         }
-        let (_rel, mut profile) = result?;
-        annotate_estimates(&mut profile, &plan, &self.stats);
-        self.feedback.fold(&profile, &plan);
-        let path = match std::env::var_os("ORION_TRACE_FILE") {
-            Some(p) => std::path::PathBuf::from(p),
-            None => std::env::temp_dir().join(format!("orion-trace-{query_id}.json")),
+        ran?;
+        let profile = self.take_profile().expect("a profiled SELECT keeps its profile");
+        self.feedback.fold(&profile);
+        let trace = if trace {
+            let path = match std::env::var_os("ORION_TRACE_FILE") {
+                Some(p) => std::path::PathBuf::from(p),
+                None => std::env::temp_dir().join(format!("orion-trace-{query_id}.json")),
+            };
+            tracer
+                .write_chrome_trace(&path)
+                .map_err(|e| SqlError::Exec(format!("cannot write trace file {path:?}: {e}")))?;
+            Some(ExplainTrace {
+                path: path.display().to_string(),
+                tree: tracer.render_span_tree(8),
+            })
+        } else {
+            None
         };
-        tracer
-            .write_chrome_trace(&path)
-            .map_err(|e| SqlError::Exec(format!("cannot write trace file {path:?}: {e}")))?;
-        let tree = tracer.render_span_tree(8);
-        let info = ExplainTrace { path: path.display().to_string(), tree };
-        Ok(Output::Explain { profile, analyze, trace: Some(info) })
+        Ok(Output::Explain { profile, analyze, trace })
     }
 
-    /// Resolves a FROM name: system tables first, then stored relations.
-    fn source(&self, name: &str) -> Result<Relation> {
-        if let Some(rel) = self.virtual_table(name)? {
-            return Ok(rel);
+    /// The system (`orion.*`) relations `plan` scans, materialized for this
+    /// statement; every other scan must name a stored table.
+    fn system_relations(&self, plan: &Plan) -> Result<HashMap<String, Relation>> {
+        let mut virt = HashMap::new();
+        for name in plan.scans() {
+            match self.virtual_table(name)? {
+                Some(rel) => {
+                    virt.insert(name.to_string(), rel);
+                }
+                None if self.tables.contains_key(name) => {}
+                None => return Err(SqlError::Exec(format!("unknown table '{name}'"))),
+            }
         }
-        self.tables
-            .get(name)
-            .cloned()
-            .ok_or_else(|| SqlError::Exec(format!("unknown table '{name}'")))
+        Ok(virt)
     }
 
     /// Materializes a system (`orion.*`) relation, `None` when `name` is
@@ -962,299 +911,46 @@ impl Database {
         Ok(Output::Count(updated))
     }
 
-    fn select(
-        &mut self,
-        items: Vec<SelectItem>,
-        from: FromClause,
-        filter: Option<Pred>,
-        distinct: bool,
-        order_by: Option<(String, bool)>,
-        limit: Option<usize>,
-    ) -> Result<Output> {
-        // Build the input relation (system tables resolve like stored ones).
-        let mut input = match from {
-            FromClause::Table(name) => self.source(&name)?,
-            FromClause::Join { left, right, on } => {
-                let l = self.source(&left)?;
-                let r = self.source(&right)?;
-                let on_pred = on.map(|p| translate_pred(&p)).transpose()?;
-                join(&l, &r, on_pred.as_ref(), &mut self.reg, &self.opts)?
+    /// Runs a lowered SELECT: the plan through the core runner (system
+    /// tables resolve like stored ones), then the post stages. A profiled
+    /// run (collector attached) keeps its profile for [`Self::take_profile`].
+    fn select(&mut self, lowered: Lowered) -> Result<Output> {
+        let Lowered { plan, post } = lowered;
+        self.profile = None;
+        let virt = self.system_relations(&plan)?;
+        let tables = &self.tables;
+        let source = |name: &str| virt.get(name).or_else(|| tables.get(name));
+        let (rel, mut profile) = match &plan {
+            // ORDER BY and LIMIT see the unprojected columns: Π runs after
+            // them, as a one-operator plan over the reordered input.
+            Plan::Project(input, cols) if post.reorders() => {
+                let (rel, below) =
+                    plan::run(input, &source, &mut self.reg, &self.opts, Some(&self.stats))?;
+                let mut rel = rel.into_owned();
+                post.order_and_limit(&mut rel, &mut self.reg)?;
+                let top = Plan::Project(Box::new(Plan::scan(&rel.name)), cols.clone());
+                let (out, mut profile) =
+                    plan::run(&top, &|_| Some(&rel), &mut self.reg, &self.opts, None)?;
+                if let Some(scan) = profile.children.first_mut() {
+                    *scan = below;
+                }
+                (Cow::Owned(out.into_owned()), profile)
+            }
+            _ => {
+                let (mut rel, profile) =
+                    plan::run(&plan, &source, &mut self.reg, &self.opts, Some(&self.stats))?;
+                if post.reorders() {
+                    post.order_and_limit(rel.to_mut(), &mut self.reg)?;
+                }
+                (rel, profile)
             }
         };
-
-        // Apply the WHERE clause: split top-level conjuncts into PWS
-        // predicates and probability thresholds.
-        if let Some(f) = filter {
-            let conjuncts = split_conjuncts(f);
-            let mut pws_parts: Vec<Predicate> = Vec::new();
-            let mut thresholds: Vec<Pred> = Vec::new();
-            for c in conjuncts {
-                match c {
-                    Pred::ProbThreshold(..) | Pred::AttrThreshold(..) => thresholds.push(c),
-                    other => pws_parts.push(translate_pred(&other)?),
-                }
-            }
-            if !pws_parts.is_empty() {
-                let pred = if pws_parts.len() == 1 {
-                    pws_parts.pop().expect("one part")
-                } else {
-                    Predicate::And(pws_parts)
-                };
-                // Access-path decision: an evx index over a certain-column
-                // range predicate may supply a candidate mask (a proven
-                // superset of the passing set, so results are unchanged).
-                let ap = plan_select_access(&input, &pred, Some(&self.stats), &self.opts)?;
-                input =
-                    select_masked(&input, &pred, ap.mask.as_deref(), &mut self.reg, &self.opts)?;
-            }
-            for t in thresholds {
-                input = match t {
-                    Pred::ProbThreshold(inner, op, p) => {
-                        let pred = translate_pred(&inner)?;
-                        // Scan vs cdf-index threshold; a declined or
-                        // unindexed path falls back to threshold_pred's
-                        // transient support-interval pruning.
-                        let ap = plan_threshold_access(
-                            &input,
-                            &pred,
-                            op,
-                            p,
-                            Some(&self.stats),
-                            &self.opts,
-                        )?;
-                        match ap.mask {
-                            Some(m) => threshold_pred_masked(
-                                &input,
-                                &pred,
-                                op,
-                                p,
-                                Some(&m),
-                                &mut self.reg,
-                                &self.opts,
-                            )?,
-                            None => {
-                                threshold_pred(&input, &pred, op, p, &mut self.reg, &self.opts)?
-                            }
-                        }
-                    }
-                    Pred::AttrThreshold(attrs, op, p) => {
-                        let refs: Vec<&str> = attrs.iter().map(|s| s.as_str()).collect();
-                        threshold_attrs(&input, &refs, op, p, &mut self.reg, &self.opts)?
-                    }
-                    _ => unreachable!("partitioned above"),
-                };
-            }
+        let out = post.output(rel, &self.reg, &self.opts)?;
+        if self.opts.stats.is_some() {
+            annotate_estimates(&mut profile, &plan, &self.stats);
+            self.profile = Some(profile);
         }
-
-        // ORDER BY: certain columns sort by value; uncertain columns by
-        // their conditional expectation.
-        if let Some((col, desc)) = &order_by {
-            let c = input
-                .schema
-                .column(col)
-                .ok_or_else(|| SqlError::Exec(format!("unknown column '{col}'")))?
-                .clone();
-            let idx = input.schema.index_of(col).expect("column exists");
-            let mut keyed: Vec<(f64, usize)> = Vec::with_capacity(input.len());
-            for (ti, t) in input.tuples.iter().enumerate() {
-                let key = if c.uncertain {
-                    input.marginal(ti, col)?.expected_value().unwrap_or(f64::NEG_INFINITY)
-                } else {
-                    t.certain[idx].as_f64().unwrap_or(f64::NEG_INFINITY)
-                };
-                keyed.push((key, ti));
-            }
-            keyed.sort_by(|a, b| {
-                let ord = a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal);
-                if *desc {
-                    ord.reverse()
-                } else {
-                    ord
-                }
-            });
-            // Permute in place: pair keys with the owned tuples instead of
-            // deep-cloning every pdf node just to reorder.
-            let mut slots: Vec<Option<_>> =
-                std::mem::take(&mut input.tuples).into_iter().map(Some).collect();
-            input.tuples = keyed
-                .into_iter()
-                .map(|(_, ti)| slots[ti].take().expect("each index used once"))
-                .collect();
-        }
-        if let Some(n) = limit {
-            for t in input.tuples.drain(n.min(input.tuples.len())..) {
-                for node in &t.nodes {
-                    self.reg.release_refs(&node.ancestors);
-                }
-            }
-        }
-        // Resolve the SELECT list.
-        if items.iter().any(SelectItem::is_aggregate) {
-            if !items.iter().all(SelectItem::is_aggregate) {
-                return Err(SqlError::Exec(
-                    "aggregates cannot be mixed with per-tuple select items".into(),
-                ));
-            }
-            let mut header = Vec::new();
-            let mut row = Vec::new();
-            for item in &items {
-                match item {
-                    SelectItem::CountAgg => {
-                        header.push("ecount".to_string());
-                        row.push(format!(
-                            "{:.6}",
-                            agg::count_expected(&input, &self.reg, &self.opts)?
-                        ));
-                    }
-                    SelectItem::SumAgg(col) => {
-                        header.push(format!("esum({col})"));
-                        row.push(agg::sum_gaussian(&input, col)?.to_string());
-                    }
-                    SelectItem::AvgAgg(col) => {
-                        header.push(format!("eavg({col})"));
-                        row.push(match agg::avg_expected(&input, col)? {
-                            Some(v) => format!("{v:.6}"),
-                            None => "NULL".to_string(),
-                        });
-                    }
-                    _ => unreachable!("all aggregates"),
-                }
-            }
-            return Ok(Output::Rows { header, rows: vec![row] });
-        }
-
-        let computed = items.iter().any(|i| {
-            matches!(
-                i,
-                SelectItem::Expected(_)
-                    | SelectItem::ProbOf(_)
-                    | SelectItem::Variance(_)
-                    | SelectItem::Quantile(..)
-                    | SelectItem::Median(_)
-            )
-        });
-        if computed {
-            // Mixed per-tuple computed output: render values per tuple.
-            let mut header = Vec::new();
-            for item in &items {
-                match item {
-                    SelectItem::Wildcard => {
-                        for c in input.schema.columns() {
-                            header.push(c.name.clone());
-                        }
-                    }
-                    SelectItem::Column(c) => header.push(c.clone()),
-                    SelectItem::Expected(c) => header.push(format!("expected({c})")),
-                    SelectItem::Variance(c) => header.push(format!("variance({c})")),
-                    SelectItem::Quantile(c, q) => header.push(format!("quantile({c},{q})")),
-                    SelectItem::Median(c) => header.push(format!("median({c})")),
-                    SelectItem::ProbOf(_) => header.push("prob".to_string()),
-                    _ => unreachable!("aggregates handled above"),
-                }
-            }
-            let mut rows = Vec::new();
-            for (ti, t) in input.tuples.iter().enumerate() {
-                let mut row = Vec::new();
-                for item in &items {
-                    match item {
-                        SelectItem::Wildcard => {
-                            for c in input.schema.columns() {
-                                row.push(render_cell(&input, ti, &c.name)?);
-                            }
-                        }
-                        SelectItem::Column(c) => row.push(render_cell(&input, ti, c)?),
-                        SelectItem::Expected(c) => {
-                            let col = input
-                                .schema
-                                .column(c)
-                                .ok_or_else(|| SqlError::Exec(format!("unknown column '{c}'")))?;
-                            let s = if col.uncertain {
-                                match input.marginal(ti, c)?.expected_value() {
-                                    Some(v) => format!("{v:.6}"),
-                                    None => "NULL".to_string(),
-                                }
-                            } else {
-                                t.certain[input.schema.index_of(c).expect("col")].to_string()
-                            };
-                            row.push(s);
-                        }
-                        SelectItem::Variance(c) => {
-                            row.push(uncertain_stat(&input, ti, c, "VARIANCE", |m| m.variance())?);
-                        }
-                        SelectItem::Quantile(c, q) => {
-                            let q = *q;
-                            row.push(uncertain_stat(&input, ti, c, "QUANTILE", move |m| {
-                                m.quantile(q)
-                            })?);
-                        }
-                        SelectItem::Median(c) => {
-                            row.push(uncertain_stat(&input, ti, c, "MEDIAN", |m| m.quantile(0.5))?);
-                        }
-                        SelectItem::ProbOf(p) => {
-                            let pred = translate_pred(p)?;
-                            let prob =
-                                predicate_probability(&input, t, &pred, &self.reg, &self.opts)?;
-                            row.push(format!("{prob:.6}"));
-                        }
-                        _ => unreachable!("aggregates handled above"),
-                    }
-                }
-                rows.push(row);
-            }
-            return Ok(Output::Rows { header, rows });
-        }
-
-        // Plain relational output.
-        let wildcard = items.iter().any(|i| matches!(i, SelectItem::Wildcard));
-        if wildcard {
-            if items.len() != 1 {
-                return Err(SqlError::Exec("'*' cannot be combined with columns".into()));
-            }
-            if distinct {
-                return Err(SqlError::Exec(
-                    "DISTINCT requires an explicit certain-column projection".into(),
-                ));
-            }
-            return Ok(Output::Table(input));
-        }
-        let cols: Vec<&str> = items
-            .iter()
-            .map(|i| match i {
-                SelectItem::Column(c) => Ok(c.as_str()),
-                other => Err(SqlError::Exec(format!("unsupported select item {other:?}"))),
-            })
-            .collect::<Result<_>>()?;
-        let mut projected = project(&input, &cols, &mut self.reg, &self.opts)?;
-        if distinct {
-            // Probabilistic duplicate elimination induces complex
-            // historical dependencies (the paper defers it as future
-            // work): support only the classical case — every result tuple
-            // fully certain and certainly present.
-            let certain_ok = projected
-                .tuples
-                .iter()
-                .all(|t| t.nodes.is_empty() && (t.naive_existence() - 1.0).abs() < 1e-12);
-            if !certain_ok {
-                return Err(SqlError::Exec(
-                    "DISTINCT over uncertain data is not supported (probabilistic \
-                     duplicate elimination is deferred, as in the paper); project to \
-                     certain columns of certainly-present tuples first"
-                        .into(),
-                ));
-            }
-            let mut seen: std::collections::HashSet<Vec<orion_core::pws::CanonValue>> =
-                Default::default();
-            let mut kept = Vec::new();
-            for t in projected.tuples.drain(..) {
-                let key: Vec<orion_core::pws::CanonValue> =
-                    t.certain.iter().map(orion_core::pws::CanonValue::from).collect();
-                if seen.insert(key) {
-                    kept.push(t);
-                }
-            }
-            projected.tuples = kept;
-        }
-        Ok(Output::Table(projected))
+        Ok(out)
     }
 }
 
@@ -1281,46 +977,6 @@ fn system_rel(name: &str, cols: &[(&str, ColumnType)], rows: Vec<Vec<Value>>) ->
         rel.insert_simple(&mut reg, &certain, &[])?;
     }
     Ok(rel)
-}
-
-/// Evaluates a per-tuple statistic over an uncertain column's marginal,
-/// rendering `NULL` when the statistic is undefined.
-fn uncertain_stat(
-    rel: &Relation,
-    tuple: usize,
-    col: &str,
-    what: &str,
-    stat: impl Fn(&Pdf1) -> Option<f64>,
-) -> Result<String> {
-    let c =
-        rel.schema.column(col).ok_or_else(|| SqlError::Exec(format!("unknown column '{col}'")))?;
-    if !c.uncertain {
-        // A certain value is a point mass: every statistic degenerates to
-        // the obvious constant, consistent with EXPECTED's behavior.
-        let v = &rel.tuples[tuple].certain[rel.schema.index_of(col).expect("col")];
-        return match v.as_f64() {
-            Some(x) => Ok(match stat(&Pdf1::certain(x)) {
-                Some(r) => format!("{r:.6}"),
-                None => "NULL".to_string(),
-            }),
-            None => Err(SqlError::Exec(format!("{what} over non-numeric certain column '{col}'"))),
-        };
-    }
-    Ok(match stat(&rel.marginal(tuple, col)?) {
-        Some(v) => format!("{v:.6}"),
-        None => "NULL".to_string(),
-    })
-}
-
-/// Renders one visible cell: certain value or pdf summary.
-fn render_cell(rel: &Relation, tuple: usize, col: &str) -> Result<String> {
-    let c =
-        rel.schema.column(col).ok_or_else(|| SqlError::Exec(format!("unknown column '{col}'")))?;
-    if c.uncertain {
-        Ok(rel.marginal(tuple, col)?.to_string())
-    } else {
-        Ok(rel.tuples[tuple].certain[rel.schema.index_of(col).expect("col")].to_string())
-    }
 }
 
 /// The uncertain half of a translated INSERT row: one `(column names,
@@ -1485,14 +1141,6 @@ pub(crate) fn certain_eval(schema: &ProbSchema, t: &ProbTuple, p: &Predicate) ->
         schema.index_of(name).map(|i| t.certain[i].clone()).unwrap_or(Value::Null)
     };
     p.eval(&lookup) == Some(true)
-}
-
-/// Splits a predicate's top-level AND into conjuncts.
-fn split_conjuncts(p: Pred) -> Vec<Pred> {
-    match p {
-        Pred::And(ps) => ps.into_iter().flat_map(split_conjuncts).collect(),
-        other => vec![other],
-    }
 }
 
 /// Translates an AST predicate into an engine predicate. Threshold forms

@@ -52,6 +52,7 @@ pub mod ast;
 pub mod error;
 pub mod exec;
 pub mod fingerprint;
+pub mod lower;
 pub mod parser;
 pub mod render;
 pub mod session;
@@ -60,6 +61,7 @@ pub mod token;
 pub use error::{Result, SqlError};
 pub use exec::{Database, Output};
 pub use fingerprint::fingerprint;
+pub use lower::lower;
 pub use parser::parse;
 pub use render::{render_output, render_relation};
 pub use session::DurableSession;

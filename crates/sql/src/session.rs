@@ -31,7 +31,7 @@ use crate::fingerprint::fingerprint;
 use crate::parser::parse;
 use orion_core::prelude::*;
 use orion_core::tuple::PdfNode;
-use orion_obs::{recorder, ExecSample, ExecStats, SlowQuery};
+use orion_obs::{recorder, ExecSample, ExecStats, OpProfile, SlowQuery};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -98,20 +98,15 @@ impl DurableSession {
         let stmt = parse(sql)?;
         let workload = self.db.workload();
         let mut retries = 0u64;
+        let mut profile = None;
         if !workload.enabled() {
-            return self.dispatch(stmt, &mut retries);
+            return self.dispatch(stmt, &mut retries, &mut profile);
         }
         let (fp, text) = fingerprint(&stmt);
-        // Only reads can be re-run for a captured plan: re-executing DML
-        // would apply its effects twice.
-        let candidate = match &stmt {
-            Statement::Select { .. } => Some(stmt.clone()),
-            _ => None,
-        };
         let stats_before = self.exec_stats.snapshot();
         let io_before = self.db.io_stats().snapshot();
         let start = Instant::now();
-        let result = self.dispatch(stmt, &mut retries);
+        let result = self.dispatch(stmt, &mut retries, &mut profile);
         let nanos = start.elapsed().as_nanos() as u64;
         let stats_after = self.exec_stats.snapshot();
         let io_after = self.db.io_stats().snapshot();
@@ -136,7 +131,13 @@ impl DurableSession {
             txn_retries: retries,
         };
         if let Some(ticket) = workload.record(&sample) {
-            let plan = candidate.map(|inner| self.capture_plan(inner)).unwrap_or_default();
+            // The plan of the execution that was slow; its estimate-vs-actual
+            // pairs go to the planner-feedback store — slow statements
+            // deserve the planner's attention.
+            let plan = profile
+                .inspect(|p| self.db.plan_feedback().fold(p))
+                .map(|p| p.render(true))
+                .unwrap_or_default();
             workload.record_slow(SlowQuery {
                 seq: ticket.seq,
                 fingerprint: fp,
@@ -152,8 +153,15 @@ impl DurableSession {
     }
 
     /// Routes one parsed statement; `retries` counts auto-commit conflict
-    /// re-runs for the workload repository.
-    fn dispatch(&mut self, stmt: Statement, retries: &mut u64) -> Result<Output> {
+    /// re-runs for the workload repository, and `profile` receives the
+    /// operator profile of a profiled SELECT (the slow-query log's to
+    /// render).
+    fn dispatch(
+        &mut self,
+        stmt: Statement,
+        retries: &mut u64,
+        profile: &mut Option<OpProfile>,
+    ) -> Result<Output> {
         match stmt {
             Statement::Begin => {
                 if self.txn.is_some() {
@@ -217,7 +225,12 @@ impl DurableSession {
                 self.stats.insert(ts.clone());
                 Ok(Output::Analyze(ts))
             }
-            read => self.query_db().run(read),
+            read => {
+                let mut qdb = self.query_db();
+                let out = qdb.run(read);
+                *profile = qdb.take_profile();
+                out
+            }
         }
     }
 
@@ -251,20 +264,6 @@ impl DurableSession {
                 }
                 Err(e) => return Err(e.into()),
             }
-        }
-    }
-
-    /// Re-runs a read as `EXPLAIN ANALYZE` on a fresh point-in-time query
-    /// database to capture the operator tree for the slow-query log. The
-    /// re-run also folds a second estimate-vs-actual observation into the
-    /// planner-feedback store, which is the point: slow statements deserve
-    /// the planner's attention.
-    fn capture_plan(&mut self, inner: Statement) -> String {
-        let explain = Statement::Explain { analyze: true, trace: false, inner: Box::new(inner) };
-        match self.query_db().run(explain) {
-            Ok(Output::Explain { profile, .. }) => profile.render(true),
-            Ok(_) => String::new(),
-            Err(e) => format!("<plan capture failed: {e}>"),
         }
     }
 
@@ -605,7 +604,7 @@ mod tests {
         let sq = slow.iter().find(|q| q.text.starts_with("SELECT a FROM t")).unwrap();
         assert!(sq.plan.contains("Scan"), "captured plan has operators: {:?}", sq.plan);
         assert!(sq.plan.contains("actual="), "EXPLAIN ANALYZE form: {:?}", sq.plan);
-        // The EXPLAIN ANALYZE re-run folded estimate-vs-actual feedback.
+        // Each capture folded its run's estimate-vs-actual feedback.
         assert!(!s.db().plan_feedback().summaries().is_empty());
 
         // The same stores back the orion.* vtables.

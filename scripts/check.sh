@@ -60,6 +60,14 @@ cargo test -q -p orion-sql orion_metrics_rows_match_prometheus_export
 echo "== cargo test -q (fault injection, fixed seeds) =="
 cargo test -q -p orion-storage -p orion-core -p orion-tests --features failpoints
 
+echo "== e2e benchmark smoke (seam names + workload correctness) =="
+# Builds the standalone e2e/ workspace offline against this working tree and
+# runs all six workloads for a few seconds: a renamed seam item (see
+# e2e/src/seam.rs) fails the build here, and a workload whose answers stop
+# passing its `correct` check fails the run — locally, not in the benchmark
+# pipeline.
+bash e2e/run.sh run --smoke
+
 echo "== crash matrix + recovery oracle + txn consistency (3 pinned seeds) =="
 # Each seed runs the byte-level crash matrices, the recovery oracle (whose
 # workloads now interleave CREATE/DROP INDEX and assert recovered index

@@ -172,3 +172,126 @@ fn three_statement_composition_keeps_histories_consistent() {
     let rel = table(db.execute("SELECT * FROM t WHERE v > 1 AND v < 4 AND v <> 2").unwrap());
     assert!((rel.tuples[0].naive_existence() - 0.25).abs() < 1e-12);
 }
+
+/// A database holding every table the scenarios above use.
+fn corpus_db() -> Database {
+    let mut db = Database::new();
+    for sql in [
+        "CREATE TABLE readings (rid INT, site TEXT, temp REAL UNCERTAIN)",
+        "INSERT INTO readings VALUES (1, 'north', GAUSSIAN(20, 4)), (2, 'north', GAUSSIAN(35, 9)), \
+         (3, 'south', GAUSSIAN(50, 1)), (4, 'south', UNIFORM(10, 30))",
+        "CREATE TABLE trucks (tid INT, pos REAL UNCERTAIN)",
+        "CREATE TABLE zones (zid INT, boundary REAL UNCERTAIN)",
+        "INSERT INTO trucks VALUES (1, GAUSSIAN(10, 4)), (2, GAUSSIAN(45, 4))",
+        "INSERT INTO zones VALUES (7, UNIFORM(20, 30)), (8, UNIFORM(40, 60))",
+        "CREATE TABLE obj (oid INT, x REAL UNCERTAIN, y REAL UNCERTAIN, CORRELATED (x, y))",
+        "INSERT INTO obj VALUES (1, JOINT((0, 0):0.5, (10, 10):0.5)), \
+         (2, JOINT((0, 10):0.5, (10, 0):0.5))",
+        "CREATE TABLE mixed (k INT, v REAL UNCERTAIN)",
+        "INSERT INTO mixed VALUES (1, POISSON(3)), (2, BINOMIAL(10, 0.5)), (3, BERNOULLI(0.25)), \
+         (6, HISTOGRAM(0, 2, 0.25, 0.25, 0.5)), (7, DISCRETE(1:0.4, 2:0.6))",
+    ] {
+        db.execute(sql).unwrap();
+    }
+    db
+}
+
+/// A copy of every stored table, keyed by name.
+fn stored_tables(
+    db: &Database,
+) -> std::collections::HashMap<String, orion_core::prelude::Relation> {
+    db.table_names().into_iter().map(|n| (n.clone(), db.table(&n).unwrap().clone())).collect()
+}
+
+/// The SELECT shapes of the scenarios above, plus the post-relational
+/// forms EXPLAIN refuses.
+const CORPUS: &[&str] = &[
+    "SELECT * FROM readings",
+    "SELECT rid FROM readings",
+    "SELECT * FROM readings WHERE site = 'north' AND temp < 30",
+    "SELECT * FROM readings WHERE site = 'north' AND PROB(temp < 30) > 0.5",
+    "SELECT rid, site FROM readings WHERE PROB(temp BETWEEN 15 AND 25) > 0.3 AND rid < 4",
+    "SELECT rid FROM readings WHERE PROB(temp) > 0.9",
+    "SELECT * FROM trucks JOIN zones ON pos < boundary",
+    "SELECT tid, zid FROM trucks JOIN zones ON pos < boundary WHERE tid = 1",
+    "SELECT * FROM trucks JOIN zones",
+    "SELECT * FROM obj WHERE x < 5 AND y < 5",
+    "SELECT oid FROM obj WHERE PROB(x < 5) >= 0.5",
+    "SELECT * FROM mixed WHERE v >= 2",
+    "SELECT k FROM mixed WHERE v > 1 AND v < 4 AND v <> 2",
+    "SELECT rid, EXPECTED(temp) FROM readings",
+    "SELECT ECOUNT(*), ESUM(temp) FROM readings WHERE temp < 30",
+    "SELECT rid FROM readings ORDER BY temp DESC LIMIT 2",
+    "SELECT DISTINCT site FROM readings",
+];
+
+/// Operator names, details and output cardinalities of a profile tree, in
+/// pre-order.
+fn shape(p: &orion_obs::OpProfile, out: &mut Vec<(String, String, u64)>) {
+    out.push((p.name.clone(), p.detail.clone(), p.stats.tuples_out));
+    for c in &p.children {
+        shape(c, out);
+    }
+}
+
+/// A served SELECT runs the plan `lower` produces through the core runner:
+/// its rows equal that plan run directly, and the profile it keeps equals
+/// what `EXPLAIN ANALYZE` of the same statement reports.
+#[test]
+fn select_runs_the_plan_explain_prints() {
+    use orion_core::plan::execute;
+    use orion_core::prelude::ExecOptions;
+
+    let mut db = corpus_db();
+    db.set_exec_stats(std::sync::Arc::default());
+    let mut explained = 0;
+    for sql in CORPUS {
+        let lowered = orion_sql::lower(orion_sql::parse(sql).unwrap()).unwrap();
+        if !lowered.post.is_empty() {
+            assert!(db.execute(&format!("EXPLAIN {sql}")).is_err(), "{sql}");
+            assert!(db.execute(sql).is_ok(), "{sql}");
+            continue;
+        }
+        explained += 1;
+        let tables = stored_tables(&db);
+        let mut reg = db.registry_mut().clone();
+        let oracle = execute(&lowered.plan, &tables, &mut reg, &ExecOptions::default()).unwrap();
+
+        let rel = table(db.execute(sql).unwrap());
+        assert_eq!(rel.tuples, oracle.tuples, "{sql}");
+        assert_eq!(rel.schema.columns(), oracle.schema.columns(), "{sql}");
+
+        let ran = db.take_profile().expect("profiled SELECT keeps its profile");
+        assert_eq!(ran.stats.tuples_out as usize, rel.len(), "{sql}");
+        let out = db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+        let Output::Explain { profile, .. } = out else { panic!("expected explain") };
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        shape(&ran, &mut a);
+        shape(&profile, &mut b);
+        assert_eq!(a, b, "{sql}");
+    }
+    assert_eq!(explained, 13, "every relational statement of the corpus was checked");
+}
+
+/// Statements whose shape is wrong are refused before any operator runs:
+/// the stored tables and the history registry (reference counts included)
+/// are exactly as they were.
+#[test]
+fn shape_errors_leave_the_registry_untouched() {
+    let mut db = corpus_db();
+    let state = |db: &mut Database| {
+        let tables = stored_tables(db);
+        let reg = db.registry_mut().clone();
+        orion_tests::fingerprint(&tables, &reg, db.stats_catalog())
+    };
+    let before = state(&mut db);
+    for sql in [
+        "SELECT *, rid FROM readings WHERE temp < 30",
+        "SELECT DISTINCT * FROM readings WHERE temp < 30",
+        "SELECT ECOUNT(*), rid FROM trucks JOIN zones ON pos < boundary",
+        "SELECT ESUM(temp), EXPECTED(temp) FROM readings WHERE temp < 30",
+    ] {
+        assert!(db.execute(sql).is_err(), "{sql}");
+        assert!(state(&mut db) == before, "{sql} changed the stored state");
+    }
+}

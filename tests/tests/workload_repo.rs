@@ -287,3 +287,71 @@ fn workload_vtables_join_with_user_tables() {
     assert_eq!(rel.value(0, "cause").unwrap(), &Value::Text("slow".into()));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Sums every `key=<n>` counter of a rendered `EXPLAIN ANALYZE` tree.
+fn sum_counter(plan: &str, key: &str) -> u64 {
+    plan.split_whitespace().filter_map(|tok| tok.strip_prefix(key)?.parse::<u64>().ok()).sum()
+}
+
+/// The slow-query log holds the plan of the execution that was slow — the
+/// statement is not run a second time to learn it. So the captured tree's
+/// pdf work is the pdf work the statement repository charged the statement,
+/// its root cardinality is the statement's row count, plan feedback gains
+/// one observation per operator, and statements `EXPLAIN` refuses (ORDER BY
+/// / LIMIT here) are captured all the same.
+#[test]
+fn slow_log_keeps_the_plan_that_ran() {
+    let dir = temp_dir("ran_once");
+    let mut s = session(&dir);
+    let repo = s.db().workload();
+    s.execute("CREATE TABLE wl (a INT, x REAL UNCERTAIN)").unwrap();
+    let rows: Vec<String> = (0..40).map(|i| format!("({i}, GAUSSIAN({}, 9))", 10 + i)).collect();
+    s.execute(&format!("INSERT INTO wl VALUES {}", rows.join(", "))).unwrap();
+    let mut cfg = repo.config();
+    cfg.slow_nanos = 0; // what ORION_SLOW_MS=0 configures
+    repo.set_config(cfg);
+
+    let Output::Table(rel) = s.execute("SELECT a FROM wl WHERE x < 30 AND a < 35").unwrap() else {
+        panic!("table")
+    };
+    let slow = repo.slow_queries();
+    let sq = slow.iter().find(|q| q.text.contains("x < ?")).unwrap();
+    assert_eq!(sq.rows as usize, rel.len());
+    let root = sq.plan.lines().next().unwrap();
+    assert!(root.starts_with("Project [a]"), "{root}");
+    assert!(root.contains(&format!("actual={} ", rel.len())), "{root}");
+
+    let pdf_ops = ["products=", "floors=", "marginalize="]
+        .iter()
+        .map(|k| sum_counter(&sq.plan, k))
+        .sum::<u64>();
+    assert!(pdf_ops >= 35, "one floor per tuple the certain conjunct kept: {}", sq.plan);
+    let stmts = repo.statements();
+    let st = stmts.iter().find(|st| st.text.contains("x < ?")).unwrap();
+    assert_eq!(
+        (st.calls, st.pdf_ops),
+        (1, pdf_ops),
+        "the captured plan is the run that was charged"
+    );
+
+    let feedback = s.db().plan_feedback().summaries();
+    let ops: Vec<(&str, u64)> = feedback.iter().map(|f| (f.op.as_str(), f.n)).collect();
+    assert_eq!(ops, [("Project", 1), ("Scan", 1), ("Select", 1)], "one observation per operator");
+    let project = &feedback[0];
+    assert_eq!(project.last_actual as usize, rel.len());
+
+    // ORDER BY / LIMIT run beneath the projection; the captured tree shows
+    // the projection over the two rows LIMIT kept.
+    let Output::Table(top) = s.execute("SELECT a FROM wl ORDER BY x DESC LIMIT 2").unwrap() else {
+        panic!("table")
+    };
+    assert_eq!(top.value(0, "a").unwrap(), &Value::Int(39));
+    let slow = repo.slow_queries();
+    let sq = slow.iter().find(|q| q.text.contains("ORDER BY")).unwrap();
+    let mut lines = sq.plan.lines();
+    let root = lines.next().unwrap();
+    assert!(root.starts_with("Project [a]") && root.contains("in=2 out=2"), "{}", sq.plan);
+    let scan = lines.next().unwrap();
+    assert!(scan.contains("Scan [wl]") && scan.contains("out=40"), "{}", sq.plan);
+    std::fs::remove_dir_all(&dir).ok();
+}
