@@ -1,12 +1,11 @@
-//! Regenerates the durability figure: group-commit fsync amortization vs
-//! writer count, and full vs incremental checkpoint cost.
+//! Regenerates the durability figure: full vs incremental checkpoint cost.
 //!
 //! Usage: `fig_durability [--json PATH] [--trace PATH]`
 //!
 //! `--trace PATH` records the run with the structured tracer (WAL append /
 //! fsync spans, checkpoint spans) and writes a Chrome trace-event file.
 
-use orion_bench::durability::{run_checkpoints, run_group_commit, to_json, DurabilityConfig};
+use orion_bench::durability::{run_checkpoints, to_json, DurabilityConfig};
 use orion_bench::report;
 
 fn main() {
@@ -20,32 +19,9 @@ fn main() {
 
     let cfg = DurabilityConfig::default();
     eprintln!(
-        "Durability figure: writers {:?}, {} inserts/writer, window {:?}",
-        cfg.writer_counts, cfg.inserts_per_writer, cfg.window
+        "Durability figure: checkpoint sizes {:?}, tail {}",
+        cfg.checkpoint_sizes, cfg.checkpoint_tail
     );
-    let gc = run_group_commit(&cfg);
-    let table: Vec<Vec<String>> = gc
-        .iter()
-        .map(|r| {
-            vec![
-                r.writers.to_string(),
-                r.mode.clone(),
-                r.commits.to_string(),
-                r.fsyncs.to_string(),
-                r.fsyncs_saved.to_string(),
-                format!("{:.2}", r.commits_per_fsync()),
-                report::fmt_secs(r.secs),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        report::text_table(
-            &["writers", "mode", "commits", "fsyncs", "saved", "commits/fsync", "time"],
-            &table
-        )
-    );
-
     let dir = std::env::temp_dir().join("orion_fig_durability_bin");
     let ckpt = run_checkpoints(&cfg, &dir);
     std::fs::remove_dir_all(&dir).ok();
@@ -70,7 +46,7 @@ fn main() {
     );
 
     if let Some(p) = json_path {
-        report::write_json(&p, &to_json(&gc, &ckpt)).expect("write json");
+        report::write_json(&p, &to_json(&ckpt)).expect("write json");
         eprintln!("wrote {}", p.display());
     }
     if let Some(p) = trace_path {

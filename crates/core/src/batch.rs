@@ -4,12 +4,12 @@
 //!
 //! * [`ExecMode`] — the row/batch switch threaded through
 //!   [`ExecOptions`](crate::select::ExecOptions). Batch mode processes a
-//!   morsel at a time ([`crate::exec_par::run_batches`]) and vectorizes the
+//!   morsel at a time (`exec_par::run_batches`) and vectorizes the
 //!   certain-column predicate work; every probabilistic computation runs
 //!   the exact same scalar arithmetic in the same order as row mode, so
 //!   results are **bit-identical** across modes (proven by
 //!   `tests/batch_equiv.rs`).
-//! * [`CertainLanes`] — a columnar view of one chunk's certain values.
+//! * `CertainLanes` — a columnar view of one chunk's certain values.
 //!   Int/Real/Null columns become flat `f64` lanes with a null mask, over
 //!   which comparisons run as autovectorizable loops; Text/Bool/mixed
 //!   columns fall back to per-row [`Value::compare`]. The lane evaluator

@@ -114,7 +114,7 @@ pub fn mc_key_distribution(
 
 /// Parallel Monte-Carlo estimate: samples are sharded across a scoped
 /// worker pool, each worker drawing from its own [`XorShift`] stream whose
-/// seed is the worker index mixed into `base_seed` with [`splitmix64`]
+/// seed is the worker index mixed into `base_seed` with `splitmix64`
 /// (additive seeding can collide after wrap-around clamping; the bijective
 /// mixer keeps the streams distinct), and per-worker presence counts are
 /// summed.

@@ -27,7 +27,7 @@
 //! ```
 //!
 //! Records 6–8 never reach [`apply_record`]: WAL replay intercepts them
-//! ([`txn_marker`]) and buffers the records between a begin and its commit,
+//! (`txn_marker`) and buffers the records between a begin and its commit,
 //! applying the group atomically — a begin whose commit never made it to
 //! stable storage (crash mid-transaction) or that is followed by an abort
 //! marker is discarded wholesale. Snapshots contain only committed state
@@ -45,7 +45,7 @@
 //! computations), surfacing [`EngineError::Corrupt`] instead of panicking.
 //! [`apply_record`] applies one tagged record to an in-memory database and
 //! is shared between snapshot loading and WAL replay
-//! ([`crate::durable::DurableDb`]).
+//! ([`crate::durable::SharedDurableDb::open`]).
 
 use crate::error::{EngineError, Result};
 use crate::history::{Ancestors, BasePdf, HistoryRegistry, PdfId};
@@ -721,8 +721,8 @@ pub fn apply_record(rec: &[u8], state: &mut LoadState) -> Result<()> {
 }
 
 /// Loads every record of the snapshot at `path` into `state`, without
-/// finishing it — [`crate::durable::DurableDb`] replays WAL records into
-/// the same state afterwards.
+/// finishing it — [`crate::durable::SharedDurableDb::open`] replays WAL
+/// records into the same state afterwards.
 pub fn load_into(path: &Path, state: &mut LoadState) -> Result<()> {
     let heap = HeapFile::new(FileStore::open(path)?, 64);
     let mut err: Option<EngineError> = None;
@@ -846,7 +846,7 @@ pub(crate) fn fold_chain_pages(snapshot: &Path, dir: &Path) -> Result<(MemStore,
 
 /// Loads the snapshot **chain** under `dir` (base `snapshot` + incremental
 /// delta files) into `state`: pages are folded first
-/// ([`fold_chain_pages`]), then the folded store is scanned once. Stale
+/// (`fold_chain_pages`), then the folded store is scanned once. Stale
 /// deltas from a crashed full checkpoint are deleted. A missing base with
 /// delta files present is corruption — deltas are meaningless without the
 /// base they patch.

@@ -52,7 +52,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Probability levels at which a `cdf` index stores the marginal's
 /// conditional quantile location (the smallest `x` with
 /// `F(x) ≥ level · mass`). Pruning a threshold `Pr(θ) > p` via the level
-/// `q` requires `1 - q` to clear `p` by [`CDF_MARGIN`], so each level sits
+/// `q` requires `1 - q` to clear `p` by `CDF_MARGIN`, so each level sits
 /// just past a common round threshold (0.101 serves `p = 0.9`, 0.051
 /// serves `p = 0.95`, …) instead of exactly on it.
 pub const CDF_LEVELS: [f64; 13] =

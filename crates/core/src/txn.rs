@@ -1,12 +1,13 @@
 //! Snapshot-isolation transactions over [`SharedDurableDb`].
 //!
 //! A [`Txn`] takes a **private snapshot** of the database at begin — a deep
-//! clone of the tables and history registry, taken with the WAL pipeline
-//! drained so only durable state is ever visible (no dirty reads). All
-//! reads and DML run against that private view; nothing is shared until
-//! commit.
+//! clone of the tables and history registry, taken under the core lock.
+//! The invariant that makes this a no-dirty-reads snapshot: every WAL
+//! commit and every apply happens under the core lock, and the core holds
+//! only durable state. All reads and DML run against that private view;
+//! nothing is shared until commit.
 //!
-//! **Write-set and provenance.** Every DML statement appends a [`WriteOp`]
+//! **Write-set and provenance.** Every DML statement appends a `WriteOp`
 //! and tags the affected private rows with where they came from:
 //! committed rows are identified by their exact encoded tuple bytes (the
 //! *content address* — base-pdf ids make pdf-carrying tuples unique, and
@@ -16,7 +17,7 @@
 //! transaction's *net* effect.
 //!
 //! **Commit protocol** (first-committer-wins snapshot isolation), all
-//! under the drained core lock:
+//! under the core lock:
 //!
 //! 1. **Validate**: every committed row this transaction deleted or
 //!    updated must still exist byte-identically (multiset-counted), and
@@ -135,9 +136,8 @@ pub struct Txn {
 }
 
 impl Txn {
-    /// Begins a transaction: drains the WAL pipeline (so the snapshot
-    /// holds only durable state — the no-dirty-reads guarantee) and deep
-    /// clones tables + registry as the private view.
+    /// Begins a transaction: deep clones the committed tables + registry
+    /// under the core lock as the private view.
     pub fn begin(db: &SharedDurableDb) -> Txn {
         let mut span = txn_span("txn.begin");
         let id = next_txn_id();
@@ -146,7 +146,7 @@ impl Txn {
         }
         metrics().counter("txn_begins").inc();
         let (tables, reg, snapshot_epoch) = {
-            let core = db.lock_drained();
+            let core = db.inner.core.lock();
             (core.tables.clone(), core.reg.clone(), core.epoch)
         };
         let snap_last_base = reg.last_id();
@@ -396,7 +396,7 @@ impl Txn {
             metrics().histogram("txn.commit_nanos").record(started.elapsed().as_nanos() as u64);
             return Ok(db.inner.core.lock().commit_seq);
         }
-        let mut core = db.lock_drained();
+        let mut core = db.inner.core.lock();
         if let Err(e) = validate(&core, &live) {
             metrics().counter("txn_conflicts").inc();
             return Err(e);
@@ -469,7 +469,7 @@ impl Txn {
         }
         persist::encode_txn_marker(TAG_TXN_COMMIT, self.id, &mut buf);
         payloads.push(std::mem::take(&mut buf));
-        // One atomic group-commit batch, under the drained core lock: no
+        // One atomic group-commit batch, under the core lock: no
         // concurrent record can interleave inside the transaction's frame.
         if let Err(e) = db.inner.wal.commit(&payloads) {
             metrics().counter("txn_aborts").inc();
@@ -639,7 +639,6 @@ fn diff_nodes(reg: &mut HistoryRegistry, old_t: &ProbTuple, new_t: &ProbTuple) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durable::DurableDb;
     use crate::schema::ColumnType;
     use orion_storage::GroupCommitConfig;
     use std::path::PathBuf;
@@ -687,8 +686,8 @@ mod tests {
         db.with_tables(|tables, _| assert_eq!(tables["readings"].len(), 3));
         db.check_invariants().unwrap();
         drop(db);
-        let re = DurableDb::open(&dir).unwrap();
-        assert_eq!(re.table("readings").unwrap().len(), 3);
+        let re = open(&dir);
+        re.with_tables(|tables, _| assert_eq!(tables["readings"].len(), 3));
         re.check_invariants().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -739,12 +738,14 @@ mod tests {
         });
         db.check_invariants().unwrap();
         drop(db);
-        let re = DurableDb::open(&dir).unwrap();
-        let rel = re.table("readings").unwrap();
-        let ids: Vec<i64> = rel.tuples.iter().map(id_of).collect();
-        assert_eq!(ids, vec![0, 1, 3]);
-        let m = rel.marginal(2, "v").unwrap();
-        assert!((m.expected_value().unwrap() - 99.0).abs() < 1e-9, "update replayed");
+        let re = open(&dir);
+        re.with_tables(|tables, _| {
+            let rel = &tables["readings"];
+            let ids: Vec<i64> = rel.tuples.iter().map(id_of).collect();
+            assert_eq!(ids, vec![0, 1, 3]);
+            let m = rel.marginal(2, "v").unwrap();
+            assert!((m.expected_value().unwrap() - 99.0).abs() < 1e-9, "update replayed");
+        });
         re.check_invariants().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -884,32 +885,6 @@ mod tests {
         }
         #[cfg(not(feature = "failpoints"))]
         let _ = reg_before;
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn txn_and_plain_inserts_interleave_in_wal_order() {
-        let dir = temp_dir("mixed");
-        let db = open(&dir);
-        let mut t0 = Txn::begin(&db);
-        t0.create_table("readings", schema()).unwrap();
-        t0.commit().unwrap();
-        // Plain (non-transactional) insert between two txns.
-        let mut a = Txn::begin(&db);
-        a.insert_simple("readings", &[("id", Value::Int(1))], &[("v", Pdf1::certain(1.0))])
-            .unwrap();
-        a.commit().unwrap();
-        db.insert_simple("readings", &[("id", Value::Int(2))], &[("v", Pdf1::certain(2.0))])
-            .unwrap();
-        let mut b = Txn::begin(&db);
-        b.insert_simple("readings", &[("id", Value::Int(3))], &[("v", Pdf1::certain(3.0))])
-            .unwrap();
-        b.commit().unwrap();
-        let live = db.with_tables(|tables, _| tables["readings"].tuples.clone());
-        drop(db);
-        let re = DurableDb::open(&dir).unwrap();
-        assert_eq!(re.table("readings").unwrap().tuples, live, "replay == live, in order");
-        re.check_invariants().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -62,7 +62,7 @@ pub fn record(event: &TraceEvent) {
     ring.push_back(event.clone());
 }
 
-/// Registers the directory [`dump`] writes into. `DurableDb::open_with`
+/// Registers the directory [`dump`] writes into. `SharedDurableDb::open`
 /// points this at the database directory so crash dumps land next to the
 /// data they describe.
 pub fn set_dump_dir(dir: &Path) {

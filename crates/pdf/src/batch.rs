@@ -249,7 +249,7 @@ impl Pdf1Batch {
         Ok(())
     }
 
-    /// Bulk variant of [`push_discrete_checked`] for decode hot paths:
+    /// Bulk variant of [`Self::push_discrete_checked`] for decode hot paths:
     /// appends the points first and validates the freshly written arena
     /// windows with flat slice passes (which vectorize), instead of
     /// branching on every point. Non-canonical input rolls back and re-runs

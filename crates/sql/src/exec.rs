@@ -108,8 +108,8 @@ impl Database {
     }
 
     /// Attaches the buffer-pool counters behind `orion.io` (e.g. a durable
-    /// engine's [`DurableDb::io_stats`](orion_core::durable::DurableDb::io_stats);
-    /// defaults to a detached all-zero instance).
+    /// engine's [`SharedDurableDb::io_stats`]; defaults to a detached
+    /// all-zero instance).
     pub fn set_io_stats(&mut self, io: Arc<IoStats>) {
         self.io = io;
     }

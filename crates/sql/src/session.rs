@@ -50,9 +50,6 @@ const SLOW_TRACE_EVENTS: usize = 16;
 pub struct DurableSession {
     db: SharedDurableDb,
     txn: Option<Txn>,
-    /// Session-held ANALYZE results, seeded into every per-statement query
-    /// database (the durable engine persists its own copy via the WAL).
-    stats: StatsCatalog,
     /// Per-session operator counters (pdf ops, index probes), attached to
     /// every query database when the workload repository is enabled so the
     /// statement repository can charge pdf work to statements.
@@ -74,12 +71,7 @@ impl DurableSession {
 
     /// Wraps an already-open shared engine.
     pub fn from_db(db: SharedDurableDb) -> Self {
-        DurableSession {
-            db,
-            txn: None,
-            stats: StatsCatalog::new(),
-            exec_stats: Arc::new(ExecStats::new()),
-        }
+        DurableSession { db, txn: None, exec_stats: Arc::new(ExecStats::new()) }
     }
 
     /// The underlying shared engine.
@@ -217,13 +209,7 @@ impl DurableSession {
                             .into(),
                     ));
                 }
-                self.db.analyze_table(&table)?;
-                let ts = self
-                    .db
-                    .with_tables(|tables, _| tables.get(&table).map(analyze_relation))
-                    .ok_or_else(|| SqlError::Exec(format!("unknown table '{table}'")))??;
-                self.stats.insert(ts.clone());
-                Ok(Output::Analyze(ts))
+                Ok(Output::Analyze(self.db.analyze_table(&table)?))
             }
             read => {
                 let mut qdb = self.query_db();
@@ -269,7 +255,7 @@ impl DurableSession {
 
     /// Builds the per-statement query database: a point-in-time copy of
     /// the current view (transaction snapshot or committed state) with the
-    /// session's stats catalog and the engine's IO / transaction registries
+    /// engine's durable stats catalog and its IO / transaction registries
     /// attached for the `orion.*` system tables.
     fn query_db(&mut self) -> Database {
         let (tables, reg) = match self.txn.as_mut() {
@@ -281,7 +267,7 @@ impl DurableSession {
             qdb.register_table(rel);
         }
         *qdb.registry_mut() = reg;
-        qdb.set_stats_catalog(self.stats.clone());
+        qdb.set_stats_catalog(self.db.stats_catalog());
         qdb.set_io_stats(self.db.io_stats());
         qdb.set_txn_db(self.db.clone());
         // A defs+epochs snapshot of the engine catalog (no built cache):
@@ -649,6 +635,37 @@ mod tests {
             panic!("table")
         };
         assert_eq!(rel.len(), 2, "one stats row per column");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn analyzed_stats_reach_other_clients_and_survive_reopen() {
+        // The engine's durable catalog is the one every session plans with:
+        // a second client on the same engine and a session opened after a
+        // restart both see session A's ANALYZE.
+        fn assert_planned_with_stats(s: &mut DurableSession, who: &str) {
+            let Output::Explain { profile, .. } = s.execute("EXPLAIN SELECT a FROM t").unwrap()
+            else {
+                panic!("explain")
+            };
+            let plan = profile.render(false);
+            assert!(plan.contains("est_rows=2"), "{who}: {plan}");
+            let Output::Table(rel) = s.execute("SELECT * FROM orion.stats").unwrap() else {
+                panic!("table")
+            };
+            assert_eq!(rel.len(), 2, "{who}: one stats row per column");
+        }
+        let dir = temp_dir("analyze_shared");
+        {
+            let mut a = DurableSession::open(&dir).unwrap();
+            a.execute("CREATE TABLE t (a INT, x REAL UNCERTAIN)").unwrap();
+            a.execute("INSERT INTO t VALUES (1, UNIFORM(0, 1)), (2, UNIFORM(1, 2))").unwrap();
+            a.execute("ANALYZE t").unwrap();
+            let mut b = DurableSession::from_db(a.db().clone());
+            assert_planned_with_stats(&mut b, "second client");
+        }
+        let mut reopened = DurableSession::open(&dir).unwrap();
+        assert_planned_with_stats(&mut reopened, "after reopen");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -133,7 +133,7 @@ impl Crc32 {
     }
 
     /// Feeds `bytes` into the checksum. Large inputs on CPUs with
-    /// carry-less multiply go through the [`clmul`] folding kernel (the
+    /// carry-less multiply go through the `clmul` folding kernel (the
     /// residue and any tail finish in the table loop); everything else uses
     /// slicing-by-8 over the bulk and the classic byte loop over the
     /// remainder. All paths produce identical checksums.

@@ -12,7 +12,7 @@
 //! Durability layer: every page carries a CRC32 seal ([`checksum`],
 //! [`page::Page::seal`]) verified by the buffer pool on fault-in, and the
 //! [`wal`] module provides the length+CRC-framed write-ahead log the engine
-//! commits through. With the `failpoints` feature, [`faults::FaultyStore`]
+//! commits through. With the `failpoints` feature, `faults::FaultyStore`
 //! injects deterministic write/read faults for crash-matrix testing.
 
 pub mod btree;

@@ -13,6 +13,11 @@ cargo clippy --all-targets -- -D warnings
 echo "== cargo clippy (failpoints) =="
 cargo clippy -p orion-storage -p orion-core -p orion-tests --all-targets --features failpoints -- -D warnings
 
+echo "== cargo doc (rustdoc warnings are errors) =="
+# Broken intra-doc links and public docs linking private items fail here,
+# so a link to a renamed or deleted item cannot rot silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 echo "== cargo test -q (ORION_THREADS=1) =="
 ORION_THREADS=1 cargo test -q
 

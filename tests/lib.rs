@@ -3,8 +3,10 @@
 use orion_core::prelude::*;
 use orion_pdf::prelude::*;
 use orion_storage::codec::encode_joint;
+use orion_storage::GroupCommitConfig;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::path::Path;
 
 /// Builds the paper's Table II relation and its registry.
 pub fn table2() -> (HashMap<String, Relation>, HistoryRegistry) {
@@ -133,4 +135,115 @@ pub fn hex(bytes: &[u8]) -> String {
         write!(s, "{b:02x}").unwrap();
         s
     })
+}
+
+/// Opens (creating if absent) a durable database with default group-commit
+/// tunables, running crash recovery.
+pub fn open_db(dir: &Path) -> SharedDurableDb {
+    SharedDurableDb::open(dir, GroupCommitConfig::default())
+        .unwrap_or_else(|e| panic!("open {}: {e}", dir.display()))
+}
+
+/// `CREATE TABLE` as a single-statement transaction — what an autocommit
+/// SQL statement does. Returns the commit sequence number.
+pub fn txn_create_table(db: &SharedDurableDb, name: &str, schema: ProbSchema) -> EngineResult<u64> {
+    let mut txn = Txn::begin(db);
+    txn.create_table(name, schema)?;
+    txn.commit()
+}
+
+/// A one-row `INSERT` with explicit dependency-set joints, as a
+/// single-statement transaction.
+pub fn txn_insert(
+    db: &SharedDurableDb,
+    table: &str,
+    certain: &[(&str, Value)],
+    uncertain: Vec<(Vec<&str>, JointPdf)>,
+) -> EngineResult<u64> {
+    let mut txn = Txn::begin(db);
+    txn.insert(table, certain, uncertain)?;
+    txn.commit()
+}
+
+/// A one-row `INSERT` of independent per-column pdfs, as a
+/// single-statement transaction.
+pub fn txn_insert_simple(
+    db: &SharedDurableDb,
+    table: &str,
+    certain: &[(&str, Value)],
+    pdfs: &[(&str, Pdf1)],
+) -> EngineResult<u64> {
+    let mut txn = Txn::begin(db);
+    txn.insert_simple(table, certain, pdfs)?;
+    txn.commit()
+}
+
+/// A recovered database directory: the open handle plus a copy of the
+/// tables, registry and stats catalog recovery rebuilt.
+pub struct Recovered {
+    /// The handle recovery opened (drop it before reopening the directory).
+    pub db: SharedDurableDb,
+    /// Recovered relations, by table name.
+    pub tables: HashMap<String, Relation>,
+    /// Recovered history registry.
+    pub reg: HistoryRegistry,
+    /// Recovered ANALYZE statistics.
+    pub stats: StatsCatalog,
+}
+
+impl Recovered {
+    /// Rows in `table` (0 when recovery rebuilt no such table).
+    pub fn rows(&self, table: &str) -> usize {
+        self.tables.get(table).map_or(0, Relation::len)
+    }
+
+    /// [`fingerprint`] of the recovered state.
+    pub fn fingerprint(&self) -> String {
+        fingerprint(&self.tables, &self.reg, &self.stats)
+    }
+}
+
+/// Opens `dir` (running crash recovery) and copies out what it rebuilt.
+pub fn recover(dir: &Path) -> Recovered {
+    let db = open_db(dir);
+    let (tables, reg) = db.with_tables(|t, r| (t.clone(), r.clone()));
+    let stats = db.stats_catalog();
+    Recovered { db, tables, reg, stats }
+}
+
+/// Number of operations whose *commit frame* fits entirely inside
+/// `bytes[..cut]`, mirroring the WAL replay rule: parsing stops at the
+/// first incomplete frame; base (2) and epoch (4) frames do not complete
+/// an operation by themselves.
+///
+/// Outside a transaction group, a schema (1), tuple (3), stats (5),
+/// delete (9), update (10), index-create (11) or index-drop (12) frame
+/// each completes one operation. Between a txn-begin (6) marker and its
+/// commit (7), data frames are buffered: they count — all at once — only
+/// when the commit marker frame itself survives the cut. An abort marker
+/// (8) or a cut before the commit discards the whole group, exactly as
+/// recovery does.
+pub fn committed_ops(bytes: &[u8], cut: usize) -> usize {
+    let mut off = 0usize;
+    let mut ops = 0;
+    let mut pending: Option<usize> = None; // ops buffered in an open txn group
+    while off + 8 <= cut {
+        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+        if off + 8 + len > cut {
+            break;
+        }
+        match (bytes[off + 8], &mut pending) {
+            (6, _) => pending = Some(0),
+            (7, Some(n)) => {
+                ops += *n;
+                pending = None;
+            }
+            (8, _) | (7, None) => pending = None,
+            (1 | 3 | 5 | 9 | 10 | 11 | 12, Some(n)) => *n += 1,
+            (1 | 3 | 5 | 9 | 10 | 11 | 12, None) => ops += 1,
+            _ => {}
+        }
+        off += 8 + len;
+    }
+    ops
 }

@@ -4,9 +4,10 @@
 //!
 //! Two matrices run here:
 //!
-//! * **WAL matrix** — a [`DurableDb`] is killed at every byte offset of
-//!   its write-ahead log; recovery must yield exactly the tuples whose
-//!   commit records fit in the surviving prefix, with all structural
+//! * **WAL matrix** — a durable database whose inserts each commit as a
+//!   single-statement transaction is killed at every byte offset of its
+//!   write-ahead log; recovery must yield exactly the operations whose
+//!   commit frames fit in the surviving prefix, with all structural
 //!   invariants intact and an idempotent second recovery.
 //! * **Storage matrix** — a heap-file workload runs over a
 //!   [`FaultyStore`] that kills the process at the Nth write (clean
@@ -14,11 +15,12 @@
 //!   prefix of records or flag the torn page through its CRC32 seal.
 #![cfg(feature = "failpoints")]
 
-use orion_core::durable::{DurableDb, WAL_FILE};
+use orion_core::durable::{SharedDurableDb, SNAPSHOT_FILE, WAL_FILE};
 use orion_core::prelude::*;
 use orion_pdf::prelude::*;
-use orion_storage::{FaultPlan, FaultyStore, FileStore, HeapFile, PAGE_SIZE};
-use std::path::PathBuf;
+use orion_storage::{DeltaFile, FaultPlan, FaultyStore, FileStore, HeapFile, PAGE_SIZE};
+use orion_tests::{committed_ops, open_db, recover, txn_create_table, txn_insert_simple};
+use std::path::{Path, PathBuf};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("orion_crash_matrix").join(name);
@@ -32,41 +34,31 @@ fn sensor_schema() -> ProbSchema {
         .unwrap()
 }
 
-/// Builds a WAL-only database with `n` committed inserts and returns the
-/// raw WAL bytes plus, for every frame boundary, the number of committed
-/// tuple records up to it.
-fn build_wal_db(dir: &std::path::Path, n: i64) -> Vec<u8> {
-    let mut db = DurableDb::open(dir).unwrap();
-    db.create_table("readings", sensor_schema()).unwrap();
-    for i in 0..n {
-        db.insert_simple(
+fn create_readings(db: &SharedDurableDb) {
+    txn_create_table(db, "readings", sensor_schema()).unwrap();
+}
+
+/// One single-statement insert transaction per id in `ids`.
+fn insert_ids(db: &SharedDurableDb, ids: std::ops::Range<i64>) {
+    for i in ids {
+        txn_insert_simple(
+            db,
             "readings",
             &[("id", Value::Int(i))],
             &[("v", Pdf1::gaussian(i as f64, 1.0).unwrap())],
         )
         .unwrap();
     }
-    drop(db);
-    std::fs::read(dir.join(WAL_FILE)).unwrap()
 }
 
-/// Number of tuple-tagged records whose frames fit entirely in `bytes[..cut]`.
-/// Mirrors the replay rule: parsing stops at the first incomplete frame.
-fn committed_tuples(bytes: &[u8], cut: usize) -> usize {
-    const TAG_TUPLE: u8 = 3;
-    let mut off = 0usize;
-    let mut tuples = 0;
-    while off + 8 <= cut {
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-        if off + 8 + len > cut {
-            break;
-        }
-        if bytes[off + 8] == TAG_TUPLE {
-            tuples += 1;
-        }
-        off += 8 + len;
-    }
-    tuples
+/// Builds a WAL-only database with `n` committed inserts and returns the
+/// raw WAL bytes.
+fn build_wal_db(dir: &Path, n: i64) -> Vec<u8> {
+    let db = open_db(dir);
+    create_readings(&db);
+    insert_ids(&db, 0..n);
+    drop(db);
+    std::fs::read(dir.join(WAL_FILE)).unwrap()
 }
 
 #[test]
@@ -80,17 +72,17 @@ fn wal_crash_matrix_recovers_committed_prefix_at_every_cut() {
         std::fs::remove_dir_all(&scratch).ok();
         std::fs::create_dir_all(&scratch).unwrap();
         std::fs::write(scratch.join(WAL_FILE), &wal[..cut]).unwrap();
-        let expect = committed_tuples(&wal, cut);
-        let db = DurableDb::open(&scratch).unwrap();
-        let got = db.tables().get("readings").map_or(0, |r| r.len());
-        assert_eq!(got, expect, "cut at byte {cut}");
-        db.check_invariants().unwrap_or_else(|e| panic!("invariants at cut {cut}: {e}"));
-        assert_eq!(db.recovery().wal_bytes_truncated, (cut - db.wal_len() as usize) as u64);
-        drop(db);
+        // The first committed operation is the table's creation.
+        let expect = committed_ops(&wal, cut).saturating_sub(1);
+        let rec = recover(&scratch);
+        assert_eq!(rec.rows("readings"), expect, "cut at byte {cut}");
+        rec.db.check_invariants().unwrap_or_else(|e| panic!("invariants at cut {cut}: {e}"));
+        assert_eq!(rec.db.recovery().wal_bytes_truncated, (cut - rec.db.wal_len() as usize) as u64);
+        drop(rec);
         // Recovery is idempotent: the second open finds a clean log.
-        let db = DurableDb::open(&scratch).unwrap();
-        assert_eq!(db.recovery().wal_bytes_truncated, 0, "second open at cut {cut}");
-        assert_eq!(db.tables().get("readings").map_or(0, |r| r.len()), expect);
+        let rec = recover(&scratch);
+        assert_eq!(rec.db.recovery().wal_bytes_truncated, 0, "second open at cut {cut}");
+        assert_eq!(rec.rows("readings"), expect);
     }
     std::fs::remove_dir_all(&src).ok();
     std::fs::remove_dir_all(&scratch).ok();
@@ -102,28 +94,13 @@ fn post_checkpoint_wal_crash_matrix_never_replays_into_duplicates() {
     // the first frame is the epoch stamp, and recovery must yield the
     // checkpointed tuples plus exactly the post-checkpoint commits that
     // fit in the surviving prefix — never a duplicate.
-    use orion_core::durable::SNAPSHOT_FILE;
     let src = temp_dir("ckpt_matrix_src");
     {
-        let mut db = DurableDb::open(&src).unwrap();
-        db.create_table("readings", sensor_schema()).unwrap();
-        for i in 0..2 {
-            db.insert_simple(
-                "readings",
-                &[("id", Value::Int(i))],
-                &[("v", Pdf1::gaussian(i as f64, 1.0).unwrap())],
-            )
-            .unwrap();
-        }
+        let db = open_db(&src);
+        create_readings(&db);
+        insert_ids(&db, 0..2);
         db.checkpoint().unwrap();
-        for i in 2..5 {
-            db.insert_simple(
-                "readings",
-                &[("id", Value::Int(i))],
-                &[("v", Pdf1::gaussian(i as f64, 1.0).unwrap())],
-            )
-            .unwrap();
-        }
+        insert_ids(&db, 2..5);
     }
     let snap = std::fs::read(src.join(SNAPSHOT_FILE)).unwrap();
     let wal = std::fs::read(src.join(WAL_FILE)).unwrap();
@@ -134,11 +111,11 @@ fn post_checkpoint_wal_crash_matrix_never_replays_into_duplicates() {
         std::fs::create_dir_all(&scratch).unwrap();
         std::fs::write(scratch.join(SNAPSHOT_FILE), &snap).unwrap();
         std::fs::write(scratch.join(WAL_FILE), &wal[..cut]).unwrap();
-        let expect = 2 + committed_tuples(&wal, cut);
-        let db = DurableDb::open(&scratch).unwrap();
-        assert!(db.recovery().snapshot_loaded);
-        assert_eq!(db.table("readings").unwrap().len(), expect, "cut at byte {cut}");
-        db.check_invariants().unwrap_or_else(|e| panic!("invariants at cut {cut}: {e}"));
+        let expect = 2 + committed_ops(&wal, cut);
+        let rec = recover(&scratch);
+        assert!(rec.db.recovery().snapshot_loaded);
+        assert_eq!(rec.rows("readings"), expect, "cut at byte {cut}");
+        rec.db.check_invariants().unwrap_or_else(|e| panic!("invariants at cut {cut}: {e}"));
     }
     std::fs::remove_dir_all(&src).ok();
     std::fs::remove_dir_all(&scratch).ok();
@@ -148,32 +125,20 @@ fn post_checkpoint_wal_crash_matrix_never_replays_into_duplicates() {
 fn checkpoint_then_crash_preserves_checkpointed_state() {
     let dir = temp_dir("ckpt_crash");
     {
-        let mut db = DurableDb::open(&dir).unwrap();
-        db.create_table("readings", sensor_schema()).unwrap();
-        for i in 0..3 {
-            db.insert_simple(
-                "readings",
-                &[("id", Value::Int(i))],
-                &[("v", Pdf1::gaussian(0.0, 1.0).unwrap())],
-            )
-            .unwrap();
-        }
+        let db = open_db(&dir);
+        create_readings(&db);
+        insert_ids(&db, 0..3);
         db.checkpoint().unwrap();
-        db.insert_simple(
-            "readings",
-            &[("id", Value::Int(99))],
-            &[("v", Pdf1::gaussian(9.0, 1.0).unwrap())],
-        )
-        .unwrap();
+        insert_ids(&db, 99..100);
     }
     // Crash leaving a torn post-checkpoint append.
     let wal_path = dir.join(WAL_FILE);
     let bytes = std::fs::read(&wal_path).unwrap();
     std::fs::write(&wal_path, &bytes[..bytes.len() / 2]).unwrap();
-    let db = DurableDb::open(&dir).unwrap();
-    assert!(db.recovery().snapshot_loaded);
-    assert!(db.table("readings").unwrap().len() >= 3, "checkpointed tuples survive");
-    db.check_invariants().unwrap();
+    let rec = recover(&dir);
+    assert!(rec.db.recovery().snapshot_loaded);
+    assert!(rec.rows("readings") >= 3, "checkpointed tuples survive");
+    rec.db.check_invariants().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -182,20 +147,15 @@ fn leftover_tmp_snapshot_is_ignored_and_replaced() {
     let dir = temp_dir("tmp_snapshot");
     // A crash mid-save leaves a half-written temp file behind.
     std::fs::write(dir.join("snapshot.db.tmp"), b"half-written junk").unwrap();
-    let mut db = DurableDb::open(&dir).unwrap();
-    db.create_table("readings", sensor_schema()).unwrap();
-    db.insert_simple(
-        "readings",
-        &[("id", Value::Int(1))],
-        &[("v", Pdf1::gaussian(1.0, 1.0).unwrap())],
-    )
-    .unwrap();
+    let db = open_db(&dir);
+    create_readings(&db);
+    insert_ids(&db, 1..2);
     db.checkpoint().unwrap();
     assert!(!dir.join("snapshot.db.tmp").exists(), "checkpoint renames the tmp away");
     drop(db);
-    let db = DurableDb::open(&dir).unwrap();
-    assert!(db.recovery().snapshot_loaded);
-    assert_eq!(db.table("readings").unwrap().len(), 1);
+    let rec = recover(&dir);
+    assert!(rec.db.recovery().snapshot_loaded);
+    assert_eq!(rec.rows("readings"), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -205,55 +165,57 @@ fn failed_wal_append_rolls_back_the_insert() {
     // recovery would never rebuild, nor registry garbage: the insert rolls
     // back wholesale and a retry commits exactly once.
     let dir = temp_dir("append_rollback");
-    let mut db = DurableDb::open(&dir).unwrap();
-    db.create_table("readings", sensor_schema()).unwrap();
-    let insert = |db: &mut DurableDb, i: i64| {
-        db.insert_simple(
+    let db = open_db(&dir);
+    create_readings(&db);
+    let insert = |db: &SharedDurableDb, i: i64| {
+        txn_insert_simple(
+            db,
             "readings",
             &[("id", Value::Int(i))],
             &[("v", Pdf1::gaussian(i as f64, 1.0).unwrap())],
         )
     };
-    insert(&mut db, 0).unwrap();
+    insert(&db, 0).unwrap();
     let committed_len = db.wal_len();
-    let bases_before = db.registry().len();
-    // Fail each of the two appends an insert makes (base pdf, then tuple).
-    for nth in 0..2 {
+    let bases_before = db.with_tables(|_, reg| reg.len());
+    let state = |db: &SharedDurableDb| db.with_tables(|t, reg| (t["readings"].len(), reg.len()));
+    // Fail each of the four records an insert transaction commits: begin
+    // marker, base pdf, tuple, commit marker.
+    for nth in 0..4 {
         db.inject_wal_append_failure(nth);
-        assert!(insert(&mut db, 99).is_err(), "injected failure at append {nth}");
-        assert_eq!(db.table("readings").unwrap().len(), 1, "tuple rolled back (append {nth})");
-        assert_eq!(db.registry().len(), bases_before, "bases rolled back (append {nth})");
+        assert!(insert(&db, 99).is_err(), "injected failure at append {nth}");
+        assert_eq!(state(&db), (1, bases_before), "nothing applied (append {nth})");
         assert_eq!(db.wal_len(), committed_len, "wal rolled back (append {nth})");
         db.check_invariants().unwrap();
     }
     // Same for a sync failure: the commit point was never reached.
     db.inject_wal_sync_failure();
-    assert!(insert(&mut db, 99).is_err());
-    assert_eq!(db.table("readings").unwrap().len(), 1);
+    assert!(insert(&db, 99).is_err());
+    assert_eq!(state(&db), (1, bases_before));
     assert_eq!(db.wal_len(), committed_len);
     db.check_invariants().unwrap();
     // A retry after the fault clears commits normally, exactly once.
-    insert(&mut db, 1).unwrap();
+    insert(&db, 1).unwrap();
     drop(db);
-    let db = DurableDb::open(&dir).unwrap();
-    assert_eq!(db.table("readings").unwrap().len(), 2, "recovery sees only committed inserts");
-    db.check_invariants().unwrap();
+    let rec = recover(&dir);
+    assert_eq!(rec.rows("readings"), 2, "recovery sees only committed inserts");
+    rec.db.check_invariants().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn failed_create_table_leaves_no_phantom_table() {
     let dir = temp_dir("schema_rollback");
-    let mut db = DurableDb::open(&dir).unwrap();
+    let db = open_db(&dir);
     db.inject_wal_append_failure(0);
-    assert!(db.create_table("readings", sensor_schema()).is_err());
-    assert!(db.table("readings").is_err(), "table not created in memory");
+    assert!(txn_create_table(&db, "readings", sensor_schema()).is_err());
+    assert!(db.with_tables(|t, _| t.is_empty()), "table not created in memory");
     assert_eq!(db.wal_len(), 0, "wal rolled back");
     // Retry succeeds and survives recovery.
-    db.create_table("readings", sensor_schema()).unwrap();
+    create_readings(&db);
     drop(db);
-    let db = DurableDb::open(&dir).unwrap();
-    assert!(db.table("readings").is_ok());
+    let rec = recover(&dir);
+    assert!(rec.tables.contains_key("readings"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -262,25 +224,11 @@ fn failed_create_table_leaves_no_phantom_table() {
 /// Returns the directory; the caller snapshots its files before poking.
 fn build_incremental_scenario(name: &str, base: i64, tail: i64) -> PathBuf {
     let dir = temp_dir(name);
-    let mut db = DurableDb::open(&dir).unwrap();
-    db.create_table("readings", sensor_schema()).unwrap();
-    for i in 0..base {
-        db.insert_simple(
-            "readings",
-            &[("id", Value::Int(i))],
-            &[("v", Pdf1::gaussian(i as f64, 1.0).unwrap())],
-        )
-        .unwrap();
-    }
+    let db = open_db(&dir);
+    create_readings(&db);
+    insert_ids(&db, 0..base);
     db.checkpoint().unwrap();
-    for i in base..base + tail {
-        db.insert_simple(
-            "readings",
-            &[("id", Value::Int(i))],
-            &[("v", Pdf1::gaussian(i as f64, 1.0).unwrap())],
-        )
-        .unwrap();
-    }
+    insert_ids(&db, base..base + tail);
     drop(db);
     dir
 }
@@ -290,17 +238,11 @@ fn incremental_delta_write_crash_matrix_keeps_pre_checkpoint_state() {
     // Kill at every byte of the delta *temp-file* write: the crash window
     // before the rename. Recovery must ignore the torn `.tmp` and land on
     // the full pre-checkpoint state (old chain + old WAL), never a mix.
-    use orion_core::durable::SNAPSHOT_FILE;
-    use orion_storage::DeltaFile;
     let src = build_incremental_scenario("incr_write_matrix_src", 2, 3);
     let snap = std::fs::read(src.join(SNAPSHOT_FILE)).unwrap();
     let wal = std::fs::read(src.join(WAL_FILE)).unwrap();
     // Produce the delta bytes the checkpoint would have written.
-    {
-        let mut db = DurableDb::open(&src).unwrap();
-        db.checkpoint_incremental().unwrap();
-        drop(db);
-    }
+    open_db(&src).checkpoint_incremental().unwrap();
     let (delta_epoch, delta_path) = DeltaFile::list(&src).unwrap().pop().unwrap();
     let delta = std::fs::read(&delta_path).unwrap();
     assert_eq!(delta_epoch, 2);
@@ -312,11 +254,11 @@ fn incremental_delta_write_crash_matrix_keeps_pre_checkpoint_state() {
         std::fs::write(scratch.join(WAL_FILE), &wal).unwrap();
         std::fs::write(scratch.join(format!("{}.tmp", DeltaFile::file_name(2))), &delta[..cut])
             .unwrap();
-        let db = DurableDb::open(&scratch).unwrap();
-        assert_eq!(db.epoch(), 1, "tmp delta must not advance the epoch (cut {cut})");
-        assert_eq!(db.recovery().deltas_folded, 0, "tmp delta folded at cut {cut}");
-        assert_eq!(db.table("readings").unwrap().len(), 5, "cut {cut}");
-        db.check_invariants().unwrap_or_else(|e| panic!("invariants at cut {cut}: {e}"));
+        let rec = recover(&scratch);
+        assert_eq!(rec.db.epoch(), 1, "tmp delta must not advance the epoch (cut {cut})");
+        assert_eq!(rec.db.recovery().deltas_folded, 0, "tmp delta folded at cut {cut}");
+        assert_eq!(rec.rows("readings"), 5, "cut {cut}");
+        rec.db.check_invariants().unwrap_or_else(|e| panic!("invariants at cut {cut}: {e}"));
     }
     std::fs::remove_dir_all(&src).ok();
     std::fs::remove_dir_all(&scratch).ok();
@@ -328,16 +270,10 @@ fn incremental_wal_reset_crash_matrix_never_mixes_epochs() {
     // WAL reset: the renamed delta already holds every WAL commit, so any
     // surviving prefix of the stale WAL must be fenced off by the epoch
     // stamp — replaying even one record would double-apply it.
-    use orion_core::durable::SNAPSHOT_FILE;
-    use orion_storage::DeltaFile;
     let src = build_incremental_scenario("incr_reset_matrix_src", 2, 3);
     let snap = std::fs::read(src.join(SNAPSHOT_FILE)).unwrap();
     let stale_wal = std::fs::read(src.join(WAL_FILE)).unwrap();
-    {
-        let mut db = DurableDb::open(&src).unwrap();
-        db.checkpoint_incremental().unwrap();
-        drop(db);
-    }
+    open_db(&src).checkpoint_incremental().unwrap();
     let (_, delta_path) = DeltaFile::list(&src).unwrap().pop().unwrap();
     let delta = std::fs::read(&delta_path).unwrap();
     let delta_name = delta_path.file_name().unwrap().to_owned();
@@ -348,17 +284,17 @@ fn incremental_wal_reset_crash_matrix_never_mixes_epochs() {
         std::fs::write(scratch.join(SNAPSHOT_FILE), &snap).unwrap();
         std::fs::write(scratch.join(&delta_name), &delta).unwrap();
         std::fs::write(scratch.join(WAL_FILE), &stale_wal[..cut]).unwrap();
-        let db = DurableDb::open(&scratch).unwrap();
-        assert_eq!(db.epoch(), 2, "delta epoch wins (cut {cut})");
-        assert_eq!(db.recovery().deltas_folded, 1, "cut {cut}");
-        assert_eq!(db.recovery().wal_records_replayed, 0, "stale records replayed at cut {cut}");
+        let rec = recover(&scratch);
+        assert_eq!(rec.db.epoch(), 2, "delta epoch wins (cut {cut})");
+        assert_eq!(rec.db.recovery().deltas_folded, 1, "cut {cut}");
         assert_eq!(
-            db.table("readings").unwrap().len(),
-            5,
-            "epoch mix: tuple count drifted at cut {cut}"
+            rec.db.recovery().wal_records_replayed,
+            0,
+            "stale records replayed at cut {cut}"
         );
-        db.check_invariants().unwrap_or_else(|e| panic!("invariants at cut {cut}: {e}"));
-        assert_eq!(db.wal_len(), 0, "stale log must be reset (cut {cut})");
+        assert_eq!(rec.rows("readings"), 5, "epoch mix: tuple count drifted at cut {cut}");
+        rec.db.check_invariants().unwrap_or_else(|e| panic!("invariants at cut {cut}: {e}"));
+        assert_eq!(rec.db.wal_len(), 0, "stale log must be reset (cut {cut})");
     }
     std::fs::remove_dir_all(&src).ok();
     std::fs::remove_dir_all(&scratch).ok();
@@ -368,60 +304,47 @@ fn incremental_wal_reset_crash_matrix_never_mixes_epochs() {
 fn stale_wal_discard_counter_is_golden() {
     // Crash between checkpoint commit and WAL reset, with the *whole*
     // stale log surviving: the discard counter must account for exactly
-    // the records written before the checkpoint — 1 schema + 3 bases +
-    // 3 tuples = 7 — no more, no less.
+    // the records written before the checkpoint, transaction markers
+    // included — the create-table transaction's begin + schema + commit,
+    // then begin + base + tuple + commit for each of 3 inserts: 3 + 3 × 4
+    // = 15 — no more, no less.
     let dir = temp_dir("stale_golden");
     {
-        let mut db = DurableDb::open(&dir).unwrap();
-        db.create_table("readings", sensor_schema()).unwrap();
-        for i in 0..3 {
-            db.insert_simple(
-                "readings",
-                &[("id", Value::Int(i))],
-                &[("v", Pdf1::gaussian(i as f64, 1.0).unwrap())],
-            )
-            .unwrap();
-        }
+        let db = open_db(&dir);
+        create_readings(&db);
+        insert_ids(&db, 0..3);
     }
     let stale_wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
-    {
-        let mut db = DurableDb::open(&dir).unwrap();
-        db.checkpoint().unwrap();
-        drop(db);
-    }
+    open_db(&dir).checkpoint().unwrap();
     assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0);
     // Resurrect the pre-checkpoint log: the simulated torn reset.
     std::fs::write(dir.join(WAL_FILE), &stale_wal).unwrap();
-    let db = DurableDb::open(&dir).unwrap();
-    assert!(db.recovery().snapshot_loaded);
-    assert_eq!(db.recovery().stale_wal_records_discarded, 7, "1 schema + 3 bases + 3 tuples");
-    assert_eq!(db.recovery().wal_records_replayed, 0);
-    assert_eq!(db.table("readings").unwrap().len(), 3, "no double-apply");
-    db.check_invariants().unwrap();
+    let rec = recover(&dir);
+    assert!(rec.db.recovery().snapshot_loaded);
+    assert_eq!(rec.db.recovery().stale_wal_records_discarded, 15, "3 + 3 × 4 frames");
+    assert_eq!(rec.db.recovery().wal_records_replayed, 0);
+    assert_eq!(rec.rows("readings"), 3, "no double-apply");
+    rec.db.check_invariants().unwrap();
     // The counter surfaces verbatim in the grepable stats JSON.
-    assert!(db.stats_json().contains("\"stale_wal_records_discarded\":7"));
-    drop(db);
+    assert!(rec.db.stats_json().contains("\"stale_wal_records_discarded\":15"));
+    drop(rec);
     // Idempotent: the discard is durable, a second open sees a clean log.
-    let db = DurableDb::open(&dir).unwrap();
-    assert_eq!(db.recovery().stale_wal_records_discarded, 0);
-    assert_eq!(db.table("readings").unwrap().len(), 3);
+    let rec = recover(&dir);
+    assert_eq!(rec.db.recovery().stale_wal_records_discarded, 0);
+    assert_eq!(rec.rows("readings"), 3);
     // Same fence after an *incremental* checkpoint: epoch 1 → 2.
-    let mut db = db;
-    db.insert_simple(
-        "readings",
-        &[("id", Value::Int(77))],
-        &[("v", Pdf1::gaussian(7.0, 1.0).unwrap())],
-    )
-    .unwrap();
+    let db = rec.db;
+    insert_ids(&db, 77..78);
     let stale_wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
     db.checkpoint_incremental().unwrap();
     drop(db);
     std::fs::write(dir.join(WAL_FILE), &stale_wal).unwrap();
-    let db = DurableDb::open(&dir).unwrap();
-    // Epoch stamp + 1 base + 1 tuple survived the simulated torn reset.
-    assert_eq!(db.recovery().stale_wal_records_discarded, 3, "stamp + base + tuple");
-    assert_eq!(db.table("readings").unwrap().len(), 4);
-    db.check_invariants().unwrap();
+    let rec = recover(&dir);
+    // Epoch stamp + begin + base + tuple + commit survived the simulated
+    // torn reset.
+    assert_eq!(rec.db.recovery().stale_wal_records_discarded, 5, "stamp + 4 insert frames");
+    assert_eq!(rec.rows("readings"), 4);
+    rec.db.check_invariants().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -430,27 +353,16 @@ fn stale_delta_cleanup_counter_is_golden() {
     // A full checkpoint that crashes between the snapshot rename and the
     // delta cleanup leaves deltas whose epochs the snapshot has subsumed;
     // recovery must delete them and count exactly how many.
-    use orion_storage::DeltaFile;
     let dir = temp_dir("stale_delta_golden");
     {
-        let mut db = DurableDb::open(&dir).unwrap();
-        db.create_table("readings", sensor_schema()).unwrap();
+        let db = open_db(&dir);
+        create_readings(&db);
         for i in 0..2 {
-            db.insert_simple(
-                "readings",
-                &[("id", Value::Int(i))],
-                &[("v", Pdf1::gaussian(i as f64, 1.0).unwrap())],
-            )
-            .unwrap();
+            insert_ids(&db, i..i + 1);
             db.checkpoint_incremental().unwrap();
         }
         assert_eq!(DeltaFile::list(&dir).unwrap().len(), 1, "epoch 1 full + epoch 2 delta");
-        db.insert_simple(
-            "readings",
-            &[("id", Value::Int(9))],
-            &[("v", Pdf1::gaussian(9.0, 1.0).unwrap())],
-        )
-        .unwrap();
+        insert_ids(&db, 9..10);
         // Save the delta, run the full checkpoint, then put it back —
         // simulating the crash before cleanup.
         let (_, delta_path) = DeltaFile::list(&dir).unwrap().pop().unwrap();
@@ -458,16 +370,15 @@ fn stale_delta_cleanup_counter_is_golden() {
         db.checkpoint().unwrap();
         assert!(DeltaFile::list(&dir).unwrap().is_empty());
         std::fs::write(&delta_path, &stale).unwrap();
-        drop(db);
     }
-    let db = DurableDb::open(&dir).unwrap();
-    assert_eq!(db.recovery().stale_deltas_removed, 1, "exactly the resurrected delta");
-    assert_eq!(db.recovery().deltas_folded, 0);
-    assert_eq!(db.epoch(), 3);
-    assert_eq!(db.table("readings").unwrap().len(), 3);
-    db.check_invariants().unwrap();
+    let rec = recover(&dir);
+    assert_eq!(rec.db.recovery().stale_deltas_removed, 1, "exactly the resurrected delta");
+    assert_eq!(rec.db.recovery().deltas_folded, 0);
+    assert_eq!(rec.db.epoch(), 3);
+    assert_eq!(rec.rows("readings"), 3);
+    rec.db.check_invariants().unwrap();
     assert!(DeltaFile::list(&dir).unwrap().is_empty(), "stale delta physically deleted");
-    assert!(db.stats_json().contains("\"stale_deltas_removed\":1"));
+    assert!(rec.db.stats_json().contains("\"stale_deltas_removed\":1"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -572,7 +483,8 @@ fn halt_on_fault_kill_leaves_parseable_flight_dump() {
     }
     let path = dir.join("heap.dat");
     // Concurrent tests may re-point the process-wide dump dir (every
-    // DurableDb::open does); re-arm and retry to make the race harmless.
+    // SharedDurableDb::open does); re-arm and retry to make the race
+    // harmless.
     let mut dump = None;
     for _ in 0..5 {
         recorder::set_dump_dir(&dir);
@@ -629,18 +541,12 @@ fn recovery_and_fault_counters_are_grepable() {
     // The observability contract: every durability counter surfaces in a
     // stats JSON a harness can grep.
     let dir = temp_dir("counters");
-    let mut db = DurableDb::open(&dir).unwrap();
-    db.create_table("readings", sensor_schema()).unwrap();
-    db.insert_simple(
-        "readings",
-        &[("id", Value::Int(1))],
-        &[("v", Pdf1::gaussian(1.0, 1.0).unwrap())],
-    )
-    .unwrap();
+    let db = open_db(&dir);
+    create_readings(&db);
+    insert_ids(&db, 1..2);
     drop(db);
-    let db = DurableDb::open(&dir).unwrap();
-    let s = db.stats_json();
-    // Schema + base + tuple records land in the WAL.
+    let s = open_db(&dir).stats_json();
+    // Schema + base + tuple records replay; transaction markers are framing.
     assert!(s.contains("\"wal_records_replayed\":3"), "stats: {s}");
     assert!(s.contains("\"wal_bytes_truncated\":0"), "stats: {s}");
 

@@ -1,20 +1,23 @@
-//! Group-commit stress (`--features failpoints`): many threads hammer a
-//! [`SharedDurableDb`] while fsync failures are injected mid-run. The
-//! durability contract under test:
+//! Group-commit stress (`--features failpoints`): many threads commit
+//! single-statement insert transactions against one [`SharedDurableDb`]
+//! while WAL faults are injected mid-run. The durability contract under
+//! test:
 //!
-//! * every insert that was **acked** (returned `Ok`) survives recovery;
-//! * every insert that was **nacked** (returned `Err`) leaves no trace —
-//!   neither in memory after rollback nor on disk after recovery;
-//! * concurrent commits share fsyncs (`group_commit_batches` /
-//!   `fsyncs_saved` move), which is the entire point of the protocol.
+//! * every commit that was **acked** (returned `Ok`) survives recovery;
+//! * every commit that was **nacked** (returned `Err`) leaves no trace —
+//!   neither in memory nor on disk after recovery;
+//! * no reader ever observes a write whose commit is later nacked: the
+//!   engine applies a commit only after its WAL batch is durable.
 #![cfg(feature = "failpoints")]
 
-use orion_core::durable::{DurableDb, SharedDurableDb};
+use orion_core::durable::SharedDurableDb;
 use orion_core::prelude::*;
 use orion_pdf::prelude::*;
 use orion_storage::GroupCommitConfig;
+use orion_tests::{recover, txn_create_table, txn_insert_simple};
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -38,6 +41,22 @@ fn batching_config() -> GroupCommitConfig {
     }
 }
 
+/// Opens `dir` with a batching window and creates the `readings` table.
+fn open_readings(dir: &std::path::Path) -> SharedDurableDb {
+    let db = SharedDurableDb::open(dir, batching_config()).unwrap();
+    txn_create_table(&db, "readings", schema()).unwrap();
+    db
+}
+
+fn insert(db: &SharedDurableDb, id: i64) -> EngineResult<u64> {
+    txn_insert_simple(
+        db,
+        "readings",
+        &[("id", Value::Int(id))],
+        &[("v", Pdf1::gaussian(id as f64, 1.0).unwrap())],
+    )
+}
+
 /// Ids present in the `readings` table (certain column 0).
 fn ids_of(rel: &Relation) -> BTreeSet<i64> {
     rel.tuples
@@ -49,76 +68,82 @@ fn ids_of(rel: &Relation) -> BTreeSet<i64> {
         .collect()
 }
 
-/// Runs `threads × per_thread` concurrent inserts, optionally injecting a
-/// sync failure before every `fail_every`-th insert issued by thread 0.
-/// Returns (acked ids, nacked ids).
+fn live_ids(db: &SharedDurableDb) -> BTreeSet<i64> {
+    db.with_tables(|tables, _| ids_of(&tables["readings"]))
+}
+
+/// Recovers the directory fresh and returns the surviving ids.
+fn recovered_ids(dir: &std::path::Path) -> BTreeSet<i64> {
+    let rec = recover(dir);
+    rec.db.check_invariants().unwrap();
+    ids_of(&rec.tables["readings"])
+}
+
+/// Commits `threads × per_thread` concurrent insert transactions, with
+/// thread 0 calling `fault(db, i)` before each of its own. A reader thread
+/// snapshots the live table throughout. Returns (acked ids, nacked ids,
+/// every id the reader saw).
 fn hammer(
     db: &SharedDurableDb,
     threads: i64,
     per_thread: i64,
-    fail_every: Option<i64>,
-) -> (BTreeSet<i64>, BTreeSet<i64>) {
+    fault: impl Fn(&SharedDurableDb, i64) + Sync,
+) -> (BTreeSet<i64>, BTreeSet<i64>, BTreeSet<i64>) {
     let acked = Mutex::new(BTreeSet::new());
     let nacked = Mutex::new(BTreeSet::new());
+    let seen = Mutex::new(BTreeSet::new());
+    let done = AtomicBool::new(false);
     std::thread::scope(|s| {
-        for t in 0..threads {
-            let db = db.clone();
-            let (acked, nacked) = (&acked, &nacked);
-            s.spawn(move || {
-                for i in 0..per_thread {
-                    let id = t * 10_000 + i;
-                    if t == 0 {
-                        if let Some(every) = fail_every {
-                            if i % every == 0 {
-                                // Fails the *next batch* fsync: whichever
-                                // commits share that batch all get nacked.
-                                db.inject_wal_sync_failure();
-                            }
+        let reader = s.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                seen.lock().unwrap().extend(live_ids(db));
+                std::thread::yield_now();
+            }
+        });
+        let writers: Vec<_> = (0..threads)
+            .map(|t| {
+                let (acked, nacked, fault) = (&acked, &nacked, &fault);
+                s.spawn(move || {
+                    for i in 0..per_thread {
+                        let id = t * 10_000 + i;
+                        if t == 0 {
+                            fault(db, i);
+                        }
+                        match insert(db, id) {
+                            Ok(_) => drop(acked.lock().unwrap().insert(id)),
+                            Err(_) => drop(nacked.lock().unwrap().insert(id)),
                         }
                     }
-                    let res = db.insert_simple(
-                        "readings",
-                        &[("id", Value::Int(id))],
-                        &[("v", Pdf1::gaussian(id as f64, 1.0).unwrap())],
-                    );
-                    match res {
-                        Ok(()) => drop(acked.lock().unwrap().insert(id)),
-                        Err(_) => drop(nacked.lock().unwrap().insert(id)),
-                    }
-                }
-            });
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
         }
+        done.store(true, Ordering::Relaxed);
+        reader.join().unwrap();
     });
-    (acked.into_inner().unwrap(), nacked.into_inner().unwrap())
-}
-
-/// Recovers the directory fresh and returns the surviving ids.
-fn recovered_ids(dir: &Path) -> BTreeSet<i64> {
-    let db = DurableDb::open(dir).unwrap();
-    db.check_invariants().unwrap();
-    ids_of(db.table("readings").unwrap())
+    (acked.into_inner().unwrap(), nacked.into_inner().unwrap(), seen.into_inner().unwrap())
 }
 
 #[test]
-fn concurrent_writers_share_fsyncs_and_acked_commits_survive() {
+fn concurrent_commits_are_acked_and_survive_recovery() {
     let dir = temp_dir("fault_free");
-    let db = SharedDurableDb::open(&dir, batching_config()).unwrap();
-    db.create_table("readings", schema()).unwrap();
-    let (acked, nacked) = hammer(&db, 8, 40, None);
+    let db = open_readings(&dir);
+    let (acked, nacked, seen) = hammer(&db, 8, 40, |_, _| {});
     assert_eq!(acked.len(), 8 * 40, "fault-free run acks everything");
     assert!(nacked.is_empty());
+    assert!(seen.is_subset(&acked), "readers see only acked commits");
     db.check_invariants().unwrap();
-    assert_eq!(db.with_tables(|tables, _| ids_of(&tables["readings"])), acked);
+    assert_eq!(live_ids(&db), acked);
 
     let stats = db.wal_stats();
     let commits = stats.group_commit_commits.get();
-    let fsyncs = stats.fsyncs.get();
     assert_eq!(commits, 8 * 40 + 1, "every insert plus the schema is one commit");
-    assert!(stats.group_commit_batches.get() > 0);
-    assert_eq!(stats.fsyncs_saved.get(), commits - fsyncs, "ledger: saved = commits − fsyncs");
-    assert!(
-        fsyncs < commits,
-        "8 writers with a 2ms window must share fsyncs ({fsyncs} fsyncs for {commits} commits)"
+    assert_eq!(
+        stats.fsyncs_saved.get(),
+        commits - stats.fsyncs.get(),
+        "ledger: saved = commits − fsyncs"
     );
     drop(db);
     assert_eq!(recovered_ids(&dir), acked, "recovery returns exactly the acked set");
@@ -128,14 +153,20 @@ fn concurrent_writers_share_fsyncs_and_acked_commits_survive() {
 #[test]
 fn injected_sync_failures_nack_whole_batches_but_never_acked_commits() {
     let dir = temp_dir("sync_faults");
-    let db = SharedDurableDb::open(&dir, batching_config()).unwrap();
-    db.create_table("readings", schema()).unwrap();
-    let (acked, nacked) = hammer(&db, 8, 25, Some(5));
+    let db = open_readings(&dir);
+    // Fails the *next batch* fsync: whichever commits share that batch all
+    // get nacked.
+    let (acked, nacked, seen) = hammer(&db, 8, 25, |db, i| {
+        if i % 5 == 0 {
+            db.inject_wal_sync_failure();
+        }
+    });
     assert!(!nacked.is_empty(), "injected sync failures must nack some commits");
     assert!(!acked.is_empty(), "retries between faults must still land commits");
+    assert!(seen.is_disjoint(&nacked), "a reader saw a write whose commit was nacked");
     db.check_invariants().unwrap();
-    // Rollback removed every nacked tuple from memory, kept every ack.
-    assert_eq!(db.with_tables(|tables, _| ids_of(&tables["readings"])), acked);
+    // Nothing nacked was ever applied; every ack was.
+    assert_eq!(live_ids(&db), acked);
     drop(db);
     let recovered = recovered_ids(&dir);
     assert_eq!(recovered, acked, "acked ⊆ recovered and recovered ⊆ acked");
@@ -144,51 +175,26 @@ fn injected_sync_failures_nack_whole_batches_but_never_acked_commits() {
 }
 
 #[test]
-fn append_failpoint_under_concurrency_rolls_back_exactly_one_commit() {
+fn append_failpoint_under_concurrency_nacks_exactly_the_poisoned_commit() {
     let dir = temp_dir("append_fault");
-    let db = SharedDurableDb::open(&dir, batching_config()).unwrap();
-    db.create_table("readings", schema()).unwrap();
-    // Deterministic single-threaded probe first: the very next record
-    // (the insert's base pdf) fails, the insert nacks and rolls back.
+    let db = open_readings(&dir);
+    // Deterministic single-threaded probe first: the very next record (the
+    // transaction's begin marker) fails, and the commit applies nothing.
     db.inject_wal_append_failure(0);
-    let err = db.insert_simple(
-        "readings",
-        &[("id", Value::Int(-1))],
-        &[("v", Pdf1::gaussian(0.0, 1.0).unwrap())],
-    );
-    assert!(err.is_err());
+    assert!(insert(&db, -1).is_err());
     db.check_invariants().unwrap();
-    assert!(db.with_tables(|tables, _| tables["readings"].is_empty()));
+    assert!(live_ids(&db).is_empty());
     // Then a concurrent burst with a handful of per-record faults sprayed
     // in: whoever draws the poisoned record nacks, everyone else lands.
-    let acked = Mutex::new(BTreeSet::new());
-    std::thread::scope(|s| {
-        for t in 0..4i64 {
-            let db = db.clone();
-            let acked = &acked;
-            s.spawn(move || {
-                for i in 0..20 {
-                    let id = t * 10_000 + i;
-                    if t == 0 && i % 7 == 0 {
-                        db.inject_wal_append_failure(3);
-                    }
-                    if db
-                        .insert_simple(
-                            "readings",
-                            &[("id", Value::Int(id))],
-                            &[("v", Pdf1::gaussian(id as f64, 1.0).unwrap())],
-                        )
-                        .is_ok()
-                    {
-                        acked.lock().unwrap().insert(id);
-                    }
-                }
-            });
+    let (acked, nacked, seen) = hammer(&db, 4, 20, |db, i| {
+        if i % 7 == 0 {
+            db.inject_wal_append_failure(3);
         }
     });
-    let acked = acked.into_inner().unwrap();
+    assert!(!nacked.is_empty(), "the sprayed faults must nack some commits");
+    assert!(seen.is_disjoint(&nacked), "a reader saw a write whose commit was nacked");
     db.check_invariants().unwrap();
-    assert_eq!(db.with_tables(|tables, _| ids_of(&tables["readings"])), acked);
+    assert_eq!(live_ids(&db), acked);
     drop(db);
     assert_eq!(recovered_ids(&dir), acked);
     std::fs::remove_dir_all(&dir).ok();
@@ -197,32 +203,24 @@ fn append_failpoint_under_concurrency_rolls_back_exactly_one_commit() {
 #[test]
 fn checkpoints_interleaved_with_writers_preserve_the_acked_set() {
     let dir = temp_dir("ckpt_interleave");
-    let db = SharedDurableDb::open(&dir, batching_config()).unwrap();
-    db.create_table("readings", schema()).unwrap();
+    let db = open_readings(&dir);
     let acked = Mutex::new(BTreeSet::new());
     std::thread::scope(|s| {
         for t in 0..4i64 {
-            let db = db.clone();
-            let acked = &acked;
+            let (db, acked) = (&db, &acked);
             s.spawn(move || {
                 for i in 0..30 {
                     let id = t * 10_000 + i;
-                    if db
-                        .insert_simple(
-                            "readings",
-                            &[("id", Value::Int(id))],
-                            &[("v", Pdf1::gaussian(id as f64, 1.0).unwrap())],
-                        )
-                        .is_ok()
-                    {
+                    if insert(db, id).is_ok() {
                         acked.lock().unwrap().insert(id);
                     }
                 }
             });
         }
         // A checkpointer thread alternates full and incremental snapshots
-        // while the writers run; each one drains in-flight commits first.
-        let db = db.clone();
+        // while the writers run; each holds the core lock, so no commit
+        // lands mid-snapshot.
+        let db = &db;
         s.spawn(move || {
             for round in 0..6 {
                 if round % 2 == 0 {

@@ -1,7 +1,7 @@
 //! Persistence under load: databases survive save/load with their
 //! histories intact, and queries over reloaded data remain PWS-consistent.
 
-use orion_core::durable::{DurableDb, WAL_FILE};
+use orion_core::durable::WAL_FILE;
 use orion_core::persist::{load_database, save_database};
 use orion_core::plan::Plan;
 use orion_core::prelude::*;
@@ -108,6 +108,26 @@ fn atomic_save_leaves_no_tmp_and_survives_overwrite() {
     std::fs::remove_file(&path).ok();
 }
 
+fn readings_schema() -> ProbSchema {
+    ProbSchema::new(vec![("id", ColumnType::Int, false), ("v", ColumnType::Real, true)], vec![])
+        .unwrap()
+}
+
+/// Creates `readings` and inserts ids `0..n`, each insert its own
+/// transaction (as autocommit SQL runs it).
+fn fill_readings(db: &SharedDurableDb, n: i64, mean: impl Fn(i64) -> f64) {
+    orion_tests::txn_create_table(db, "readings", readings_schema()).unwrap();
+    for i in 0..n {
+        orion_tests::txn_insert_simple(
+            db,
+            "readings",
+            &[("id", Value::Int(i))],
+            &[("v", Pdf1::gaussian(mean(i), 1.0).unwrap())],
+        )
+        .unwrap();
+    }
+}
+
 fn durable_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("orion_persist_pipeline").join(name);
     std::fs::remove_dir_all(&dir).ok();
@@ -117,37 +137,21 @@ fn durable_dir(name: &str) -> PathBuf {
 #[test]
 fn durable_db_recovers_committed_inserts_after_wal_corruption() {
     let dir = durable_dir("wal_garbage");
-    {
-        let mut db = DurableDb::open(&dir).unwrap();
-        let schema = ProbSchema::new(
-            vec![("id", ColumnType::Int, false), ("v", ColumnType::Real, true)],
-            vec![],
-        )
-        .unwrap();
-        db.create_table("readings", schema).unwrap();
-        for i in 0..4 {
-            db.insert_simple(
-                "readings",
-                &[("id", Value::Int(i))],
-                &[("v", Pdf1::gaussian(i as f64, 1.0).unwrap())],
-            )
-            .unwrap();
-        }
-    }
+    fill_readings(&orion_tests::open_db(&dir), 4, |i| i as f64);
     // Crash mid-append: garbage lands after the committed records.
     use std::io::Write;
     let mut f = std::fs::OpenOptions::new().append(true).open(dir.join(WAL_FILE)).unwrap();
     f.write_all(&[0xEE; 23]).unwrap();
     drop(f);
-    let mut db = DurableDb::open(&dir).unwrap();
-    assert_eq!(db.recovery().wal_bytes_truncated, 23);
-    assert_eq!(db.table("readings").unwrap().len(), 4, "every committed insert survives");
-    db.check_invariants().unwrap();
+    let mut rec = orion_tests::recover(&dir);
+    assert_eq!(rec.db.recovery().wal_bytes_truncated, 23);
+    assert_eq!(rec.rows("readings"), 4, "every committed insert survives");
+    rec.db.check_invariants().unwrap();
     // Queries over the recovered data still work.
     let opts = ExecOptions::default();
     let pred = Predicate::cmp("v", CmpOp::Gt, 1.5);
-    let rel = db.table("readings").unwrap().clone();
-    let sel = orion_core::select::select(&rel, &pred, db.registry_mut(), &opts).unwrap();
+    let rel = rec.tables["readings"].clone();
+    let sel = orion_core::select::select(&rel, &pred, &mut rec.reg, &opts).unwrap();
     assert!(!sel.is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -156,30 +160,17 @@ fn durable_db_recovers_committed_inserts_after_wal_corruption() {
 fn checkpoint_truncates_wal_and_snapshot_takes_over() {
     let dir = durable_dir("checkpoint");
     {
-        let mut db = DurableDb::open(&dir).unwrap();
-        let schema = ProbSchema::new(
-            vec![("id", ColumnType::Int, false), ("v", ColumnType::Real, true)],
-            vec![],
-        )
-        .unwrap();
-        db.create_table("readings", schema).unwrap();
-        for i in 0..3 {
-            db.insert_simple(
-                "readings",
-                &[("id", Value::Int(i))],
-                &[("v", Pdf1::gaussian(0.0, 1.0).unwrap())],
-            )
-            .unwrap();
-        }
+        let db = orion_tests::open_db(&dir);
+        fill_readings(&db, 3, |_| 0.0);
         assert!(db.wal_len() > 0);
         db.checkpoint().unwrap();
         assert_eq!(db.wal_len(), 0, "checkpoint empties the WAL");
     }
-    let db = DurableDb::open(&dir).unwrap();
-    assert!(db.recovery().snapshot_loaded);
-    assert_eq!(db.recovery().wal_records_replayed, 0);
-    assert_eq!(db.table("readings").unwrap().len(), 3);
-    db.check_invariants().unwrap();
+    let rec = orion_tests::recover(&dir);
+    assert!(rec.db.recovery().snapshot_loaded);
+    assert_eq!(rec.db.recovery().wal_records_replayed, 0);
+    assert_eq!(rec.rows("readings"), 3);
+    rec.db.check_invariants().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,9 +1,10 @@
-//! Crash-recovery oracle: a differential test between [`DurableDb`] and a
-//! plain in-memory model applying the identical workload.
+//! Crash-recovery oracle: a differential test between [`SharedDurableDb`]
+//! and a plain in-memory model applying the identical workload.
 //!
 //! Each scenario runs a randomized (or scripted) sequence of operations —
-//! table creation, simple and joint-pdf inserts, `ANALYZE` stats
-//! collection, full and incremental checkpoints — against both sides,
+//! table creation, simple and joint-pdf inserts (each a single-statement
+//! transaction, as autocommit SQL runs them), `ANALYZE` stats collection,
+//! index DDL, full and incremental checkpoints — against both sides,
 //! recording the oracle's *canonical
 //! fingerprint* after every operation that commits a WAL record. It then
 //! simulates a crash at **every byte offset** of the surviving write-ahead
@@ -26,12 +27,14 @@
 //! Set `ORION_ORACLE_SEED` to replay `oracle_env_seeded_workload` with a
 //! specific seed (used by `scripts/check.sh` to pin three seeds in CI).
 
-use orion_core::durable::{DurableDb, SNAPSHOT_FILE, WAL_FILE};
+use orion_core::durable::{SNAPSHOT_FILE, WAL_FILE};
 use orion_core::pindex::{BuiltIndex, IndexCatalog, IndexDef, IndexKind};
 use orion_core::prelude::*;
 use orion_pdf::prelude::*;
 use orion_storage::DeltaFile;
-use orion_tests::fingerprint;
+use orion_tests::{
+    committed_ops, fingerprint, open_db, recover, txn_create_table, txn_insert, txn_insert_simple,
+};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::collections::HashMap;
@@ -187,31 +190,33 @@ fn apply_oracle(
 
 /// Applies `op` to the durable side, mirroring the oracle's skip rules.
 /// Returns `true` iff the op committed a WAL record.
-fn apply_db(db: &mut DurableDb, op: &Op) -> bool {
+fn apply_db(db: &SharedDurableDb, op: &Op) -> bool {
+    let has_table = |name: &str| db.with_tables(|tables, _| tables.contains_key(name));
     match op {
         Op::Create(i) => {
             let name = table_name(*i);
-            if db.tables().contains_key(&name) {
+            if has_table(&name) {
                 return false;
             }
-            db.create_table(&name, oracle_schema()).unwrap();
+            txn_create_table(db, &name, oracle_schema()).unwrap();
             true
         }
         Op::Simple { table, key, mean } => {
             let name = table_name(*table);
-            if !db.tables().contains_key(&name) {
+            if !has_table(&name) {
                 return false;
             }
             let [x, y] = simple_pdfs(*mean);
-            db.insert_simple(&name, &[("id", Value::Int(*key))], &[x, y]).unwrap();
+            txn_insert_simple(db, &name, &[("id", Value::Int(*key))], &[x, y]).unwrap();
             true
         }
         Op::Joint { table, key, p } => {
             let name = table_name(*table);
-            if !db.tables().contains_key(&name) {
+            if !has_table(&name) {
                 return false;
             }
-            db.insert(
+            txn_insert(
+                db,
                 &name,
                 &[("id", Value::Int(*key))],
                 vec![(vec!["x", "y"], joint_pdf(*key, *p))],
@@ -221,7 +226,7 @@ fn apply_db(db: &mut DurableDb, op: &Op) -> bool {
         }
         Op::Analyze(i) => {
             let name = table_name(*i);
-            if !db.tables().contains_key(&name) {
+            if !has_table(&name) {
                 return false;
             }
             db.analyze_table(&name).unwrap();
@@ -230,7 +235,7 @@ fn apply_db(db: &mut DurableDb, op: &Op) -> bool {
         Op::CreateIndex { table, column } => {
             let tname = table_name(*table);
             let name = index_name(*table, *column);
-            if !db.tables().contains_key(&tname) || db.indexes().lock().get(&name).is_some() {
+            if !has_table(&tname) || db.indexes().lock().get(&name).is_some() {
                 return false;
             }
             let (col, kind) = index_target(*column);
@@ -256,43 +261,6 @@ fn apply_db(db: &mut DurableDb, op: &Op) -> bool {
     }
 }
 
-/// Number of operations whose *commit frame* fits entirely inside
-/// `bytes[..cut]`, mirroring the replay rule: parsing stops at the first
-/// incomplete frame; base (2) and epoch (4) frames do not complete an
-/// operation by themselves.
-///
-/// Outside a transaction group, a schema (1), tuple (3), stats (5),
-/// delete (9), update (10), index-create (11) or index-drop (12) frame
-/// each completes one operation. Between a
-/// txn-begin (6) marker and its commit (7), data frames are buffered: they
-/// count — all at once — only when the commit marker frame itself survives
-/// the cut. An abort marker (8) or a cut before the commit discards the
-/// whole group, exactly as recovery does.
-fn committed_ops(bytes: &[u8], cut: usize) -> usize {
-    let mut off = 0usize;
-    let mut ops = 0;
-    let mut pending: Option<usize> = None; // ops buffered in an open txn group
-    while off + 8 <= cut {
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-        if off + 8 + len > cut {
-            break;
-        }
-        match (bytes[off + 8], &mut pending) {
-            (6, _) => pending = Some(0),
-            (7, Some(n)) => {
-                ops += *n;
-                pending = None;
-            }
-            (8, _) | (7, None) => pending = None,
-            (1 | 3 | 5 | 9 | 10 | 11 | 12, Some(n)) => *n += 1,
-            (1 | 3 | 5 | 9 | 10 | 11 | 12, None) => ops += 1,
-            _ => {}
-        }
-        off += 8 + len;
-    }
-    ops
-}
-
 /// The oracle fingerprint extended with the byte-encoded index-definition
 /// catalog: a definition lost (or resurrected) by recovery fails the
 /// comparison exactly like lost tuple data.
@@ -315,14 +283,14 @@ fn fp_ix(
 /// checkpoint*: `fps[0]` is the state baked into the snapshot chain,
 /// `fps[k]` the state after `k` further committed operations (the WAL).
 fn run_workload(dir: &Path, ops: &[Op]) -> Vec<String> {
-    let mut db = DurableDb::open(dir).unwrap();
+    let db = open_db(dir);
     let mut tables: HashMap<String, Relation> = HashMap::new();
     let mut reg = HistoryRegistry::new();
     let mut stats = StatsCatalog::new();
     let mut ix = IndexCatalog::new();
     let mut fps = vec![fp_ix(&tables, &reg, &stats, &ix)];
     for op in ops {
-        let committed = apply_db(&mut db, op);
+        let committed = apply_db(&db, op);
         match op {
             Op::Full | Op::Incremental => {
                 // Checkpoints move the baseline: the WAL restarts empty.
@@ -341,8 +309,8 @@ fn run_workload(dir: &Path, ops: &[Op]) -> Vec<String> {
         }
     }
     // Live database and oracle agree before any crash is simulated.
-    let live_ix = db.indexes();
-    let live = fp_ix(db.tables(), db.registry(), db.stats_catalog(), &live_ix.lock());
+    let (live_ix, live_stats) = (db.indexes(), db.stats_catalog());
+    let live = db.with_tables(|t, r| fp_ix(t, r, &live_stats, &live_ix.lock()));
     assert_eq!(live, *fps.last().unwrap(), "live state diverged");
     db.check_invariants().unwrap();
     fps
@@ -398,11 +366,10 @@ fn crash_matrix(src: &Path, fps: &[String], scratch: &Path) {
         }
         std::fs::write(scratch.join(WAL_FILE), &wal[..cut]).unwrap();
         let k = committed_ops(&wal, cut);
-        let db = DurableDb::open(scratch)
-            .unwrap_or_else(|e| panic!("recovery failed at cut {cut}: {e}"));
-        let handle = db.indexes();
+        let rec = recover(scratch);
+        let handle = rec.db.indexes();
         assert_eq!(
-            fp_ix(db.tables(), db.registry(), db.stats_catalog(), &handle.lock()),
+            fp_ix(&rec.tables, &rec.reg, &rec.stats, &handle.lock()),
             fps[k],
             "recovered state != oracle after {k} ops (cut at byte {cut}/{})",
             wal.len()
@@ -412,7 +379,7 @@ fn crash_matrix(src: &Path, fps: &[String], scratch: &Path) {
         // never persisted, so this is the rebuild path recovery relies on.
         let defs: Vec<IndexDef> = handle.lock().defs().cloned().collect();
         for def in &defs {
-            let rel = &db.tables()[&def.table];
+            let rel = &rec.tables[&def.table];
             let recovered = handle.lock().ensure_built(&def.name, rel).unwrap();
             let fresh = BuiltIndex::build(def, rel, recovered.epoch).unwrap();
             assert_eq!(
@@ -422,16 +389,16 @@ fn crash_matrix(src: &Path, fps: &[String], scratch: &Path) {
                 def.name
             );
         }
-        db.check_invariants().unwrap_or_else(|e| panic!("invariants at cut {cut}: {e}"));
-        drop(db);
-        let db = DurableDb::open(scratch).unwrap();
-        let handle = db.indexes();
+        rec.db.check_invariants().unwrap_or_else(|e| panic!("invariants at cut {cut}: {e}"));
+        drop(rec);
+        let rec = recover(scratch);
+        let handle = rec.db.indexes();
         assert_eq!(
-            fp_ix(db.tables(), db.registry(), db.stats_catalog(), &handle.lock()),
+            fp_ix(&rec.tables, &rec.reg, &rec.stats, &handle.lock()),
             fps[k],
             "second recovery diverged (cut at byte {cut})"
         );
-        assert_eq!(db.recovery().wal_bytes_truncated, 0, "second open must find a clean log");
+        assert_eq!(rec.db.recovery().wal_bytes_truncated, 0, "second open must find a clean log");
     }
     std::fs::remove_dir_all(scratch).ok();
 }
@@ -630,8 +597,6 @@ enum TxnStep {
 enum Step {
     /// A transaction holding `steps`, committed or rolled back atomically.
     Txn { steps: Vec<TxnStep>, commit: bool },
-    /// A plain auto-committed statement outside any transaction.
-    Plain(TxnStep),
     /// Full checkpoint: snapshot everything, reset the WAL.
     Checkpoint,
 }
@@ -729,7 +694,7 @@ fn oracle_txn_step(
 /// contributes one entry per step (all indexed past its commit marker), a
 /// rolled-back one contributes nothing.
 fn run_txn_workload(dir: &Path, script: &[Step]) -> Vec<String> {
-    let db = SharedDurableDb::open(dir, GroupCommitConfig::default()).unwrap();
+    let db = open_db(dir);
     let mut tables: HashMap<String, Relation> = HashMap::new();
     let mut reg = HistoryRegistry::new();
     let stats = StatsCatalog::new();
@@ -740,21 +705,6 @@ fn run_txn_workload(dir: &Path, script: &[Step]) -> Vec<String> {
             Step::Checkpoint => {
                 db.checkpoint().unwrap();
                 fps = vec![fp_ix(&tables, &reg, &stats, &ix)];
-            }
-            Step::Plain(st) => {
-                match st {
-                    TxnStep::Create(i) => {
-                        db.create_table(&table_name(*i), oracle_schema()).unwrap()
-                    }
-                    TxnStep::Insert { table, key, mean } => {
-                        let [x, y] = simple_pdfs(*mean);
-                        db.insert_simple(&table_name(*table), &[("id", Value::Int(*key))], &[x, y])
-                            .unwrap();
-                    }
-                    other => panic!("plain steps are create/insert only, got {other:?}"),
-                }
-                oracle_txn_step(&mut tables, &mut reg, st);
-                fps.push(fp_ix(&tables, &reg, &stats, &ix));
             }
             Step::Txn { steps, commit } => {
                 let mut txn = Txn::begin(&db);
@@ -804,7 +754,11 @@ fn oracle_txn_groups_recover_all_or_none() {
                 ],
                 commit: true,
             },
-            Step::Plain(TxnStep::Insert { table: 0, key: 3, mean: -2.0 }),
+            // A single-statement transaction, as autocommit SQL runs one.
+            Step::Txn {
+                steps: vec![TxnStep::Insert { table: 0, key: 3, mean: -2.0 }],
+                commit: true,
+            },
             Step::Txn {
                 steps: vec![
                     TxnStep::Update { table: 0, key: 1, val: 5.0 },
@@ -829,7 +783,10 @@ fn oracle_txn_groups_recover_all_or_none() {
                 ],
                 commit: true,
             },
-            Step::Plain(TxnStep::Insert { table: 1, key: 6, mean: -1.0 }),
+            Step::Txn {
+                steps: vec![TxnStep::Insert { table: 1, key: 6, mean: -1.0 }],
+                commit: true,
+            },
         ],
     );
 }
@@ -871,7 +828,7 @@ fn oracle_conflicted_txn_leaves_no_wal_trace() {
     let src = temp_dir(&format!("txn_conflict_{n}_src"));
     let scratch =
         std::env::temp_dir().join("orion_recovery_oracle").join(format!("txn_conflict_{n}_cut"));
-    let db = SharedDurableDb::open(&src, GroupCommitConfig::default()).unwrap();
+    let db = open_db(&src);
     let mut tables: HashMap<String, Relation> = HashMap::new();
     let mut reg = HistoryRegistry::new();
     let stats = StatsCatalog::new();

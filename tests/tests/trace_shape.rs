@@ -88,19 +88,20 @@ fn explain_trace_end_to_end_records_workers_wal_and_morsels() {
     // `ORION_TRACE=1`) so the WAL workload below records its spans.
     Tracer::global().set_enabled(true);
 
-    // A durable workload: every insert commits through the group WAL, so
-    // the tracer picks up wal.append / wal.fsync spans.
+    // A durable workload: every insert transaction commits through the
+    // group WAL, so the tracer picks up wal.append / wal.fsync spans.
     let dir = std::env::temp_dir().join("orion_trace_shape_e2e");
     std::fs::remove_dir_all(&dir).ok();
-    let mut ddb = orion_core::durable::DurableDb::open(&dir).expect("open durable db");
+    let ddb = orion_tests::open_db(&dir);
     let schema = ProbSchema::new(
         vec![("id", ColumnType::Int, false), ("v", ColumnType::Real, true)],
         vec![],
     )
     .expect("schema");
-    ddb.create_table("s", schema).expect("create");
+    orion_tests::txn_create_table(&ddb, "s", schema).expect("create");
     for i in 0..4 {
-        ddb.insert_simple(
+        orion_tests::txn_insert_simple(
+            &ddb,
             "s",
             &[("id", Value::Int(i))],
             &[("v", Pdf1::gaussian(f64::from(i as i32), 1.0).expect("pdf"))],

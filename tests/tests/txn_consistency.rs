@@ -35,11 +35,11 @@
 //! Set `ORION_ORACLE_SEED` to replay `txn_consistency_env_seeded` with a
 //! specific seed (`scripts/check.sh` pins three seeds in CI).
 
-use orion_core::durable::{DurableDb, SNAPSHOT_FILE, WAL_FILE};
+use orion_core::durable::{SNAPSHOT_FILE, WAL_FILE};
 use orion_core::prelude::*;
 use orion_pdf::prelude::*;
 use orion_storage::DeltaFile;
-use orion_tests::fingerprint;
+use orion_tests::{fingerprint, recover};
 use proptest::test_runner::TestRng;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -404,10 +404,6 @@ fn committed_txn_groups(bytes: &[u8], cut: usize) -> usize {
     k
 }
 
-fn fp_db(db: &DurableDb) -> String {
-    fingerprint(db.tables(), db.registry(), db.stats_catalog())
-}
-
 /// Kills the database at every byte of the surviving WAL: recovery must
 /// land exactly on the oracle state after the first `k` fully-committed
 /// transactions — a transaction is never applied partially — and must be
@@ -434,19 +430,18 @@ fn kill_matrix(src: &Path, fps: &[String], scratch: &Path) {
         }
         std::fs::write(scratch.join(WAL_FILE), &wal[..cut]).unwrap();
         let k = committed_txn_groups(&wal, cut);
-        let db = DurableDb::open(scratch)
-            .unwrap_or_else(|e| panic!("recovery failed at cut {cut}: {e}"));
+        let rec = recover(scratch);
         assert_eq!(
-            fp_db(&db),
+            rec.fingerprint(),
             fps[k],
             "recovered state != oracle after {k} whole transactions (cut at byte {cut}/{})",
             wal.len()
         );
-        db.check_invariants().unwrap_or_else(|e| panic!("invariants at cut {cut}: {e}"));
-        drop(db);
-        let db = DurableDb::open(scratch).unwrap();
-        assert_eq!(fp_db(&db), fps[k], "second recovery diverged (cut at byte {cut})");
-        assert_eq!(db.recovery().wal_bytes_truncated, 0, "second open must find a clean log");
+        rec.db.check_invariants().unwrap_or_else(|e| panic!("invariants at cut {cut}: {e}"));
+        drop(rec);
+        let rec = recover(scratch);
+        assert_eq!(rec.fingerprint(), fps[k], "second recovery diverged (cut at byte {cut})");
+        assert_eq!(rec.db.recovery().wal_bytes_truncated, 0, "second open must find a clean log");
     }
     std::fs::remove_dir_all(scratch).ok();
 }
@@ -496,10 +491,10 @@ fn run_checker(name: &str, seed: u64, clients: usize, txns: usize, matrix: bool)
 
     // Durability: a clean reopen reproduces the exact oracle state.
     drop(db);
-    let re = DurableDb::open(&dir).unwrap();
-    assert_eq!(fp_db(&re), *verdict.fps.last().unwrap(), "reopen diverged from the oracle");
-    assert_eq!(re.recovery().wal_bytes_truncated, 0, "clean shutdown leaves a clean log");
-    re.check_invariants().unwrap();
+    let re = recover(&dir);
+    assert_eq!(re.fingerprint(), *verdict.fps.last().unwrap(), "reopen diverged from the oracle");
+    assert_eq!(re.db.recovery().wal_bytes_truncated, 0, "clean shutdown leaves a clean log");
+    re.db.check_invariants().unwrap();
     drop(re);
 
     if matrix {
@@ -627,11 +622,11 @@ fn txn_chaos_survives_injected_faults() {
     // Recovery from the surviving log lands exactly on the oracle.
     let expect = fingerprint(&oracle_tables, &oracle_reg, &stats);
     drop(db);
-    let re = DurableDb::open(&dir).unwrap();
-    assert_eq!(fp_db(&re), expect, "post-chaos recovery diverged from the oracle");
-    re.check_invariants().unwrap();
+    let re = recover(&dir);
+    assert_eq!(re.fingerprint(), expect, "post-chaos recovery diverged from the oracle");
+    re.db.check_invariants().unwrap();
     drop(re);
-    let re = DurableDb::open(&dir).unwrap();
-    assert_eq!(re.recovery().wal_bytes_truncated, 0, "second open must find a clean log");
+    let re = recover(&dir);
+    assert_eq!(re.db.recovery().wal_bytes_truncated, 0, "second open must find a clean log");
     std::fs::remove_dir_all(&dir).ok();
 }
