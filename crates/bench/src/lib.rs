@@ -6,17 +6,13 @@
 //!   approximations of Gaussian pdfs under range queries);
 //! * [`fig5`] — query performance of discretized pdfs over on-disk
 //!   relations (runtime and physical reads vs tuple count);
-//! * [`fig6`] — overhead of history maintenance for joins and projections;
-//! * [`durability`] — group-commit fsync amortization and full vs
-//!   incremental checkpoint cost (not a paper figure; added with the
-//!   durability layer).
+//! * [`fig6`] — overhead of history maintenance for joins and projections.
 //!
-//! The binaries `fig4_accuracy`, `fig5_performance`, `fig6_history_overhead`,
-//! `fig_durability` and `tables` regenerate every figure and table;
+//! The binaries `fig4_accuracy`, `fig5_performance`, `fig6_history_overhead`
+//! and `tables` regenerate every figure and table;
 //! Criterion benches in `benches/` cover operator micro-costs and design
 //! ablations.
 
-pub mod durability;
 pub mod fig4;
 pub mod fig5;
 pub mod fig5_index;

@@ -19,26 +19,29 @@
 //! recovery would rebuild, and no reader can observe a write whose commit
 //! later fails.
 //!
-//! **Checkpoints.** A checkpoint writes an atomic snapshot stamped with a
-//! fresh *epoch*, then empties the WAL. The first record logged after a
-//! checkpoint restamps the WAL with the snapshot's epoch. A crash in the
-//! window between the snapshot rename and the WAL reset leaves the old
-//! WAL (carrying the *previous* epoch) beside the new snapshot; recovery
-//! compares epochs and discards such a stale WAL instead of replaying it
-//! over state that already contains its records.
+//! **Checkpoints.** [`SharedDurableDb::checkpoint`] writes the whole
+//! database as an atomic snapshot stamped with a fresh *epoch*, then
+//! empties the WAL. The first record logged after a checkpoint restamps
+//! the WAL with the snapshot's epoch. A crash in the window between the
+//! snapshot rename and the WAL reset leaves the old WAL (carrying the
+//! *previous* epoch) beside the new snapshot; recovery compares epochs and
+//! discards such a stale WAL instead of replaying it over state that
+//! already contains its records.
 //!
-//! **Recovery.** [`SharedDurableDb::open`] folds the snapshot **chain**
-//! (base `snapshot.db` plus any incremental `delta-*.db` files, pages
-//! merged in epoch order before a single decode pass — see
-//! [`crate::persist::load_chain`]), truncates any torn WAL tail, discards
-//! the whole WAL if its epoch predates the chain's, and otherwise replays
-//! every committed record through the same
+//! **Recovery.** [`SharedDurableDb::open`] loads `snapshot.db` in one
+//! streaming scan ([`crate::persist::load_into`]), truncates any torn WAL
+//! tail, discards the whole WAL if its epoch predates the snapshot's, and
+//! otherwise replays every committed record through the same
 //! [`crate::persist::apply_record`] decoder the snapshot loader uses,
 //! reporting what it did in a [`RecoveryReport`]. Records outside any
 //! transaction frame (logs written by versions that committed each insert
 //! as bare base + tuple records) replay one by one, as they always did.
 //! Re-opening a recovered database is idempotent: the second open replays
-//! the same records and truncates nothing.
+//! the same records and truncates nothing. A directory holding
+//! `delta-*.db` files (incremental checkpoints written by earlier
+//! versions, whose records are in neither the snapshot nor the reset WAL)
+//! is refused with [`EngineError::Corrupt`] rather than opened without
+//! them.
 //!
 //! **Group commit.** The WAL is driven through
 //! [`orion_storage::GroupWal`]: each commit enqueues its framed records,
@@ -46,28 +49,18 @@
 //! queued commit, and followers block on their commit sequence number.
 //! Commits run under the core lock, so the pipeline sees one committer at
 //! a time. Tunables (batching window, max batch bytes) live in
-//! [`orion_storage::GroupCommitConfig`].
-//!
-//! **Incremental checkpoints.** [`SharedDurableDb::checkpoint_incremental`]
-//! rebuilds the chain's pages in memory, appends only the records created
-//! since the last checkpoint, and writes the pages that mutation dirtied
-//! into an epoch-stamped [`orion_storage::DeltaFile`]
-//! (temp → fsync → rename): the cost scales with the new data, not the
-//! database. A full [`SharedDurableDb::checkpoint`] rewrites the base and
-//! deletes the delta chain it subsumes.
+//! [`orion_storage::GroupCommitConfig`], fixed at open.
 
 use crate::error::{EngineError, Result};
-use crate::history::{HistoryRegistry, PdfId};
+use crate::history::HistoryRegistry;
 use crate::persist::{self, LoadState};
-use crate::pindex::{IndexCatalog, IndexDef, IndexHandle, IndexKind};
+use crate::pindex::{IndexDef, IndexHandle, IndexKind};
 use crate::plan_feedback::PlanFeedbackStore;
 use crate::relation::Relation;
 use crate::stats_catalog::{analyze_relation, StatsCatalog, TableStats};
 use orion_obs::workload::WorkloadRepo;
 use orion_storage::wal::WalStats;
-use orion_storage::{
-    DeltaFile, GroupCommitConfig, GroupWal, HeapFile, IoStats, PageStore, Wal, PAGE_SIZE,
-};
+use orion_storage::{GroupCommitConfig, GroupWal, IoStats, Wal, PAGE_SIZE};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -90,11 +83,6 @@ pub struct RecoveryReport {
     /// Records discarded because the whole WAL predated the snapshot's
     /// checkpoint epoch (crash between snapshot rename and WAL reset).
     pub stale_wal_records_discarded: u64,
-    /// Incremental delta files folded over the base snapshot.
-    pub deltas_folded: u64,
-    /// Delta files discarded because a full checkpoint had already
-    /// subsumed them (crash between snapshot rename and delta cleanup).
-    pub stale_deltas_removed: u64,
     /// Records belonging to a transaction whose commit marker never
     /// reached stable storage (crash mid-transaction) or that was
     /// explicitly aborted — discarded wholesale so no partial transaction
@@ -106,63 +94,18 @@ impl RecoveryReport {
     /// Stable JSON rendering for stats exporters and test grepping.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"snapshot_loaded\":{},\"wal_records_replayed\":{},\"wal_bytes_truncated\":{},\"stale_wal_records_discarded\":{},\"deltas_folded\":{},\"stale_deltas_removed\":{},\"incomplete_txn_records_discarded\":{}}}",
+            "{{\"snapshot_loaded\":{},\"wal_records_replayed\":{},\"wal_bytes_truncated\":{},\"stale_wal_records_discarded\":{},\"incomplete_txn_records_discarded\":{}}}",
             self.snapshot_loaded,
             self.wal_records_replayed,
             self.wal_bytes_truncated,
             self.stale_wal_records_discarded,
-            self.deltas_folded,
-            self.stale_deltas_removed,
             self.incomplete_txn_records_discarded
         )
     }
 }
 
-/// Where the last checkpoint left off: everything the persistent chain
-/// already contains, so an incremental checkpoint appends only what came
-/// after. Captured right after the chain fold at open (before WAL replay —
-/// replayed records are *not* in the chain) and after every checkpoint.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CkptMarks {
-    /// Highest base-pdf id in the chain; later registrations are new.
-    last_base: PdfId,
-    /// Per-table tuple count in the chain; presence of a key means the
-    /// table's schema record is already persisted.
-    tables: HashMap<String, usize>,
-    /// Canonical encoding of the stats catalog the chain contains. Stats
-    /// equality is defined as bitwise encoding equality, so comparing
-    /// bytes tells an incremental checkpoint whether `ANALYZE` ran since.
-    stats: Vec<u8>,
-    /// Canonical encoding of the index definitions the chain contains
-    /// (same byte-compare discipline as `stats`): tells an incremental
-    /// checkpoint whether `CREATE INDEX` ran since.
-    indexes: Vec<u8>,
-    /// Whether a delete or update ran since the last checkpoint. Such
-    /// mutations break the append-only assumption the incremental
-    /// record-diff relies on (tuple counts can shrink, existing tuples can
-    /// change in place), so the next checkpoint must be full.
-    pub(crate) mutated: bool,
-}
-
-impl CkptMarks {
-    fn capture(
-        tables: &HashMap<String, Relation>,
-        reg: &HistoryRegistry,
-        stats: &StatsCatalog,
-        indexes: &IndexCatalog,
-    ) -> CkptMarks {
-        CkptMarks {
-            last_base: reg.last_id(),
-            tables: tables.iter().map(|(n, r)| (n.clone(), r.tuples.len())).collect(),
-            stats: stats.encode(),
-            indexes: indexes.encode(),
-            mutated: false,
-        }
-    }
-}
-
 /// Name of the workload-repository sidecar written next to the snapshot
-/// chain when `ORION_STATEMENTS_PERSIST=1`.
+/// when `ORION_STATEMENTS_PERSIST=1`.
 pub const WORKLOAD_FILE: &str = "workload.json";
 
 /// Best-effort write of the workload repository + planner feedback into the
@@ -196,10 +139,33 @@ fn load_workload_sidecar(dir: &Path, workload: &WorkloadRepo, feedback: &PlanFee
     }
 }
 
+/// Refuses a directory holding `delta-*.db` files: incremental checkpoints
+/// written by earlier versions. Their records are in neither `snapshot.db`
+/// nor the WAL (which they reset), so opening without them would silently
+/// lose committed data. A `delta-*.db.tmp` never reached its commit point
+/// (the rename) and is ignored, like `snapshot.db.tmp`.
+fn reject_delta_files(dir: &Path) -> Result<()> {
+    let mut deltas = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name().to_string_lossy().into_owned();
+        if name.starts_with("delta-") && name.ends_with(".db") {
+            deltas.push(name);
+        }
+    }
+    match deltas.into_iter().min() {
+        Some(first) => Err(EngineError::Corrupt(format!(
+            "{first} in {}: incremental checkpoint files are no longer read; open the \
+             directory with the previous version and run a full checkpoint() first",
+            dir.display()
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// (Re)arms the [`GroupWal`]'s epoch stamp: after any checkpoint, the
 /// first batch written to the (then empty) log is prefixed with the
-/// chain's epoch, so recovery can tell a live WAL from a stale one left by
-/// a crashed checkpoint. Epoch 0 (no checkpoint yet) writes no stamp.
+/// snapshot's epoch, so recovery can tell a live WAL from a stale one left
+/// by a crashed checkpoint. Epoch 0 (no checkpoint yet) writes no stamp.
 fn set_epoch_stamp(wal: &GroupWal, epoch: u64) -> Result<()> {
     if epoch == 0 {
         wal.set_stamp(None)?;
@@ -272,11 +238,9 @@ pub(crate) struct SharedCore {
     dir: PathBuf,
     pub(crate) tables: HashMap<String, Relation>,
     pub(crate) reg: HistoryRegistry,
-    /// Checkpoint epoch of the current snapshot chain (0 before any
-    /// checkpoint). WAL records only count at recovery if their log
-    /// carries this epoch.
+    /// Checkpoint epoch of the current snapshot (0 before any checkpoint).
+    /// WAL records only count at recovery if their log carries this epoch.
     pub(crate) epoch: u64,
-    pub(crate) marks: CkptMarks,
     /// Per-table statistics collected by [`SharedDurableDb::analyze_table`],
     /// persisted as WAL/snapshot records so they survive recovery.
     pub(crate) stats: StatsCatalog,
@@ -288,167 +252,12 @@ pub(crate) struct SharedCore {
     pub(crate) commit_seq: u64,
 }
 
-impl SharedCore {
-    /// Full checkpoint: atomically writes a fresh base snapshot stamped
-    /// with the next epoch, deletes the delta chain it subsumes, then
-    /// empties the WAL (whose records the snapshot now contains).
-    /// Crash-atomic at every point: until the snapshot rename lands,
-    /// recovery uses the old chain + full WAL; once it lands, leftover
-    /// deltas and a WAL still carrying the old epoch are recognized as
-    /// stale and discarded instead of replayed. A checkpoint that returns
-    /// an error never corrupts state — at worst the WAL keeps
-    /// accumulating.
-    fn checkpoint_full(&mut self, wal: &GroupWal, io: &IoStats) -> Result<()> {
-        let mut span = ckpt_span("checkpoint.full");
-        let new_epoch = self.epoch + 1;
-        let snap = self.dir.join(SNAPSHOT_FILE);
-        let cat = self.indexes.lock();
-        persist::save_snapshot_full(&snap, &self.tables, &self.reg, &self.stats, &cat, new_epoch)?;
-        // A full checkpoint copies every page of the new base; the counter
-        // mirrors the incremental path's copied/skipped accounting.
-        let pages =
-            std::fs::metadata(&snap).map(|m| m.len().div_ceil(PAGE_SIZE as u64)).unwrap_or(0);
-        io.ckpt_pages_copied.add(pages);
-        if span.is_recording() {
-            span.arg("epoch", new_epoch);
-            span.arg("pages_copied", pages);
-        }
-        // The rename above is the commit point. Deltas subsumed by the new
-        // base are deleted afterwards; a crash in between leaves them behind
-        // with stale epochs, and recovery removes them.
-        DeltaFile::remove_all(&self.dir)?;
-        self.epoch = new_epoch;
-        self.marks = CkptMarks::capture(&self.tables, &self.reg, &self.stats, &cat);
-        drop(cat);
-        wal.reset()?;
-        set_epoch_stamp(wal, new_epoch)
-    }
-
-    /// Incremental checkpoint: folds the existing chain's pages in memory,
-    /// appends only the records created since the last checkpoint, and
-    /// writes the pages that dirtied into an epoch-stamped delta file
-    /// (temp → fsync → rename — the same crash-atomicity discipline as
-    /// the full path; the delta rename is the commit point). Falls back to
-    /// a full checkpoint when no base snapshot exists yet or when a
-    /// delete, update or index drop ran since the last one; a no-op when
-    /// nothing changed. Pages copied vs skipped are counted in `io`.
-    fn checkpoint_incremental(&mut self, wal: &GroupWal, io: &IoStats) -> Result<()> {
-        let snap = self.dir.join(SNAPSHOT_FILE);
-        if !snap.exists() {
-            // Nothing to increment on — the first checkpoint is always full.
-            return self.checkpoint_full(wal, io);
-        }
-        if self.marks.mutated {
-            // A delete, update, or index drop ran since the last checkpoint:
-            // the chain's records are no longer a prefix of the current state,
-            // so the append-only diff below would be wrong. Rewrite the base.
-            return self.checkpoint_full(wal, io);
-        }
-        let (tables, reg, stats, marks) = (&self.tables, &self.reg, &self.stats, &self.marks);
-        let cat = self.indexes.lock();
-        let stats_changed = stats.encode() != marks.stats;
-        let indexes_changed = cat.encode() != marks.indexes;
-        let new_work = stats_changed
-            || indexes_changed
-            || reg.last_id() > marks.last_base
-            || tables
-                .iter()
-                .any(|(n, r)| marks.tables.get(n).is_none_or(|&count| r.tuples.len() > count));
-        if !new_work {
-            return Ok(());
-        }
-        let mut span = ckpt_span("checkpoint.incremental");
-        let new_epoch = self.epoch + 1;
-        // Rebuild the chain's pages in memory, then append only the records
-        // the chain does not contain. The heap adopts the chain's tail page so
-        // appends fill its free space (that page is copied; untouched pages
-        // are skipped — the incremental win).
-        let (mem, _) = persist::fold_chain_pages(&snap, &self.dir)?;
-        let mut heap = HeapFile::new(mem, 64);
-        heap.adopt_tail();
-        heap.pool().mark_checkpoint();
-        let mut buf = Vec::new();
-        persist::encode_epoch(new_epoch, &mut buf);
-        heap.insert(&buf)?;
-        let mut names: Vec<&String> = tables.keys().collect();
-        names.sort();
-        for name in &names {
-            if !marks.tables.contains_key(*name) {
-                buf.clear();
-                persist::encode_schema(&tables[*name], &mut buf);
-                heap.insert(&buf)?;
-            }
-        }
-        let mut bases: Vec<_> = reg.iter_bases().filter(|(id, _)| *id > marks.last_base).collect();
-        bases.sort_by_key(|(id, _)| *id);
-        for (id, base) in bases {
-            buf.clear();
-            persist::encode_base(id, base, &mut buf);
-            heap.insert(&buf)?;
-        }
-        for name in &names {
-            let from = marks.tables.get(*name).copied().unwrap_or(0);
-            for t in &tables[*name].tuples[from..] {
-                buf.clear();
-                persist::encode_tuple(name, t, &mut buf);
-                heap.insert(&buf)?;
-            }
-        }
-        if stats_changed {
-            // Stats replay overwrites per table, so re-emitting the whole
-            // catalog is idempotent; the delta's records decode after the
-            // chain's and win.
-            for ts in stats.iter() {
-                buf.clear();
-                persist::encode_stats(ts, &mut buf);
-                heap.insert(&buf)?;
-            }
-        }
-        if indexes_changed {
-            // Index replay installs-by-name, so re-emitting every definition
-            // is idempotent. Only creates reach this path — a drop sets the
-            // `mutated` mark and forces a full checkpoint, because an
-            // append-only delta cannot retract the chain's create record.
-            for def in cat.defs() {
-                buf.clear();
-                persist::encode_index_def(def, &mut buf);
-                heap.insert(&buf)?;
-            }
-        }
-        heap.pool().flush()?;
-        let dirty = heap.pool().dirty_pages_since_mark();
-        let total = heap.page_count() as u64;
-        let mut store = heap.into_store()?;
-        let mut pages = Vec::with_capacity(dirty.len());
-        for pid in dirty {
-            let mut page = orion_storage::Page::new();
-            store.read_page(pid, &mut page)?;
-            pages.push((pid, page));
-        }
-        io.ckpt_pages_copied.add(pages.len() as u64);
-        io.ckpt_pages_skipped.add(total.saturating_sub(pages.len() as u64));
-        if span.is_recording() {
-            span.arg("epoch", new_epoch);
-            span.arg("pages_copied", pages.len() as u64);
-            span.arg("pages_skipped", total.saturating_sub(pages.len() as u64));
-        }
-        // The delta rename is the commit point of this checkpoint.
-        DeltaFile { epoch: new_epoch, pages }.write_atomic(&self.dir)?;
-        let marks = CkptMarks::capture(tables, reg, stats, &cat);
-        drop(cat);
-        self.epoch = new_epoch;
-        self.marks = marks;
-        wal.reset()?;
-        set_epoch_stamp(wal, new_epoch)
-    }
-}
-
 /// One live transaction's introspection row (the `orion.txns` table).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActiveTxnInfo {
     /// Transaction id (process-global, monotonic).
     pub id: u64,
-    /// Checkpoint epoch of the chain when the snapshot was taken.
+    /// Checkpoint epoch of the database when the snapshot was taken.
     pub snapshot_epoch: u64,
     /// Current write-set size (DML ops staged so far).
     pub writes: usize,
@@ -459,7 +268,7 @@ pub(crate) struct SharedInner {
     pub(crate) core: Mutex<SharedCore>,
     pub(crate) wal: GroupWal,
     recovery: RecoveryReport,
-    /// Checkpoint page accounting (`ckpt_pages_copied` / `_skipped`).
+    /// Checkpoint page accounting (`ckpt_pages_copied`).
     io: Arc<IoStats>,
     /// Per-statement workload repository fed by the SQL session layer;
     /// persisted to a [`WORKLOAD_FILE`] sidecar at checkpoint when
@@ -485,10 +294,13 @@ pub struct SharedDurableDb {
 
 impl SharedDurableDb {
     /// Opens (creating if absent) the database in `dir`, running crash
-    /// recovery: snapshot-chain fold, torn-tail truncation, stale-WAL
-    /// rejection, WAL replay. `cfg` tunes group commit.
+    /// recovery: snapshot load, torn-tail truncation, stale-WAL rejection,
+    /// WAL replay. `cfg` tunes group commit. A directory holding
+    /// `delta-*.db` files fails with [`EngineError::Corrupt`] before
+    /// anything in it is touched.
     pub fn open(dir: &Path, cfg: GroupCommitConfig) -> Result<Self> {
         std::fs::create_dir_all(dir)?;
+        reject_delta_files(dir)?;
         // Crash observability: flight-recorder dumps land next to the data
         // they describe, and a panic anywhere in the process leaves one
         // (both no-ops unless the recorder is enabled via ORION_TRACE=1 or
@@ -497,12 +309,11 @@ impl SharedDurableDb {
         orion_obs::recorder::install_panic_hook();
         let snap = dir.join(SNAPSHOT_FILE);
         let mut state = LoadState::default();
-        let chain = persist::load_chain(&snap, dir, &mut state)?;
+        let snapshot_loaded = snap.exists();
+        if snapshot_loaded {
+            persist::load_into(&snap, &mut state)?;
+        }
         let snap_epoch = state.wal_epoch;
-        // Everything loaded so far lives in the persistent chain: that is
-        // what the next incremental checkpoint starts from. WAL records
-        // replayed below are new relative to it.
-        let marks = CkptMarks::capture(&state.tables, &state.reg, &state.stats, &state.indexes);
         let (mut wal, replay) = Wal::open(&dir.join(WAL_FILE))?;
         let wal_epoch = replay.records.first().and_then(|r| persist::record_epoch(r)).unwrap_or(0);
         let mut replayed = 0u64;
@@ -510,10 +321,9 @@ impl SharedDurableDb {
         let mut incomplete_discarded = 0u64;
         if wal_epoch < snap_epoch {
             // The WAL predates the snapshot: a crash hit the window between
-            // a checkpoint's commit point (snapshot rename / delta rename)
-            // and its WAL reset. Every record here is already folded into
-            // the chain — replaying would duplicate tuples and
-            // double-count refcounts.
+            // a checkpoint's commit point (the snapshot rename) and its WAL
+            // reset. Every record here is already in the snapshot —
+            // replaying would duplicate tuples and double-count refcounts.
             stale_discarded = replay.records.len() as u64;
             if stale_discarded > 0 {
                 wal.reset()?;
@@ -573,12 +383,10 @@ impl SharedDurableDb {
             }
         }
         let recovery = RecoveryReport {
-            snapshot_loaded: chain.snapshot_loaded,
+            snapshot_loaded,
             wal_records_replayed: replayed,
             wal_bytes_truncated: replay.truncated_bytes,
             stale_wal_records_discarded: stale_discarded,
-            deltas_folded: chain.deltas_folded,
-            stale_deltas_removed: chain.stale_deltas_removed,
             incomplete_txn_records_discarded: incomplete_discarded,
         };
         let epoch = state.wal_epoch.max(snap_epoch);
@@ -595,7 +403,6 @@ impl SharedDurableDb {
             tables,
             reg,
             epoch,
-            marks,
             stats,
             indexes,
             commit_seq: 0,
@@ -662,7 +469,7 @@ impl SharedDurableDb {
     /// Drops a secondary index and durably logs the drop. On a failed
     /// commit nothing is applied.
     pub fn drop_index(&self, name: &str) -> Result<()> {
-        let mut core = self.inner.core.lock();
+        let core = self.inner.core.lock();
         if core.indexes.lock().get(name).is_none() {
             return Err(EngineError::Operator(format!("unknown index '{name}'")));
         }
@@ -670,10 +477,6 @@ impl SharedDurableDb {
         persist::encode_index_drop(name, &mut buf);
         self.inner.wal.commit(&[buf])?;
         let _ = core.indexes.lock().drop_index(name);
-        // The chain may still carry this index's definition record; an
-        // append-only delta cannot retract it, so the next checkpoint
-        // must rewrite the base.
-        core.marks.mutated = true;
         Ok(())
     }
 
@@ -693,21 +496,36 @@ impl SharedDurableDb {
         f(&core.tables, &core.reg)
     }
 
-    /// Full checkpoint; see `SharedCore::checkpoint_full`. Holds the core
-    /// lock throughout, so no commit lands mid-snapshot.
+    /// Checkpoint: atomically writes the whole database as a snapshot
+    /// stamped with the next epoch ([`crate::persist::save_snapshot_full`]:
+    /// temp file → fsync → rename → directory fsync), then empties the
+    /// WAL, whose records the snapshot now contains. Holds the core lock
+    /// throughout, so no commit lands mid-snapshot. Crash-atomic at every
+    /// point: until the rename lands, recovery uses the old snapshot + full
+    /// WAL; once it lands, a WAL still carrying the old epoch is recognized
+    /// as stale and discarded instead of replayed. A checkpoint that
+    /// returns an error never corrupts state — at worst the WAL keeps
+    /// accumulating. The pages written are counted in
+    /// [`SharedDurableDb::io_stats`] (`ckpt_pages_copied`).
     pub fn checkpoint(&self) -> Result<()> {
         let mut core = self.inner.core.lock();
-        core.checkpoint_full(&self.inner.wal, &self.inner.io)?;
-        persist_workload_sidecar(&core.dir, &self.inner.workload, &self.inner.feedback);
-        Ok(())
-    }
-
-    /// Incremental checkpoint: a delta file holding only the pages dirtied
-    /// since the last checkpoint (falls back to a full one when it must).
-    /// Pages copied vs skipped are counted in [`SharedDurableDb::io_stats`].
-    pub fn checkpoint_incremental(&self) -> Result<()> {
-        let mut core = self.inner.core.lock();
-        core.checkpoint_incremental(&self.inner.wal, &self.inner.io)?;
+        let mut span = ckpt_span("checkpoint.full");
+        let new_epoch = core.epoch + 1;
+        let snap = core.dir.join(SNAPSHOT_FILE);
+        let cat = core.indexes.lock();
+        persist::save_snapshot_full(&snap, &core.tables, &core.reg, &core.stats, &cat, new_epoch)?;
+        drop(cat);
+        let pages =
+            std::fs::metadata(&snap).map(|m| m.len().div_ceil(PAGE_SIZE as u64)).unwrap_or(0);
+        self.inner.io.ckpt_pages_copied.add(pages);
+        if span.is_recording() {
+            span.arg("epoch", new_epoch);
+            span.arg("pages_copied", pages);
+        }
+        // The rename inside save_snapshot_full was the commit point.
+        core.epoch = new_epoch;
+        self.inner.wal.reset()?;
+        set_epoch_stamp(&self.inner.wal, new_epoch)?;
         persist_workload_sidecar(&core.dir, &self.inner.workload, &self.inner.feedback);
         Ok(())
     }
@@ -743,7 +561,7 @@ impl SharedDurableDb {
         self.inner.wal.stats()
     }
 
-    /// Checkpoint I/O counters (`ckpt_pages_copied` / `_skipped`).
+    /// Checkpoint I/O counters (`ckpt_pages_copied`).
     pub fn io_stats(&self) -> Arc<IoStats> {
         Arc::clone(&self.inner.io)
     }
@@ -760,24 +578,12 @@ impl SharedDurableDb {
         Arc::clone(&self.inner.feedback)
     }
 
-    /// Current group-commit tunables.
-    pub fn group_commit_config(&self) -> GroupCommitConfig {
-        self.inner.wal.config()
-    }
-
-    /// Replaces the group-commit tunables (batching window, max batch
-    /// bytes, enable/disable).
-    pub fn set_group_commit_config(&self, cfg: GroupCommitConfig) {
-        self.inner.wal.set_config(cfg);
-    }
-
     /// Current WAL length in bytes (0 right after a checkpoint).
     pub fn wal_len(&self) -> u64 {
         self.inner.wal.len()
     }
 
-    /// Checkpoint epoch of the current snapshot chain (0 before any
-    /// checkpoint).
+    /// Checkpoint epoch of the current snapshot (0 before any checkpoint).
     pub fn epoch(&self) -> u64 {
         self.inner.core.lock().epoch
     }
@@ -1022,6 +828,47 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Every file under `dir` with its bytes, sorted by name.
+    fn dir_image(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name().to_string_lossy().into_owned(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn delta_files_fail_open_and_tmp_deltas_are_ignored() {
+        // A directory where an earlier version ran an incremental
+        // checkpoint: the delta's records are in neither the snapshot nor
+        // the WAL, so opening without it would silently lose them.
+        let dir = temp_dir("delta_refused");
+        {
+            let db = open(&dir);
+            create_table(&db, "readings");
+            insert_n(&db, 0, 2);
+            db.checkpoint().unwrap();
+        }
+        std::fs::write(dir.join("delta-0000000002.db"), b"ODLT delta page images").unwrap();
+        let before = dir_image(&dir);
+        let err = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("delta-0000000002.db") && msg.contains("checkpoint()"), "{msg}");
+        assert_eq!(dir_image(&dir), before, "a refused open leaves the directory untouched");
+        // A delta that never reached its rename is pre-commit: ignored.
+        std::fs::rename(dir.join("delta-0000000002.db"), dir.join("delta-0000000002.db.tmp"))
+            .unwrap();
+        let db = open(&dir);
+        assert_eq!(rows(&db, "readings"), 2);
+        db.check_invariants().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn epoch_is_monotonic_across_checkpoints_and_reopens() {
         let dir = temp_dir("epochs");
@@ -1086,115 +933,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_checkpoint_folds_deltas_on_recovery() {
-        let dir = temp_dir("incr_fold");
-        {
-            let db = open(&dir);
-            create_table(&db, "readings");
-            insert_n(&db, 0, 2);
-            // First incremental falls back to full (no base yet).
-            db.checkpoint_incremental().unwrap();
-            assert_eq!(db.epoch(), 1);
-            assert!(DeltaFile::list(&dir).unwrap().is_empty(), "first ckpt is full");
-            insert_n(&db, 2, 2);
-            db.checkpoint_incremental().unwrap();
-            assert_eq!(db.epoch(), 2);
-            assert_eq!(db.wal_len(), 0, "incremental ckpt resets the WAL");
-            insert_n(&db, 4, 1);
-            db.checkpoint_incremental().unwrap();
-            assert_eq!(DeltaFile::list(&dir).unwrap().len(), 2, "one delta per incremental");
-            let io = db.io_stats().snapshot();
-            assert!(io.ckpt_pages_copied > 0);
-            insert_n(&db, 5, 1); // tail insert riding only the WAL
-        }
-        let db = open(&dir);
-        assert_eq!(db.recovery().deltas_folded, 2);
-        assert_eq!(db.recovery().wal_records_replayed, 2, "base + tuple after last ckpt");
-        assert_eq!(rows(&db, "readings"), 6);
-        db.check_invariants().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn incremental_checkpoint_skips_clean_pages() {
-        let dir = temp_dir("incr_skip");
-        let db = open(&dir);
-        create_table(&db, "readings");
-        // Enough tuples to span several pages.
-        insert_n(&db, 0, 400);
-        db.checkpoint().unwrap();
-        insert_n(&db, 400, 1);
-        db.checkpoint_incremental().unwrap();
-        let io = db.io_stats().snapshot();
-        assert!(
-            io.ckpt_pages_skipped > 0,
-            "one small insert must not re-copy the whole heap: {io:?}"
-        );
-        assert!(io.ckpt_pages_copied < io.ckpt_pages_copied + io.ckpt_pages_skipped);
-        // And the delta is much smaller than the base snapshot.
-        let (_, delta_path) = DeltaFile::list(&dir).unwrap().pop().unwrap();
-        let delta_len = std::fs::metadata(&delta_path).unwrap().len();
-        let base_len = std::fs::metadata(dir.join(SNAPSHOT_FILE)).unwrap().len();
-        assert!(delta_len < base_len, "delta {delta_len} >= base {base_len}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn incremental_checkpoint_is_noop_without_new_work() {
-        let dir = temp_dir("incr_noop");
-        let db = open(&dir);
-        create_table(&db, "readings");
-        insert_n(&db, 0, 1);
-        db.checkpoint().unwrap();
-        let epoch = db.epoch();
-        db.checkpoint_incremental().unwrap();
-        assert_eq!(db.epoch(), epoch, "nothing new → no epoch bump");
-        assert!(DeltaFile::list(&dir).unwrap().is_empty());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn full_checkpoint_subsumes_delta_chain() {
-        let dir = temp_dir("full_subsumes");
-        {
-            let db = open(&dir);
-            create_table(&db, "readings");
-            insert_n(&db, 0, 1);
-            db.checkpoint().unwrap();
-            insert_n(&db, 1, 1);
-            db.checkpoint_incremental().unwrap();
-            insert_n(&db, 2, 1);
-            db.checkpoint().unwrap();
-            assert!(DeltaFile::list(&dir).unwrap().is_empty(), "full ckpt removes deltas");
-        }
-        let db = open(&dir);
-        assert_eq!(db.recovery().deltas_folded, 0);
-        assert_eq!(rows(&db, "readings"), 3);
-        db.check_invariants().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn new_table_after_checkpoint_lands_in_next_delta() {
-        let dir = temp_dir("incr_new_table");
-        {
-            let db = open(&dir);
-            create_table(&db, "readings");
-            insert_n(&db, 0, 1);
-            db.checkpoint().unwrap();
-            create_table(&db, "extra");
-            insert_into(&db, "extra", 9, 1);
-            db.checkpoint_incremental().unwrap();
-        }
-        let db = open(&dir);
-        assert_eq!(db.recovery().deltas_folded, 1);
-        assert_eq!(rows(&db, "extra"), 1);
-        assert_eq!(rows(&db, "readings"), 1);
-        db.check_invariants().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn shared_handle_round_trips_concurrent_inserts() {
         let dir = temp_dir("shared");
         let db = open(&dir);
@@ -1206,7 +944,7 @@ mod tests {
             }
         });
         db.check_invariants().unwrap();
-        db.checkpoint_incremental().unwrap();
+        db.checkpoint().unwrap();
         assert_eq!(rows(&db, "readings"), 40);
         drop(db);
         let db = open(&dir);
@@ -1235,7 +973,7 @@ mod tests {
     }
 
     #[test]
-    fn analyzed_stats_survive_full_and_incremental_checkpoints() {
+    fn analyzed_stats_survive_checkpoints() {
         let dir = temp_dir("stats_ckpt");
         let before;
         {
@@ -1245,17 +983,17 @@ mod tests {
             db.analyze_table("readings").unwrap();
             db.checkpoint().unwrap();
             assert_eq!(db.wal_len(), 0);
-            // Re-analyze after more inserts; the new record rides a delta.
+            // Re-analyze after more inserts; the next snapshot carries it.
             insert_n(&db, 3, 2);
             db.analyze_table("readings").unwrap();
-            db.checkpoint_incremental().unwrap();
+            db.checkpoint().unwrap();
             assert_eq!(db.wal_len(), 0);
             before = db.stats_catalog().encode();
         }
         let db = open(&dir);
-        assert_eq!(db.recovery().wal_records_replayed, 0, "stats live in the chain");
+        assert_eq!(db.recovery().wal_records_replayed, 0, "stats live in the snapshot");
         assert_eq!(db.stats_catalog().encode(), before);
-        assert_eq!(db.stats_catalog().get("readings").unwrap().rows, 5, "delta overwrote base");
+        assert_eq!(db.stats_catalog().get("readings").unwrap().rows, 5, "re-analyze won");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1267,14 +1005,11 @@ mod tests {
         insert_n(&db, 0, 2);
         db.checkpoint().unwrap();
         let epoch = db.epoch();
-        // No data change → no-op.
-        db.checkpoint_incremental().unwrap();
-        assert_eq!(db.epoch(), epoch);
-        // ANALYZE with no data change is still new work: the catalog went
-        // from empty to populated and must reach the chain.
+        // ANALYZE with no data change still reaches the snapshot: the
+        // catalog went from empty to populated.
         db.analyze_table("readings").unwrap();
-        db.checkpoint_incremental().unwrap();
-        assert_eq!(db.epoch(), epoch + 1, "stats change bumps the chain");
+        db.checkpoint().unwrap();
+        assert_eq!(db.epoch(), epoch + 1);
         let before = db.stats_catalog().encode();
         drop(db);
         let db = open(&dir);
@@ -1290,7 +1025,7 @@ mod tests {
         create_table(&db, "readings");
         insert_n(&db, 1, 1);
         db.analyze_table("readings").unwrap();
-        db.checkpoint_incremental().unwrap();
+        db.checkpoint().unwrap();
         let before = db.stats_catalog().encode();
         assert!(!before.is_empty());
         // Every clone of the handle sees the one catalog.
@@ -1333,29 +1068,27 @@ mod tests {
             create_table(&db, "readings");
             insert_n(&db, 0, 2);
             db.checkpoint().unwrap();
-            // CREATE INDEX alone counts as incremental-checkpoint work.
             let epoch = db.epoch();
             db.create_index("ix_v", "readings", "v", None).unwrap();
-            db.checkpoint_incremental().unwrap();
-            assert_eq!(db.epoch(), epoch + 1, "index DDL bumps the chain");
+            db.checkpoint().unwrap();
+            assert_eq!(db.epoch(), epoch + 1);
             assert_eq!(db.wal_len(), 0);
             encoded = db.indexes().lock().encode();
         }
         {
             let db = open(&dir);
-            assert_eq!(db.recovery().wal_records_replayed, 0, "defs live in the chain");
+            assert_eq!(db.recovery().wal_records_replayed, 0, "defs live in the snapshot");
             assert_eq!(db.indexes().lock().encode(), encoded, "bitwise-identical defs");
         }
         {
-            // Dropping retracts the def durably even though the chain still
-            // carries its create record: the drop rides the WAL, and the
-            // next checkpoint is forced full.
+            // The snapshot still carries the create record; the next
+            // checkpoint rewrites it without the dropped definition.
             let db = open(&dir);
             db.drop_index("ix_v").unwrap();
-            db.checkpoint_incremental().unwrap();
-            assert!(DeltaFile::list(&dir).unwrap().is_empty(), "drop forces a full ckpt");
+            db.checkpoint().unwrap();
         }
         let db = open(&dir);
+        assert_eq!(db.recovery().wal_records_replayed, 0, "the drop lives in the snapshot");
         assert_eq!(db.indexes().lock().defs().count(), 0, "drop survived recovery");
         std::fs::remove_dir_all(&dir).ok();
     }

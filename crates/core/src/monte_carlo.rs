@@ -18,7 +18,7 @@ use crate::pws::{run_classical, CanonValue, ConcreteTable};
 use crate::relation::Relation;
 use crate::select::ExecOptions;
 use crate::value::Value;
-use orion_pdf::sample::{Uniform, XorShift};
+use orion_pdf::sample::Uniform;
 use std::collections::HashMap;
 
 /// Frequency (or probability) of result keys, where a key is the canonical
@@ -70,15 +70,6 @@ fn key_of(table: &ConcreteTable, row: &[Value]) -> Vec<CanonValue> {
         .collect()
 }
 
-/// SplitMix64 finalizer: a bijective mixer on `u64`, used to derive
-/// statistically independent per-worker seeds from `base_seed ^ worker`.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Monte-Carlo estimate: for each distinct certain-column key, the
 /// fraction of sampled worlds in which the query emits a row with that
 /// key. Keys never emitted are absent from the map.
@@ -107,82 +98,6 @@ pub fn mc_key_distribution(
                 seen.push(key.clone());
                 *counts.entry(key).or_insert(0) += 1;
             }
-        }
-    }
-    Ok(counts.into_iter().map(|(k, c)| (k, c as f64 / samples as f64)).collect())
-}
-
-/// Parallel Monte-Carlo estimate: samples are sharded across a scoped
-/// worker pool, each worker drawing from its own [`XorShift`] stream whose
-/// seed is the worker index mixed into `base_seed` with `splitmix64`
-/// (additive seeding can collide after wrap-around clamping; the bijective
-/// mixer keeps the streams distinct), and per-worker presence counts are
-/// summed.
-///
-/// **Determinism caveat:** the result is a pure function of
-/// `(base_seed, threads, samples)` — reruns with the same triple are
-/// bit-identical — but changing the thread count changes which RNG streams
-/// are drawn, so estimates at different thread counts agree only within
-/// Monte-Carlo error, unlike the exact operators where output is invariant
-/// under the thread count. `threads == 0` resolves via
-/// [`crate::exec_par::effective_threads`]; pin it explicitly where
-/// reproducibility across machines matters.
-pub fn mc_key_distribution_par(
-    plan: &Plan,
-    tables: &HashMap<String, Relation>,
-    samples: usize,
-    base_seed: u64,
-    threads: usize,
-) -> Result<KeyDistribution> {
-    if plan.has_threshold() {
-        return Err(EngineError::Operator(
-            "threshold operators are defined outside possible-worlds semantics".into(),
-        ));
-    }
-    if samples == 0 {
-        return Err(EngineError::Operator("need at least one sample".into()));
-    }
-    let workers = crate::exec_par::effective_threads(threads).min(samples).max(1);
-    let shards: Result<Vec<HashMap<Vec<CanonValue>, usize>>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            // Balanced partition: shard w covers [w*samples/workers,
-            // (w+1)*samples/workers). Every bound is in range (no ceil-split
-            // underflow on the trailing shards) and, since workers <=
-            // samples, every shard is non-empty. u128 guards w * samples.
-            let lo = (w as u128 * samples as u128 / workers as u128) as usize;
-            let hi = ((w as u128 + 1) * samples as u128 / workers as u128) as usize;
-            let n = hi - lo;
-            handles.push(scope.spawn(move || {
-                let mut rng = XorShift::new(splitmix64(base_seed ^ w as u64));
-                let mut counts: HashMap<Vec<CanonValue>, usize> = HashMap::new();
-                for _ in 0..n {
-                    let world = sample_world(tables, &mut rng);
-                    let out = run_classical(plan, &world)?;
-                    let mut seen: Vec<Vec<CanonValue>> = Vec::new();
-                    for row in &out.rows {
-                        let key = key_of(&out, row);
-                        if !seen.contains(&key) {
-                            seen.push(key.clone());
-                            *counts.entry(key).or_insert(0) += 1;
-                        }
-                    }
-                }
-                Ok(counts)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    let mut counts: HashMap<Vec<CanonValue>, usize> = HashMap::new();
-    for shard in shards? {
-        for (k, c) in shard {
-            *counts.entry(k).or_insert(0) += c;
         }
     }
     Ok(counts.into_iter().map(|(k, c)| (k, c as f64 / samples as f64)).collect())
@@ -382,56 +297,6 @@ mod tests {
         let mc = mc_key_distribution(&plan, &tables, SAMPLES, &mut rng).unwrap();
         let p = mc.values().next().copied().unwrap_or(0.0);
         assert!((p - 0.3).abs() < MC_TOL, "presence {p}");
-    }
-
-    #[test]
-    fn parallel_sampler_is_deterministic_and_conforms() {
-        let (tables, mut reg) = gaussian_table();
-        let plan = Plan::scan("g").select(Predicate::cmp("x", CmpOp::Lt, 0.5));
-        let a = mc_key_distribution_par(&plan, &tables, SAMPLES, 42, 4).unwrap();
-        let b = mc_key_distribution_par(&plan, &tables, SAMPLES, 42, 4).unwrap();
-        assert_eq!(a.len(), b.len());
-        for (k, &pa) in &a {
-            assert_eq!(Some(&pa), b.get(k), "same (seed, threads) must be bit-identical");
-        }
-        let eng =
-            engine_key_distribution(&plan, &tables, &mut reg, &ExecOptions::default()).unwrap();
-        let d = key_distribution_distance(&a, &eng);
-        assert!(d < MC_TOL, "deviation {d}\nmc {a:?}\nengine {eng:?}");
-        // Different thread counts draw different streams: still within
-        // Monte-Carlo error of the engine, not bit-identical to each other.
-        let c = mc_key_distribution_par(&plan, &tables, SAMPLES, 42, 2).unwrap();
-        assert!(key_distribution_distance(&c, &eng) < MC_TOL);
-    }
-
-    #[test]
-    fn parallel_sampler_uneven_shards_are_exact() {
-        let (tables, _) = gaussian_table();
-        let plan = Plan::scan("g");
-        // Shard splits where a ceil partition would run off the end
-        // (workers * per_worker > samples) and the worst-case seed for
-        // additive wrap-around: frequencies must stay exact multiples of
-        // 1/samples, and full-mass tuples must land on exactly 1.
-        for (samples, threads) in [(5, 4), (7, 3), (100, 64), (3, 8)] {
-            let d = mc_key_distribution_par(&plan, &tables, samples, u64::MAX, threads).unwrap();
-            assert_eq!(d.len(), 3, "samples={samples} threads={threads}");
-            for &p in d.values() {
-                assert!(
-                    (p - 1.0).abs() < 1e-12,
-                    "full-mass pdfs are present in every world; samples={samples} \
-                     threads={threads}: p={p}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_sampler_validation() {
-        let (tables, _) = gaussian_table();
-        let plan =
-            Plan::ThresholdAttrs(Box::new(Plan::scan("g")), vec!["x".into()], CmpOp::Gt, 0.5);
-        assert!(mc_key_distribution_par(&plan, &tables, 10, 1, 2).is_err());
-        assert!(mc_key_distribution_par(&Plan::scan("g"), &tables, 0, 1, 2).is_err());
     }
 
     #[test]

@@ -44,8 +44,9 @@
 //! arbitrary bytes (bounds checks before every read, overflow-checked size
 //! computations), surfacing [`EngineError::Corrupt`] instead of panicking.
 //! [`apply_record`] applies one tagged record to an in-memory database and
-//! is shared between snapshot loading and WAL replay
-//! ([`crate::durable::SharedDurableDb::open`]).
+//! is shared between snapshot loading and WAL replay:
+//! [`crate::durable::SharedDurableDb::open`] streams the one snapshot file
+//! through [`load_into`], then replays the WAL into the same state.
 
 use crate::error::{EngineError, Result};
 use crate::history::{Ancestors, BasePdf, HistoryRegistry, PdfId};
@@ -57,7 +58,7 @@ use crate::tuple::{NodeDim, PdfNode, ProbTuple, VarId};
 use crate::value::Value;
 use bytes::{Buf, BufMut};
 use orion_storage::codec::{checked_size, decode_joint, encode_joint, need, DecodeError};
-use orion_storage::{DeltaFile, FileStore, HeapFile, MemStore, Page, PageStore};
+use orion_storage::{FileStore, HeapFile};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -768,111 +769,6 @@ pub fn load_database_with_stats(
     let stats = state.take_stats();
     let (tables, reg) = state.finish();
     Ok((tables, reg, stats))
-}
-
-/// What [`load_chain`] found while folding the snapshot chain.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChainReport {
-    /// Whether a base snapshot existed (false = fresh directory).
-    pub snapshot_loaded: bool,
-    /// Incremental delta files folded over the base, in epoch order.
-    pub deltas_folded: u64,
-    /// Delta files discarded because a later **full** checkpoint had
-    /// already subsumed them (epoch ≤ the base snapshot's), left behind by
-    /// a crash between the snapshot rename and the delta cleanup.
-    pub stale_deltas_removed: u64,
-    /// Total pages overlaid from the folded deltas.
-    pub pages_overlaid: u64,
-}
-
-/// Folds `snapshot` plus its delta files into one in-memory page store.
-///
-/// Pages are merged **before** any record is decoded: the base's pages are
-/// raw-copied, then each delta's pages are overlaid in epoch order (higher
-/// epoch wins per page). Only the folded store is scanned as a heap —
-/// scanning base and deltas as separate heaps would double-apply records
-/// living on a page a delta re-images (the partial tail page every
-/// incremental checkpoint appends into).
-pub(crate) fn fold_chain_pages(snapshot: &Path, dir: &Path) -> Result<(MemStore, ChainReport)> {
-    let mut report = ChainReport { snapshot_loaded: true, ..ChainReport::default() };
-    let mut mem = MemStore::new();
-    let mut store = FileStore::open(snapshot)?;
-    for pid in 0..store.page_count() {
-        let mut page = Page::new();
-        store.read_page(pid, &mut page)?;
-        mem.allocate()?;
-        mem.write_page(pid, &page)?;
-    }
-    // The base's checkpoint epoch is its first record's stamp (0 if the
-    // snapshot predates every checkpoint). [`save_snapshot`] writes the
-    // stamp first, so it sits at page 0, slot 0; stale deltas are judged
-    // against it.
-    let mut base_epoch = 0u64;
-    if mem.page_count() > 0 {
-        let mut first = Page::new();
-        mem.read_page(0, &mut first)?;
-        if let Some(rec) = first.get(0) {
-            base_epoch = record_epoch(rec).unwrap_or(0);
-        }
-    }
-    let mut chain_epoch = base_epoch;
-    for (epoch, path) in DeltaFile::list(dir)? {
-        if epoch <= base_epoch {
-            // A full checkpoint at `base_epoch` subsumed this delta but
-            // crashed before removing it. Its pages are already inside the
-            // base; folding them would resurrect pre-checkpoint images.
-            std::fs::remove_file(&path)?;
-            report.stale_deltas_removed += 1;
-            continue;
-        }
-        if epoch != chain_epoch + 1 {
-            return Err(EngineError::Corrupt(format!(
-                "broken snapshot chain: delta epoch {epoch} after epoch {chain_epoch}"
-            )));
-        }
-        let delta = DeltaFile::read(&path)?;
-        for (pid, page) in &delta.pages {
-            while mem.page_count() <= *pid {
-                mem.allocate()?;
-            }
-            mem.write_page(*pid, page)?;
-            report.pages_overlaid += 1;
-        }
-        chain_epoch = epoch;
-        report.deltas_folded += 1;
-    }
-    Ok((mem, report))
-}
-
-/// Loads the snapshot **chain** under `dir` (base `snapshot` + incremental
-/// delta files) into `state`: pages are folded first
-/// (`fold_chain_pages`), then the folded store is scanned once. Stale
-/// deltas from a crashed full checkpoint are deleted. A missing base with
-/// delta files present is corruption — deltas are meaningless without the
-/// base they patch.
-pub fn load_chain(snapshot: &Path, dir: &Path, state: &mut LoadState) -> Result<ChainReport> {
-    if !snapshot.exists() {
-        if let Some((epoch, _)) = DeltaFile::list(dir)?.first() {
-            return Err(EngineError::Corrupt(format!(
-                "delta file at epoch {epoch} without a base snapshot"
-            )));
-        }
-        return Ok(ChainReport::default());
-    }
-    let (mem, report) = fold_chain_pages(snapshot, dir)?;
-    let heap = HeapFile::new(mem, 64);
-    let mut err: Option<EngineError> = None;
-    heap.scan(|_, rec| {
-        if let Err(e) = apply_record(rec, state) {
-            err = Some(e);
-            return false;
-        }
-        true
-    })?;
-    match err {
-        Some(e) => Err(e),
-        None => Ok(report),
-    }
 }
 
 #[cfg(test)]

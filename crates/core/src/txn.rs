@@ -38,9 +38,6 @@
 //!    [`crate::persist::apply_record`] into the live tables/registry —
 //!    the *identical* decoder recovery uses, so live state and any replay
 //!    are bit-for-bit the same. A failed WAL commit applies nothing.
-//!
-//! Deletes and updates set the durable layer's `mutated` mark so the next
-//! checkpoint is full (the incremental append-only diff would be wrong).
 
 use crate::durable::{SharedCore, SharedDurableDb};
 use crate::error::{EngineError, Result};
@@ -186,7 +183,7 @@ impl Txn {
         self.id
     }
 
-    /// Checkpoint epoch of the chain when the snapshot was taken.
+    /// Checkpoint epoch of the database when the snapshot was taken.
     pub fn snapshot_epoch(&self) -> u64 {
         self.snapshot_epoch
     }
@@ -440,7 +437,6 @@ impl Txn {
             persist::encode_base(rid, base, &mut buf);
             payloads.push(std::mem::take(&mut buf));
         }
-        let mut mutated = false;
         let mut touched: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
         for op in &live {
             match op {
@@ -452,12 +448,10 @@ impl Txn {
                     persist::encode_tuple(table, &remap_tuple(tuple, &map), &mut buf);
                 }
                 WriteOp::Delete { table, old } => {
-                    mutated = true;
                     touched.insert(table.clone());
                     persist::encode_delete(table, old, &mut buf);
                 }
                 WriteOp::Update { table, old, new } => {
-                    mutated = true;
                     touched.insert(table.clone());
                     let mut new_rec = Vec::new();
                     persist::encode_tuple(table, &remap_tuple(new, &map), &mut new_rec);
@@ -498,9 +492,6 @@ impl Txn {
             // surfaced as corruption rather than silently diverging from
             // the WAL.
             return Err(e);
-        }
-        if mutated {
-            core.marks.mutated = true;
         }
         // Invalidate secondary indexes over every table this transaction
         // wrote: built trees carry tuple positions, which DML shifts.

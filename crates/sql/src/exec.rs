@@ -641,7 +641,7 @@ impl Database {
     /// `orion.io`: one row per buffer-pool counter.
     fn sys_io(&self) -> Result<Relation> {
         let s = self.io.snapshot();
-        let counters: [(&str, u64); 9] = [
+        let counters: [(&str, u64); 8] = [
             ("physical_reads", s.physical_reads),
             ("physical_writes", s.physical_writes),
             ("cache_hits", s.cache_hits),
@@ -650,7 +650,6 @@ impl Database {
             ("torn_pages", s.torn_pages),
             ("write_errors", s.write_errors),
             ("ckpt_pages_copied", s.ckpt_pages_copied),
-            ("ckpt_pages_skipped", s.ckpt_pages_skipped),
         ];
         system_rel(
             "orion.io",
@@ -1914,7 +1913,7 @@ mod tests {
         let Output::Table(rel) = db.execute("SELECT * FROM orion.io").unwrap() else {
             panic!("expected table")
         };
-        assert_eq!(rel.len(), 9, "one row per buffer-pool counter");
+        assert_eq!(rel.len(), 8, "one row per buffer-pool counter");
         assert_eq!(rel.value(0, "counter").unwrap(), &Value::Text("physical_reads".into()));
         assert_eq!(rel.value(0, "value").unwrap(), &Value::Int(0), "detached io defaults to zero");
         // Attached counters surface through the same query.

@@ -16,7 +16,7 @@ use crate::file::{IoStats, PageId, PageStore};
 use crate::page::{ChecksumMismatch, Page};
 use orion_obs::{Lane, Span, Tracer};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 struct Frame {
@@ -31,11 +31,6 @@ struct PoolInner<S: PageStore> {
     frames: HashMap<PageId, Frame>,
     capacity: usize,
     clock: u64,
-    /// Pages mutated (or allocated) since the last
-    /// [`BufferPool::mark_checkpoint`] — the incremental-checkpoint
-    /// working set. Unlike `Frame::dirty` this survives write-back and
-    /// eviction: a page stays "checkpoint-dirty" until the next mark.
-    ckpt_dirty: HashSet<PageId>,
 }
 
 /// A buffer pool caching up to `capacity` pages of a single store.
@@ -58,7 +53,6 @@ impl<S: PageStore> BufferPool<S> {
                 frames: HashMap::with_capacity(capacity),
                 capacity,
                 clock: 0,
-                ckpt_dirty: HashSet::new(),
             }),
             stats: Arc::new(IoStats::default()),
             lane: OnceLock::new(),
@@ -97,7 +91,6 @@ impl<S: PageStore> BufferPool<S> {
         let mut g = self.inner.lock();
         let id = g.store.allocate()?;
         self.stats.physical_writes.inc();
-        g.ckpt_dirty.insert(id);
         let stamp = Self::bump(&mut g);
         self.make_room(&mut g)?;
         g.frames.insert(id, Frame { page: Page::new(), dirty: false, last_used: stamp });
@@ -237,7 +230,6 @@ impl<S: PageStore> BufferPool<S> {
     ) -> std::io::Result<R> {
         let mut g = self.inner.lock();
         let stamp = Self::bump(&mut g);
-        g.ckpt_dirty.insert(id);
         if let Some(frame) = g.frames.get_mut(&id) {
             frame.last_used = stamp;
             frame.dirty = true;
@@ -255,22 +247,6 @@ impl<S: PageStore> BufferPool<S> {
         let r = f(&mut page);
         g.frames.insert(id, Frame { page, dirty: true, last_used: stamp });
         Ok(r)
-    }
-
-    /// Starts a new checkpoint interval: pages touched from now on are the
-    /// next [`BufferPool::dirty_pages_since_mark`] answer.
-    pub fn mark_checkpoint(&self) {
-        self.inner.lock().ckpt_dirty.clear();
-    }
-
-    /// Pages mutated or allocated since the last
-    /// [`BufferPool::mark_checkpoint`] (all pages ever touched, if no mark
-    /// was set), sorted ascending for deterministic delta files.
-    pub fn dirty_pages_since_mark(&self) -> Vec<PageId> {
-        let g = self.inner.lock();
-        let mut pages: Vec<PageId> = g.ckpt_dirty.iter().copied().collect();
-        pages.sort_unstable();
-        pages
     }
 
     /// Writes all dirty frames back to the store. On a write error the
@@ -312,14 +288,6 @@ impl<S: PageStore> BufferPool<S> {
         self.flush()?;
         self.inner.lock().frames.clear();
         Ok(())
-    }
-
-    /// Flushes every dirty frame and consumes the pool, returning the
-    /// underlying store — used by the incremental checkpointer to read raw
-    /// page images after building a snapshot in memory.
-    pub fn into_store(self) -> std::io::Result<S> {
-        self.flush()?;
-        Ok(self.inner.into_inner().store)
     }
 }
 

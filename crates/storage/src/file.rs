@@ -27,11 +27,8 @@ pub struct IoStats {
     pub torn_pages: Counter,
     /// Page writes that returned an I/O error (the frame stays dirty).
     pub write_errors: Counter,
-    /// Pages copied into an incremental checkpoint delta file.
+    /// Pages written by checkpoints (the size of each new snapshot).
     pub ckpt_pages_copied: Counter,
-    /// Clean pages an incremental checkpoint skipped (the full-checkpoint
-    /// cost it avoided).
-    pub ckpt_pages_skipped: Counter,
 }
 
 impl IoStats {
@@ -45,7 +42,6 @@ impl IoStats {
         self.torn_pages.reset();
         self.write_errors.reset();
         self.ckpt_pages_copied.reset();
-        self.ckpt_pages_skipped.reset();
     }
 
     /// A point-in-time copy of the counters.
@@ -59,7 +55,6 @@ impl IoStats {
             torn_pages: self.torn_pages.get(),
             write_errors: self.write_errors.get(),
             ckpt_pages_copied: self.ckpt_pages_copied.get(),
-            ckpt_pages_skipped: self.ckpt_pages_skipped.get(),
         }
     }
 }
@@ -75,7 +70,6 @@ pub struct IoSnapshot {
     pub torn_pages: u64,
     pub write_errors: u64,
     pub ckpt_pages_copied: u64,
-    pub ckpt_pages_skipped: u64,
 }
 
 impl IoSnapshot {
@@ -90,7 +84,6 @@ impl IoSnapshot {
             .with("torn_pages", self.torn_pages)
             .with("write_errors", self.write_errors)
             .with("ckpt_pages_copied", self.ckpt_pages_copied)
-            .with("ckpt_pages_skipped", self.ckpt_pages_skipped)
     }
 }
 
@@ -438,6 +431,5 @@ mod tests {
         assert!(text.contains("\"torn_pages\":2"));
         assert!(text.contains("\"write_errors\":0"));
         assert!(text.contains("\"ckpt_pages_copied\":0"));
-        assert!(text.contains("\"ckpt_pages_skipped\":0"));
     }
 }

@@ -110,21 +110,6 @@ impl<S: PageStore> HeapFile<S> {
         })
     }
 
-    /// Makes the last allocated page the insert tail, so appends fill its
-    /// free space instead of always allocating. Used when a heap is rebuilt
-    /// from existing pages (e.g. the incremental checkpointer folding a
-    /// snapshot chain): without adoption every append would dirty a fresh
-    /// page, and the partial tail page's remaining capacity would be lost.
-    pub fn adopt_tail(&mut self) {
-        let pages = self.pool.page_count();
-        self.tail = pages.checked_sub(1);
-    }
-
-    /// Flushes and consumes the heap, returning the underlying store.
-    pub fn into_store(self) -> std::io::Result<S> {
-        self.pool.into_store()
-    }
-
     /// Number of live records (full scan).
     pub fn len(&self) -> std::io::Result<usize> {
         let mut n = 0;

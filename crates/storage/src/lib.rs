@@ -19,7 +19,6 @@ pub mod btree;
 pub mod buffer;
 pub mod checksum;
 pub mod codec;
-pub mod delta;
 #[cfg(feature = "failpoints")]
 pub mod faults;
 pub mod file;
@@ -29,7 +28,6 @@ pub mod wal;
 
 pub use btree::BTree;
 pub use buffer::BufferPool;
-pub use delta::DeltaFile;
 #[cfg(feature = "failpoints")]
 pub use faults::{Fault, FaultPlan, FaultyStore};
 pub use file::{FileStore, IoSnapshot, IoStats, MemStore, PageId, PageStore};

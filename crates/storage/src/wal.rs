@@ -376,7 +376,7 @@ pub struct GroupWal {
     queue: Mutex<Queue>,
     cond: Condvar,
     io: Mutex<Wal>,
-    cfg: Mutex<GroupCommitConfig>,
+    cfg: GroupCommitConfig,
     stats: Arc<WalStats>,
     /// This instance's trace lane, created lazily on the first flush with
     /// tracing enabled. Per-instance (not a shared name) because two logs
@@ -391,7 +391,7 @@ impl GroupWal {
             queue: Mutex::new(Queue::default()),
             cond: Condvar::new(),
             io: Mutex::new(wal),
-            cfg: Mutex::new(cfg),
+            cfg,
             stats: Arc::new(WalStats::default()),
             lane: OnceLock::new(),
         }
@@ -403,16 +403,6 @@ impl GroupWal {
     fn lane(&self) -> Option<&Lane> {
         let t = Tracer::global();
         t.enabled().then(|| self.lane.get_or_init(|| t.unique_lane("wal")))
-    }
-
-    /// Current tunables.
-    pub fn config(&self) -> GroupCommitConfig {
-        *self.cfg.lock()
-    }
-
-    /// Replaces the tunables (takes effect for subsequent commits).
-    pub fn set_config(&self, cfg: GroupCommitConfig) {
-        *self.cfg.lock() = cfg;
     }
 
     /// Shared counters.
@@ -457,8 +447,7 @@ impl GroupWal {
                 q.fail_record_in = Some(n - 1);
             }
         }
-        let cfg = *self.cfg.lock();
-        if !cfg.enabled {
+        if !self.cfg.enabled {
             let stamp = q.stamp.clone();
             drop(q);
             self.stats.group_commit_commits.inc();
@@ -486,13 +475,13 @@ impl GroupWal {
             }
             // Become the leader for everything queued so far.
             q.leader = true;
-            if !cfg.window.is_zero()
+            if !self.cfg.window.is_zero()
                 && q.pending_commits > 1
-                && q.pending.len() < cfg.max_batch_bytes
+                && q.pending.len() < self.cfg.max_batch_bytes
             {
                 // Siblings are queued: linger briefly so stragglers join
                 // this fsync instead of paying for their own.
-                self.cond.wait_for(&mut q, cfg.window);
+                self.cond.wait_for(&mut q, self.cfg.window);
             }
             let batch = std::mem::take(&mut q.pending);
             let nrecords = std::mem::take(&mut q.pending_records);

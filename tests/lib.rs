@@ -1,5 +1,6 @@
 //! Shared helpers for Orion-RS integration tests.
 
+use orion_core::durable::{SNAPSHOT_FILE, WAL_FILE};
 use orion_core::prelude::*;
 use orion_pdf::prelude::*;
 use orion_storage::codec::encode_joint;
@@ -209,6 +210,18 @@ pub fn recover(dir: &Path) -> Recovered {
     let (tables, reg) = db.with_tables(|t, r| (t.clone(), r.clone()));
     let stats = db.stats_catalog();
     Recovered { db, tables, reg, stats }
+}
+
+/// Rebuilds the directory a crash leaves behind in a fresh `scratch`:
+/// `snapshot` (when there is one) as `snapshot.db` and `wal_prefix` as
+/// `wal.log`. Whatever `scratch` held before is removed first.
+pub fn stage_crash(scratch: &Path, snapshot: Option<&[u8]>, wal_prefix: &[u8]) {
+    std::fs::remove_dir_all(scratch).ok();
+    std::fs::create_dir_all(scratch).unwrap();
+    if let Some(snap) = snapshot {
+        std::fs::write(scratch.join(SNAPSHOT_FILE), snap).unwrap();
+    }
+    std::fs::write(scratch.join(WAL_FILE), wal_prefix).unwrap();
 }
 
 /// Number of operations whose *commit frame* fits entirely inside

@@ -18,8 +18,10 @@
 use orion_core::durable::{SharedDurableDb, SNAPSHOT_FILE, WAL_FILE};
 use orion_core::prelude::*;
 use orion_pdf::prelude::*;
-use orion_storage::{DeltaFile, FaultPlan, FaultyStore, FileStore, HeapFile, PAGE_SIZE};
-use orion_tests::{committed_ops, open_db, recover, txn_create_table, txn_insert_simple};
+use orion_storage::{FaultPlan, FaultyStore, FileStore, HeapFile, PAGE_SIZE};
+use orion_tests::{
+    committed_ops, open_db, recover, stage_crash, txn_create_table, txn_insert_simple,
+};
 use std::path::{Path, PathBuf};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -69,9 +71,7 @@ fn wal_crash_matrix_recovers_committed_prefix_at_every_cut() {
     let scratch = temp_dir("wal_matrix_cut");
     // Kill at every byte offset of the log.
     for cut in 0..=wal.len() {
-        std::fs::remove_dir_all(&scratch).ok();
-        std::fs::create_dir_all(&scratch).unwrap();
-        std::fs::write(scratch.join(WAL_FILE), &wal[..cut]).unwrap();
+        stage_crash(&scratch, None, &wal[..cut]);
         // The first committed operation is the table's creation.
         let expect = committed_ops(&wal, cut).saturating_sub(1);
         let rec = recover(&scratch);
@@ -107,10 +107,7 @@ fn post_checkpoint_wal_crash_matrix_never_replays_into_duplicates() {
     assert!(!wal.is_empty());
     let scratch = temp_dir("ckpt_matrix_cut");
     for cut in 0..=wal.len() {
-        std::fs::remove_dir_all(&scratch).ok();
-        std::fs::create_dir_all(&scratch).unwrap();
-        std::fs::write(scratch.join(SNAPSHOT_FILE), &snap).unwrap();
-        std::fs::write(scratch.join(WAL_FILE), &wal[..cut]).unwrap();
+        stage_crash(&scratch, Some(&snap), &wal[..cut]);
         let expect = 2 + committed_ops(&wal, cut);
         let rec = recover(&scratch);
         assert!(rec.db.recovery().snapshot_loaded);
@@ -219,74 +216,57 @@ fn failed_create_table_leaves_no_phantom_table() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Builds the canonical incremental-checkpoint crash scenario:
-/// `base` tuples → full checkpoint → `tail` tuples riding the WAL.
-/// Returns the directory; the caller snapshots its files before poking.
-fn build_incremental_scenario(name: &str, base: i64, tail: i64) -> PathBuf {
+/// Builds the canonical checkpoint crash scenario: `base` tuples → a
+/// checkpoint at epoch 1 → `tail` tuples riding the WAL. Returns the
+/// epoch-1 snapshot, the WAL, and the epoch-2 snapshot the next checkpoint
+/// writes over them.
+fn build_checkpoint_scenario(name: &str, base: i64, tail: i64) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
     let dir = temp_dir(name);
     let db = open_db(&dir);
     create_readings(&db);
     insert_ids(&db, 0..base);
     db.checkpoint().unwrap();
     insert_ids(&db, base..base + tail);
+    let snap = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+    let wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
+    db.checkpoint().unwrap();
+    assert_eq!(db.epoch(), 2);
+    let next = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
     drop(db);
-    dir
+    std::fs::remove_dir_all(&dir).ok();
+    (snap, wal, next)
 }
 
 #[test]
-fn incremental_delta_write_crash_matrix_keeps_pre_checkpoint_state() {
-    // Kill at every byte of the delta *temp-file* write: the crash window
-    // before the rename. Recovery must ignore the torn `.tmp` and land on
-    // the full pre-checkpoint state (old chain + old WAL), never a mix.
-    let src = build_incremental_scenario("incr_write_matrix_src", 2, 3);
-    let snap = std::fs::read(src.join(SNAPSHOT_FILE)).unwrap();
-    let wal = std::fs::read(src.join(WAL_FILE)).unwrap();
-    // Produce the delta bytes the checkpoint would have written.
-    open_db(&src).checkpoint_incremental().unwrap();
-    let (delta_epoch, delta_path) = DeltaFile::list(&src).unwrap().pop().unwrap();
-    let delta = std::fs::read(&delta_path).unwrap();
-    assert_eq!(delta_epoch, 2);
-    let scratch = temp_dir("incr_write_matrix_cut");
-    for cut in 0..=delta.len() {
-        std::fs::remove_dir_all(&scratch).ok();
-        std::fs::create_dir_all(&scratch).unwrap();
-        std::fs::write(scratch.join(SNAPSHOT_FILE), &snap).unwrap();
-        std::fs::write(scratch.join(WAL_FILE), &wal).unwrap();
-        std::fs::write(scratch.join(format!("{}.tmp", DeltaFile::file_name(2))), &delta[..cut])
-            .unwrap();
+fn snapshot_tmp_write_crash_matrix_keeps_pre_checkpoint_state() {
+    // Kill at every byte of the `snapshot.db.tmp` write: the crash window
+    // before the rename. Recovery must ignore the torn temp file and land
+    // on the full pre-checkpoint state (old snapshot + old WAL).
+    let (snap, wal, next) = build_checkpoint_scenario("tmp_write_matrix_src", 2, 3);
+    let scratch = temp_dir("tmp_write_matrix_cut");
+    for cut in 0..=next.len() {
+        stage_crash(&scratch, Some(&snap), &wal);
+        std::fs::write(scratch.join(format!("{SNAPSHOT_FILE}.tmp")), &next[..cut]).unwrap();
         let rec = recover(&scratch);
-        assert_eq!(rec.db.epoch(), 1, "tmp delta must not advance the epoch (cut {cut})");
-        assert_eq!(rec.db.recovery().deltas_folded, 0, "tmp delta folded at cut {cut}");
+        assert_eq!(rec.db.epoch(), 1, "torn tmp must not advance the epoch (cut {cut})");
         assert_eq!(rec.rows("readings"), 5, "cut {cut}");
         rec.db.check_invariants().unwrap_or_else(|e| panic!("invariants at cut {cut}: {e}"));
     }
-    std::fs::remove_dir_all(&src).ok();
     std::fs::remove_dir_all(&scratch).ok();
 }
 
 #[test]
-fn incremental_wal_reset_crash_matrix_never_mixes_epochs() {
-    // The crash window *after* the delta rename but before (or during) the
-    // WAL reset: the renamed delta already holds every WAL commit, so any
-    // surviving prefix of the stale WAL must be fenced off by the epoch
+fn checkpoint_wal_reset_crash_matrix_never_mixes_epochs() {
+    // The crash window *after* the snapshot rename but before (or during)
+    // the WAL reset: the new snapshot already holds every WAL commit, so
+    // any surviving prefix of the stale WAL must be fenced off by the epoch
     // stamp — replaying even one record would double-apply it.
-    let src = build_incremental_scenario("incr_reset_matrix_src", 2, 3);
-    let snap = std::fs::read(src.join(SNAPSHOT_FILE)).unwrap();
-    let stale_wal = std::fs::read(src.join(WAL_FILE)).unwrap();
-    open_db(&src).checkpoint_incremental().unwrap();
-    let (_, delta_path) = DeltaFile::list(&src).unwrap().pop().unwrap();
-    let delta = std::fs::read(&delta_path).unwrap();
-    let delta_name = delta_path.file_name().unwrap().to_owned();
-    let scratch = temp_dir("incr_reset_matrix_cut");
+    let (_, stale_wal, next) = build_checkpoint_scenario("reset_matrix_src", 2, 3);
+    let scratch = temp_dir("reset_matrix_cut");
     for cut in 0..=stale_wal.len() {
-        std::fs::remove_dir_all(&scratch).ok();
-        std::fs::create_dir_all(&scratch).unwrap();
-        std::fs::write(scratch.join(SNAPSHOT_FILE), &snap).unwrap();
-        std::fs::write(scratch.join(&delta_name), &delta).unwrap();
-        std::fs::write(scratch.join(WAL_FILE), &stale_wal[..cut]).unwrap();
+        stage_crash(&scratch, Some(&next), &stale_wal[..cut]);
         let rec = recover(&scratch);
-        assert_eq!(rec.db.epoch(), 2, "delta epoch wins (cut {cut})");
-        assert_eq!(rec.db.recovery().deltas_folded, 1, "cut {cut}");
+        assert_eq!(rec.db.epoch(), 2, "new snapshot's epoch wins (cut {cut})");
         assert_eq!(
             rec.db.recovery().wal_records_replayed,
             0,
@@ -296,7 +276,6 @@ fn incremental_wal_reset_crash_matrix_never_mixes_epochs() {
         rec.db.check_invariants().unwrap_or_else(|e| panic!("invariants at cut {cut}: {e}"));
         assert_eq!(rec.db.wal_len(), 0, "stale log must be reset (cut {cut})");
     }
-    std::fs::remove_dir_all(&src).ok();
     std::fs::remove_dir_all(&scratch).ok();
 }
 
@@ -332,11 +311,11 @@ fn stale_wal_discard_counter_is_golden() {
     let rec = recover(&dir);
     assert_eq!(rec.db.recovery().stale_wal_records_discarded, 0);
     assert_eq!(rec.rows("readings"), 3);
-    // Same fence after an *incremental* checkpoint: epoch 1 → 2.
+    // Same fence after the next checkpoint: epoch 1 → 2.
     let db = rec.db;
     insert_ids(&db, 77..78);
     let stale_wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
-    db.checkpoint_incremental().unwrap();
+    db.checkpoint().unwrap();
     drop(db);
     std::fs::write(dir.join(WAL_FILE), &stale_wal).unwrap();
     let rec = recover(&dir);
@@ -345,40 +324,6 @@ fn stale_wal_discard_counter_is_golden() {
     assert_eq!(rec.db.recovery().stale_wal_records_discarded, 5, "stamp + 4 insert frames");
     assert_eq!(rec.rows("readings"), 4);
     rec.db.check_invariants().unwrap();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn stale_delta_cleanup_counter_is_golden() {
-    // A full checkpoint that crashes between the snapshot rename and the
-    // delta cleanup leaves deltas whose epochs the snapshot has subsumed;
-    // recovery must delete them and count exactly how many.
-    let dir = temp_dir("stale_delta_golden");
-    {
-        let db = open_db(&dir);
-        create_readings(&db);
-        for i in 0..2 {
-            insert_ids(&db, i..i + 1);
-            db.checkpoint_incremental().unwrap();
-        }
-        assert_eq!(DeltaFile::list(&dir).unwrap().len(), 1, "epoch 1 full + epoch 2 delta");
-        insert_ids(&db, 9..10);
-        // Save the delta, run the full checkpoint, then put it back —
-        // simulating the crash before cleanup.
-        let (_, delta_path) = DeltaFile::list(&dir).unwrap().pop().unwrap();
-        let stale = std::fs::read(&delta_path).unwrap();
-        db.checkpoint().unwrap();
-        assert!(DeltaFile::list(&dir).unwrap().is_empty());
-        std::fs::write(&delta_path, &stale).unwrap();
-    }
-    let rec = recover(&dir);
-    assert_eq!(rec.db.recovery().stale_deltas_removed, 1, "exactly the resurrected delta");
-    assert_eq!(rec.db.recovery().deltas_folded, 0);
-    assert_eq!(rec.db.epoch(), 3);
-    assert_eq!(rec.rows("readings"), 3);
-    rec.db.check_invariants().unwrap();
-    assert!(DeltaFile::list(&dir).unwrap().is_empty(), "stale delta physically deleted");
-    assert!(rec.db.stats_json().contains("\"stale_deltas_removed\":1"));
     std::fs::remove_dir_all(&dir).ok();
 }
 

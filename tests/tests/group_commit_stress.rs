@@ -217,17 +217,12 @@ fn checkpoints_interleaved_with_writers_preserve_the_acked_set() {
                 }
             });
         }
-        // A checkpointer thread alternates full and incremental snapshots
-        // while the writers run; each holds the core lock, so no commit
-        // lands mid-snapshot.
+        // A checkpointer thread snapshots while the writers run; each
+        // checkpoint holds the core lock, so no commit lands mid-snapshot.
         let db = &db;
         s.spawn(move || {
-            for round in 0..6 {
-                if round % 2 == 0 {
-                    db.checkpoint_incremental().unwrap();
-                } else {
-                    db.checkpoint().unwrap();
-                }
+            for _ in 0..6 {
+                db.checkpoint().unwrap();
                 std::thread::sleep(Duration::from_millis(1));
             }
         });
@@ -236,6 +231,6 @@ fn checkpoints_interleaved_with_writers_preserve_the_acked_set() {
     assert_eq!(acked.len(), 4 * 30);
     db.check_invariants().unwrap();
     drop(db);
-    assert_eq!(recovered_ids(&dir), acked, "chain + WAL recovery loses nothing");
+    assert_eq!(recovered_ids(&dir), acked, "snapshot + WAL recovery loses nothing");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -359,28 +359,3 @@ fn bulk_insert_id_protocol_matches_serial() {
         );
     }
 }
-
-/// The parallel Monte-Carlo sampler is a pure function of (seed, threads).
-#[test]
-fn parallel_monte_carlo_is_reproducible() {
-    use orion_core::monte_carlo::mc_key_distribution_par;
-    let schema = shared_schema();
-    let specs = vec![vec![
-        TupleSpec::Independent(
-            Pdf1::discrete(vec![(1.0, 0.5), (3.0, 0.5)]).unwrap(),
-            Pdf1::discrete(vec![(2.0, 0.7)]).unwrap(),
-        ),
-        TupleSpec::Independent(
-            Pdf1::discrete(vec![(0.0, 0.25), (4.0, 0.75)]).unwrap(),
-            Pdf1::discrete(vec![(1.0, 1.0)]).unwrap(),
-        ),
-    ]];
-    let (tables, _) = build(&[("t", &schema)], &specs);
-    let plan = Plan::scan("t").select(Predicate::cmp_cols("a", CmpOp::Lt, "b"));
-    let a = mc_key_distribution_par(&plan, &tables, 4000, 11, 4).unwrap();
-    let b = mc_key_distribution_par(&plan, &tables, 4000, 11, 4).unwrap();
-    assert_eq!(a.len(), b.len());
-    for (k, pa) in &a {
-        assert_eq!(b.get(k), Some(pa));
-    }
-}

@@ -4,12 +4,12 @@
 //! Each scenario runs a randomized (or scripted) sequence of operations —
 //! table creation, simple and joint-pdf inserts (each a single-statement
 //! transaction, as autocommit SQL runs them), `ANALYZE` stats collection,
-//! index DDL, full and incremental checkpoints — against both sides,
+//! index DDL, checkpoints — against both sides,
 //! recording the oracle's *canonical
 //! fingerprint* after every operation that commits a WAL record. It then
 //! simulates a crash at **every byte offset** of the surviving write-ahead
-//! log: for each cut it reconstructs the on-disk state (snapshot + delta
-//! chain + truncated WAL), recovers, and asserts the recovered database is
+//! log: for each cut it reconstructs the on-disk state (snapshot +
+//! truncated WAL), recovers, and asserts the recovered database is
 //! bit-identical (relations, dependency-set joints, ancestor sets, base
 //! refcounts, existence masses, secondary-index definitions) to the oracle
 //! at exactly the number of operations whose commit frame fits in the
@@ -31,9 +31,9 @@ use orion_core::durable::{SNAPSHOT_FILE, WAL_FILE};
 use orion_core::pindex::{BuiltIndex, IndexCatalog, IndexDef, IndexKind};
 use orion_core::prelude::*;
 use orion_pdf::prelude::*;
-use orion_storage::DeltaFile;
 use orion_tests::{
-    committed_ops, fingerprint, open_db, recover, txn_create_table, txn_insert, txn_insert_simple,
+    committed_ops, fingerprint, open_db, recover, stage_crash, txn_create_table, txn_insert,
+    txn_insert_simple,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -81,10 +81,8 @@ enum Op {
     CreateIndex { table: u8, column: u8 },
     /// `DROP INDEX` (WAL tag 12; skipped if the derived name is unknown).
     DropIndex { table: u8, column: u8 },
-    /// Full checkpoint: snapshot everything, drop the delta chain.
+    /// Checkpoint: snapshot everything, reset the WAL.
     Full,
-    /// Incremental checkpoint: delta-file only the dirty pages.
-    Incremental,
 }
 
 fn table_name(i: u8) -> String {
@@ -184,7 +182,7 @@ fn apply_oracle(
             ix.drop_index(&name).unwrap();
             true
         }
-        Op::Full | Op::Incremental => false,
+        Op::Full => false,
     }
 }
 
@@ -254,10 +252,6 @@ fn apply_db(db: &SharedDurableDb, op: &Op) -> bool {
             db.checkpoint().unwrap();
             false
         }
-        Op::Incremental => {
-            db.checkpoint_incremental().unwrap();
-            false
-        }
     }
 }
 
@@ -280,7 +274,7 @@ fn fp_ix(
 
 /// Runs `ops` against both sides under `dir`. Returns the oracle
 /// fingerprints indexed by *operations committed since the last
-/// checkpoint*: `fps[0]` is the state baked into the snapshot chain,
+/// checkpoint*: `fps[0]` is the state baked into the snapshot,
 /// `fps[k]` the state after `k` further committed operations (the WAL).
 fn run_workload(dir: &Path, ops: &[Op]) -> Vec<String> {
     let db = open_db(dir);
@@ -292,7 +286,7 @@ fn run_workload(dir: &Path, ops: &[Op]) -> Vec<String> {
     for op in ops {
         let committed = apply_db(&db, op);
         match op {
-            Op::Full | Op::Incremental => {
+            Op::Full => {
                 // Checkpoints move the baseline: the WAL restarts empty.
                 fps = vec![fp_ix(&tables, &reg, &stats, &ix)];
             }
@@ -347,24 +341,8 @@ fn probe_battery(ix: &BuiltIndex) -> String {
 fn crash_matrix(src: &Path, fps: &[String], scratch: &Path) {
     let wal = std::fs::read(src.join(WAL_FILE)).unwrap_or_default();
     let snapshot = std::fs::read(src.join(SNAPSHOT_FILE)).ok();
-    let deltas: Vec<(PathBuf, Vec<u8>)> = DeltaFile::list(src)
-        .unwrap()
-        .into_iter()
-        .map(|(_, p)| {
-            let bytes = std::fs::read(&p).unwrap();
-            (PathBuf::from(p.file_name().unwrap()), bytes)
-        })
-        .collect();
     for cut in 0..=wal.len() {
-        std::fs::remove_dir_all(scratch).ok();
-        std::fs::create_dir_all(scratch).unwrap();
-        if let Some(snap) = &snapshot {
-            std::fs::write(scratch.join(SNAPSHOT_FILE), snap).unwrap();
-        }
-        for (name, bytes) in &deltas {
-            std::fs::write(scratch.join(name), bytes).unwrap();
-        }
-        std::fs::write(scratch.join(WAL_FILE), &wal[..cut]).unwrap();
+        stage_crash(scratch, snapshot.as_deref(), &wal[..cut]);
         let k = committed_ops(&wal, cut);
         let rec = recover(scratch);
         let handle = rec.db.indexes();
@@ -445,25 +423,6 @@ fn oracle_full_checkpoint_matrix() {
 }
 
 #[test]
-fn oracle_incremental_chain_matrix() {
-    run_oracle(
-        "incr_chain",
-        &[
-            Op::Create(0),
-            Op::Simple { table: 0, key: 1, mean: 0.0 },
-            Op::Full,
-            Op::Simple { table: 0, key: 2, mean: 1.0 },
-            Op::Incremental,
-            Op::Create(1),
-            Op::Joint { table: 1, key: 3, p: 0.5 },
-            Op::Incremental,
-            Op::Simple { table: 1, key: 4, mean: -1.0 },
-            Op::Joint { table: 0, key: 5, p: 0.9 },
-        ],
-    );
-}
-
-#[test]
 fn oracle_analyze_survives_every_cut() {
     // ANALYZE → crash → recover must yield a bitwise-identical stats
     // catalog at every WAL cut: stats committed via tag-5 frames replay
@@ -487,29 +446,13 @@ fn oracle_analyze_survives_every_cut() {
 }
 
 #[test]
-fn oracle_incremental_without_base_matrix() {
-    // The first incremental checkpoint has no base snapshot and must fall
-    // back to a full one; the chain then grows from it.
-    run_oracle(
-        "incr_bootstrap",
-        &[
-            Op::Create(0),
-            Op::Joint { table: 0, key: 1, p: 0.7 },
-            Op::Incremental,
-            Op::Simple { table: 0, key: 2, mean: 3.0 },
-            Op::Incremental,
-            Op::Simple { table: 0, key: 3, mean: 4.0 },
-        ],
-    );
-}
-
-#[test]
 fn oracle_index_defs_survive_every_cut() {
     // CREATE INDEX / DROP INDEX interleaved with inserts and checkpoints:
     // at every WAL cut the surviving definitions must match the oracle
-    // (tag-11/12 frames replay like data, defs bake into snapshots, a drop
-    // forces the next checkpoint to rewrite the base), and every surviving
-    // definition must rebuild into the same tree a fresh build produces.
+    // (tag-11/12 frames replay like data, defs bake into snapshots, a
+    // checkpoint after a drop leaves the definition out), and every
+    // surviving definition must rebuild into the same tree a fresh build
+    // produces.
     run_oracle(
         "index_defs",
         &[
@@ -524,7 +467,7 @@ fn oracle_index_defs_survive_every_cut() {
             Op::DropIndex { table: 0, column: 0 },
             Op::Create(1),
             Op::CreateIndex { table: 1, column: 1 },
-            Op::Incremental,
+            Op::Full,
             Op::Simple { table: 1, key: 4, mean: -1.0 },
             Op::DropIndex { table: 1, column: 1 },
             Op::CreateIndex { table: 1, column: 1 }, // recreate after drop
@@ -552,8 +495,10 @@ fn arb_op() -> impl Strategy<Value = Op> {
         }),
         (0u32..2, 0u32..2)
             .prop_map(|(table, column)| Op::DropIndex { table: table as u8, column: column as u8 }),
+        // Two checkpoint arms keep checkpoints at a quarter of the random
+        // ops, which bounds the WAL (and so the cuts) each matrix grinds.
         Just(Op::Full),
-        Just(Op::Incremental),
+        Just(Op::Full),
     ]
 }
 
@@ -822,8 +767,8 @@ fn oracle_txn_after_checkpoint_recovers() {
 #[test]
 fn oracle_conflicted_txn_leaves_no_wal_trace() {
     // First-committer-wins: the losing transaction's failed commit must
-    // not write a single WAL byte, so every crash cut recovers to a chain
-    // state that never contains its writes.
+    // not write a single WAL byte, so every crash cut recovers to a state
+    // that never contains its writes.
     let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
     let src = temp_dir(&format!("txn_conflict_{n}_src"));
     let scratch =

@@ -38,8 +38,7 @@
 use orion_core::durable::{SNAPSHOT_FILE, WAL_FILE};
 use orion_core::prelude::*;
 use orion_pdf::prelude::*;
-use orion_storage::DeltaFile;
-use orion_tests::{fingerprint, recover};
+use orion_tests::{fingerprint, recover, stage_crash};
 use proptest::test_runner::TestRng;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -411,24 +410,8 @@ fn committed_txn_groups(bytes: &[u8], cut: usize) -> usize {
 fn kill_matrix(src: &Path, fps: &[String], scratch: &Path) {
     let wal = std::fs::read(src.join(WAL_FILE)).unwrap_or_default();
     let snapshot = std::fs::read(src.join(SNAPSHOT_FILE)).ok();
-    let deltas: Vec<(PathBuf, Vec<u8>)> = DeltaFile::list(src)
-        .unwrap()
-        .into_iter()
-        .map(|(_, p)| {
-            let bytes = std::fs::read(&p).unwrap();
-            (PathBuf::from(p.file_name().unwrap()), bytes)
-        })
-        .collect();
     for cut in 0..=wal.len() {
-        std::fs::remove_dir_all(scratch).ok();
-        std::fs::create_dir_all(scratch).unwrap();
-        if let Some(snap) = &snapshot {
-            std::fs::write(scratch.join(SNAPSHOT_FILE), snap).unwrap();
-        }
-        for (name, bytes) in &deltas {
-            std::fs::write(scratch.join(name), bytes).unwrap();
-        }
-        std::fs::write(scratch.join(WAL_FILE), &wal[..cut]).unwrap();
+        stage_crash(scratch, snapshot.as_deref(), &wal[..cut]);
         let k = committed_txn_groups(&wal, cut);
         let rec = recover(scratch);
         assert_eq!(
