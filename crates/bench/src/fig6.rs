@@ -149,7 +149,7 @@ pub fn write_base_heap(
 ) -> std::io::Result<HeapFile<FileStore>> {
     let mut heap = HeapFile::new(FileStore::create(path)?, 256);
     let mut buf = Vec::with_capacity(512);
-    for t in &base.tuples {
+    for t in base.tuples.iter() {
         let Value::Int(id) = t.certain[0] else { panic!("id is certain Int") };
         buf.clear();
         buf.extend_from_slice(&id.to_le_bytes());
@@ -243,8 +243,9 @@ fn project_query(
                     opts.stats_ref(),
                 )
             })
-            .collect::<Result<_, _>>()
-            .expect("collapse");
+            .collect::<Result<Vec<_>, _>>()
+            .expect("collapse")
+            .into();
         collapsed
     } else {
         joined.clone()
@@ -338,7 +339,7 @@ mod tests {
         let mut reg = HistoryRegistry::new();
         let rel = base_table(50, 4, 1, &mut reg);
         assert_eq!(rel.len(), 50);
-        for t in &rel.tuples {
+        for t in rel.tuples.iter() {
             assert!((t.naive_existence() - 1.0).abs() < 1e-9);
         }
     }

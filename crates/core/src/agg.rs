@@ -119,7 +119,7 @@ pub fn sum_gaussian(rel: &Relation, col: &str) -> Result<Pdf1> {
 /// (history-aware).
 pub fn count_expected(rel: &Relation, reg: &HistoryRegistry, opts: &ExecOptions) -> Result<f64> {
     let mut total = 0.0;
-    for t in &rel.tuples {
+    for t in rel.tuples.iter() {
         total += if opts.use_histories {
             collapse::existence_prob(t, reg, opts.resolution)?
         } else {

@@ -332,7 +332,7 @@ mod tests {
             ],
         ];
         for certain in rows {
-            rel.tuples.push(ProbTuple { certain, nodes: vec![] });
+            rel.tuples_mut().push(ProbTuple { certain, nodes: vec![] });
         }
         rel
     }

@@ -250,6 +250,10 @@ pub(crate) struct SharedCore {
     /// Monotonic transaction-commit sequence: bumped once per committed
     /// transaction, under the core lock, so observers can order commits.
     pub(crate) commit_seq: u64,
+    /// Per-table commit stamp: the `commit_seq` of the last commit that
+    /// applied to the table (absent: none since open). A transaction's
+    /// validation skips every table whose stamp is not above its begin.
+    pub(crate) stamps: HashMap<String, u64>,
 }
 
 /// One live transaction's introspection row (the `orion.txns` table).
@@ -406,6 +410,7 @@ impl SharedDurableDb {
             stats,
             indexes,
             commit_seq: 0,
+            stamps: HashMap::new(),
         };
         Ok(SharedDurableDb {
             inner: Arc::new(SharedInner {
@@ -486,8 +491,11 @@ impl SharedDurableDb {
         self.inner.core.lock().indexes.clone()
     }
 
-    /// Runs `f` with read access to the tables and registry (for queries).
-    /// Do not block inside `f`: the core lock stalls every writer.
+    /// Runs `f` with read access to the committed tables and registry.
+    /// Do not block inside `f`: the core lock stalls every writer. To hold
+    /// a version past `f`, clone it: tuples and registry segments are
+    /// shared copy-on-write, so the clone costs O(tables + segments) and
+    /// later commits never change what it shows.
     pub fn with_tables<R>(
         &self,
         f: impl FnOnce(&HashMap<String, Relation>, &HistoryRegistry) -> R,

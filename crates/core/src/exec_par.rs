@@ -353,7 +353,8 @@ where
     }
     let total: u64 = staged.iter().map(|r| r.protos.len() as u64).sum();
     let mut id = reg.reserve_ids(total);
-    rel.tuples.reserve(staged.len());
+    let tuples = rel.tuples_mut();
+    tuples.reserve(staged.len());
     for row in staged {
         let mut nodes = Vec::with_capacity(row.protos.len());
         for (attrs, joint) in row.protos {
@@ -363,7 +364,7 @@ where
             nodes.push(PdfNode::base(id, &attrs, joint, ancestors));
             id += 1;
         }
-        rel.tuples.push(ProbTuple { certain: row.certain, nodes });
+        tuples.push(ProbTuple { certain: row.certain, nodes });
     }
     Ok(())
 }

@@ -13,7 +13,8 @@
 use crate::error::{EngineError, Result};
 use crate::schema::AttrId;
 use orion_pdf::prelude::JointPdf;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Identity of a registered base pdf (one dependency set of one base tuple).
 pub type PdfId = u64;
@@ -33,15 +34,50 @@ pub struct BasePdf {
     pub phantom: bool,
 }
 
+/// Ids per registry segment. A segment is the unit of copy-on-write: a
+/// write to a segment another version still shares copies that segment,
+/// and every other segment stays shared.
+const SEGMENT_IDS: usize = 1024;
+
+/// One fixed-size run of ids, `SEGMENT_IDS * k ..= SEGMENT_IDS * k + SEGMENT_IDS - 1`
+/// for segment key `k`: the base registered under each id (if any) and the
+/// number of derived nodes referencing it.
+///
+/// Counts move far more often than bases (every derived node a query
+/// builds takes a reference), so the bases are shared one level further: a
+/// count change copies the counters and one pointer, and only a base change
+/// copies the base pointers. No write copies a pdf.
+#[derive(Debug, Clone)]
+struct Segment {
+    bases: Arc<Vec<Option<Arc<BasePdf>>>>,
+    refs: Vec<usize>,
+}
+
+impl Segment {
+    fn empty() -> Self {
+        Segment { bases: Arc::new(vec![None; SEGMENT_IDS]), refs: vec![0; SEGMENT_IDS] }
+    }
+}
+
+/// Segment key and slot of an id.
+fn locate(id: PdfId) -> (u64, usize) {
+    (id / SEGMENT_IDS as u64, (id % SEGMENT_IDS as u64) as usize)
+}
+
 /// The history registry: base pdfs, reference counts, and dependency tests.
-/// `Clone` deep-copies the whole registry — transactions use this for their
-/// private snapshot, preserving every committed id.
+///
+/// Bases and counts live in fixed-size copy-on-write segments keyed by
+/// [`PdfId`] (a registered base never changes, only its count and phantom
+/// flag move). `Clone` therefore costs one pointer per segment, and the
+/// clone and the original share every segment until one of them writes to
+/// it; that write copies the one segment. Transactions and queries hold
+/// clones as their point-in-time view, preserving every committed id.
 #[derive(Debug, Default, Clone)]
 pub struct HistoryRegistry {
     next: PdfId,
-    bases: HashMap<PdfId, BasePdf>,
-    /// Number of derived pdf nodes referencing each base.
-    refs: HashMap<PdfId, usize>,
+    /// Registered (live + phantom) bases, over all segments.
+    len: usize,
+    segments: BTreeMap<u64, Arc<Segment>>,
 }
 
 impl HistoryRegistry {
@@ -50,11 +86,42 @@ impl HistoryRegistry {
         Self::default()
     }
 
+    fn slot(&self, id: PdfId) -> Option<(&Segment, usize)> {
+        let (key, off) = locate(id);
+        self.segments.get(&key).map(|s| (&**s, off))
+    }
+
+    /// The segment holding `id`, made private to this registry.
+    fn slot_mut(&mut self, id: PdfId) -> (&mut Segment, usize) {
+        let (key, off) = locate(id);
+        let seg = self.segments.entry(key).or_insert_with(|| Arc::new(Segment::empty()));
+        (Arc::make_mut(seg), off)
+    }
+
+    /// The base slot of `id`, made private to this registry.
+    fn base_mut(&mut self, id: PdfId) -> &mut Option<Arc<BasePdf>> {
+        let (seg, off) = self.slot_mut(id);
+        &mut Arc::make_mut(&mut seg.bases)[off]
+    }
+
+    fn put(&mut self, id: PdfId, base: BasePdf) {
+        if self.base_mut(id).replace(Arc::new(base)).is_none() {
+            self.len += 1;
+        }
+    }
+
+    fn remove(&mut self, id: PdfId) {
+        if self.base(id).is_ok() {
+            *self.base_mut(id) = None;
+            self.len -= 1;
+        }
+    }
+
     /// Registers a base pdf (at tuple insertion), returning its id.
     pub fn register(&mut self, attrs: Vec<AttrId>, joint: JointPdf) -> PdfId {
         self.next += 1;
         let id = self.next;
-        self.bases.insert(id, BasePdf { attrs, joint, phantom: false });
+        self.put(id, BasePdf { attrs, joint, phantom: false });
         id
     }
 
@@ -76,30 +143,33 @@ impl HistoryRegistry {
     /// parallel bulk insert).
     pub fn install_reserved(&mut self, id: PdfId, attrs: Vec<AttrId>, joint: JointPdf) {
         debug_assert!(id <= self.next, "id {id} was never reserved");
-        debug_assert!(!self.bases.contains_key(&id), "id {id} already installed");
-        self.bases.insert(id, BasePdf { attrs, joint, phantom: false });
+        debug_assert!(self.base(id).is_err(), "id {id} already installed");
+        self.put(id, BasePdf { attrs, joint, phantom: false });
     }
 
     /// Looks up a base pdf.
     pub fn base(&self, id: PdfId) -> Result<&BasePdf> {
-        self.bases.get(&id).ok_or_else(|| EngineError::Operator(format!("unknown base pdf {id}")))
+        self.slot(id)
+            .and_then(|(seg, off)| seg.bases[off].as_deref())
+            .ok_or_else(|| EngineError::Operator(format!("unknown base pdf {id}")))
     }
 
     /// Number of registered (live + phantom) base pdfs.
     pub fn len(&self) -> usize {
-        self.bases.len()
+        self.len
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.bases.is_empty()
+        self.len == 0
     }
 
     /// Increments the reference count of every ancestor in `anc`
     /// (called when a derived node is created).
     pub fn add_refs(&mut self, anc: &Ancestors) {
         for &id in anc {
-            *self.refs.entry(id).or_insert(0) += 1;
+            let (seg, off) = self.slot_mut(id);
+            seg.refs[off] += 1;
         }
     }
 
@@ -107,21 +177,20 @@ impl HistoryRegistry {
     /// whose count reaches zero are reclaimed.
     pub fn release_refs(&mut self, anc: &Ancestors) {
         for &id in anc {
-            if let Some(n) = self.refs.get_mut(&id) {
-                *n = n.saturating_sub(1);
-                if *n == 0 {
-                    self.refs.remove(&id);
-                    if self.bases.get(&id).is_some_and(|b| b.phantom) {
-                        self.bases.remove(&id);
-                    }
-                }
+            if self.ref_count(id) == 0 {
+                continue;
+            }
+            let (seg, off) = self.slot_mut(id);
+            seg.refs[off] -= 1;
+            if seg.refs[off] == 0 && seg.bases[off].as_ref().is_some_and(|b| b.phantom) {
+                self.remove(id);
             }
         }
     }
 
     /// Current reference count of a base pdf.
     pub fn ref_count(&self, id: PdfId) -> usize {
-        self.refs.get(&id).copied().unwrap_or(0)
+        self.slot(id).map_or(0, |(seg, off)| seg.refs[off])
     }
 
     /// Marks a base tuple's pdfs deleted: unreferenced bases are removed,
@@ -129,15 +198,20 @@ impl HistoryRegistry {
     /// zero.
     pub fn delete_base(&mut self, id: PdfId) {
         if self.ref_count(id) == 0 {
-            self.bases.remove(&id);
-        } else if let Some(b) = self.bases.get_mut(&id) {
-            b.phantom = true;
+            self.remove(id);
+        } else if self.base(id).is_ok_and(|b| !b.phantom) {
+            let b = self.base_mut(id).as_mut().expect("base checked above");
+            Arc::make_mut(b).phantom = true;
         }
     }
 
-    /// Iterates all registered base pdfs (persistence support).
+    /// Iterates all registered base pdfs in id order (persistence support).
     pub fn iter_bases(&self) -> impl Iterator<Item = (PdfId, &BasePdf)> {
-        self.bases.iter().map(|(&id, b)| (id, b))
+        self.segments.iter().flat_map(|(&key, seg)| {
+            seg.bases.iter().enumerate().filter_map(move |(off, b)| {
+                b.as_deref().map(|b| (key * SEGMENT_IDS as u64 + off as u64, b))
+            })
+        })
     }
 
     /// Highest pdf id allocated so far (0 if none). Durable logging uses
@@ -150,7 +224,14 @@ impl HistoryRegistry {
     /// Future `register` calls will allocate ids above every restored one.
     pub fn restore(&mut self, id: PdfId, base: BasePdf) {
         self.next = self.next.max(id);
-        self.bases.insert(id, base);
+        self.put(id, base);
+    }
+
+    /// Segment keys and storage addresses, in key order: two registries
+    /// share a segment exactly when both list the same address under it.
+    #[cfg(test)]
+    pub(crate) fn segment_addrs(&self) -> Vec<(u64, usize)> {
+        self.segments.iter().map(|(&k, s)| (k, Arc::as_ptr(s) as usize)).collect()
     }
 
     /// Whether two ancestor sets are historically dependent (Definition 3).

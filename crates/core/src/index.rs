@@ -145,6 +145,7 @@ impl SupportIndex {
             crate::predicate::Predicate::cmp(&self.column, CmpOp::Ge, iv.lo),
             crate::predicate::Predicate::cmp(&self.column, CmpOp::Le, iv.hi),
         ]);
+        let tuples = out.tuples_mut();
         for ti in candidates {
             let t = &rel.tuples[ti];
             let prob = crate::threshold::predicate_probability(rel, t, &pred, reg, opts)?;
@@ -155,7 +156,7 @@ impl SupportIndex {
                 for n in &t.nodes {
                     reg.add_refs(&n.ancestors);
                 }
-                out.tuples.push(t.clone());
+                tuples.push(t.clone());
             }
         }
         let _ = self.attr;

@@ -86,13 +86,14 @@ pub fn cross(
         Ok(right.tuples.iter().map(|tr| pair_tuple(tl, tr)).collect::<Vec<_>>())
     })?;
     // Phase 2 (serial, in input order): reference-count commits.
-    out.tuples.reserve(left.len() * right.len());
+    let tuples = out.tuples_mut();
+    tuples.reserve(left.len() * right.len());
     for group in groups {
         for t in group {
             for n in &t.nodes {
                 reg.add_refs(&n.ancestors);
             }
-            out.tuples.push(t);
+            tuples.push(t);
         }
     }
     Ok(out)
@@ -167,7 +168,7 @@ fn cross_prefiltered(
     let groups = crate::exec_par::run_tuples_mode(&left.tuples, opts, |_, tl| {
         let mut matches = Vec::new();
         let mut pruned = 0u64;
-        for tr in &right.tuples {
+        for tr in right.tuples.iter() {
             if equalities.iter().any(|&(ia, ib)| {
                 matches!(
                     crossed_value(tl, tr, n_left, ia).compare(crossed_value(tl, tr, n_left, ib)),
@@ -185,12 +186,13 @@ fn cross_prefiltered(
         Ok(matches)
     })?;
     // Phase 2 (serial, in input order): reference-count commits.
+    let tuples = out.tuples_mut();
     for group in groups {
         for t in group {
             for n in &t.nodes {
                 reg.add_refs(&n.ancestors);
             }
-            out.tuples.push(t);
+            tuples.push(t);
         }
     }
     Ok(out)
@@ -260,12 +262,13 @@ fn cross_matching(
         Ok(hits)
     })?;
     // Phase 2 (serial, in input order): reference-count commits.
+    let tuples = out.tuples_mut();
     for group in groups {
         for t in group {
             for n in &t.nodes {
                 reg.add_refs(&n.ancestors);
             }
-            out.tuples.push(t);
+            tuples.push(t);
         }
     }
     Ok(out)
@@ -274,7 +277,7 @@ fn cross_matching(
 impl Relation {
     /// A copy of this relation with no tuples (schema/naming only).
     pub(crate) fn clone_empty(&self) -> Relation {
-        Relation { name: self.name.clone(), schema: self.schema.clone(), tuples: Vec::new() }
+        Relation::new(self.name.clone(), self.schema.clone())
     }
 }
 
@@ -339,7 +342,7 @@ fn finish_join(
             }
             collapsed.push(c);
         }
-        result.tuples = collapsed;
+        result.tuples = collapsed.into();
     }
     Ok(result)
 }
@@ -445,7 +448,7 @@ mod tests {
         let b = join_nested_loop(&l, &r, Some(&pred), &mut reg, &opts).unwrap();
         assert_eq!(a.len(), b.len());
         assert_eq!(a.len(), 4, "only same-id pairs match");
-        for (ta, tb) in a.tuples.iter().zip(&b.tuples) {
+        for (ta, tb) in a.tuples.iter().zip(b.tuples.iter()) {
             assert_eq!(ta.certain, tb.certain);
             assert!((ta.naive_existence() - tb.naive_existence()).abs() < 1e-12);
         }

@@ -32,8 +32,9 @@
 //! * [`persist`] / [`durable`] — atomic snapshots, a write-ahead log with
 //!   fsync'd commits, and crash recovery that replays the WAL over the
 //!   last good snapshot.
-//! * [`txn`] — snapshot-isolation transactions (private snapshot views,
-//!   first-committer-wins validation, atomic all-or-nothing WAL commit).
+//! * [`txn`] — snapshot-isolation transactions (copy-on-write snapshot
+//!   views, first-committer-wins validation, atomic all-or-nothing WAL
+//!   commit).
 
 pub mod agg;
 pub mod batch;

@@ -36,7 +36,7 @@ fn sample_world(
     for name in names {
         let rel = &tables[name];
         let mut rows = Vec::new();
-        'tuples: for t in &rel.tuples {
+        'tuples: for t in rel.tuples.iter() {
             let mut row = t.certain.clone();
             for n in &t.nodes {
                 let Some(point) = n.joint.sample(rng) else {
@@ -114,7 +114,7 @@ pub fn engine_key_distribution(
 ) -> Result<KeyDistribution> {
     let rel = crate::plan::execute(plan, tables, reg, opts)?;
     let mut out = KeyDistribution::new();
-    for t in &rel.tuples {
+    for t in rel.tuples.iter() {
         let prob = if opts.use_histories {
             collapse::existence_prob(t, reg, opts.resolution)?
         } else {

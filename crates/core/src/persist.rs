@@ -402,15 +402,13 @@ pub fn save_snapshot_full(
         encode_schema(&tables[*name], &mut buf);
         heap.insert(&buf)?;
     }
-    let mut bases: Vec<_> = reg.iter_bases().collect();
-    bases.sort_by_key(|(id, _)| *id);
-    for (id, base) in bases {
+    for (id, base) in reg.iter_bases() {
         buf.clear();
         encode_base(id, base, &mut buf);
         heap.insert(&buf)?;
     }
     for name in &names {
-        for t in &tables[*name].tuples {
+        for t in tables[*name].tuples.iter() {
             buf.clear();
             encode_tuple(name, t, &mut buf);
             heap.insert(&buf)?;
@@ -626,7 +624,7 @@ pub fn apply_record(rec: &[u8], state: &mut LoadState) -> Result<()> {
             let rel = state.tables.get_mut(&table).ok_or_else(|| {
                 EngineError::Corrupt(format!("tuple for unknown table '{table}'"))
             })?;
-            rel.tuples.push(t);
+            rel.tuples_mut().push(t);
         }
         TAG_DELETE => {
             let table = get_str(buf).map_err(bad)?;
@@ -635,7 +633,7 @@ pub fn apply_record(rec: &[u8], state: &mut LoadState) -> Result<()> {
                 EngineError::Corrupt(format!("delete for unknown table '{table}'"))
             })?;
             let idx = find_tuple_by_bytes(&table, rel, &old)?;
-            let t = rel.tuples.remove(idx);
+            let t = rel.tuples_mut().remove(idx);
             // Mirror `Relation::delete_where`: drop the tuple's references
             // and reclaim its own base pdfs (sole-ancestor nodes); bases
             // still referenced by derived tuples survive as phantoms.
@@ -661,7 +659,7 @@ pub fn apply_record(rec: &[u8], state: &mut LoadState) -> Result<()> {
                 EngineError::Corrupt(format!("update for unknown table '{table}'"))
             })?;
             let idx = find_tuple_by_bytes(&table, rel, &old)?;
-            let old_t = std::mem::replace(&mut rel.tuples[idx], new_t);
+            let old_t = std::mem::replace(&mut rel.tuples_mut()[idx], new_t);
             let new_nodes = &rel.tuples[idx].nodes;
             for i in 0..old_t.nodes.len().max(new_nodes.len()) {
                 if old_t.nodes.get(i) == new_nodes.get(i) {
@@ -893,7 +891,7 @@ mod tests {
         save_database(&path, &tables, &reg).unwrap();
         let (loaded, lreg) = load_database(&path).unwrap();
         for rel in loaded.values() {
-            for t in &rel.tuples {
+            for t in rel.tuples.iter() {
                 for n in &t.nodes {
                     for &a in &n.ancestors {
                         assert!(lreg.ref_count(a) >= 1, "ancestor {a} unreferenced");
@@ -1070,7 +1068,7 @@ mod tests {
             apply_record(&buf, &mut state).unwrap();
         }
         for name in &names {
-            for t in &tables[*name].tuples {
+            for t in tables[*name].tuples.iter() {
                 buf.clear();
                 encode_tuple(name, t, &mut buf);
                 apply_record(&buf, &mut state).unwrap();

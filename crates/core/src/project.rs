@@ -80,11 +80,12 @@ pub fn project(
         Ok(ProbTuple { certain, nodes })
     })?;
     // Phase 2 (serial, in input order): reference-count commits.
+    let tuples = out.tuples_mut();
     for t in projected {
         for n in &t.nodes {
             reg.add_refs(&n.ancestors);
         }
-        out.tuples.push(t);
+        tuples.push(t);
     }
     Ok(out)
 }

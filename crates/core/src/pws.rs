@@ -362,7 +362,7 @@ pub fn pws_row_distribution_via_ancestors(
     for name in &names {
         let rel = &tables[*name];
         let mut tuples = Vec::with_capacity(rel.tuples.len());
-        for t in &rel.tuples {
+        for t in rel.tuples.iter() {
             let mut nodes = Vec::with_capacity(t.nodes.len());
             for n in &t.nodes {
                 let mut dims = Vec::with_capacity(n.dims.len());
@@ -404,7 +404,7 @@ pub fn pws_row_distribution_via_ancestors(
             let mut world = HashMap::new();
             for p in &plans {
                 let mut rows = Vec::new();
-                'tuples: for tp in &p.tuples {
+                'tuples: for tp in p.tuples.iter() {
                     let mut row = tp.tuple.certain.clone();
                     for (dims, joint) in &tp.nodes {
                         let mut point = Vec::with_capacity(dims.len());
@@ -505,7 +505,7 @@ pub fn engine_row_distribution(
     opts: &ExecOptions,
 ) -> Result<RowDistribution> {
     let mut dist = RowDistribution::new();
-    for t in &rel.tuples {
+    for t in rel.tuples.iter() {
         let ct = if opts.use_histories {
             collapse::collapse_tuple(t, reg, opts.resolution)?
         } else {

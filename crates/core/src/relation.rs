@@ -7,26 +7,32 @@ use crate::schema::{AttrId, ProbSchema};
 use crate::tuple::{PdfNode, ProbTuple};
 use crate::value::Value;
 use orion_pdf::prelude::{JointPdf, Pdf1};
+use std::sync::Arc;
 
 /// One alternative of a mutual-exclusion group: its certain values and the
 /// independent pdfs of its uncertain columns.
 pub type MutexAlternative<'a> = (Vec<(&'a str, Value)>, Vec<(&'a str, Pdf1)>);
 
 /// A probabilistic relation.
+///
+/// The tuple storage is shared: cloning a relation clones one pointer, and
+/// every clone reads the same tuples until one of them writes through
+/// [`Relation::tuples_mut`], which copies the vector only if another clone
+/// still holds it. A point-in-time view of a table is therefore a clone.
 #[derive(Debug, Clone)]
 pub struct Relation {
     /// Relation name (informational).
     pub name: String,
     /// The probabilistic schema `(Σ, Δ)`.
     pub schema: ProbSchema,
-    /// The tuples.
-    pub tuples: Vec<ProbTuple>,
+    /// The tuples (shared copy-on-write; derefs to `&[ProbTuple]`).
+    pub tuples: Arc<Vec<ProbTuple>>,
 }
 
 impl Relation {
     /// An empty relation.
     pub fn new(name: impl Into<String>, schema: ProbSchema) -> Self {
-        Relation { name: name.into(), schema, tuples: Vec::new() }
+        Relation { name: name.into(), schema, tuples: Arc::default() }
     }
 
     /// Number of tuples.
@@ -39,6 +45,12 @@ impl Relation {
         self.tuples.is_empty()
     }
 
+    /// The tuples for writing: copied first if another clone of this
+    /// relation still shares them, in place otherwise.
+    pub fn tuples_mut(&mut self) -> &mut Vec<ProbTuple> {
+        Arc::make_mut(&mut self.tuples)
+    }
+
     /// Inserts a base tuple.
     ///
     /// `certain` gives values for the certain columns by name; `uncertain`
@@ -48,27 +60,30 @@ impl Relation {
     /// a tuple that only probably exists, Section II-B).
     ///
     /// Each dependency set's joint pdf is registered in `reg` as a base pdf
-    /// and becomes its own single ancestor (Definition 2).
+    /// and becomes its own single ancestor (Definition 2). A rejected
+    /// insert leaves the relation and `reg` untouched.
     pub fn insert(
         &mut self,
         reg: &mut HistoryRegistry,
         certain: &[(&str, Value)],
         uncertain: Vec<(Vec<&str>, JointPdf)>,
     ) -> Result<()> {
-        let mut row = vec![Value::Null; self.schema.columns().len()];
-        for (name, v) in certain {
-            let idx = self
-                .schema
-                .index_of(name)
-                .ok_or_else(|| EngineError::Schema(format!("unknown column '{name}'")))?;
-            if self.schema.columns()[idx].uncertain {
-                return Err(EngineError::Schema(format!(
-                    "column '{name}' is uncertain; supply a pdf instead"
-                )));
-            }
-            row[idx] = v.clone();
-        }
-        let mut nodes = Vec::with_capacity(uncertain.len());
+        let t = self.build_tuple(reg, certain, uncertain)?;
+        self.tuples_mut().push(t);
+        Ok(())
+    }
+
+    /// The tuple [`Relation::insert`] would push, without pushing it: every
+    /// column is validated first, and only then are the base pdfs
+    /// registered in `reg` and referenced.
+    pub(crate) fn build_tuple(
+        &self,
+        reg: &mut HistoryRegistry,
+        certain: &[(&str, Value)],
+        uncertain: Vec<(Vec<&str>, JointPdf)>,
+    ) -> Result<ProbTuple> {
+        let row = self.certain_row(certain)?;
+        let mut sets = Vec::with_capacity(uncertain.len());
         let mut covered: Vec<AttrId> = Vec::new();
         for (names, joint) in uncertain {
             let mut attrs = Vec::with_capacity(names.len());
@@ -92,10 +107,7 @@ impl Relation {
                 )));
             }
             covered.extend(&attrs);
-            let id = reg.register(attrs.clone(), joint.clone());
-            let ancestors: Ancestors = [id].into_iter().collect();
-            reg.add_refs(&ancestors);
-            nodes.push(PdfNode::base(id, &attrs, joint, ancestors));
+            sets.push((attrs, joint));
         }
         for c in self.schema.columns() {
             if c.uncertain && !covered.contains(&c.id) {
@@ -105,21 +117,21 @@ impl Relation {
                 )));
             }
         }
-        self.tuples.push(ProbTuple { certain: row, nodes });
-        Ok(())
+        let nodes = sets
+            .into_iter()
+            .map(|(attrs, joint)| {
+                let id = reg.register(attrs.clone(), joint.clone());
+                let ancestors: Ancestors = [id].into_iter().collect();
+                reg.add_refs(&ancestors);
+                PdfNode::base(id, &attrs, joint, ancestors)
+            })
+            .collect();
+        Ok(ProbTuple { certain: row, nodes })
     }
 
-    /// Inserts a tuple from pre-built pdf nodes (advanced: inter-tuple
-    /// correlation via shared phantom ancestors). Every uncertain column
-    /// must be covered by exactly one node's visible dimensions; phantom
-    /// dimensions and extra constraint nodes are allowed. Reference counts
-    /// for all ancestors are taken.
-    pub fn insert_raw(
-        &mut self,
-        reg: &mut HistoryRegistry,
-        certain: &[(&str, Value)],
-        nodes: Vec<PdfNode>,
-    ) -> Result<()> {
+    /// A full row of certain values (`Null` where `certain` names no
+    /// value), rejecting unknown and uncertain columns.
+    fn certain_row(&self, certain: &[(&str, Value)]) -> Result<Vec<Value>> {
         let mut row = vec![Value::Null; self.schema.columns().len()];
         for (name, v) in certain {
             let idx = self
@@ -133,6 +145,22 @@ impl Relation {
             }
             row[idx] = v.clone();
         }
+        Ok(row)
+    }
+
+    /// Inserts a tuple from pre-built pdf nodes (advanced: inter-tuple
+    /// correlation via shared phantom ancestors). Every uncertain column
+    /// must be covered by exactly one node's visible dimensions; phantom
+    /// dimensions and extra constraint nodes are allowed. Reference counts
+    /// for all ancestors are taken once every check has passed, so a
+    /// rejected insert leaves the relation and `reg` untouched.
+    pub fn insert_raw(
+        &mut self,
+        reg: &mut HistoryRegistry,
+        certain: &[(&str, Value)],
+        nodes: Vec<PdfNode>,
+    ) -> Result<()> {
+        let row = self.certain_row(certain)?;
         for c in self.schema.columns().iter().filter(|c| c.uncertain) {
             let covering = nodes.iter().filter(|n| n.covers(c.id)).count();
             if covering != 1 {
@@ -145,7 +173,7 @@ impl Relation {
         for n in &nodes {
             reg.add_refs(&n.ancestors);
         }
-        self.tuples.push(ProbTuple { certain: row, nodes });
+        self.tuples_mut().push(ProbTuple { certain: row, nodes });
         Ok(())
     }
 
@@ -273,7 +301,7 @@ impl Relation {
     ) -> usize {
         let mut removed = 0;
         let mut kept = Vec::with_capacity(self.tuples.len());
-        for t in self.tuples.drain(..) {
+        for t in Arc::unwrap_or_clone(std::mem::take(&mut self.tuples)) {
             if remove(&t) {
                 removed += 1;
                 for n in &t.nodes {
@@ -288,14 +316,14 @@ impl Relation {
                 kept.push(t);
             }
         }
-        self.tuples = kept;
+        self.tuples = Arc::new(kept);
         removed
     }
 
     /// Releases all history references held by this relation's tuples —
     /// call when discarding a derived relation.
     pub fn release(&self, reg: &mut HistoryRegistry) {
-        for t in &self.tuples {
+        for t in self.tuples.iter() {
             for n in &t.nodes {
                 reg.release_refs(&n.ancestors);
             }
@@ -397,6 +425,34 @@ mod tests {
                 )]
             )
             .is_err());
+    }
+
+    #[test]
+    fn rejected_insert_leaves_registry_untouched() {
+        let schema = ProbSchema::new(
+            vec![
+                ("id", ColumnType::Int, false),
+                ("x", ColumnType::Real, true),
+                ("y", ColumnType::Real, true),
+            ],
+            vec![],
+        )
+        .unwrap();
+        let mut rel = Relation::new("t", schema);
+        let mut reg = HistoryRegistry::new();
+        let xy = [("x", Pdf1::certain(1.0)), ("y", Pdf1::certain(2.0))];
+        rel.insert_simple(&mut reg, &[("id", Value::Int(1))], &xy).unwrap();
+        let before = (reg.len(), reg.last_id(), rel.len());
+        // `y` has no pdf: rejected after `x`'s pdf was already checked.
+        let missing = rel.insert_simple(&mut reg, &[("id", Value::Int(2))], &xy[..1]);
+        assert!(missing.is_err());
+        // `id` is certain: rejected at the second pdf.
+        let certain =
+            rel.insert_simple(&mut reg, &[], &[xy[0].clone(), ("id", Pdf1::certain(3.0))]);
+        assert!(certain.is_err());
+        assert_eq!((reg.len(), reg.last_id(), rel.len()), before, "nothing registered");
+        let tables = std::collections::HashMap::from([("t".to_string(), rel)]);
+        crate::durable::check_invariants(&tables, &reg).unwrap();
     }
 
     #[test]

@@ -188,8 +188,9 @@ pub fn select_masked(
             })?,
         };
         record_selected(opts, &kept);
+        let tuples = out.tuples_mut();
         for t in kept.into_iter().flatten() {
-            push_tuple(&mut out, t, reg);
+            push_tuple(tuples, t, reg);
         }
         return Ok(out);
     }
@@ -220,9 +221,10 @@ pub fn select_masked(
     };
     record_selected(opts, &computed);
     // Phase 2 (serial, in input order): reference-count commits.
+    let tuples = out.tuples_mut();
     for nt in computed.into_iter().flatten() {
         if !nt.is_vacuous() {
-            push_tuple(&mut out, nt, reg);
+            push_tuple(tuples, nt, reg);
         }
     }
     Ok(out)
@@ -239,11 +241,11 @@ fn record_selected(opts: &ExecOptions, computed: &[Option<ProbTuple>]) {
     }
 }
 
-fn push_tuple(out: &mut Relation, t: ProbTuple, reg: &mut HistoryRegistry) {
+fn push_tuple(out: &mut Vec<ProbTuple>, t: ProbTuple, reg: &mut HistoryRegistry) {
     for n in &t.nodes {
         reg.add_refs(&n.ancestors);
     }
-    out.tuples.push(t);
+    out.push(t);
 }
 
 /// Value lookup over a tuple's certain columns.

@@ -217,7 +217,7 @@ pub fn analyze_relation(rel: &Relation) -> Result<TableStats> {
     let n = rel.len();
     let mut exist_hist = vec![0u64; EXIST_BUCKETS];
     let mut exist_sum = 0.0;
-    for t in &rel.tuples {
+    for t in rel.tuples.iter() {
         let e = t.naive_existence().clamp(0.0, 1.0);
         exist_sum += e;
         let b = ((e * EXIST_BUCKETS as f64).ceil() as usize).clamp(1, EXIST_BUCKETS) - 1;

@@ -54,11 +54,12 @@ pub fn threshold_attrs(
         Ok(op.test(cmp).then(|| t.clone()))
     })?;
     // Phase 2 (serial, in input order): reference-count commits.
+    let tuples = out.tuples_mut();
     for t in kept.into_iter().flatten() {
         for n in &t.nodes {
             reg.add_refs(&n.ancestors);
         }
-        out.tuples.push(t);
+        tuples.push(t);
     }
     Ok(out)
 }
@@ -160,11 +161,12 @@ pub fn threshold_pred_masked(
         None => crate::exec_par::run_tuples_mode(&rel.tuples, opts, |_, t| eval(t))?,
     };
     // Phase 2 (serial, in input order): reference-count commits.
+    let tuples = out.tuples_mut();
     for t in kept.into_iter().flatten() {
         for n in &t.nodes {
             reg.add_refs(&n.ancestors);
         }
-        out.tuples.push(t);
+        tuples.push(t);
     }
     Ok(out)
 }

@@ -1,30 +1,42 @@
 //! Snapshot-isolation transactions over [`SharedDurableDb`].
 //!
-//! A [`Txn`] takes a **private snapshot** of the database at begin — a deep
-//! clone of the tables and history registry, taken under the core lock.
-//! The invariant that makes this a no-dirty-reads snapshot: every WAL
-//! commit and every apply happens under the core lock, and the core holds
-//! only durable state. All reads and DML run against that private view;
+//! A [`Txn`] takes a **snapshot** of the database at begin: a clone of the
+//! committed tables and history registry, taken under the core lock. Both
+//! are shared copy-on-write ([`Relation::tuples`] is an `Arc`, the registry
+//! is segmented), so the clone copies pointers, not tuples, and encodes
+//! nothing. The invariant that makes this a no-dirty-reads snapshot: every
+//! WAL commit and every apply happens under the core lock, and the core
+//! holds only durable state. All reads and DML run against the snapshot;
 //! nothing is shared until commit.
 //!
-//! **Write-set and provenance.** Every DML statement appends a `WriteOp`
-//! and tags the affected private rows with where they came from:
-//! committed rows are identified by their exact encoded tuple bytes (the
-//! *content address* — base-pdf ids make pdf-carrying tuples unique, and
-//! byte-equal certain-only duplicates are interchangeable), own inserts
-//! and own updates point back at their op. Deleting an own insert voids
-//! it; updating an own update amends it — the WAL only ever sees the
-//! transaction's *net* effect.
+//! **Write-set and provenance.** Every DML statement appends a `WriteOp`.
+//! An INSERT keeps its new row in the write set only: the table's view
+//! still shares the committed tuples. A table gets a **private copy** (the
+//! committed tuples plus the pending inserts) only when the transaction
+//! deletes or updates one of its rows, or reads it after writing it. Rows
+//! of a private copy are tagged with where they came from: a committed row
+//! is identified by its exact encoded tuple bytes (the *content address* —
+//! base-pdf ids make pdf-carrying tuples unique, and byte-equal
+//! certain-only duplicates are interchangeable), encoded only when a
+//! DELETE or UPDATE claims it; own inserts and own updates point back at
+//! their op. Deleting an own insert voids it; updating an own update
+//! amends it — the WAL only ever sees the transaction's *net* effect.
 //!
-//! **Commit protocol** (first-committer-wins snapshot isolation), all
-//! under the core lock:
+//! **Commit protocol** (first-committer-wins snapshot isolation). The
+//! snapshot is dropped first, so applying the commit writes the committed
+//! tuples and registry segments in place unless a concurrent reader still
+//! holds them (that reader's version is then copied once). Then, under the
+//! core lock:
 //!
 //! 1. **Validate**: every committed row this transaction deleted or
 //!    updated must still exist byte-identically (multiset-counted), and
-//!    every table it created must still be free. Any mismatch means a
-//!    concurrent transaction committed first — the commit fails with
-//!    retryable [`EngineError::TxnConflict`] before touching the WAL, the
-//!    registry, or memory, so a conflicted transaction leaves no trace.
+//!    every table it created must still be free. A table no commit has
+//!    written since this transaction began (its commit stamp has not
+//!    moved) still holds every row the snapshot held and is not scanned.
+//!    Any mismatch means a concurrent transaction committed first — the
+//!    commit fails with retryable [`EngineError::TxnConflict`] before
+//!    touching the WAL, the registry, or memory, so a conflicted
+//!    transaction leaves no trace.
 //! 2. **Assign ids**: base pdfs this transaction registered (private ids
 //!    above the snapshot's high-water mark) are mapped, in ascending
 //!    private-id order, onto the next real ids — deterministic in commit
@@ -41,14 +53,14 @@
 
 use crate::durable::{SharedCore, SharedDurableDb};
 use crate::error::{EngineError, Result};
-use crate::history::{HistoryRegistry, PdfId};
+use crate::history::{BasePdf, HistoryRegistry, PdfId};
 use crate::persist::{self, LoadState, TAG_TXN_BEGIN, TAG_TXN_COMMIT};
 use crate::relation::Relation;
 use crate::schema::ProbSchema;
 use crate::tuple::ProbTuple;
 use crate::value::Value;
 use orion_pdf::prelude::{JointPdf, Pdf1};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -72,16 +84,33 @@ fn txn_span(name: &'static str) -> orion_obs::Span {
     t.thread_lane("txn").span(name, "txn")
 }
 
-/// Where a private row came from (parallel to the private table's tuples).
-#[derive(Debug, Clone)]
+fn unknown_table(name: &str) -> EngineError {
+    EngineError::Operator(format!("unknown table '{name}'"))
+}
+
+/// Where a row of a private table copy came from (parallel to its tuples).
+#[derive(Debug, Clone, Copy)]
 enum RowSrc {
-    /// In the snapshot at begin; `bytes` is its content address.
-    Committed { bytes: Vec<u8> },
+    /// In the snapshot at begin (its content address is encoded when a
+    /// DELETE or UPDATE claims it).
+    Committed,
     /// Inserted by this transaction; `ops[op]` is its insert.
     OwnInsert { op: usize },
     /// A committed row this transaction already updated; `ops[op]` is the
     /// update (holding the *original* committed bytes).
     OwnUpdate { op: usize },
+}
+
+/// What this transaction wrote to one table beyond the committed version
+/// its snapshot shares.
+#[derive(Debug, Default)]
+struct Staged {
+    /// Row provenance, parallel to the view's tuples, once the table has a
+    /// private copy; `None` while the view shares the committed tuples.
+    rows: Option<Vec<RowSrc>>,
+    /// Inserts (indices into `ops`) not yet appended to the view; empty
+    /// once the table has a private copy.
+    pending: Vec<usize>,
 }
 
 /// One staged effect, in statement order.
@@ -117,15 +146,19 @@ pub struct Txn {
     db: SharedDurableDb,
     id: u64,
     snapshot_epoch: u64,
+    /// Commit sequence number at begin: a table whose commit stamp is not
+    /// above it is unchanged since the snapshot.
+    begin_seq: u64,
     /// Registry high-water mark at begin: private ids above this were
     /// registered by this transaction and get remapped at commit.
     snap_last_base: PdfId,
-    /// Private deep clone of the tables (committed ids preserved).
+    /// The tables as this transaction sees them (committed ids preserved).
+    /// A table without a private copy shares the committed tuples.
     tables: HashMap<String, Relation>,
-    /// Private deep clone of the registry.
+    /// The registry as this transaction sees it (copy-on-write segments).
     reg: HistoryRegistry,
-    /// Row provenance, parallel to each private table's `tuples`.
-    src: HashMap<String, Vec<RowSrc>>,
+    /// Per-table write state, for tables this transaction wrote.
+    staged: HashMap<String, Staged>,
     ops: Vec<WriteOp>,
     /// Live write-op count shared with the `orion.txns` registry.
     writes: Arc<AtomicUsize>,
@@ -133,8 +166,10 @@ pub struct Txn {
 }
 
 impl Txn {
-    /// Begins a transaction: deep clones the committed tables + registry
-    /// under the core lock as the private view.
+    /// Begins a transaction: clones the committed tables and registry under
+    /// the core lock as the snapshot. The clone shares all tuple storage
+    /// and registry segments with the committed state (O(tables +
+    /// segments), nothing encoded).
     pub fn begin(db: &SharedDurableDb) -> Txn {
         let mut span = txn_span("txn.begin");
         let id = next_txn_id();
@@ -142,36 +177,22 @@ impl Txn {
             span.arg("txid", id);
         }
         metrics().counter("txn_begins").inc();
-        let (tables, reg, snapshot_epoch) = {
+        let (tables, reg, snapshot_epoch, begin_seq) = {
             let core = db.inner.core.lock();
-            (core.tables.clone(), core.reg.clone(), core.epoch)
+            (core.tables.clone(), core.reg.clone(), core.epoch, core.commit_seq)
         };
         let snap_last_base = reg.last_id();
-        let src = tables
-            .iter()
-            .map(|(name, rel)| {
-                let rows = rel
-                    .tuples
-                    .iter()
-                    .map(|t| {
-                        let mut bytes = Vec::new();
-                        persist::encode_tuple(name, t, &mut bytes);
-                        RowSrc::Committed { bytes }
-                    })
-                    .collect();
-                (name.clone(), rows)
-            })
-            .collect();
         let writes = Arc::new(AtomicUsize::new(0));
         db.inner.txns.lock().insert(id, (snapshot_epoch, Arc::clone(&writes)));
         Txn {
             db: db.clone(),
             id,
             snapshot_epoch,
+            begin_seq,
             snap_last_base,
             tables,
             reg,
-            src,
+            staged: HashMap::new(),
             ops: Vec::new(),
             writes,
             finished: false,
@@ -197,21 +218,79 @@ impl Txn {
         self.writes.store(self.write_count(), Ordering::Relaxed);
     }
 
-    /// Runs `f` with read access to the private view. The registry is
-    /// mutable so query operators can do their reference bookkeeping;
-    /// bases they touch are private and never leak into the commit.
+    /// Gives `table` its private copy, once: the committed tuples (copied
+    /// unless this transaction created the table) followed by its pending
+    /// inserts.
+    fn materialize(&mut self, table: &str) -> Result<()> {
+        let rel = self.tables.get_mut(table).ok_or_else(|| unknown_table(table))?;
+        let staged = self.staged.entry(table.to_string()).or_default();
+        if staged.rows.is_some() {
+            return Ok(());
+        }
+        let mut rows = vec![RowSrc::Committed; rel.len()];
+        let tuples = rel.tuples_mut();
+        for op in std::mem::take(&mut staged.pending) {
+            match &self.ops[op] {
+                WriteOp::Insert { tuple, .. } => tuples.push(tuple.clone()),
+                other => unreachable!("a pending insert points at an insert, found {other:?}"),
+            }
+            rows.push(RowSrc::OwnInsert { op });
+        }
+        staged.rows = Some(rows);
+        Ok(())
+    }
+
+    /// Gives every table with pending inserts its private copy, so the view
+    /// shows this transaction's own writes.
+    fn materialize_pending(&mut self) -> Result<()> {
+        let pending: Vec<String> = self
+            .staged
+            .iter()
+            .filter(|(_, s)| !s.pending.is_empty())
+            .map(|(name, _)| name.clone())
+            .collect();
+        pending.iter().try_for_each(|name| self.materialize(name))
+    }
+
+    /// Position of the first row of `table`'s view that `pick` selects.
+    /// The table gets its private copy only when some row matches.
+    fn claim_first(
+        &mut self,
+        table: &str,
+        pick: &mut impl FnMut(&ProbTuple) -> bool,
+    ) -> Result<Option<usize>> {
+        if self.staged.get(table).is_some_and(|s| !s.pending.is_empty()) {
+            self.materialize(table)?;
+        }
+        let rel = self.tables.get(table).ok_or_else(|| unknown_table(table))?;
+        let Some(first) = rel.tuples.iter().position(pick) else { return Ok(None) };
+        self.materialize(table)?;
+        Ok(Some(first))
+    }
+
+    /// Runs `f` with read access to the view, own writes included. The
+    /// registry is mutable so query operators can do their reference
+    /// bookkeeping; bases they touch are private and never leak into the
+    /// commit.
     pub fn with_view<R>(
         &mut self,
         f: impl FnOnce(&HashMap<String, Relation>, &mut HistoryRegistry) -> R,
     ) -> R {
+        self.materialize_pending().expect("pending inserts name tables of the view");
         f(&self.tables, &mut self.reg)
     }
 
-    /// One private table, read-only.
-    pub fn table(&self, name: &str) -> Result<&Relation> {
-        self.tables
-            .get(name)
-            .ok_or_else(|| EngineError::Operator(format!("unknown table '{name}'")))
+    /// One table of the view, own writes included.
+    pub fn table(&mut self, name: &str) -> Result<&Relation> {
+        if self.staged.get(name).is_some_and(|s| !s.pending.is_empty()) {
+            self.materialize(name)?;
+        }
+        self.tables.get(name).ok_or_else(|| unknown_table(name))
+    }
+
+    /// The schema of one table of the view.
+    pub fn schema(&self, name: &str) -> Result<&ProbSchema> {
+        self.tables.get(name).map(|rel| &rel.schema).ok_or_else(|| unknown_table(name))
     }
 
     /// Stages a table creation.
@@ -220,30 +299,34 @@ impl Txn {
             return Err(EngineError::Schema(format!("table '{name}' already exists")));
         }
         self.tables.insert(name.to_string(), Relation::new(name, schema.clone()));
-        self.src.insert(name.to_string(), Vec::new());
+        self.staged.insert(name.to_string(), Staged { rows: Some(Vec::new()), pending: vec![] });
         self.ops.push(WriteOp::CreateTable { name: name.to_string(), schema });
         self.note_writes();
         Ok(())
     }
 
-    /// Stages an insert (see [`Relation::insert`]).
+    /// Stages an insert (see [`Relation::insert`]). The new row joins the
+    /// write set; the view's tuples are copied only if the table already
+    /// has a private copy.
     pub fn insert(
         &mut self,
         table: &str,
         certain: &[(&str, Value)],
         uncertain: Vec<(Vec<&str>, JointPdf)>,
     ) -> Result<()> {
-        let rel = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| EngineError::Operator(format!("unknown table '{table}'")))?;
-        rel.insert(&mut self.reg, certain, uncertain)?;
-        let tuple = rel.tuples.last().expect("insert pushed a tuple").clone();
+        let rel = self.tables.get(table).ok_or_else(|| unknown_table(table))?;
+        let tuple = rel.build_tuple(&mut self.reg, certain, uncertain)?;
+        let op = self.ops.len();
+        let staged = self.staged.entry(table.to_string()).or_default();
+        match &mut staged.rows {
+            Some(rows) => {
+                let rel = self.tables.get_mut(table).expect("table looked up above");
+                rel.tuples_mut().push(tuple.clone());
+                rows.push(RowSrc::OwnInsert { op });
+            }
+            None => staged.pending.push(op),
+        }
         self.ops.push(WriteOp::Insert { table: table.to_string(), tuple });
-        self.src
-            .get_mut(table)
-            .expect("provenance tracked per table")
-            .push(RowSrc::OwnInsert { op: self.ops.len() - 1 });
         self.note_writes();
         Ok(())
     }
@@ -263,27 +346,25 @@ impl Txn {
 
     /// Stages deletion of every tuple with `remove(tuple) == true`,
     /// mirroring [`Relation::delete_where`]'s history bookkeeping in the
-    /// private view. Deleting a row this transaction inserted simply voids
-    /// the insert.
+    /// view. Deleting a row this transaction inserted simply voids the
+    /// insert.
     pub fn delete_where(
         &mut self,
         table: &str,
         mut remove: impl FnMut(&ProbTuple) -> bool,
     ) -> Result<usize> {
-        let rel = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| EngineError::Operator(format!("unknown table '{table}'")))?;
-        let src = self.src.get_mut(table).expect("provenance tracked per table");
+        let Some(first) = self.claim_first(table, &mut remove)? else { return Ok(0) };
+        let tuples = self.tables.get_mut(table).expect("claimed table").tuples_mut();
+        let rows = self.staged.get_mut(table).and_then(|s| s.rows.as_mut()).expect("claimed");
+        let old_rows = std::mem::replace(rows, Vec::with_capacity(rows.len()));
+        let old_tuples = std::mem::replace(tuples, Vec::with_capacity(tuples.len()));
         let mut removed = 0usize;
-        let mut i = 0usize;
-        while i < rel.tuples.len() {
-            if !remove(&rel.tuples[i]) {
-                i += 1;
+        for (i, (t, s)) in old_tuples.into_iter().zip(old_rows).enumerate() {
+            if i < first || (i > first && !remove(&t)) {
+                tuples.push(t);
+                rows.push(s);
                 continue;
             }
-            let t = rel.tuples.remove(i);
-            let s = src.remove(i);
             removed += 1;
             for n in &t.nodes {
                 self.reg.release_refs(&n.ancestors);
@@ -293,8 +374,10 @@ impl Txn {
                 }
             }
             match s {
-                RowSrc::Committed { bytes } => {
-                    self.ops.push(WriteOp::Delete { table: table.to_string(), old: bytes });
+                RowSrc::Committed => {
+                    let mut old = Vec::new();
+                    persist::encode_tuple(table, &t, &mut old);
+                    self.ops.push(WriteOp::Delete { table: table.to_string(), old });
                 }
                 RowSrc::OwnInsert { op } => self.ops[op] = WriteOp::Voided,
                 RowSrc::OwnUpdate { op } => {
@@ -323,57 +406,47 @@ impl Txn {
         mut selects: impl FnMut(&ProbTuple) -> bool,
         mut apply: impl FnMut(&mut ProbTuple, &mut HistoryRegistry) -> Result<()>,
     ) -> Result<usize> {
-        let rel = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| EngineError::Operator(format!("unknown table '{table}'")))?;
-        let src = self.src.get_mut(table).expect("provenance tracked per table");
+        let Some(first) = self.claim_first(table, &mut selects)? else { return Ok(0) };
+        let tuples = self.tables.get_mut(table).expect("claimed table").tuples_mut();
+        let rows = self.staged.get_mut(table).and_then(|s| s.rows.as_mut()).expect("claimed");
         let mut updated = 0usize;
         // Indexing both parallel vectors (tuples + provenance) by position.
         #[allow(clippy::needless_range_loop)]
-        for i in 0..rel.tuples.len() {
-            if !selects(&rel.tuples[i]) {
+        for i in first..tuples.len() {
+            if i > first && !selects(&tuples[i]) {
                 continue;
             }
-            let mut new_t = rel.tuples[i].clone();
+            let mut new_t = tuples[i].clone();
             apply(&mut new_t, &mut self.reg)?;
-            let old_t = std::mem::replace(&mut rel.tuples[i], new_t.clone());
+            let old_t = std::mem::replace(&mut tuples[i], new_t.clone());
             diff_nodes(&mut self.reg, &old_t, &new_t);
             updated += 1;
-            match &src[i] {
-                RowSrc::Committed { bytes } => {
-                    self.ops.push(WriteOp::Update {
-                        table: table.to_string(),
-                        old: bytes.clone(),
-                        new: new_t,
-                    });
-                    src[i] = RowSrc::OwnUpdate { op: self.ops.len() - 1 };
+            match rows[i] {
+                RowSrc::Committed => {
+                    let mut old = Vec::new();
+                    persist::encode_tuple(table, &old_t, &mut old);
+                    self.ops.push(WriteOp::Update { table: table.to_string(), old, new: new_t });
+                    rows[i] = RowSrc::OwnUpdate { op: self.ops.len() - 1 };
                 }
-                RowSrc::OwnInsert { op } => {
-                    let op = *op;
-                    match &mut self.ops[op] {
-                        WriteOp::Insert { tuple, .. } => *tuple = new_t,
-                        other => unreachable!("OwnInsert points at an insert, found {other:?}"),
-                    }
-                }
-                RowSrc::OwnUpdate { op } => {
-                    let op = *op;
-                    match &mut self.ops[op] {
-                        WriteOp::Update { new, .. } => *new = new_t,
-                        other => unreachable!("OwnUpdate points at an update, found {other:?}"),
-                    }
-                }
+                RowSrc::OwnInsert { op } => match &mut self.ops[op] {
+                    WriteOp::Insert { tuple, .. } => *tuple = new_t,
+                    other => unreachable!("OwnInsert points at an insert, found {other:?}"),
+                },
+                RowSrc::OwnUpdate { op } => match &mut self.ops[op] {
+                    WriteOp::Update { new, .. } => *new = new_t,
+                    other => unreachable!("OwnUpdate points at an update, found {other:?}"),
+                },
             }
         }
         self.note_writes();
         Ok(updated)
     }
 
-    /// Commits: validate → assign ids → atomic WAL batch → apply to the
-    /// shared state through the replay decoder. Returns the commit
-    /// sequence number. On [`EngineError::TxnConflict`] (retryable) or a
-    /// WAL failure, nothing is applied anywhere and the transaction is
-    /// gone without trace.
+    /// Commits: drop the snapshot → validate → assign ids → atomic WAL
+    /// batch → apply to the shared state through the replay decoder.
+    /// Returns the commit sequence number. On [`EngineError::TxnConflict`]
+    /// (retryable) or a WAL failure, nothing is applied anywhere and the
+    /// transaction is gone without trace.
     pub fn commit(mut self) -> Result<u64> {
         self.finished = true;
         let started = std::time::Instant::now();
@@ -393,27 +466,16 @@ impl Txn {
             metrics().histogram("txn.commit_nanos").record(started.elapsed().as_nanos() as u64);
             return Ok(db.inner.core.lock().commit_seq);
         }
-        let mut core = db.inner.core.lock();
-        if let Err(e) = validate(&core, &live) {
-            metrics().counter("txn_conflicts").inc();
-            return Err(e);
-        }
-        // Fresh base pdfs referenced by the surviving ops, mapped onto the
-        // next real ids in ascending private-id order — the ids serial
-        // inserts would have allocated in commit order.
-        let mut needed: BTreeSet<PdfId> = BTreeSet::new();
+        // Fresh base pdfs referenced by the surviving ops, by private id.
+        let mut needed: BTreeMap<PdfId, BasePdf> = BTreeMap::new();
         for op in &live {
             match op {
                 WriteOp::Insert { tuple, .. } | WriteOp::Update { new: tuple, .. } => {
                     for n in &tuple.nodes {
-                        for d in &n.dims {
-                            if d.var.base > self.snap_last_base {
-                                needed.insert(d.var.base);
-                            }
-                        }
-                        for &a in &n.ancestors {
-                            if a > self.snap_last_base {
-                                needed.insert(a);
+                        let dims = n.dims.iter().map(|d| d.var.base);
+                        for pid in dims.chain(n.ancestors.iter().copied()) {
+                            if pid > self.snap_last_base && !needed.contains_key(&pid) {
+                                needed.insert(pid, self.reg.base(pid)?.clone());
                             }
                         }
                     }
@@ -421,23 +483,30 @@ impl Txn {
                 _ => {}
             }
         }
-        let mut map: HashMap<PdfId, PdfId> = HashMap::with_capacity(needed.len());
-        let mut next = core.reg.last_id();
-        for &pid in &needed {
-            next += 1;
-            map.insert(pid, next);
+        // Drop the snapshot before applying: with no other holder, the
+        // committed tuples and registry segments are then written in place.
+        self.tables = HashMap::new();
+        self.reg = HistoryRegistry::new();
+        let mut core = db.inner.core.lock();
+        if let Err(e) = validate(&core, &live, self.begin_seq) {
+            metrics().counter("txn_conflicts").inc();
+            return Err(e);
         }
+        // Fresh bases mapped onto the next real ids in ascending private-id
+        // order — the ids serial inserts would have allocated in commit
+        // order.
+        let map: HashMap<PdfId, PdfId> =
+            needed.keys().zip(core.reg.last_id() + 1..).map(|(&pid, rid)| (pid, rid)).collect();
         // Build the atomic WAL batch: [begin] [bases] [ops…] [commit].
         let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(live.len() + needed.len() + 2);
         let mut buf = Vec::new();
         persist::encode_txn_marker(TAG_TXN_BEGIN, self.id, &mut buf);
         payloads.push(std::mem::take(&mut buf));
-        for (&pid, &rid) in needed.iter().map(|p| (p, &map[p])) {
-            let base = self.reg.base(pid)?;
-            persist::encode_base(rid, base, &mut buf);
+        for (pid, base) in &needed {
+            persist::encode_base(map[pid], base, &mut buf);
             payloads.push(std::mem::take(&mut buf));
         }
-        let mut touched: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
+        let mut touched: BTreeSet<String> = BTreeSet::new();
         for op in &live {
             match op {
                 WriteOp::CreateTable { name, schema } => {
@@ -503,6 +572,9 @@ impl Txn {
         }
         core.commit_seq += 1;
         let seq = core.commit_seq;
+        for table in touched {
+            core.stamps.insert(table, seq);
+        }
         drop(core);
         metrics().counter("txn_commits").inc();
         metrics().histogram("txn.commit_nanos").record(started.elapsed().as_nanos() as u64);
@@ -535,7 +607,10 @@ impl Drop for Txn {
 }
 
 /// First-committer-wins validation against the current committed state.
-fn validate(core: &SharedCore, live: &[WriteOp]) -> Result<()> {
+/// Returns how many tables it scanned: only a table whose commit stamp
+/// moved past `begin_seq` is re-encoded; any other still holds every row
+/// the snapshot held.
+fn validate(core: &SharedCore, live: &[WriteOp], begin_seq: u64) -> Result<usize> {
     // Per-table multiset of committed content addresses this transaction
     // consumed (deleted or updated).
     let mut needs: HashMap<&str, HashMap<&[u8], usize>> = HashMap::new();
@@ -551,22 +626,24 @@ fn validate(core: &SharedCore, live: &[WriteOp]) -> Result<()> {
             WriteOp::Delete { table, old } | WriteOp::Update { table, old, .. } => {
                 *needs.entry(table.as_str()).or_default().entry(old.as_slice()).or_insert(0) += 1;
             }
-            WriteOp::Insert { table, .. } => {
-                // Tables cannot be dropped, so an insert target that
-                // existed at snapshot (or is created by this txn) still
-                // exists; nothing to validate.
-                let _ = table;
-            }
+            // Tables cannot be dropped, so an insert target that existed at
+            // snapshot (or is created by this txn) still exists.
+            WriteOp::Insert { .. } => {}
             WriteOp::Voided => unreachable!("voided ops were filtered"),
         }
     }
+    let mut scanned = 0;
     for (table, wanted) in &needs {
         let rel = core.tables.get(*table).ok_or_else(|| {
             EngineError::TxnConflict(format!("table '{table}' vanished before commit"))
         })?;
+        if core.stamps.get(*table).is_none_or(|&stamp| stamp <= begin_seq) {
+            continue;
+        }
+        scanned += 1;
         let mut have: HashMap<&[u8], usize> = wanted.keys().map(|k| (*k, 0usize)).collect();
         let mut buf = Vec::new();
-        for t in &rel.tuples {
+        for t in rel.tuples.iter() {
             buf.clear();
             persist::encode_tuple(table, t, &mut buf);
             if let Some(n) = have.get_mut(buf.as_slice()) {
@@ -583,7 +660,7 @@ fn validate(core: &SharedCore, live: &[WriteOp]) -> Result<()> {
             }
         }
     }
-    Ok(())
+    Ok(scanned)
 }
 
 /// Rewrites a tuple's private base ids onto their committed ids — both the
@@ -654,6 +731,98 @@ mod tests {
             Value::Int(i) => i,
             _ => panic!("id is an int"),
         }
+    }
+
+    /// Commits rows `ids` into `table`, creating it first if needed.
+    fn seed_rows(db: &SharedDurableDb, table: &str, ids: std::ops::Range<i64>) {
+        let mut t = Txn::begin(db);
+        if t.schema(table).is_err() {
+            t.create_table(table, schema()).unwrap();
+        }
+        for i in ids {
+            t.insert_simple(table, &[("id", Value::Int(i))], &[("v", Pdf1::certain(i as f64))])
+                .unwrap();
+        }
+        t.commit().unwrap();
+    }
+
+    /// [`validate`] of `t`'s write set against the current committed state.
+    fn validate_now(db: &SharedDurableDb, t: &Txn) -> Result<usize> {
+        let live: Vec<WriteOp> =
+            t.ops.iter().filter(|o| !matches!(o, WriteOp::Voided)).cloned().collect();
+        validate(&db.inner.core.lock(), &live, t.begin_seq)
+    }
+
+    #[test]
+    fn validation_scans_only_tables_written_since_begin() {
+        let dir = temp_dir("stamps");
+        let db = open(&dir);
+        seed_rows(&db, "readings", 0..4);
+        seed_rows(&db, "other", 0..1);
+        let mut a = Txn::begin(&db);
+        assert_eq!(a.delete_where("readings", |t| id_of(t) == 1).unwrap(), 1);
+        assert_eq!(validate_now(&db, &a).unwrap(), 0, "nobody wrote 'readings': not scanned");
+        seed_rows(&db, "other", 1..2);
+        assert_eq!(validate_now(&db, &a).unwrap(), 0, "a commit elsewhere moves no stamp");
+        // A concurrent delete of another row: scanned, the claim still holds.
+        let mut b = Txn::begin(&db);
+        assert_eq!(b.delete_where("readings", |t| id_of(t) == 2).unwrap(), 1);
+        b.commit().unwrap();
+        assert_eq!(validate_now(&db, &a).unwrap(), 1);
+        // A concurrent delete of the same row: conflict.
+        let mut c = Txn::begin(&db);
+        assert_eq!(c.delete_where("readings", |t| id_of(t) == 1).unwrap(), 1);
+        c.commit().unwrap();
+        assert!(matches!(validate_now(&db, &a), Err(EngineError::TxnConflict(_))));
+        assert!(matches!(a.commit(), Err(EngineError::TxnConflict(_))));
+        db.with_tables(|tables, _| assert_eq!(tables["readings"].len(), 2));
+        db.check_invariants().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn begin_and_insert_only_commits_share_storage() {
+        let dir = temp_dir("sharing");
+        let db = open(&dir);
+        // 2 500 bases: three registry segments.
+        seed_rows(&db, "readings", 0..2500);
+        let committed = db.with_tables(|t, _| Arc::clone(&t["readings"].tuples));
+        let mut txn = Txn::begin(&db);
+        assert!(Arc::ptr_eq(&txn.tables["readings"].tuples, &committed), "begin copies no tuple");
+        let segments = db.with_tables(|_, r| r.segment_addrs());
+        assert_eq!(segments.len(), 3);
+        assert_eq!(txn.reg.segment_addrs(), segments, "begin copies no segment");
+        txn.insert_simple("readings", &[("id", Value::Int(-1))], &[("v", Pdf1::certain(0.0))])
+            .unwrap();
+        assert!(Arc::ptr_eq(&txn.tables["readings"].tuples, &committed), "insert copies no tuple");
+        drop(committed);
+        // Nobody holds the committed version: the commit writes in place.
+        let storage = |db: &SharedDurableDb| {
+            db.with_tables(|t, r| (Arc::as_ptr(&t["readings"].tuples) as usize, r.segment_addrs()))
+        };
+        let before = storage(&db);
+        txn.commit().unwrap();
+        assert_eq!(storage(&db), before, "tuples and segments written in place");
+        // A reader holds the committed registry: the commit copies only the
+        // segment it writes.
+        let held = db.with_tables(|_, r| r.clone());
+        seed_rows(&db, "readings", 2500..2501);
+        let now = db.with_tables(|_, r| r.segment_addrs());
+        let (last, rest) = now.split_last().unwrap();
+        assert_eq!(rest, &held.segment_addrs()[..rest.len()], "untouched segments shared");
+        assert!(!held.segment_addrs().contains(last), "the written segment was copied");
+        assert_eq!(held.last_id() + 1, db.with_tables(|_, r| r.last_id()));
+        // A DELETE copies the table only once a row matches.
+        let committed = db.with_tables(|t, _| Arc::clone(&t["readings"].tuples));
+        let mut t3 = Txn::begin(&db);
+        assert_eq!(t3.delete_where("readings", |t| id_of(t) == -2).unwrap(), 0);
+        assert!(Arc::ptr_eq(&t3.tables["readings"].tuples, &committed), "no match, no copy");
+        assert_eq!(t3.delete_where("readings", |t| id_of(t) == 7).unwrap(), 1);
+        assert!(!Arc::ptr_eq(&t3.tables["readings"].tuples, &committed), "private copy");
+        assert_eq!(committed.len(), 2502, "the committed version is untouched");
+        t3.commit().unwrap();
+        db.check_invariants().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -810,7 +979,7 @@ mod tests {
             .unwrap();
         t0.commit().unwrap();
 
-        let reader = Txn::begin(&db);
+        let mut reader = Txn::begin(&db);
         // A concurrent writer commits an insert.
         let mut writer = Txn::begin(&db);
         writer

@@ -44,7 +44,7 @@ pub enum Output {
     /// The operator tree of an `EXPLAIN [ANALYZE | TRACE]` statement. With
     /// `analyze` the profile carries real execution stats; without, only
     /// the plan shape is meaningful. `trace` is set by `EXPLAIN TRACE`.
-    Explain { profile: OpProfile, analyze: bool, trace: Option<ExplainTrace> },
+    Explain { profile: Box<OpProfile>, analyze: bool, trace: Option<ExplainTrace> },
 }
 
 /// An in-memory Orion SQL session.
@@ -419,7 +419,7 @@ impl Database {
         } else {
             None
         };
-        Ok(Output::Explain { profile, analyze, trace })
+        Ok(Output::Explain { profile: Box::new(profile), analyze, trace })
     }
 
     /// The system (`orion.*`) relations `plan` scans, materialized for this
@@ -873,7 +873,7 @@ impl Database {
         }
         let assigns = translate_assignments(&schema, &sets)?;
         let mut updated = 0usize;
-        for t in &mut rel.tuples {
+        for t in rel.tuples_mut().iter_mut() {
             let keep = match &pred {
                 None => true,
                 Some(p) => certain_eval(&schema, t, p),
@@ -1613,7 +1613,7 @@ mod tests {
             panic!("expected table")
         };
         assert_eq!(a.len(), b.len());
-        for (ta, tb) in a.tuples.iter().zip(&b.tuples) {
+        for (ta, tb) in a.tuples.iter().zip(b.tuples.iter()) {
             assert_eq!(ta.certain, tb.certain);
         }
     }

@@ -18,6 +18,7 @@ use orion_core::prelude::*;
 use orion_core::threshold::predicate_probability;
 use orion_pdf::prelude::*;
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// A lowered `SELECT`.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,18 +164,28 @@ impl Post {
             });
             // Permute in place: pair keys with the owned tuples instead of
             // deep-cloning every pdf node just to reorder.
-            let mut slots: Vec<Option<_>> =
-                std::mem::take(&mut rel.tuples).into_iter().map(Some).collect();
-            rel.tuples = keyed
+            let mut slots: Vec<Option<_>> = Arc::unwrap_or_clone(std::mem::take(&mut rel.tuples))
                 .into_iter()
-                .map(|(_, ti)| slots[ti].take().expect("each index used once"))
+                .map(Some)
                 .collect();
+            rel.tuples = Arc::new(
+                keyed
+                    .into_iter()
+                    .map(|(_, ti)| slots[ti].take().expect("each index used once"))
+                    .collect(),
+            );
         }
-        if let Some(n) = self.limit {
-            for t in rel.tuples.drain(n.min(rel.tuples.len())..) {
+        if let Some(n) = self.limit.filter(|&n| n < rel.len()) {
+            for t in &rel.tuples[n..] {
                 for node in &t.nodes {
                     reg.release_refs(&node.ancestors);
                 }
+            }
+            // Keep the prefix without copying the tail when the tuples are
+            // shared.
+            match Arc::get_mut(&mut rel.tuples) {
+                Some(tuples) => tuples.truncate(n),
+                None => rel.tuples = Arc::new(rel.tuples[..n].to_vec()),
             }
         }
         Ok(())
@@ -214,7 +225,7 @@ impl Post {
             }
             let mut seen: std::collections::HashSet<Vec<orion_core::pws::CanonValue>> =
                 Default::default();
-            rel.tuples.retain(|t| {
+            rel.tuples_mut().retain(|t| {
                 seen.insert(t.certain.iter().map(orion_core::pws::CanonValue::from).collect())
             });
         }

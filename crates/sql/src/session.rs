@@ -14,9 +14,10 @@
 //!   multi-statement transaction needs the client's logic, so the conflict
 //!   surfaces to the caller (who may BEGIN again).
 //! * Reads (`SELECT`, `EXPLAIN`, system tables) run on a point-in-time
-//!   copy of the session's current view: the private transaction snapshot
-//!   when one is open — so a transaction reads its own writes — and the
-//!   latest committed state otherwise.
+//!   view of the session's current state: the transaction's view when one
+//!   is open — so a transaction reads its own writes — and the latest
+//!   committed state otherwise. Either view shares its tuples and history
+//!   segments copy-on-write, so taking it is O(tables + segments).
 //!
 //! `DROP TABLE` is not supported durably, and `ANALYZE` cannot run inside
 //! a transaction (statistics are session/engine state, not row data).
@@ -253,10 +254,12 @@ impl DurableSession {
         }
     }
 
-    /// Builds the per-statement query database: a point-in-time copy of
-    /// the current view (transaction snapshot or committed state) with the
-    /// engine's durable stats catalog and its IO / transaction registries
-    /// attached for the `orion.*` system tables.
+    /// Builds the per-statement query database: a point-in-time view of
+    /// the current state (the transaction's view, own writes included, or
+    /// the committed state) with the engine's durable stats catalog and its
+    /// IO / transaction registries attached for the `orion.*` system
+    /// tables. The view shares tuple storage and registry segments with
+    /// the state it was taken from; taking it copies pointers only.
     fn query_db(&mut self) -> Database {
         let (tables, reg) = match self.txn.as_mut() {
             Some(txn) => txn.with_view(|t, r| (t.clone(), r.clone())),
@@ -322,7 +325,7 @@ fn apply_dml(txn: &mut Txn, stmt: Statement) -> Result<Output> {
         }
         Statement::Insert { table, rows } => {
             let n = rows.len();
-            let schema = txn.table(&table)?.schema.clone();
+            let schema = txn.schema(&table)?.clone();
             for row in rows {
                 let (certain, uncertain) = translate_insert_row(&schema, row)?;
                 let certain_refs: Vec<(&str, Value)> =
@@ -337,7 +340,7 @@ fn apply_dml(txn: &mut Txn, stmt: Statement) -> Result<Output> {
         }
         Statement::Delete { table, filter } => {
             let pred = filter.map(|p| translate_pred(&p)).transpose()?;
-            let schema = txn.table(&table)?.schema.clone();
+            let schema = txn.schema(&table)?.clone();
             let removed = match pred {
                 None => txn.delete_where(&table, |_| true)?,
                 Some(p) => {
@@ -349,7 +352,7 @@ fn apply_dml(txn: &mut Txn, stmt: Statement) -> Result<Output> {
         }
         Statement::Update { table, sets, filter } => {
             let pred = filter.map(|p| translate_pred(&p)).transpose()?;
-            let schema = txn.table(&table)?.schema.clone();
+            let schema = txn.schema(&table)?.clone();
             if let Some(p) = &pred {
                 check_certain_pred(&schema, p, "UPDATE")?;
             }
@@ -427,6 +430,69 @@ mod tests {
         assert_eq!(rel.value(0, "rid").unwrap(), &Value::Int(2));
         assert_eq!(rel.marginal(0, "value").unwrap().to_string(), "Gaus(99,1)");
         s.db().check_invariants().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every tuple of every table and every base with its count: a deep
+    /// copy of what a version shows.
+    fn contents(
+        tables: &std::collections::HashMap<String, Relation>,
+        reg: &HistoryRegistry,
+    ) -> String {
+        let mut names: Vec<&String> = tables.keys().collect();
+        names.sort();
+        let rows: Vec<_> = names.iter().map(|n| (n, tables[*n].tuples.to_vec())).collect();
+        let bases: Vec<_> =
+            reg.iter_bases().map(|(id, b)| (id, b.clone(), reg.ref_count(id))).collect();
+        format!("{rows:?} {bases:?}")
+    }
+
+    #[test]
+    fn held_versions_survive_later_commits() {
+        let dir = temp_dir("isolation");
+        let mut s = DurableSession::open(&dir).unwrap();
+        s.execute("CREATE TABLE t (id INT, v REAL UNCERTAIN)").unwrap();
+        for i in 0..10 {
+            s.execute(&format!("INSERT INTO t VALUES ({i}, GAUSSIAN({i}, 1))")).unwrap();
+        }
+        let (tables, reg) = s.db().with_tables(|t, r| (t.clone(), r.clone()));
+        let held = contents(&tables, &reg);
+        let mut txn = Txn::begin(s.db());
+        let in_txn = txn.with_view(|t, r| contents(t, r));
+        assert_eq!(in_txn, held);
+        for i in 10..110 {
+            s.execute(&format!("INSERT INTO t VALUES ({i}, GAUSSIAN({i}, 2))")).unwrap();
+        }
+        s.execute("UPDATE t SET v = GAUSSIAN(99, 1) WHERE id = 3").unwrap();
+        s.execute("DELETE FROM t WHERE id = 4").unwrap();
+        assert_eq!(contents(&tables, &reg), held, "the held version is unchanged");
+        check_invariants(&tables, &reg).unwrap();
+        assert_eq!(txn.with_view(|t, r| contents(t, r)), held, "the snapshot is unchanged");
+        txn.with_view(|t, r| check_invariants(t, r)).unwrap();
+        txn.rollback();
+        s.db().check_invariants().unwrap();
+        s.db().with_tables(|t, _| assert_eq!(t["t"].len(), 109));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn select_views_share_committed_tuples() {
+        let dir = temp_dir("select_view");
+        let mut s = DurableSession::open(&dir).unwrap();
+        s.execute("CREATE TABLE t (a INT, x REAL UNCERTAIN)").unwrap();
+        s.execute("INSERT INTO t VALUES (1, UNIFORM(0, 1)), (2, UNIFORM(1, 2))").unwrap();
+        let committed = s.db().with_tables(|t, _| Arc::clone(&t["t"].tuples));
+        let shares = |s: &mut DurableSession| {
+            Arc::ptr_eq(&s.query_db().table("t").unwrap().tuples, &committed)
+        };
+        assert!(shares(&mut s), "a SELECT copies no tuple");
+        s.execute("BEGIN").unwrap();
+        assert!(shares(&mut s), "nor does one inside a transaction that wrote nothing");
+        s.execute("INSERT INTO t VALUES (3, UNIFORM(2, 3))").unwrap();
+        assert!(!shares(&mut s), "reading after writing reads a private copy");
+        assert_eq!(s.query_db().table("t").unwrap().len(), 3);
+        s.execute("ROLLBACK").unwrap();
+        assert_eq!(committed.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

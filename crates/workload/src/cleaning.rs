@@ -82,7 +82,7 @@ mod tests {
         let rel = w.relation(3, &mut reg);
         assert_eq!(rel.len(), 3);
         // Discrete base data enumerates under PWS.
-        for t in &rel.tuples {
+        for t in rel.tuples.iter() {
             assert!(t.nodes[0].joint.enumerate().is_ok());
         }
     }
@@ -93,7 +93,7 @@ mod tests {
         let mut r2 = HistoryRegistry::new();
         let a = CleaningWorkload::new(3).relation(5, &mut r1);
         let b = CleaningWorkload::new(3).relation(5, &mut r2);
-        for (x, y) in a.tuples.iter().zip(&b.tuples) {
+        for (x, y) in a.tuples.iter().zip(b.tuples.iter()) {
             assert_eq!(x.certain, y.certain);
             assert_eq!(x.nodes[0].joint, y.nodes[0].joint);
         }

@@ -90,7 +90,7 @@ mod tests {
         let rel = w.relation(4, &mut reg);
         assert_eq!(rel.len(), 4);
         assert_eq!(reg.len(), 4, "one base pdf per object");
-        for t in &rel.tuples {
+        for t in rel.tuples.iter() {
             assert_eq!(t.nodes.len(), 1, "x and y share one dependency set");
             assert_eq!(t.nodes[0].dims.len(), 2);
         }

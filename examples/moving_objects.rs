@@ -69,7 +69,7 @@ fn main() {
     // predicate language has no arithmetic, so floor the joint directly —
     // the same primitive selection Case 2(b) uses internally.
     let mut in_corridor = 0;
-    for t in &fleet.tuples {
+    for t in fleet.tuples.iter() {
         let n = &t.nodes[0];
         let floored = n.joint.floor_predicate(&[0, 1], 32, |p| (p[1] - p[0]).abs() < 10.0).unwrap();
         if floored.mass() > 0.5 {

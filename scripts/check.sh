@@ -73,13 +73,14 @@ echo "== e2e benchmark smoke (seam names + workload correctness) =="
 # pipeline.
 bash e2e/run.sh run --smoke
 
-echo "== crash matrix + recovery oracle + txn consistency (3 pinned seeds) =="
+echo "== crash matrix + recovery oracle + txn consistency + registry oracle (3 pinned seeds) =="
 # Each seed runs the byte-level crash matrices, the recovery oracle (whose
 # workloads now interleave CREATE/DROP INDEX and assert recovered index
 # definitions answer like a fresh rebuild at every WAL cut), the
 # index-vs-scan differential oracle, and the Jepsen-style transaction
 # consistency checker — once with fault injection armed (failpoints) and
-# once against the plain build.
+# once against the plain build — plus, on the plain build, the segmented
+# history registry against its HashMap reference model.
 for seed in 0xA11CE 0xC0FFEE 0xDECADE; do
     echo "-- ORION_ORACLE_SEED=$seed (failpoints) --"
     ORION_ORACLE_SEED=$seed cargo test -q -p orion-tests --features failpoints \
@@ -87,7 +88,7 @@ for seed in 0xA11CE 0xC0FFEE 0xDECADE; do
         --test index_equiv
     echo "-- ORION_ORACLE_SEED=$seed (plain) --"
     ORION_ORACLE_SEED=$seed cargo test -q -p orion-tests \
-        --test txn_consistency --test index_equiv
+        --test txn_consistency --test index_equiv --test registry_oracle
 done
 
 echo "== morsel-parallel speedup check =="

@@ -82,7 +82,7 @@ pub fn fingerprint(
         let deps: Vec<Vec<String>> =
             rel.schema.deps().iter().map(|g| g.iter().map(&col).collect()).collect();
         writeln!(out, "] deps={deps:?}").unwrap();
-        for t in &rel.tuples {
+        for t in rel.tuples.iter() {
             let mut nodes: Vec<String> = Vec::with_capacity(t.nodes.len());
             for n in &t.nodes {
                 let dims: Vec<String> = n

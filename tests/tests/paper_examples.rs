@@ -151,7 +151,7 @@ fn figure3_complete_pipeline() {
     assert!((sorted[0] - 0.63).abs() < 1e-12);
     assert!((sorted[1] - 0.90).abs() < 1e-12);
     // Per-tuple joint distributions.
-    for tp in &joined.tuples {
+    for tp in joined.tuples.iter() {
         let ma = tp.node_for(a_id).unwrap().marginal(a_id).unwrap();
         let mb = tp.node_for(b_id).unwrap().marginal(b_id).unwrap();
         if ma.density(4.0) > 0.0 {

@@ -610,7 +610,7 @@ fn oracle_txn_step(
             let joint = JointPdf::from_pdf1(Pdf1::certain(*val));
             let id = reg.register(vec![attr], joint.clone());
             new_t.nodes[0] = PdfNode::base(id, &[attr], joint, [id].into_iter().collect());
-            let old_t = std::mem::replace(&mut rel.tuples[idx], new_t);
+            let old_t = std::mem::replace(&mut rel.tuples_mut()[idx], new_t);
             let new_nodes = rel.tuples[idx].nodes.clone();
             // Position-wise node diff, new refs before old releases — the
             // same bookkeeping `apply_record` runs for an update record.

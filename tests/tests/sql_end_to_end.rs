@@ -123,7 +123,7 @@ fn discrete_and_symbolic_families_coexist() {
 
     // A selection floors all families consistently.
     let rel = table(db.execute("SELECT * FROM mixed WHERE v >= 2").unwrap());
-    for t in &rel.tuples {
+    for t in rel.tuples.iter() {
         assert!(t.naive_existence() > 0.0);
     }
     // Bernoulli(0.25) has no mass at v >= 2: its tuple is gone.

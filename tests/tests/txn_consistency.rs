@@ -172,7 +172,7 @@ fn oracle_apply(tables: &mut HashMap<String, Relation>, reg: &mut HistoryRegistr
             let mut new_t = rel.tuples[idx].clone();
             let new_bal = bal_of(&new_t) + delta;
             set_balance(&mut new_t, reg, new_bal);
-            let old_t = std::mem::replace(&mut rel.tuples[idx], new_t);
+            let old_t = std::mem::replace(&mut rel.tuples_mut()[idx], new_t);
             let new_nodes = rel.tuples[idx].nodes.clone();
             // Position-wise node diff, same as `persist::apply_record` for
             // an update record: take new references before releasing old.
