@@ -29,25 +29,36 @@
 //! node / NaN support) are always candidates — 3VL semantics stay with the
 //! evaluator.
 //!
-//! **Maintenance protocol: invalidate + rebuild.** The catalog tracks a
-//! per-table *staleness epoch*, bumped by every committed DML
-//! ([`IndexCatalog::note_mutation`]). A built tree is tagged with the
-//! epoch it was built at and lazily rebuilt on first use after the table
-//! changed. Only index *definitions* are durable (WAL tag + checkpoint
-//! section in `persist`/`durable`); tree pages are rebuilt
-//! deterministically from the recovered table, which makes replay
-//! idempotent by construction — the recovery oracle proves the rebuilt
-//! index answers bitwise-equal to a fresh one.
+//! **Maintenance protocol: one build per table version.** A table version
+//! is the `Arc<Vec<ProbTuple>>` allocation a [`Relation`] shares
+//! copy-on-write, and built trees live in a [`BuildCache`] keyed by it: an
+//! entry holds a `Weak` of the version it was built from and hits only for
+//! a relation whose tuples are that very allocation, under an equal
+//! [`IndexDef`]. A live `Weak` keeps the address from being reused, and no
+//! writer can change a version in place while one is held
+//! (`Arc::make_mut` moves the vector to a new allocation, `Arc::get_mut`
+//! refuses), so any DML makes the next lookup miss and rebuild — no stamps
+//! or epochs decide freshness. The cache is shared by a catalog and every
+//! [`IndexCatalog::snapshot`] of it, so each version is indexed once, not
+//! once per statement. The per-table epoch that committed DML bumps
+//! ([`IndexCatalog::note_mutation`]) is only reported (`orion.indexes`).
+//! Only index *definitions* are durable (WAL tag + checkpoint section in
+//! `persist`/`durable`); tree pages are rebuilt deterministically from the
+//! recovered table, which makes replay idempotent by construction — the
+//! recovery oracle proves the rebuilt index answers bitwise-equal to a
+//! fresh one.
 
 use crate::error::{EngineError, Result};
+use crate::index::SupportIndex;
 use crate::predicate::CmpOp;
 use crate::relation::Relation;
+use crate::tuple::ProbTuple;
 use crate::value::Value;
 use orion_pdf::prelude::Interval;
 use orion_storage::{BTree, MemStore};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 /// Probability levels at which a `cdf` index stores the marginal's
 /// conditional quantile location (the smallest `x` with
@@ -183,12 +194,13 @@ fn get_str(buf: &[u8], pos: &mut usize) -> Result<String> {
         .map_err(|_| EngineError::Corrupt("index def is not utf-8".into()))
 }
 
-/// A materialized index: a static B+tree over the relation's tuples as of
-/// one staleness epoch, plus the positions that could not be keyed.
+/// A materialized index: a static B+tree over one version of the
+/// relation's tuples, plus the positions that could not be keyed.
 pub struct BuiltIndex {
     /// The definition this tree materializes.
     pub def: IndexDef,
-    /// The table's staleness epoch at build time.
+    /// The table's staleness epoch at build time (reported, never
+    /// consulted: freshness is the [`BuildCache`]'s version key).
     pub epoch: u64,
     /// Tuple count at build time (probe masks are this long).
     pub rows: usize,
@@ -399,18 +411,147 @@ impl fmt::Debug for BuiltIndex {
     }
 }
 
+/// One cached structure and the table version it was built from.
+struct Entry<K, V> {
+    key: K,
+    version: Weak<Vec<ProbTuple>>,
+    value: V,
+}
+
+/// Structures keyed by (`K`, table version); see [`BuildCache`].
+struct VersionMap<K, V>(Mutex<Vec<Entry<K, V>>>);
+
+impl<K: PartialEq + Clone, V: Clone> VersionMap<K, V> {
+    fn lock(&self) -> MutexGuard<'_, Vec<Entry<K, V>>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The value cached for `key` over `rel`'s tuple allocation.
+    fn get(&self, key: &K, rel: &Relation) -> Option<V> {
+        let version = Arc::as_ptr(&rel.tuples);
+        let entries = self.lock();
+        entries
+            .iter()
+            .find(|e| Weak::as_ptr(&e.version) == version && e.key == *key)
+            .map(|e| e.value.clone())
+    }
+
+    /// The cached value for (`key`, `rel`'s version), else `build()`'s.
+    /// The build runs with no lock held; two callers racing on one
+    /// version may both build, and the first insert wins. An insert first drops every entry
+    /// whose version has no strong holder left, which bounds the map by
+    /// the number of live versions.
+    fn get_or_build(
+        &self,
+        key: &K,
+        rel: &Relation,
+        build: impl FnOnce() -> Result<V>,
+    ) -> Result<V> {
+        if let Some(v) = self.get(key, rel) {
+            return Ok(v);
+        }
+        let value = build()?;
+        let version = Arc::as_ptr(&rel.tuples);
+        let mut entries = self.lock();
+        entries.retain(|e| e.version.strong_count() > 0);
+        if let Some(e) =
+            entries.iter().find(|e| Weak::as_ptr(&e.version) == version && e.key == *key)
+        {
+            return Ok(e.value.clone());
+        }
+        let version = Arc::downgrade(&rel.tuples);
+        entries.push(Entry { key: key.clone(), version, value: value.clone() });
+        Ok(value)
+    }
+
+    fn retain(&self, keep: impl Fn(&K) -> bool) {
+        self.lock().retain(|e| keep(&e.key));
+    }
+
+    fn len(&self) -> usize {
+        self.lock().len()
+    }
+}
+
+impl<K, V> Default for VersionMap<K, V> {
+    fn default() -> Self {
+        VersionMap(Mutex::new(Vec::new()))
+    }
+}
+
+/// Index structures built from one *table version* — the
+/// `Arc<Vec<ProbTuple>>` allocation a [`Relation`] shares copy-on-write —
+/// shared by an [`IndexCatalog`] and every snapshot of it.
+///
+/// A lookup hits only when the entry's `Weak` points at the relation's
+/// tuple allocation and its key equals the caller's (the full
+/// [`IndexDef`] for trees; table and column for the support fallback). A
+/// live `Weak` pins the address, and a writer cannot change a version in
+/// place while one is held, so a hit is always a structure over exactly
+/// these tuples. Builds happen with no lock held; see the module docs.
+#[derive(Clone, Default)]
+pub struct BuildCache(Arc<Caches>);
+
+#[derive(Default)]
+struct Caches {
+    trees: VersionMap<IndexDef, Arc<BuiltIndex>>,
+    /// Keyed by (table, column). `None` caches a failed build (a tuple
+    /// without a pdf node for the column), which disables the fallback for
+    /// that version.
+    supports: VersionMap<(String, String), Option<Arc<SupportIndex>>>,
+}
+
+impl BuildCache {
+    /// The tree for `def` over exactly `rel`'s tuples, if one was built.
+    pub fn tree(&self, def: &IndexDef, rel: &Relation) -> Option<Arc<BuiltIndex>> {
+        self.0.trees.get(def, rel)
+    }
+
+    /// The tree for `def` over `rel`'s tuples, built (tagged with `epoch`)
+    /// on a miss.
+    pub fn tree_or_build(
+        &self,
+        def: &IndexDef,
+        rel: &Relation,
+        epoch: u64,
+    ) -> Result<Arc<BuiltIndex>> {
+        self.0.trees.get_or_build(def, rel, || Ok(Arc::new(BuiltIndex::build(def, rel, epoch)?)))
+    }
+
+    /// The support-interval index over `rel.column`, built on a miss;
+    /// `None` when the column has a tuple without a pdf node.
+    pub fn support(&self, rel: &Relation, column: &str) -> Option<Arc<SupportIndex>> {
+        let key = (rel.name.clone(), column.to_string());
+        let build = || Ok(SupportIndex::build(rel, column).ok().map(Arc::new));
+        self.0.supports.get_or_build(&key, rel, build).ok().flatten()
+    }
+
+    /// Cached entries (trees, support indexes), dead versions included
+    /// until the next insert sweeps them.
+    pub fn entries(&self) -> (usize, usize) {
+        (self.0.trees.len(), self.0.supports.len())
+    }
+}
+
+impl fmt::Debug for BuildCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (trees, supports) = self.entries();
+        f.debug_struct("BuildCache").field("trees", &trees).field("supports", &supports).finish()
+    }
+}
+
 /// The session's index catalog: durable definitions, per-table staleness
-/// epochs, and lazily (re)built trees.
+/// epochs, and the build cache of trees per table version.
 #[derive(Debug, Default)]
 pub struct IndexCatalog {
     /// Definitions by index name (sorted iteration gives the canonical
     /// encoding order).
     defs: BTreeMap<String, IndexDef>,
-    /// Per-table mutation counters; a built tree whose epoch is behind is
-    /// stale and rebuilt on next use.
+    /// Per-table mutation counters, reported as `orion.indexes.epoch`.
     epochs: HashMap<String, u64>,
-    /// Built trees by index name.
-    built: HashMap<String, Arc<BuiltIndex>>,
+    /// Built trees by (definition, table version), shared with every
+    /// snapshot.
+    built: BuildCache,
 }
 
 impl IndexCatalog {
@@ -434,14 +575,24 @@ impl IndexCatalog {
         self.defs.get(name)
     }
 
-    /// A private copy of the definitions and staleness epochs with an
-    /// *empty* build cache. Per-statement query sessions plan against such
-    /// a snapshot: any tree they build came from their own point-in-time
-    /// relation copy and is never cached back into the shared catalog, so
-    /// a commit racing the statement cannot poison freshness for later
-    /// readers.
+    /// A private copy of the definitions and staleness epochs that shares
+    /// this catalog's [`BuildCache`]. Per-statement query sessions plan
+    /// against such a snapshot: a tree one statement builds serves every
+    /// later statement that reads the same table version, and a commit
+    /// racing the statement cannot make it stale, because the version key
+    /// changes with the tuples.
     pub fn snapshot(&self) -> IndexCatalog {
-        IndexCatalog { defs: self.defs.clone(), epochs: self.epochs.clone(), built: HashMap::new() }
+        IndexCatalog {
+            defs: self.defs.clone(),
+            epochs: self.epochs.clone(),
+            built: self.built.clone(),
+        }
+    }
+
+    /// The build cache, shared with this catalog (planners look up and
+    /// build through it after releasing the catalog lock).
+    pub fn build_cache(&self) -> BuildCache {
+        self.built.clone()
     }
 
     /// Definitions over `table` (optionally restricted to `column`), in
@@ -465,13 +616,12 @@ impl IndexCatalog {
     /// Re-applies a definition idempotently (WAL replay / checkpoint load:
     /// the same create record may be seen twice).
     pub fn install(&mut self, def: IndexDef) {
-        self.built.remove(&def.name);
         self.defs.insert(def.name.clone(), def);
     }
 
-    /// Drops a definition (and its built tree) by name.
+    /// Drops a definition (and its built trees) by name.
     pub fn drop_index(&mut self, name: &str) -> Result<IndexDef> {
-        self.built.remove(name);
+        self.built.0.trees.retain(|d| d.name != name);
         self.defs
             .remove(name)
             .ok_or_else(|| EngineError::Operator(format!("unknown index '{name}'")))
@@ -479,17 +629,14 @@ impl IndexCatalog {
 
     /// Drops every definition over `table` (DROP TABLE).
     pub fn drop_table(&mut self, table: &str) {
-        let names: Vec<String> =
-            self.defs.values().filter(|d| d.table == table).map(|d| d.name.clone()).collect();
-        for n in names {
-            self.defs.remove(&n);
-            self.built.remove(&n);
-        }
+        self.defs.retain(|_, d| d.table != table);
+        self.built.0.trees.retain(|d| d.table != table);
+        self.built.0.supports.retain(|(t, _)| t != table);
         self.epochs.remove(table);
     }
 
-    /// Bumps `table`'s staleness epoch: every committed DML against the
-    /// table calls this, invalidating its built trees.
+    /// Bumps `table`'s staleness epoch (every committed DML against an
+    /// indexed table calls this; `orion.indexes` reports it).
     pub fn note_mutation(&mut self, table: &str) {
         if self.defs.values().any(|d| d.table == table) {
             *self.epochs.entry(table.to_string()).or_insert(0) += 1;
@@ -501,50 +648,29 @@ impl IndexCatalog {
         self.epochs.get(table).copied().unwrap_or(0)
     }
 
-    /// Pages of the built tree for `name` (0 when not built yet).
-    pub fn built_pages(&self, name: &str) -> u32 {
-        self.built.get(name).map_or(0, |b| b.pages())
+    /// The cached tree for `name` over exactly `rel`'s tuples.
+    pub fn cached(&self, name: &str, rel: &Relation) -> Option<Arc<BuiltIndex>> {
+        self.built.tree(self.defs.get(name)?, rel)
     }
 
-    /// Whether a cached build for `name` is current for a relation of
-    /// `rows` tuples — the same staleness test [`Self::ensure_built`]
-    /// applies, exposed so the planner can price a pending rebuild.
-    pub fn is_fresh(&self, name: &str, rows: usize) -> bool {
-        match (self.built.get(name), self.defs.get(name)) {
-            (Some(b), Some(def)) => b.epoch == self.epoch(&def.table) && b.rows == rows,
-            _ => false,
-        }
+    /// Whether a tree for `name` was built from this very version of `rel`
+    /// — the test [`Self::ensure_built`] applies, exposed so the planner
+    /// can price a pending rebuild.
+    pub fn is_fresh(&self, name: &str, rel: &Relation) -> bool {
+        self.cached(name, rel).is_some()
     }
 
-    /// Returns the built tree for `name` over `rel`, rebuilding when the
-    /// table's epoch moved past the build (or the tuple count diverged —
-    /// belt and braces for un-noted mutations).
-    pub fn ensure_built(&mut self, name: &str, rel: &Relation) -> Result<Arc<BuiltIndex>> {
+    /// Returns the tree for `name` over `rel`, building it on a miss.
+    pub fn ensure_built(&self, name: &str, rel: &Relation) -> Result<Arc<BuiltIndex>> {
         let def = self
             .defs
             .get(name)
-            .ok_or_else(|| EngineError::Operator(format!("unknown index '{name}'")))?
-            .clone();
-        let epoch = self.epoch(&def.table);
-        if let Some(b) = self.built.get(name) {
-            if b.epoch == epoch && b.rows == rel.len() {
-                return Ok(Arc::clone(b));
-            }
-        }
-        let built = Arc::new(BuiltIndex::build(&def, rel, epoch)?);
-        self.built.insert(name.to_string(), Arc::clone(&built));
-        Ok(built)
-    }
-
-    /// Drops every built tree (definitions stay; used when the backing
-    /// tables are replaced wholesale, e.g. transaction apply).
-    pub fn clear_built(&mut self) {
-        self.built.clear();
+            .ok_or_else(|| EngineError::Operator(format!("unknown index '{name}'")))?;
+        self.built.tree_or_build(def, rel, self.epoch(&def.table))
     }
 
     /// Canonical encoding of the definitions (checkpoint section,
-    /// byte-compare staleness marks, fingerprints). Epochs and built trees
-    /// are volatile and excluded.
+    /// fingerprints). Epochs and built trees are volatile and excluded.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&(self.defs.len() as u32).to_le_bytes());
@@ -570,10 +696,9 @@ impl IndexCatalog {
         Ok(defs)
     }
 
-    /// Replaces all definitions (checkpoint load), dropping built trees.
+    /// Replaces all definitions (checkpoint load).
     pub fn replace_defs(&mut self, defs: Vec<IndexDef>) {
         self.defs.clear();
-        self.built.clear();
         for d in defs {
             self.defs.insert(d.name.clone(), d);
         }
@@ -785,7 +910,7 @@ mod tests {
 
     #[test]
     fn catalog_staleness_epochs_and_codec() {
-        let (rel, _) = readings(50);
+        let (mut rel, mut reg) = readings(50);
         let mut cat = IndexCatalog::new();
         cat.create(cdf_def()).unwrap();
         assert!(cat.create(cdf_def()).is_err(), "duplicate name rejected");
@@ -795,12 +920,18 @@ mod tests {
         let b0 = cat.ensure_built("idx_v", &rel).unwrap();
         let b1 = cat.ensure_built("idx_v", &rel).unwrap();
         assert!(Arc::ptr_eq(&b0, &b1), "fresh build is cached");
+        // The epoch is reported, not consulted: the same version still hits.
         cat.note_mutation("r");
         assert_eq!(cat.epoch("r"), 1);
+        assert!(Arc::ptr_eq(&b0, &cat.ensure_built("idx_v", &rel).unwrap()));
+        rel.insert_simple(&mut reg, &[("rid", Value::Int(51))], &[("v", Pdf1::certain(1.0))])
+            .unwrap();
+        assert!(!cat.is_fresh("idx_v", &rel));
         let b2 = cat.ensure_built("idx_v", &rel).unwrap();
         assert!(!Arc::ptr_eq(&b0, &b2), "stale build rebuilt");
-        assert_eq!(b2.epoch, 1);
-        assert!(cat.built_pages("idx_v") >= 1);
+        assert_eq!((b2.epoch, b2.rows), (1, 51));
+        assert!(cat.is_fresh("idx_v", &rel));
+        assert!(cat.cached("idx_v", &rel).unwrap().pages() >= 1);
 
         let bytes = cat.encode();
         let defs = IndexCatalog::decode_defs(&bytes).unwrap();
@@ -812,6 +943,119 @@ mod tests {
         cat.drop_index("idx_v").unwrap();
         assert!(cat.drop_index("idx_v").is_err());
         assert!(cat.is_empty());
+    }
+
+    type Write = fn(&mut Relation, &mut HistoryRegistry);
+
+    /// Every way a writer can change a version: an append, an in-place
+    /// row replacement (UPDATE) and `delete_where` (DELETE).
+    fn writes() -> Vec<(&'static str, Write)> {
+        vec![
+            ("in-place push", |rel, reg| {
+                rel.insert_simple(reg, &[("rid", Value::Int(0))], &[("v", Pdf1::certain(7.0))])
+                    .unwrap();
+            }),
+            ("update", |rel, _| {
+                let mut t = rel.tuples[0].clone();
+                t.certain[0] = Value::Int(-1);
+                rel.tuples_mut()[0] = t;
+            }),
+            ("delete", |rel, reg| {
+                rel.delete_where(reg, |t| t.certain[0] == Value::Int(1));
+            }),
+        ]
+    }
+
+    #[test]
+    fn snapshots_share_one_build_per_version() {
+        let (rel, _) = readings(100);
+        let mut cat = IndexCatalog::new();
+        cat.create(cdf_def()).unwrap();
+        let (s1, s2) = (cat.snapshot(), cat.snapshot());
+        let a = s1.ensure_built("idx_v", &rel).unwrap();
+        let view = rel.clone(); // a later statement's pointer-clone view
+        assert!(s2.is_fresh("idx_v", &view), "built once for the version");
+        assert!(Arc::ptr_eq(&a, &s2.ensure_built("idx_v", &view).unwrap()));
+        assert!(Arc::ptr_eq(&a, &cat.ensure_built("idx_v", &rel).unwrap()));
+        assert_eq!(cat.build_cache().entries(), (1, 0));
+    }
+
+    #[test]
+    fn every_write_makes_a_new_version_and_misses() {
+        for (what, write) in writes() {
+            let (mut rel, mut reg) = readings(60);
+            let mut cat = IndexCatalog::new();
+            cat.create(cdf_def()).unwrap();
+            let before = cat.ensure_built("idx_v", &rel).unwrap();
+            // The cache holds only a `Weak`, so `rel` is the sole strong
+            // holder and the write could happen in place if the cache did
+            // not pin the allocation.
+            assert_eq!(Arc::strong_count(&rel.tuples), 1, "{what}");
+            write(&mut rel, &mut reg);
+            assert!(!cat.is_fresh("idx_v", &rel), "{what}: must miss");
+            let after = cat.ensure_built("idx_v", &rel).unwrap();
+            assert!(!Arc::ptr_eq(&before, &after), "{what}: must rebuild");
+            let fresh = BuiltIndex::build(&cdf_def(), &rel, 0).unwrap();
+            let iv = Interval::new(40.0, 45.0);
+            assert_eq!(
+                after.threshold_mask(&iv, CmpOp::Gt, 0.5).unwrap(),
+                fresh.threshold_mask(&iv, CmpOp::Gt, 0.5).unwrap(),
+                "{what}: the rebuilt tree indexes the new version"
+            );
+            assert_eq!(after.rows, rel.len(), "{what}");
+        }
+    }
+
+    #[test]
+    fn recreated_index_never_returns_the_dropped_tree() {
+        let schema = ProbSchema::new(
+            vec![("v", ColumnType::Real, true), ("w", ColumnType::Real, true)],
+            vec![],
+        )
+        .unwrap();
+        let mut rel = Relation::new("r", schema);
+        let mut reg = HistoryRegistry::new();
+        for i in 0..40 {
+            let (v, w) = (Pdf1::gaussian(i as f64, 1.0), Pdf1::gaussian(-(i as f64), 1.0));
+            rel.insert_simple(&mut reg, &[], &[("v", v.unwrap()), ("w", w.unwrap())]).unwrap();
+        }
+        let handle = IndexHandle::new();
+        handle.lock().create(cdf_def()).unwrap();
+        // An in-flight statement planned against the old definition ...
+        let in_flight = handle.lock().snapshot();
+        handle.lock().drop_index("idx_v").unwrap();
+        let on_w = IndexDef { column: "w".into(), ..cdf_def() };
+        handle.lock().create(on_w.clone()).unwrap();
+        // ... builds and caches its tree only after the DROP + CREATE.
+        let old = in_flight.ensure_built("idx_v", &rel).unwrap();
+        assert_eq!(old.def.column, "v");
+        let new = handle.lock().ensure_built("idx_v", &rel).unwrap();
+        assert!(!Arc::ptr_eq(&old, &new));
+        assert_eq!(new.def, on_w, "the recreated name answers from its own column");
+        // And the other order: the new tree first, the late old one after.
+        let cat = handle.lock();
+        assert!(Arc::ptr_eq(&new, &cat.ensure_built("idx_v", &rel).unwrap()));
+        assert_eq!(cat.cached("idx_v", &rel).unwrap().def, on_w);
+    }
+
+    #[test]
+    fn cache_stays_bounded_as_versions_come_and_go() {
+        let (base, _) = readings(20);
+        let mut cat = IndexCatalog::new();
+        cat.create(cdf_def()).unwrap();
+        let mut reg = HistoryRegistry::new();
+        let mut rel = base.clone();
+        cat.ensure_built("idx_v", &base).unwrap();
+        for i in 0..100 {
+            rel.insert_simple(&mut reg, &[("rid", Value::Int(i))], &[("v", Pdf1::certain(1.0))])
+                .unwrap();
+            let snap = cat.snapshot();
+            snap.ensure_built("idx_v", &rel).unwrap();
+            let (trees, _) = cat.build_cache().entries();
+            assert_eq!(trees, 2, "version {i}: only the base and the current version live");
+        }
+        drop(rel);
+        assert!(cat.is_fresh("idx_v", &base), "a transaction's copy never evicts the base");
     }
 
     #[test]

@@ -8,7 +8,9 @@
 use crate::error::{EngineError, Result};
 use crate::history::HistoryRegistry;
 use crate::join::join;
-use crate::pindex::{IndexKind, PlannerMode, MIN_PRUNABLE_P};
+use crate::pindex::{
+    BuildCache, BuiltIndex, IndexDef, IndexHandle, IndexKind, PlannerMode, MIN_PRUNABLE_P,
+};
 use crate::predicate::{CmpOp, Predicate};
 use crate::project::project;
 use crate::relation::Relation;
@@ -199,6 +201,49 @@ pub struct AccessPlan {
     pub alternatives: Vec<AltPath>,
 }
 
+/// An index definition that could serve an access path over `rel`, with
+/// the tree already built for this table version, if any.
+struct IndexChoice {
+    def: IndexDef,
+    cached: Option<Arc<BuiltIndex>>,
+    cache: BuildCache,
+    epoch: u64,
+}
+
+impl IndexChoice {
+    /// The first `kind` index over `rel.col`. The catalog lock is held
+    /// only for this lookup, never for a build.
+    fn find(handle: &IndexHandle, rel: &Relation, col: &str, kind: IndexKind) -> Option<Self> {
+        let cat = handle.lock();
+        let def = cat.find(&rel.name, Some(col)).into_iter().find(|d| d.kind == kind)?.clone();
+        let cache = cat.build_cache();
+        Some(IndexChoice {
+            cached: cache.tree(&def, rel),
+            epoch: cat.epoch(&def.table),
+            def,
+            cache,
+        })
+    }
+
+    /// `rebuild + pages · io_page`: a tree built for this version costs
+    /// only its pages; otherwise a rebuild of `N · cpu_tuple` plus an
+    /// estimated `N / 100` pages.
+    fn build_and_pages_cost(&self, n: f64, cm: &CostModel) -> f64 {
+        match &self.cached {
+            Some(b) => b.pages() as f64 * cm.io_page,
+            None => n * cm.cpu_tuple + (n / 100.0).ceil().max(1.0) * cm.io_page,
+        }
+    }
+
+    /// The tree over `rel`, built with no lock held on a miss.
+    fn built(self, rel: &Relation) -> Result<Arc<BuiltIndex>> {
+        match self.cached {
+            Some(b) => Ok(b),
+            None => self.cache.tree_or_build(&self.def, rel, self.epoch),
+        }
+    }
+}
+
 /// Chooses the access path for `σ_{Pr(θ) ⊙ p}` over `rel`: full scan vs an
 /// index-assisted threshold through a persistent cdf-summary index.
 ///
@@ -206,7 +251,7 @@ pub struct AccessPlan {
 /// * index cost: `rebuild + pages · io_page + N · cpu_probe +
 ///   C · (cpu_tuple + cpu_pdf)` where `C` is the catalog's threshold
 ///   estimate (magic `N/3` when unanalyzed) and `rebuild = N · cpu_tuple`
-///   when the cached build is stale.
+///   when no tree was built for this table version yet.
 ///
 /// [`PlannerMode::Rule`] always takes a usable index; [`PlannerMode::Cost`]
 /// compares the two totals. Either way the returned mask is a *sound
@@ -228,23 +273,18 @@ pub fn plan_threshold_access(
     if lo > hi {
         return Ok(AccessPlan::default());
     }
-    let mut cat = handle.lock();
-    let Some(def) =
-        cat.find(&rel.name, Some(&col)).into_iter().find(|d| d.kind == IndexKind::Cdf).cloned()
-    else {
+    let Some(ix) = IndexChoice::find(handle, rel, &col, IndexKind::Cdf) else {
         return Ok(AccessPlan::default());
     };
+    let def = &ix.def;
     let cm = CostModel::default();
     let n = rel.len() as f64;
     let scan_cost = n * (cm.cpu_tuple + cm.cpu_pdf);
     let sel = catalog
         .and_then(|c| c.get(&rel.name))
         .map_or(MAGIC_SELECTIVITY, |ts| ts.est_threshold_pred(pred, op, p));
-    let fresh = cat.is_fresh(&def.name, rel.len());
-    let pages = if fresh { cat.built_pages(&def.name) as f64 } else { (n / 100.0).ceil().max(1.0) };
-    let rebuild = if fresh { 0.0 } else { n * cm.cpu_tuple };
     let index_cost =
-        rebuild + pages * cm.io_page + n * cm.cpu_probe + sel * n * (cm.cpu_tuple + cm.cpu_pdf);
+        ix.build_and_pages_cost(n, &cm) + n * cm.cpu_probe + sel * n * (cm.cpu_tuple + cm.cpu_pdf);
     let use_index = match opts.planner {
         PlannerMode::Rule => true,
         PlannerMode::Cost => index_cost < scan_cost,
@@ -260,9 +300,7 @@ pub fn plan_threshold_access(
     if !use_index {
         return Ok(AccessPlan { mask: None, alternatives });
     }
-    let built = cat.ensure_built(&def.name, rel)?;
-    drop(cat);
-    match built.threshold_mask(&Interval::new(lo, hi), op, p)? {
+    match ix.built(rel)?.threshold_mask(&Interval::new(lo, hi), op, p)? {
         Some((mask, _probes)) => Ok(AccessPlan { mask: Some(mask), alternatives }),
         None => {
             // The built index declined (not prunable after all): execute as
@@ -294,21 +332,16 @@ pub fn plan_select_access(
     if lo > hi || rel.schema.column(&col).is_none_or(|c| c.uncertain) {
         return Ok(AccessPlan::default());
     }
-    let mut cat = handle.lock();
-    let Some(def) =
-        cat.find(&rel.name, Some(&col)).into_iter().find(|d| d.kind == IndexKind::Evx).cloned()
-    else {
+    let Some(ix) = IndexChoice::find(handle, rel, &col, IndexKind::Evx) else {
         return Ok(AccessPlan::default());
     };
+    let def = &ix.def;
     let cm = CostModel::default();
     let n = rel.len() as f64;
     let scan_cost = n * cm.cpu_tuple;
     let sel =
         catalog.and_then(|c| c.get(&rel.name)).map_or(MAGIC_SELECTIVITY, |ts| ts.est_select(pred));
-    let fresh = cat.is_fresh(&def.name, rel.len());
-    let pages = if fresh { cat.built_pages(&def.name) as f64 } else { (n / 100.0).ceil().max(1.0) };
-    let rebuild = if fresh { 0.0 } else { n * cm.cpu_tuple };
-    let index_cost = rebuild + pages * cm.io_page + n * cm.cpu_probe + sel * n * cm.cpu_tuple;
+    let index_cost = ix.build_and_pages_cost(n, &cm) + n * cm.cpu_probe + sel * n * cm.cpu_tuple;
     let use_index = match opts.planner {
         PlannerMode::Rule => true,
         PlannerMode::Cost => index_cost < scan_cost,
@@ -320,9 +353,7 @@ pub fn plan_select_access(
     if !use_index {
         return Ok(AccessPlan { mask: None, alternatives });
     }
-    let built = cat.ensure_built(&def.name, rel)?;
-    drop(cat);
-    match built.range_mask(lo, hi)? {
+    match ix.built(rel)?.range_mask(lo, hi)? {
         Some((mask, _probes)) => Ok(AccessPlan { mask: Some(mask), alternatives }),
         None => {
             alternatives[0].chosen = true;
@@ -460,9 +491,9 @@ pub fn run<'t>(
             let _t = timer();
             Cow::Owned(match &ap.mask {
                 Some(m) => threshold_pred_masked(&rel, pred, *op, *prob, Some(m), reg, node_opts)?,
-                // No persistent index chose to serve this: the transient
-                // support-interval fallback inside threshold_pred may
-                // still prune.
+                // No persistent index chose to serve this: the
+                // support-interval fallback inside threshold_pred (cached
+                // per table version) may still prune.
                 None => threshold_pred(&rel, pred, *op, *prob, reg, node_opts)?,
             })
         }

@@ -99,10 +99,11 @@ pub fn attr_set_probability(
 /// probabilistic threshold range query when θ is a range predicate.
 ///
 /// When the session carries an index catalog ([`ExecOptions::indexes`]) but
-/// no persistent index covers the predicate's column, a transient
-/// [`crate::index::SupportIndex`] prunes tuples whose support interval or
-/// total mass already rules them out; surviving candidates pay exactly the
-/// scan's probability machinery, so results are bitwise identical.
+/// no persistent index covers the predicate's column, a
+/// [`crate::index::SupportIndex`], cached per table version, prunes tuples
+/// whose support interval or total mass already rules them out; surviving
+/// candidates pay exactly the scan's probability machinery, so results are
+/// bitwise identical.
 pub fn threshold_pred(
     rel: &Relation,
     pred: &Predicate,
@@ -171,8 +172,11 @@ pub fn threshold_pred_masked(
     Ok(out)
 }
 
-/// Builds a candidate mask from a transient support-interval index when no
-/// persistent index covers the predicate's column.
+/// Builds a candidate mask from a support-interval index when no
+/// persistent index covers the predicate's column. The index is cached per
+/// table version in the catalog's [`crate::pindex::BuildCache`] (keyed by
+/// table, column and the relation's tuple allocation), so a version is
+/// indexed once, not once per statement; it is built with no lock held.
 ///
 /// Engages only when the session has index infrastructure at all
 /// (`opts.indexes` is `Some`): plain library callers keep the exact scan
@@ -181,7 +185,7 @@ pub fn threshold_pred_masked(
 /// effective-support tail (≤ 1e-9 mass) cannot flip a verdict. Tuples with
 /// NULL/missing pdf nodes make [`crate::index::SupportIndex::build`] fail,
 /// which disables the fallback wholesale — three-valued logic stays in the
-/// per-tuple evaluator, never in the index.
+/// per-tuple evaluator, never in the index. Such a failure is cached too.
 pub(crate) fn support_fallback_mask(
     rel: &Relation,
     pred: &Predicate,
@@ -197,13 +201,17 @@ pub(crate) fn support_fallback_mask(
     if lo > hi {
         return None; // contradictory conjunction; let the scan report it
     }
-    if !handle.lock().find(&rel.name, Some(&col)).is_empty() {
-        return None; // a persistent index exists — the planner owns this path
-    }
+    let cache = {
+        let cat = handle.lock();
+        if !cat.find(&rel.name, Some(&col)).is_empty() {
+            return None; // a persistent index exists — the planner owns this path
+        }
+        cat.build_cache()
+    };
     if !rel.schema.column(&col)?.uncertain {
         return None;
     }
-    let idx = crate::index::SupportIndex::build(rel, &col).ok()?;
+    let idx = cache.support(rel, &col)?;
     let min_mass = if op == CmpOp::Gt { p } else { p - 1e-12 };
     let mut mask = vec![false; rel.len()];
     for ti in idx.candidates(&orion_pdf::prelude::Interval::new(lo, hi), min_mass) {
@@ -386,6 +394,60 @@ mod tests {
         assert_eq!(ids(&a), vec!["Int(1)"]);
         assert_eq!(ids(&a), ids(&b));
         assert_eq!(stats.snapshot().index_probes, 3, "fallback did not engage for pred3");
+    }
+
+    #[test]
+    fn support_index_is_cached_per_version() {
+        use std::sync::Arc;
+        let handle = crate::pindex::IndexHandle::new();
+        let opts = ExecOptions { indexes: Some(handle.clone()), ..ExecOptions::default() };
+        let cache = handle.lock().build_cache();
+        let pred = Predicate::And(vec![
+            Predicate::cmp("v", CmpOp::Ge, 18.0),
+            Predicate::cmp("v", CmpOp::Le, 22.0),
+        ]);
+        let mask = |rel: &Relation| support_fallback_mask(rel, &pred, CmpOp::Gt, 0.5, &opts);
+        let far = || Pdf1::gaussian(500.0, 1.0).unwrap();
+        type Write = fn(&mut Relation, &mut HistoryRegistry, Pdf1);
+        let writes: [(&str, Write); 3] = [
+            ("in-place push", |rel, reg, pdf| {
+                rel.insert_simple(reg, &[("id", Value::Int(4))], &[("v", pdf)]).unwrap();
+            }),
+            ("update", |rel, reg, pdf| {
+                let mut fresh = Relation::new("scratch", rel.schema.clone());
+                fresh.insert_simple(reg, &[("id", Value::Int(1))], &[("v", pdf)]).unwrap();
+                rel.tuples_mut()[0] = fresh.tuples[0].clone();
+            }),
+            ("delete", |rel, reg, _| {
+                rel.delete_where(reg, |t| t.certain[0] == Value::Int(1));
+            }),
+        ];
+        for (what, write) in writes {
+            let (mut rel, mut reg) = readings();
+            assert_eq!(mask(&rel), Some(vec![true; 3]));
+            let before = cache.support(&rel, "v").expect("built and cached");
+            let view = rel.clone();
+            assert!(mask(&view).is_some());
+            assert!(Arc::ptr_eq(&before, &cache.support(&view, "v").unwrap()), "{what}: hit");
+            drop(view);
+            write(&mut rel, &mut reg, far());
+            let got = mask(&rel).expect("fallback engages");
+            let after = cache.support(&rel, "v").unwrap();
+            assert!(!Arc::ptr_eq(&before, &after), "{what}: must miss");
+            assert_eq!(after.len(), rel.len(), "{what}");
+            // A deep copy is a version nobody has indexed: a fresh build.
+            let mut copy = rel.clone();
+            copy.tuples = Arc::new(rel.tuples.to_vec());
+            assert_eq!(mask(&copy), Some(got.clone()), "{what}: answers like a fresh build");
+            assert_eq!(got.iter().filter(|&&k| !k).count(), usize::from(what != "delete"));
+        }
+        // Dead versions are swept on insert: only the live one stays.
+        let (mut rel, mut reg) = readings();
+        for i in 0..100 {
+            rel.insert_simple(&mut reg, &[("id", Value::Int(10 + i))], &[("v", far())]).unwrap();
+            assert!(mask(&rel).is_some());
+            assert_eq!(cache.entries().1, 1, "version {i}");
+        }
     }
 
     #[test]

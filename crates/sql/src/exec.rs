@@ -128,7 +128,7 @@ impl Database {
 
     /// Replaces the session's index catalog handle (durable sessions seed
     /// per-statement query databases with a snapshot of the engine's
-    /// catalog; see [`IndexCatalog::snapshot`]).
+    /// catalog that shares its build cache; see [`IndexCatalog::snapshot`]).
     pub fn set_index_handle(&mut self, indexes: IndexHandle) {
         self.opts.indexes = Some(indexes);
     }
@@ -173,8 +173,9 @@ impl Database {
         self.profile.take()
     }
 
-    /// Bumps the staleness epoch of every index over `table` (DML makes
-    /// built trees unsound: they carry tuple positions).
+    /// Bumps the staleness epoch of every index over `table`, as reported
+    /// by `orion.indexes` (built trees go stale on their own: DML writes a
+    /// new table version, which the build cache keys on).
     fn note_index_mutation(&self, table: &str) {
         if let Some(h) = &self.opts.indexes {
             h.lock().note_mutation(table);
@@ -569,19 +570,17 @@ impl Database {
     }
 
     /// `orion.indexes`: one row per secondary-index definition of the
-    /// session's catalog. `pages` is the page count of the current built
-    /// tree (0 when not built or stale); `epoch` is the owning table's
-    /// staleness epoch (bumped by every DML batch against it).
+    /// session's catalog. `pages` is the page count of the tree built from
+    /// the table version this statement reads (0 until a query over that
+    /// version builds it); `epoch` is the owning table's staleness epoch
+    /// (bumped by every DML batch against it).
     fn sys_indexes(&self) -> Result<Relation> {
         let mut rows = Vec::new();
         if let Some(handle) = &self.opts.indexes {
             let cat = handle.lock();
             for def in cat.defs() {
-                let rel_len = self.tables.get(&def.table).map(|r| r.len());
-                let pages = match rel_len {
-                    Some(n) if cat.is_fresh(&def.name, n) => cat.built_pages(&def.name),
-                    _ => 0,
-                };
+                let built = self.tables.get(&def.table).and_then(|rel| cat.cached(&def.name, rel));
+                let pages = built.map_or(0, |b| b.pages());
                 rows.push(vec![
                     Value::Text(def.name.clone()),
                     Value::Text(def.table.clone()),

@@ -273,10 +273,10 @@ impl DurableSession {
         qdb.set_stats_catalog(self.db.stats_catalog());
         qdb.set_io_stats(self.db.io_stats());
         qdb.set_txn_db(self.db.clone());
-        // A defs+epochs snapshot of the engine catalog (no built cache):
-        // any tree the statement builds comes from its own point-in-time
-        // table copy and is never cached back into the shared catalog, so
-        // a commit racing this statement cannot poison freshness.
+        // A defs+epochs snapshot of the engine catalog sharing its build
+        // cache: trees are keyed by the table version they index, so one
+        // built by this statement serves every later statement that reads
+        // the same version, and a racing commit simply writes a new one.
         let cat = self.db.indexes().lock().snapshot();
         qdb.set_index_handle(IndexHandle::from_catalog(cat));
         let workload = self.db.workload();
@@ -624,6 +624,37 @@ mod tests {
         let out = s.execute("SELECT a FROM t WHERE PROB(x > 0.5) > 0.4").unwrap();
         let Output::Table(rel) = out else { panic!("table") };
         assert_eq!(rel.len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn index_trees_are_built_once_per_committed_version() {
+        let dir = temp_dir("index_pages");
+        let mut s = DurableSession::open(&dir).unwrap();
+        s.execute("CREATE TABLE t (a INT, x REAL UNCERTAIN)").unwrap();
+        let rows: Vec<String> = (0..50).map(|i| format!("({i}, GAUSSIAN({i}, 1))")).collect();
+        s.execute(&format!("INSERT INTO t VALUES {}", rows.join(", "))).unwrap();
+        s.execute("CREATE INDEX ix_x ON t (x)").unwrap();
+        let pages = |s: &mut DurableSession| {
+            int_cell(&s.execute("SELECT pages FROM orion.indexes").unwrap(), "pages")
+        };
+        let tree = |s: &DurableSession| {
+            let rel = s.db().with_tables(|t, _| t["t"].clone());
+            s.db().indexes().lock().cached("ix_x", &rel)
+        };
+        let query = "SELECT a FROM t WHERE PROB(x > 45) > 0.9";
+        assert_eq!(pages(&mut s), 0, "nothing built before a threshold query");
+        s.execute(query).unwrap();
+        assert!(pages(&mut s) > 0, "the statement's tree is visible to the next one");
+        let first = tree(&s).expect("cached in the engine catalog");
+        s.execute(query).unwrap();
+        assert!(Arc::ptr_eq(&first, &tree(&s).unwrap()), "the next statement reuses it");
+        s.execute("INSERT INTO t VALUES (50, GAUSSIAN(50, 1))").unwrap();
+        assert_eq!(pages(&mut s), 0, "an INSERT makes a new version");
+        let Output::Table(rel) = s.execute(query).unwrap() else { panic!("table") };
+        assert_eq!(rel.len(), 4, "the rebuilt tree sees the new row");
+        assert!(pages(&mut s) > 0);
+        assert!(!Arc::ptr_eq(&first, &tree(&s).unwrap()));
         std::fs::remove_dir_all(&dir).ok();
     }
 

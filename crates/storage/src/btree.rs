@@ -5,9 +5,10 @@
 //! the key set is known at build time, so the tree is packed left-to-right
 //! into slotted pages behind a [`BufferPool`] — leaves first, then internal
 //! levels bottom-up until a single root remains. There is no insert/delete
-//! path: index maintenance is invalidate-and-rebuild (the catalog tracks a
-//! staleness epoch per table), which keeps the on-page layout deterministic
-//! — two builds over the same entries produce byte-identical pages.
+//! path: index maintenance is one rebuild per table version (the catalog
+//! caches a build per version), which keeps the on-page layout
+//! deterministic — two builds over the same entries produce byte-identical
+//! pages.
 //!
 //! Leaves occupy pages `0..leaf_pages` in key order, so the leaf chain is
 //! implicit (the right sibling of leaf `p` is `p + 1`); internal levels are

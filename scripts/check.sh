@@ -80,7 +80,9 @@ echo "== crash matrix + recovery oracle + txn consistency + registry oracle (3 p
 # index-vs-scan differential oracle, and the Jepsen-style transaction
 # consistency checker — once with fault injection armed (failpoints) and
 # once against the plain build — plus, on the plain build, the segmented
-# history registry against its HashMap reference model.
+# history registry against its HashMap reference model and the session-level
+# oracle that interleaves DML, transactions and a held reader over an indexed
+# and an unindexed engine (per-version index and support-mask caching).
 for seed in 0xA11CE 0xC0FFEE 0xDECADE; do
     echo "-- ORION_ORACLE_SEED=$seed (failpoints) --"
     ORION_ORACLE_SEED=$seed cargo test -q -p orion-tests --features failpoints \
@@ -88,7 +90,8 @@ for seed in 0xA11CE 0xC0FFEE 0xDECADE; do
         --test index_equiv
     echo "-- ORION_ORACLE_SEED=$seed (plain) --"
     ORION_ORACLE_SEED=$seed cargo test -q -p orion-tests \
-        --test txn_consistency --test index_equiv --test registry_oracle
+        --test txn_consistency --test index_equiv --test registry_oracle \
+        --test index_session_oracle
 done
 
 echo "== morsel-parallel speedup check =="
