@@ -109,7 +109,7 @@ fn bench_support_index(c: &mut Criterion) {
     // Indexed vs full-scan probabilistic threshold range queries: the
     // paper's companion indexing line of work, reduced to support pruning.
     use orion_core::index::SupportIndex;
-    use orion_core::threshold::threshold_pred;
+    use orion_core::threshold::{threshold_pred, threshold_pred_masked};
     let mut g = c.benchmark_group("threshold_index_20k");
     g.sample_size(20);
     let mut reg = HistoryRegistry::new();
@@ -126,16 +126,39 @@ fn bench_support_index(c: &mut Criterion) {
     let idx = SupportIndex::build(&rel, "v").unwrap();
     let iv = Interval::new(40.0, 44.0);
     let opts = ExecOptions::default();
-    g.bench_function("indexed", |b| {
-        b.iter(|| {
-            let mut rg = HistoryRegistry::new();
-            idx.threshold_range(black_box(&rel), &iv, CmpOp::Gt, 0.5, &mut rg, &opts).unwrap()
-        })
-    });
     let pred = Predicate::And(vec![
         Predicate::cmp("v", CmpOp::Ge, iv.lo),
         Predicate::cmp("v", CmpOp::Le, iv.hi),
     ]);
+    // Probe the prebuilt index, then evaluate only its candidates.
+    g.bench_function("indexed", |b| {
+        b.iter(|| {
+            let mut rg = HistoryRegistry::new();
+            let mut mask = vec![false; rel.len()];
+            for ti in idx.candidates(&iv, 0.5) {
+                mask[ti] = true;
+            }
+            threshold_pred_masked(
+                black_box(&rel),
+                &pred,
+                CmpOp::Gt,
+                0.5,
+                Some(&mask),
+                &mut rg,
+                &opts,
+            )
+            .unwrap()
+        })
+    });
+    // What a session runs: the support fallback, its index cached per
+    // table version after the first iteration.
+    let session = ExecOptions { indexes: Some(IndexHandle::new()), ..ExecOptions::default() };
+    g.bench_function("support_fallback", |b| {
+        b.iter(|| {
+            let mut rg = HistoryRegistry::new();
+            threshold_pred(black_box(&rel), &pred, CmpOp::Gt, 0.5, &mut rg, &session).unwrap()
+        })
+    });
     g.bench_function("full_scan", |b| {
         b.iter(|| {
             let mut rg = HistoryRegistry::new();

@@ -11,7 +11,10 @@
 //! * tuples whose total mass already fails an upper-bound test
 //!   (`mass ≤ p` can never satisfy `> p`).
 //!
-//! Only the surviving candidates pay for exact probability evaluation.
+//! Only the surviving candidates pay for exact probability evaluation:
+//! [`crate::threshold::threshold_pred`] builds the candidate mask from this
+//! index, cached per table version, when a session catalog is attached but
+//! no persistent index covers the column.
 //!
 //! Pruning is exact up to the *effective-support* tail: unbounded
 //! distributions are indexed by the interval holding all but
@@ -20,11 +23,7 @@
 //! (any practical `p`) are answered identically to a full scan.
 
 use crate::error::{EngineError, Result};
-use crate::history::HistoryRegistry;
-use crate::predicate::CmpOp;
 use crate::relation::Relation;
-use crate::schema::AttrId;
-use crate::select::ExecOptions;
 use orion_pdf::prelude::Interval;
 
 /// One index entry.
@@ -42,8 +41,6 @@ struct Entry {
 /// tuple position and must be rebuilt after updates.
 #[derive(Debug, Clone)]
 pub struct SupportIndex {
-    attr: AttrId,
-    column: String,
     /// Entries sorted by `lo`.
     entries: Vec<Entry>,
     /// `max_hi[i]` = max of `entries[..=i].hi` — enables early pruning of
@@ -81,7 +78,7 @@ impl SupportIndex {
             running = running.max(e.hi);
             max_hi.push(running);
         }
-        Ok(SupportIndex { attr: col.id, column: column.to_string(), entries, max_hi })
+        Ok(SupportIndex { entries, max_hi })
     }
 
     /// Number of indexed tuples.
@@ -113,66 +110,20 @@ impl SupportIndex {
         }
         out
     }
-
-    /// Indexed evaluation of `σ_{Pr(attr ∈ [l,u]) ⊙ p}` — equivalent to
-    /// [`crate::threshold::threshold_pred`] with a BETWEEN predicate, but
-    /// only candidate tuples pay for probability evaluation.
-    ///
-    /// Only `>`/`>=` comparisons benefit from index pruning (they admit an
-    /// upper-bound test); other operators fall back to scanning every
-    /// tuple, since tuples with probability 0 can satisfy e.g. `< p`.
-    pub fn threshold_range(
-        &self,
-        rel: &Relation,
-        iv: &Interval,
-        op: CmpOp,
-        p: f64,
-        reg: &mut HistoryRegistry,
-        opts: &ExecOptions,
-    ) -> Result<Relation> {
-        let mut out = Relation::new(format!("sigma_pr_idx({})", rel.name), rel.schema.clone());
-        let prunable = matches!(op, CmpOp::Gt | CmpOp::Ge) && p >= 0.0;
-        let candidates: Vec<usize> = if prunable {
-            let min_mass = if op == CmpOp::Gt { p } else { p - 1e-12 };
-            self.candidates(iv, min_mass)
-        } else {
-            (0..rel.len()).collect()
-        };
-        // Candidates pay exactly what the full scan pays per tuple — the
-        // same probability machinery — so indexed and scanned results are
-        // identical even for historically dependent nodes.
-        let pred = crate::predicate::Predicate::And(vec![
-            crate::predicate::Predicate::cmp(&self.column, CmpOp::Ge, iv.lo),
-            crate::predicate::Predicate::cmp(&self.column, CmpOp::Le, iv.hi),
-        ]);
-        let tuples = out.tuples_mut();
-        for ti in candidates {
-            let t = &rel.tuples[ti];
-            let prob = crate::threshold::predicate_probability(rel, t, &pred, reg, opts)?;
-            if op.test(
-                prob.partial_cmp(&p)
-                    .ok_or_else(|| EngineError::Operator("non-finite probability".into()))?,
-            ) {
-                for n in &t.nodes {
-                    reg.add_refs(&n.ancestors);
-                }
-                tuples.push(t.clone());
-            }
-        }
-        let _ = self.attr;
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predicate::Predicate;
+    use crate::history::HistoryRegistry;
+    use crate::predicate::{CmpOp, Predicate};
     use crate::schema::{ColumnType, ProbSchema};
+    use crate::select::ExecOptions;
     use crate::threshold::threshold_pred;
     use crate::value::Value;
     use orion_pdf::prelude::*;
     use orion_pdf::sample::{Uniform, XorShift};
+    use std::sync::Arc;
 
     /// Deterministic sensor-style readings without depending on the
     /// workload crate (which sits above this one).
@@ -216,34 +167,40 @@ mod tests {
         }
     }
 
+    /// Options with a session catalog that holds no persistent index, so
+    /// `threshold_pred` prunes through the cached [`SupportIndex`] (the
+    /// support fallback), counting into `stats`.
+    fn fallback_opts(stats: &Arc<orion_obs::ExecStats>) -> ExecOptions {
+        ExecOptions {
+            indexes: Some(crate::pindex::IndexHandle::new()),
+            ..ExecOptions::default().with_stats(stats.clone())
+        }
+    }
+
     #[test]
     fn indexed_threshold_matches_scan() {
         let (rel, mut reg) = readings(300);
-        let idx = SupportIndex::build(&rel, "v").unwrap();
         let opts = ExecOptions::default();
         let iv = Interval::new(20.0, 28.0);
+        let pred = Predicate::And(vec![
+            Predicate::cmp("v", CmpOp::Ge, iv.lo),
+            Predicate::cmp("v", CmpOp::Le, iv.hi),
+        ]);
         for (op, p) in [(CmpOp::Gt, 0.5), (CmpOp::Ge, 0.9), (CmpOp::Lt, 0.1), (CmpOp::Gt, 1e-6)] {
-            let indexed = idx.threshold_range(&rel, &iv, op, p, &mut reg, &opts).unwrap();
-            let pred = Predicate::And(vec![
-                Predicate::cmp("v", CmpOp::Ge, iv.lo),
-                Predicate::cmp("v", CmpOp::Le, iv.hi),
-            ]);
+            let stats = Arc::new(orion_obs::ExecStats::new());
+            let indexed =
+                threshold_pred(&rel, &pred, op, p, &mut reg, &fallback_opts(&stats)).unwrap();
             let scanned = threshold_pred(&rel, &pred, op, p, &mut reg, &opts).unwrap();
-            let ids = |r: &Relation| -> Vec<i64> {
-                let mut v: Vec<i64> = r
-                    .tuples
-                    .iter()
-                    .map(|t| match t.certain[0] {
-                        Value::Int(i) => i,
-                        _ => unreachable!(),
-                    })
-                    .collect();
-                // The index visits candidates in support order, the scan in
-                // tuple order; compare as sets.
-                v.sort_unstable();
-                v
-            };
-            assert_eq!(ids(&indexed), ids(&scanned), "op {op:?} p {p}");
+            // Same tuples in the same order: pruning only skips evaluations.
+            assert_eq!(indexed.tuples, scanned.tuples, "op {op:?} p {p}");
+            let snap = stats.snapshot();
+            if op == CmpOp::Lt {
+                // `< p` admits probability 0, so nothing may be pruned.
+                assert_eq!(snap.index_probes, 0, "op {op:?} p {p}");
+            } else {
+                assert_eq!(snap.index_probes, rel.len() as u64, "op {op:?} p {p}");
+                assert!(snap.index_pruned > 0, "op {op:?} p {p}: nothing pruned");
+            }
         }
     }
 
@@ -258,11 +215,17 @@ mod tests {
         rel.insert_simple(&mut reg, &[], &[("v", Pdf1::certain(5.0))]).unwrap();
         let idx = SupportIndex::build(&rel, "v").unwrap();
         let iv = Interval::new(0.0, 10.0);
-        assert_eq!(idx.candidates(&iv, 0.5).len(), 1);
-        let out = idx
-            .threshold_range(&rel, &iv, CmpOp::Gt, 0.5, &mut reg, &ExecOptions::default())
-            .unwrap();
+        assert_eq!(idx.candidates(&iv, 0.5), vec![1]);
+        let pred = Predicate::And(vec![
+            Predicate::cmp("v", CmpOp::Ge, iv.lo),
+            Predicate::cmp("v", CmpOp::Le, iv.hi),
+        ]);
+        let stats = Arc::new(orion_obs::ExecStats::new());
+        let out =
+            threshold_pred(&rel, &pred, CmpOp::Gt, 0.5, &mut reg, &fallback_opts(&stats)).unwrap();
         assert_eq!(out.len(), 1);
+        assert_eq!(out.tuples[0], rel.tuples[1]);
+        assert_eq!(stats.snapshot().index_pruned, 1, "the mass-0.4 tuple is pruned");
     }
 
     #[test]

@@ -258,15 +258,17 @@ pub(crate) fn certain_lookup<'a>(
 
 /// One fast-path conjunct: either a certain-only atom, or a single
 /// uncertain column with its failing region.
-enum FastAtom {
+pub(crate) enum FastAtom {
     Certain(Predicate),
-    Floor { col: String, region: orion_pdf::prelude::RegionSet },
+    Floor { col: String, attr: AttrId, region: orion_pdf::prelude::RegionSet },
 }
 
 /// Decomposes the predicate into fast-path atoms when possible: a
 /// conjunction in which each conjunct is either certain-only or a
-/// single-uncertain-column comparison against a constant.
-fn fast_path_atoms(rel: &Relation, pred: &Predicate) -> Option<Vec<FastAtom>> {
+/// single-uncertain-column comparison against a constant. σ and the
+/// `Pr(θ)` evaluator ([`crate::threshold::ProbPredicate`]) share this
+/// compiled form.
+pub(crate) fn fast_path_atoms(rel: &Relation, pred: &Predicate) -> Option<Vec<FastAtom>> {
     let mut atoms = Vec::new();
     for conj in pred.conjuncts() {
         // OR/NOT inside a conjunct disables the fast path unless certain-only.
@@ -278,19 +280,20 @@ fn fast_path_atoms(rel: &Relation, pred: &Predicate) -> Option<Vec<FastAtom>> {
             continue;
         }
         let (col, region) = conj.single_column_floor()?;
-        if !rel.schema.column(&col)?.uncertain {
+        let column = rel.schema.column(&col)?;
+        if !column.uncertain {
             // Shape matched but the column is certain — treat as certain atom.
             atoms.push(FastAtom::Certain(conj.clone()));
             continue;
         }
-        atoms.push(FastAtom::Floor { col, region });
+        atoms.push(FastAtom::Floor { attr: column.id, col, region });
     }
     Some(atoms)
 }
 
 /// Fast path: apply symbolic floors per uncertain column; evaluate certain
 /// atoms directly. Returns `None` when the tuple is filtered out.
-fn select_tuple_fast(
+pub(crate) fn select_tuple_fast(
     rel: &Relation,
     t: &ProbTuple,
     atoms: &[FastAtom],
@@ -305,17 +308,12 @@ fn select_tuple_fast(
                     return Ok(None);
                 }
             }
-            FastAtom::Floor { col, region } => {
-                let attr = rel
-                    .schema
-                    .column(col)
-                    .ok_or_else(|| EngineError::Predicate(format!("unknown column '{col}'")))?
-                    .id;
+            FastAtom::Floor { col, attr, region } => {
                 let ni = nt
-                    .node_index_for(attr)
+                    .node_index_for(*attr)
                     .ok_or_else(|| EngineError::Operator(format!("no pdf node for '{col}'")))?;
                 let node = &nt.nodes[ni];
-                let dim = node.dim_of(attr).expect("node covers attr");
+                let dim = node.dim_of(*attr).expect("node covers attr");
                 if let Some(s) = stats {
                     s.pdf_floors.inc();
                 }
@@ -362,17 +360,12 @@ fn select_chunk_fast(
                         continue 'tuples;
                     }
                 }
-                FastAtom::Floor { col, region } => {
-                    let attr = rel
-                        .schema
-                        .column(col)
-                        .ok_or_else(|| EngineError::Predicate(format!("unknown column '{col}'")))?
-                        .id;
+                FastAtom::Floor { col, attr, region } => {
                     let ni = nt
-                        .node_index_for(attr)
+                        .node_index_for(*attr)
                         .ok_or_else(|| EngineError::Operator(format!("no pdf node for '{col}'")))?;
                     let node = &nt.nodes[ni];
-                    let dim = node.dim_of(attr).expect("node covers attr");
+                    let dim = node.dim_of(*attr).expect("node covers attr");
                     if let Some(s) = stats {
                         s.pdf_floors.inc();
                     }
@@ -388,7 +381,7 @@ fn select_chunk_fast(
 
 /// General path (Case 2(b)): merge the dependency sets intersecting the
 /// predicate, bind certain attributes, and floor where θ is false.
-fn select_tuple_general(
+pub(crate) fn select_tuple_general(
     rel: &Relation,
     t: &ProbTuple,
     pred: &Predicate,
@@ -487,36 +480,6 @@ fn select_tuple_general(
         }
     }
     Ok(Some(ProbTuple { certain: t.certain.clone(), nodes }))
-}
-
-/// Applies σ_θ to a single tuple without touching the registry's reference
-/// counts: returns the floored tuple, or `None` when it is filtered out
-/// (certain-predicate failure). Callers must still check for vacuity.
-/// Used by threshold queries (Section III-E) to evaluate `Pr(θ)` without
-/// materializing a result relation.
-pub(crate) fn apply_predicate_tuple(
-    rel: &Relation,
-    t: &ProbTuple,
-    pred: &Predicate,
-    reg: &HistoryRegistry,
-    opts: &ExecOptions,
-) -> Result<Option<ProbTuple>> {
-    let pred_cols = pred.columns();
-    let uncertain: Vec<AttrId> = pred_cols
-        .iter()
-        .filter_map(|c| {
-            let col = rel.schema.column(c)?;
-            col.uncertain.then_some(col.id)
-        })
-        .collect();
-    if uncertain.is_empty() {
-        let lookup = certain_lookup(rel, t);
-        return Ok((pred.eval(&lookup) == Some(true)).then(|| t.clone()));
-    }
-    match fast_path_atoms(rel, pred) {
-        Some(atoms) => select_tuple_fast(rel, t, &atoms, opts.stats_ref()),
-        None => select_tuple_general(rel, t, pred, &uncertain, reg, opts),
-    }
 }
 
 /// Plain product of nodes, ignoring histories — the paper's incorrect

@@ -5,6 +5,22 @@
 //! attribute set, and `σ_{Pr(θ) ⊙ p}` by the probability that a predicate
 //! holds. Result tuples are unchanged (no flooring); histories are copied
 //! over, as in selection Case 1.
+//!
+//! `Pr(θ)` is a number, not a derived tuple, and [`ProbPredicate`]
+//! computes it as one. It compiles θ once per statement, with σ's atom
+//! decomposition, and per tuple reads the mass the floor *would* leave
+//! ([`JointPdf::floored_mass`]) instead of building the floored tuple and
+//! collapsing it. That fast path applies when every floored block is a
+//! 1-D pdf and the tuple's nodes are pairwise ancestor-disjoint (or
+//! histories are off). Collapsing is then the identity, and the product of
+//! node masses is exactly what the floored tuple's existence probability
+//! multiplies. Each mass kernel repeats `floor_axis(..).mass()` operation
+//! for operation, so the result is bit-identical to materializing, and so
+//! are the `ExecStats` counters. Everything else — `Points`/`Grid` blocks,
+//! history-dependent nodes after an UPDATE or a join, predicates with no
+//! atom decomposition — takes the materializing path.
+//!
+//! [`JointPdf::floored_mass`]: orion_pdf::prelude::JointPdf::floored_mass
 
 use crate::collapse;
 use crate::error::{EngineError, Result};
@@ -12,8 +28,11 @@ use crate::history::HistoryRegistry;
 use crate::predicate::{CmpOp, Predicate};
 use crate::relation::Relation;
 use crate::schema::AttrId;
-use crate::select::{apply_predicate_tuple, ExecOptions};
+use crate::select::{
+    certain_lookup, fast_path_atoms, select_tuple_fast, select_tuple_general, ExecOptions, FastAtom,
+};
 use crate::tuple::{PdfNode, ProbTuple};
+use orion_pdf::prelude::RegionSet;
 
 /// `σ_{Pr(A) ⊙ p}`: keeps tuples whose probability over the attribute set
 /// `A` (the mass of its — history-merged — dependency sets) satisfies the
@@ -141,8 +160,9 @@ pub fn threshold_pred_masked(
     let mut out = Relation::new(format!("sigma_prob({})", rel.name), rel.schema.clone());
     // Phase 1 (parallel): Pr(θ) evaluation reads the registry only.
     let reg_ref: &HistoryRegistry = reg;
+    let compiled = ProbPredicate::compile(rel, pred);
     let eval = |t: &ProbTuple| -> Result<Option<ProbTuple>> {
-        let prob = predicate_probability(rel, t, pred, reg_ref, opts)?;
+        let prob = compiled.eval(t, reg_ref, opts)?;
         let cmp = prob
             .partial_cmp(&p)
             .ok_or_else(|| EngineError::Operator("non-finite probability".into()))?;
@@ -220,8 +240,11 @@ pub(crate) fn support_fallback_mask(
     Some(mask)
 }
 
-/// `Pr(θ ∧ tuple exists)` for one tuple: floors a scratch copy and takes
-/// the collapsed existence probability of the result.
+/// `Pr(θ ∧ tuple exists)` for one tuple: [`ProbPredicate::compile`] then
+/// [`ProbPredicate::eval`]. Statements compile once and evaluate every
+/// tuple; this wrapper is for one-off calls. The result equals, bit for
+/// bit, the existence probability of the tuple floored by θ (collapsed
+/// through `reg` when histories are on), clamped into `[0, 1]`.
 pub fn predicate_probability(
     rel: &Relation,
     t: &ProbTuple,
@@ -229,21 +252,187 @@ pub fn predicate_probability(
     reg: &HistoryRegistry,
     opts: &ExecOptions,
 ) -> Result<f64> {
-    let p = match apply_predicate_tuple(rel, t, pred, reg, opts)? {
-        None => 0.0,
-        Some(ft) => {
-            if opts.use_histories {
-                collapse::existence_prob_with_stats(&ft, reg, opts.resolution, opts.stats_ref())?
-            } else {
-                ft.naive_existence()
+    ProbPredicate::compile(rel, pred).eval(t, reg, opts)
+}
+
+/// Floor atoms per tuple the fast path handles; more take the
+/// materializing path.
+const MAX_FAST_FLOORS: usize = 8;
+
+/// Fills the unused slots of the fast path's per-node floor list.
+static NO_FLOOR: RegionSet = RegionSet::empty();
+
+/// `Pr(θ ∧ tuple exists)` over the tuples of one relation, with θ's shape
+/// decided once. See the module docs for the fast path and its
+/// bit-identity guarantee.
+pub struct ProbPredicate<'a> {
+    rel: &'a Relation,
+    shape: Shape,
+}
+
+enum Shape {
+    /// θ reads no uncertain column: evaluated whole, three-valued.
+    Certain(Predicate),
+    /// A conjunction of certain atoms and single-column floors (σ's fast
+    /// path). `fast` is false when there are too many floors to list.
+    Atoms { atoms: Vec<FastAtom>, fast: bool },
+    /// Anything else: σ's general merge-and-floor path over θ's
+    /// uncertain attributes.
+    General(Predicate, Vec<AttrId>),
+}
+
+impl<'a> ProbPredicate<'a> {
+    /// Compiles θ against `rel`'s schema.
+    pub fn compile(rel: &'a Relation, pred: &Predicate) -> Self {
+        let uncertain: Vec<AttrId> = pred
+            .columns()
+            .iter()
+            .filter_map(|c| {
+                let col = rel.schema.column(c)?;
+                col.uncertain.then_some(col.id)
+            })
+            .collect();
+        let shape = if uncertain.is_empty() {
+            Shape::Certain(pred.clone())
+        } else {
+            match fast_path_atoms(rel, pred) {
+                Some(atoms) => {
+                    let floors = atoms.iter().filter(|a| matches!(a, FastAtom::Floor { .. }));
+                    let fast = floors.count() <= MAX_FAST_FLOORS;
+                    Shape::Atoms { atoms, fast }
+                }
+                None => Shape::General(pred.clone(), uncertain),
+            }
+        };
+        ProbPredicate { rel, shape }
+    }
+
+    /// `Pr(θ ∧ t exists)`, clamped into `[0, 1]`; an error when it is not
+    /// finite.
+    pub fn eval(&self, t: &ProbTuple, reg: &HistoryRegistry, opts: &ExecOptions) -> Result<f64> {
+        let p = match self.floored_mass(t, opts)? {
+            Some(p) => p,
+            None => self.materialized(t, reg, opts)?,
+        };
+        if !p.is_finite() {
+            return Err(EngineError::Operator("non-finite probability".into()));
+        }
+        // Clamp rounding residue (including negative zero) into [0, 1].
+        Ok(if p <= 0.0 { 0.0 } else { p.min(1.0) })
+    }
+
+    /// The fast path alone, unclamped: certain atoms in order (any
+    /// failure gives 0), then the product of node masses in node order,
+    /// floored nodes read through
+    /// [`orion_pdf::prelude::JointPdf::floored_mass`]. `Ok(None)` means
+    /// the tuple needs [`ProbPredicate::materialized`], which counts its
+    /// own floors; so this counts floors only once it has a result, and
+    /// then exactly as many as the materializing path would have.
+    pub fn floored_mass(&self, t: &ProbTuple, opts: &ExecOptions) -> Result<Option<f64>> {
+        let count = |floors: u64| {
+            if let Some(s) = opts.stats_ref() {
+                s.pdf_floors.add(floors);
+            }
+        };
+        let atoms: &[FastAtom] = match &self.shape {
+            Shape::General(..) | Shape::Atoms { fast: false, .. } => return Ok(None),
+            Shape::Certain(pred) => {
+                if pred.eval(&certain_lookup(self.rel, t)) != Some(true) {
+                    return Ok(Some(0.0));
+                }
+                &[]
+            }
+            Shape::Atoms { atoms, .. } => atoms,
+        };
+        let mut floors = 0;
+        for atom in atoms {
+            match atom {
+                FastAtom::Certain(p) => {
+                    if p.eval(&certain_lookup(self.rel, t)) != Some(true) {
+                        count(floors);
+                        return Ok(Some(0.0));
+                    }
+                }
+                FastAtom::Floor { col, attr, .. } => {
+                    if t.node_index_for(*attr).is_none() {
+                        count(floors);
+                        return Err(EngineError::Operator(format!("no pdf node for '{col}'")));
+                    }
+                    floors += 1;
+                }
             }
         }
-    };
-    if !p.is_finite() {
-        return Err(EngineError::Operator("non-finite probability".into()));
+        if opts.use_histories && !ancestor_disjoint(&t.nodes) {
+            return Ok(None);
+        }
+        // Each floor lands on the first node covering its column, as
+        // `node_index_for` picks it; `claimed` marks the floors placed.
+        let mut claimed = 0u32;
+        let mut p = 1.0;
+        for node in &t.nodes {
+            let mut here = [(0, &NO_FLOOR); MAX_FAST_FLOORS];
+            let mut n = 0;
+            let floor_atoms = atoms.iter().filter_map(|a| match a {
+                FastAtom::Floor { attr, region, .. } => Some((*attr, region)),
+                FastAtom::Certain(_) => None,
+            });
+            for (k, (attr, region)) in floor_atoms.enumerate() {
+                if claimed & (1 << k) == 0 {
+                    if let Some(dim) = node.dim_of(attr) {
+                        claimed |= 1 << k;
+                        here[n] = (dim, region);
+                        n += 1;
+                    }
+                }
+            }
+            p *= if n == 0 {
+                node.mass()
+            } else {
+                match node.joint.floored_mass(&here[..n]) {
+                    Some(m) => m,
+                    None => return Ok(None),
+                }
+            };
+        }
+        count(floors);
+        Ok(Some(p))
     }
-    // Clamp rounding residue (including negative zero) into [0, 1].
-    Ok(if p <= 0.0 { 0.0 } else { p.min(1.0) })
+
+    /// The materializing path alone, unclamped: floor a copy of the tuple
+    /// as σ would, then take its existence probability, collapsed through
+    /// `reg` when histories are on. The reference the fast path is checked
+    /// against.
+    pub fn materialized(
+        &self,
+        t: &ProbTuple,
+        reg: &HistoryRegistry,
+        opts: &ExecOptions,
+    ) -> Result<f64> {
+        let floored = match &self.shape {
+            Shape::Certain(pred) => {
+                (pred.eval(&certain_lookup(self.rel, t)) == Some(true)).then(|| t.clone())
+            }
+            Shape::Atoms { atoms, .. } => select_tuple_fast(self.rel, t, atoms, opts.stats_ref())?,
+            Shape::General(pred, attrs) => {
+                select_tuple_general(self.rel, t, pred, attrs, reg, opts)?
+            }
+        };
+        Ok(match floored {
+            None => 0.0,
+            Some(ft) if opts.use_histories => {
+                collapse::existence_prob_with_stats(&ft, reg, opts.resolution, opts.stats_ref())?
+            }
+            Some(ft) => ft.naive_existence(),
+        })
+    }
+}
+
+/// Whether no two nodes share an ancestor — then collapsing the tuple
+/// merges nothing and its existence probability is the plain product.
+fn ancestor_disjoint(nodes: &[PdfNode]) -> bool {
+    nodes.iter().enumerate().all(|(i, a)| {
+        nodes[i + 1..].iter().all(|b| !HistoryRegistry::dependent(&a.ancestors, &b.ancestors))
+    })
 }
 
 #[cfg(test)]

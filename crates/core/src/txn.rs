@@ -562,8 +562,11 @@ impl Txn {
             // the WAL.
             return Err(e);
         }
-        // Invalidate secondary indexes over every table this transaction
-        // wrote: built trees carry tuple positions, which DML shifts.
+        // Nothing to invalidate: built trees and support masks are cached
+        // per table version (the tuple allocation the apply above just
+        // replaced), so the next statement misses and rebuilds. This only
+        // bumps the `orion.indexes.epoch` column of every indexed table
+        // the transaction wrote.
         {
             let mut cat = core.indexes.lock();
             for table in &touched {

@@ -121,6 +121,19 @@ impl DiscretePdf {
         }
     }
 
+    /// The mass of `floor_region(r₁).floor_region(r₂)…` over `regions`,
+    /// summed over the same surviving points in the same order.
+    pub(crate) fn floored_mass<'r>(
+        &self,
+        regions: impl Iterator<Item = &'r RegionSet> + Clone,
+    ) -> f64 {
+        self.points
+            .iter()
+            .filter(|(v, _)| !regions.clone().any(|r| r.contains(*v)))
+            .map(|(_, p)| p)
+            .sum()
+    }
+
     /// Retains only the points satisfying `keep` (generalized floor for
     /// predicates that are not interval-shaped).
     pub fn filter(&self, mut keep: impl FnMut(f64) -> bool) -> DiscretePdf {

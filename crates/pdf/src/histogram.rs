@@ -151,18 +151,40 @@ impl Histogram {
             if *m == 0.0 {
                 continue;
             }
-            let b_lo = self.lo + i as f64 * self.width;
-            let bucket = Interval::new(b_lo, b_lo + self.width);
-            let mut removed = 0.0;
-            for riv in region.intervals() {
-                if let Some(x) = bucket.intersect(riv) {
-                    removed += x.length();
-                }
-            }
-            let kept = ((self.width - removed) / self.width).clamp(0.0, 1.0);
-            *m *= kept;
+            *m *= self.kept_fraction(i, region);
         }
         Histogram { lo: self.lo, width: self.width, masses }
+    }
+
+    /// The share of bucket `i`'s width outside `region`: the factor
+    /// [`Histogram::floor_region`] scales a non-empty bucket by.
+    fn kept_fraction(&self, i: usize, region: &RegionSet) -> f64 {
+        let b_lo = self.lo + i as f64 * self.width;
+        let bucket = Interval::new(b_lo, b_lo + self.width);
+        let mut removed = 0.0;
+        for riv in region.intervals() {
+            if let Some(x) = bucket.intersect(riv) {
+                removed += x.length();
+            }
+        }
+        ((self.width - removed) / self.width).clamp(0.0, 1.0)
+    }
+
+    /// The mass of `floor_region(r₁).floor_region(r₂)…` over `regions`, in
+    /// order, computed operation for operation without the copies.
+    pub(crate) fn floored_mass<'r>(
+        &self,
+        regions: impl Iterator<Item = &'r RegionSet> + Clone,
+    ) -> f64 {
+        self.masses
+            .iter()
+            .enumerate()
+            .map(|(i, &m)| {
+                regions
+                    .clone()
+                    .fold(m, |m, r| if m == 0.0 { m } else { m * self.kept_fraction(i, r) })
+            })
+            .sum()
     }
 
     /// Expected value of `X` conditioned on existence; `None` when the pdf

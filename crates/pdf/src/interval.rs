@@ -101,7 +101,7 @@ pub struct RegionSet {
 
 impl RegionSet {
     /// The empty region.
-    pub fn empty() -> Self {
+    pub const fn empty() -> Self {
         RegionSet { intervals: Vec::new() }
     }
 
@@ -123,16 +123,11 @@ impl RegionSet {
         }
         ivs.sort_by(|a, b| a.lo.partial_cmp(&b.lo).expect("no NaN endpoints"));
         let mut merged: Vec<Interval> = Vec::with_capacity(ivs.len());
+        let mut open = Coalesce::default();
         for iv in ivs {
-            match merged.last_mut() {
-                Some(last) if iv.lo <= last.hi => {
-                    if iv.hi > last.hi {
-                        last.hi = iv.hi;
-                    }
-                }
-                _ => merged.push(iv),
-            }
+            open.push(iv, &mut |m| merged.push(m));
         }
+        open.finish(&mut |m| merged.push(m));
         RegionSet { intervals: merged }
     }
 
@@ -210,6 +205,89 @@ impl RegionSet {
     pub fn measure(&self) -> f64 {
         self.intervals.iter().map(Interval::length).sum()
     }
+}
+
+/// The merging pass of [`RegionSet::from_intervals`] over a stream sorted
+/// by `lo`: an interval that overlaps or touches the open one extends it;
+/// any other closes it (handing it to `emit`) and opens itself.
+#[derive(Default)]
+pub(crate) struct Coalesce {
+    open: Option<Interval>,
+}
+
+impl Coalesce {
+    pub(crate) fn push<F: FnMut(Interval) + ?Sized>(&mut self, iv: Interval, emit: &mut F) {
+        match &mut self.open {
+            Some(last) if iv.lo <= last.hi => {
+                if iv.hi > last.hi {
+                    last.hi = iv.hi;
+                }
+            }
+            _ => {
+                if let Some(done) = self.open.replace(iv) {
+                    emit(done);
+                }
+            }
+        }
+    }
+
+    pub(crate) fn finish<F: FnMut(Interval) + ?Sized>(self, emit: &mut F) {
+        if let Some(done) = self.open {
+            emit(done);
+        }
+    }
+}
+
+/// Streams the intervals of `base.union(r₁).union(r₂)…`, where `r₁, r₂, …`
+/// are the regions of `layers` tagged `key`, in order — interval for
+/// interval what that left fold of [`RegionSet::union`] stores, without
+/// building any of the sets. Returns `false`, having emitted nothing, when
+/// an input is not sorted by `lo` (every region this crate builds is; the
+/// merge below relies on it where `union` sorts).
+pub(crate) fn for_each_union_interval(
+    base: &RegionSet,
+    layers: &[(usize, &RegionSet)],
+    key: usize,
+    emit: &mut dyn FnMut(Interval),
+) -> bool {
+    let sorted = |r: &RegionSet| r.intervals.windows(2).all(|w| w[0].lo <= w[1].lo);
+    if !sorted(base) || layers.iter().any(|&(k, r)| k == key && !sorted(r)) {
+        return false;
+    }
+    union_walk(&base.intervals, layers, key, emit);
+    true
+}
+
+fn union_walk(
+    base: &[Interval],
+    layers: &[(usize, &RegionSet)],
+    key: usize,
+    emit: &mut dyn FnMut(Interval),
+) {
+    let Some((&(k, last), prefix)) = layers.split_last() else {
+        base.iter().for_each(|&iv| emit(iv));
+        return;
+    };
+    if k != key {
+        return union_walk(base, prefix, key, emit);
+    }
+    // `union` sorts `prefix ++ last` stably: for two sorted runs that is
+    // their merge with ties going to the prefix. The coalescing pass
+    // follows.
+    let b = last.intervals();
+    let mut open = Coalesce::default();
+    let mut bi = 0;
+    union_walk(base, prefix, key, &mut |a| {
+        while bi < b.len() && b[bi].lo < a.lo {
+            open.push(b[bi], emit);
+            bi += 1;
+        }
+        open.push(a, emit);
+    });
+    for &iv in &b[bi..] {
+        open.push(iv, emit);
+    }
+    open.finish(emit);
 }
 
 impl From<Interval> for RegionSet {

@@ -262,6 +262,30 @@ impl JointPdf {
         JointPdf { blocks }
     }
 
+    /// The mass [`JointPdf::floor_axis`] would leave after flooring each
+    /// `(dim, region)` of `floors` in turn, read without building the
+    /// floored joint. Every floored block is floored by its own regions in
+    /// order and the block masses multiply in block order, with the
+    /// arithmetic of `floor_axis(..).mass()`, so the result is
+    /// bit-identical to it.
+    ///
+    /// `None` when a floored dimension lies in a `Points` or `Grid` block,
+    /// or is out of range: callers then floor for real.
+    pub fn floored_mass(&self, floors: &[(usize, &RegionSet)]) -> Option<f64> {
+        let mut mass = 1.0;
+        let mut start = 0;
+        for b in &self.blocks {
+            let end = start + b.arity();
+            mass *= match b {
+                _ if !floors.iter().any(|&(d, _)| (start..end).contains(&d)) => b.mass(),
+                Block::Uni(p) => p.floored_mass(floors, start)?,
+                Block::Points(_) | Block::Grid(_) => return None,
+            };
+            start = end;
+        }
+        floors.iter().all(|&(d, _)| d < start).then_some(mass)
+    }
+
     /// General floor over an arbitrary predicate on the listed dimensions
     /// (global indices, in the order the predicate expects them).
     ///
@@ -684,6 +708,59 @@ mod tests {
         .unwrap();
         let sel = j.floor_predicate(&[0, 1], 64, |v| v[0] < v[1]).unwrap();
         assert!((sel.mass() - 0.5).abs() < 0.05, "mass = {}", sel.mass());
+    }
+
+    #[test]
+    fn floored_mass_is_floor_axis_mass_bit_for_bit() {
+        use crate::sample::{Uniform, XorShift};
+        let mut rng = XorShift::new(0xF100D);
+        let mut r = |lo: f64, hi: f64| lo + (hi - lo) * rng.next_f64();
+        let mut pdfs = vec![
+            Pdf1::gaussian(3.0, 2.0).unwrap(),
+            Pdf1::uniform(-1.0, 4.0).unwrap().scale(0.7),
+            Pdf1::histogram(-2.0, 0.5, vec![0.1, 0.0, 0.2, 0.3, 0.15, 0.05]).unwrap(),
+            Pdf1::discrete(vec![(-1.0, 0.2), (0.5, 0.1), (2.0, 0.3), (3.0, 0.25)]).unwrap(),
+        ];
+        // A symbolic pdf that already carries a floor.
+        pdfs.push(pdfs[0].floor_region(&RegionSet::from_interval(Interval::at_most(0.0))));
+        for round in 0..200 {
+            // Regions built every way a floor can be: single intervals,
+            // complements, and intersections, whose pieces may touch
+            // without being merged.
+            let mut region = || {
+                let (a, b) = (r(-3.0, 6.0), r(-3.0, 6.0));
+                let iv = Interval::new(a.min(b), a.max(b));
+                match (r(0.0, 3.0)) as u32 {
+                    0 => RegionSet::from_interval(iv),
+                    1 => RegionSet::from_interval(iv).complement(),
+                    _ => RegionSet::from_intervals(vec![
+                        Interval::new(-10.0, a.min(b)),
+                        Interval::new(a.max(b), 10.0),
+                    ])
+                    .intersect(&RegionSet::from_intervals(vec![
+                        Interval::new(-4.0, a.max(b)),
+                        Interval::at_least(a.min(b)),
+                    ])),
+                }
+            };
+            let regions: Vec<RegionSet> = (0..1 + round % 4).map(|_| region()).collect();
+            let a = &pdfs[round % pdfs.len()];
+            let b = &pdfs[(round / 5) % pdfs.len()];
+            let joint = JointPdf::independent(vec![a.clone(), b.clone()]).unwrap();
+            let floors: Vec<(usize, &RegionSet)> =
+                regions.iter().enumerate().map(|(i, reg)| ((i + round) % 2, reg)).collect();
+            let mut want = joint.clone();
+            for &(d, reg) in &floors {
+                want = want.floor_axis(d, reg);
+            }
+            let got = joint.floored_mass(&floors).expect("1-D blocks");
+            assert_eq!(got.to_bits(), want.mass().to_bits(), "round {round}");
+        }
+        let points = table2_tuple1().merge_dims(&[0, 1], 8).unwrap();
+        let region = RegionSet::from_interval(Interval::at_most(0.5));
+        assert_eq!(points.floored_mass(&[(0, &region)]), None, "Points block");
+        assert_eq!(points.floored_mass(&[]), Some(points.mass()), "unfloored blocks");
+        assert_eq!(table2_tuple1().floored_mass(&[(2, &region)]), None, "out of range");
     }
 
     #[test]

@@ -78,6 +78,26 @@ impl Pdf1 {
         }
     }
 
+    /// The mass of `self` floored by the regions of `floors` tagged `key`,
+    /// in order: `floor_region(r₁).floor_region(r₂)….mass()` operation for
+    /// operation, hence bit for bit, but without building the floored
+    /// pdfs. `None` when a symbolic floor is not sorted (see
+    /// [`crate::interval`]); nothing this crate builds is.
+    pub(crate) fn floored_mass(&self, floors: &[(usize, &RegionSet)], key: usize) -> Option<f64> {
+        let regions = floors.iter().filter(move |&&(k, _)| k == key).map(|&(_, r)| r);
+        match self {
+            Pdf1::Symbolic { dist, floor, scale } => {
+                // `Sum for f64` folds from -0.0; so does this.
+                let mut floored = -0.0;
+                let mut add = |iv: Interval| floored += dist.interval_prob(&iv);
+                crate::interval::for_each_union_interval(floor, floors, key, &mut add)
+                    .then(|| scale * (1.0 - floored).max(0.0))
+            }
+            Pdf1::Histogram(h) => Some(h.floored_mass(regions)),
+            Pdf1::Discrete(d) => Some(d.floored_mass(regions)),
+        }
+    }
+
     /// Whether effectively no possible world retains this tuple.
     pub fn is_vacuous(&self) -> bool {
         self.mass() < VACUOUS_EPS

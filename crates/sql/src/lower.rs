@@ -15,7 +15,7 @@ use crate::exec::{translate_pred, Output};
 use orion_core::agg;
 use orion_core::plan::Plan;
 use orion_core::prelude::*;
-use orion_core::threshold::predicate_probability;
+use orion_core::threshold::ProbPredicate;
 use orion_pdf::prelude::*;
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -289,10 +289,13 @@ fn computed_rows(
             _ => unreachable!("aggregates handled above"),
         }
     }
+    // Each PROB(..) item compiles on first use — once per statement, and
+    // with the errors of the first row, in item order, as before.
+    let mut probs: Vec<Option<ProbPredicate>> = items.iter().map(|_| None).collect();
     let mut rows = Vec::new();
     for (ti, t) in input.tuples.iter().enumerate() {
         let mut row = Vec::new();
-        for item in items {
+        for (item, compiled) in items.iter().zip(&mut probs) {
             match item {
                 SelectItem::Wildcard => {
                     for c in input.schema.columns() {
@@ -326,9 +329,11 @@ fn computed_rows(
                     row.push(uncertain_stat(input, ti, c, "MEDIAN", |m| m.quantile(0.5))?);
                 }
                 SelectItem::ProbOf(p) => {
-                    let pred = translate_pred(p)?;
-                    let prob = predicate_probability(input, t, &pred, reg, opts)?;
-                    row.push(format!("{prob:.6}"));
+                    let compiled = match compiled {
+                        Some(c) => c,
+                        None => compiled.insert(ProbPredicate::compile(input, &translate_pred(p)?)),
+                    };
+                    row.push(format!("{:.6}", compiled.eval(t, reg, opts)?));
                 }
                 _ => unreachable!("aggregates handled above"),
             }

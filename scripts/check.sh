@@ -43,14 +43,18 @@ echo "== cargo test -q (ORION_PLANNER=rule) =="
 # and bit-identical even when the cost model would have chosen the scan.
 ORION_PLANNER=rule ORION_THREADS=1 cargo test -q
 
-echo "== batch differential oracle (3 pinned seeds) =="
+echo "== batch + threshold fast-path differential oracles (3 pinned seeds) =="
 # Replays the serial-vs-batch pipeline oracle with pinned generator seeds,
 # mirroring the recovery oracle's replay protocol: row-serial, row-parallel,
-# batch-serial and batch-parallel runs must agree bit-for-bit.
+# batch-serial and batch-parallel runs must agree bit-for-bit. The same
+# seeds drive the Pr(θ) fast-path oracle: the floored-mass evaluator must
+# match the materializing path to the bit (f64::to_bits) with equal
+# ExecStats counters, and must fall back on JOINT blocks and on
+# history-dependent nodes after a join or an UPDATE.
 for seed in 0xBA7C4 0xDEAD 42; do
     echo "-- ORION_ORACLE_SEED=$seed --"
     ORION_ORACLE_SEED=$seed cargo test -q -p orion-tests \
-        --test batch_equiv --test batch_kernels
+        --test batch_equiv --test batch_kernels --test threshold_fast_path
 done
 
 echo "== ANALYZE + system-table smoke =="

@@ -2,7 +2,7 @@
 //! layers.
 
 use orion_core::prelude::Value;
-use orion_sql::{Database, Output};
+use orion_sql::{render_output, Database, Output};
 
 fn table(out: Output) -> orion_core::prelude::Relation {
     match out {
@@ -294,4 +294,50 @@ fn shape_errors_leave_the_registry_untouched() {
         assert!(db.execute(sql).is_err(), "{sql}");
         assert!(state(&mut db) == before, "{sql} changed the stored state");
     }
+}
+
+/// `PROB(..)` select items compile once per statement; the rendered
+/// probabilities over symbolic, histogram and discrete rows (and over
+/// rows a σ already floored) must not change in any digit.
+#[test]
+fn prob_items_render_unchanged() {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE r (rid INT, v REAL UNCERTAIN)").unwrap();
+    db.execute(
+        "INSERT INTO r VALUES \
+         (1, GAUSSIAN(20, 4)), (2, GAUSSIAN(35, 9)), (3, UNIFORM(10, 30)), \
+         (4, HISTOGRAM(10, 5, 0.1, 0.2, 0.3, 0.3)), (5, HISTOGRAM(0, 2, 0.25, 0.25, 0.4)), \
+         (6, DISCRETE(15:0.2, 20:0.3, 25:0.4)), (7, DISCRETE(21:1.0))",
+    )
+    .unwrap();
+    let render = |db: &mut Database, q: &str| render_output(&db.execute(q).unwrap()).unwrap();
+    assert_eq!(
+        render(&mut db, "SELECT rid, PROB(v BETWEEN 18 AND 24) FROM r"),
+        "\
++-----+----------+
+| rid | prob     |
++-----+----------+
+| 1   | 0.818595 |
+| 2   | 0.000123 |
+| 3   | 0.300000 |
+| 4   | 0.320000 |
+| 5   | 0.000000 |
+| 6   | 0.300000 |
+| 7   | 1.000000 |
++-----+----------+"
+    );
+    assert_eq!(
+        render(&mut db, "SELECT rid, PROB(v < 21.5), PROB(v >= 30) FROM r WHERE v > 19"),
+        "\
++-----+----------+----------+
+| rid | prob     | prob     |
++-----+----------+----------+
+| 1   | 0.464835 | 0.000000 |
+| 2   | 0.000003 | 0.952210 |
+| 3   | 0.125000 | 0.000000 |
+| 4   | 0.130000 | 0.000000 |
+| 6   | 0.300000 | 0.000000 |
+| 7   | 1.000000 | 0.000000 |
++-----+----------+----------+"
+    );
 }
