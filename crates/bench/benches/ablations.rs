@@ -60,17 +60,17 @@ fn bench_eager_vs_lazy_collapse(c: &mut Criterion) {
             b.iter(|| {
                 let mut reg = HistoryRegistry::new();
                 let base = joint_table(500, &mut reg);
-                let mut ta = project(&base, &["id", "a"], &mut reg, &opts).unwrap();
+                let mut ta = project(&base, &["id", "a"], &reg, &opts).unwrap();
                 ta.name = "Ta".into();
                 let sel =
-                    select(&base, &Predicate::cmp("b", CmpOp::Gt, 20.0), &mut reg, &opts).unwrap();
-                let mut tb = project(&sel, &["id", "b"], &mut reg, &opts).unwrap();
+                    select(&base, &Predicate::cmp("b", CmpOp::Gt, 20.0), &reg, &opts).unwrap();
+                let mut tb = project(&sel, &["id", "b"], &reg, &opts).unwrap();
                 tb.name = "Tb".into();
                 orion_core::join::join(
                     black_box(&ta),
                     &tb,
                     Some(&Predicate::cmp_cols("Ta.id", CmpOp::Eq, "Tb.id")),
-                    &mut reg,
+                    &reg,
                     &opts,
                 )
                 .unwrap()
@@ -133,37 +133,22 @@ fn bench_support_index(c: &mut Criterion) {
     // Probe the prebuilt index, then evaluate only its candidates.
     g.bench_function("indexed", |b| {
         b.iter(|| {
-            let mut rg = HistoryRegistry::new();
             let mut mask = vec![false; rel.len()];
             for ti in idx.candidates(&iv, 0.5) {
                 mask[ti] = true;
             }
-            threshold_pred_masked(
-                black_box(&rel),
-                &pred,
-                CmpOp::Gt,
-                0.5,
-                Some(&mask),
-                &mut rg,
-                &opts,
-            )
-            .unwrap()
+            threshold_pred_masked(black_box(&rel), &pred, CmpOp::Gt, 0.5, Some(&mask), &reg, &opts)
+                .unwrap()
         })
     });
     // What a session runs: the support fallback, its index cached per
     // table version after the first iteration.
     let session = ExecOptions { indexes: Some(IndexHandle::new()), ..ExecOptions::default() };
     g.bench_function("support_fallback", |b| {
-        b.iter(|| {
-            let mut rg = HistoryRegistry::new();
-            threshold_pred(black_box(&rel), &pred, CmpOp::Gt, 0.5, &mut rg, &session).unwrap()
-        })
+        b.iter(|| threshold_pred(black_box(&rel), &pred, CmpOp::Gt, 0.5, &reg, &session).unwrap())
     });
     g.bench_function("full_scan", |b| {
-        b.iter(|| {
-            let mut rg = HistoryRegistry::new();
-            threshold_pred(black_box(&rel), &pred, CmpOp::Gt, 0.5, &mut rg, &opts).unwrap()
-        })
+        b.iter(|| threshold_pred(black_box(&rel), &pred, CmpOp::Gt, 0.5, &reg, &opts).unwrap())
     });
     g.bench_function("build_index", |b| {
         b.iter(|| SupportIndex::build(black_box(&rel), "v").unwrap())

@@ -54,8 +54,7 @@ fn bench_selection(c: &mut Criterion) {
     // Fast path: single-attribute comparison keeps symbolic floors.
     g.bench_function("fast_path_symbolic_floor", |b| {
         b.iter(|| {
-            let mut r = HistoryRegistry::new();
-            select(black_box(&rel), &Predicate::cmp("v", CmpOp::Lt, 50.0), &mut r, &opts).unwrap()
+            select(black_box(&rel), &Predicate::cmp("v", CmpOp::Lt, 50.0), &reg, &opts).unwrap()
         })
     });
     // General path: an OR forces the merge + predicate-floor machinery.
@@ -64,17 +63,12 @@ fn bench_selection(c: &mut Criterion) {
         Predicate::cmp("v", CmpOp::Gt, 75.0),
     ]);
     g.bench_function("general_path_grid_floor", |b| {
-        b.iter(|| {
-            let mut r = HistoryRegistry::new();
-            select(black_box(&rel), &or_pred, &mut r, &opts).unwrap()
-        })
+        b.iter(|| select(black_box(&rel), &or_pred, &reg, &opts).unwrap())
     });
     // Certain-only path.
     g.bench_function("certain_only", |b| {
         b.iter(|| {
-            let mut r = HistoryRegistry::new();
-            select(black_box(&rel), &Predicate::cmp("rid", CmpOp::Le, 500i64), &mut r, &opts)
-                .unwrap()
+            select(black_box(&rel), &Predicate::cmp("rid", CmpOp::Le, 500i64), &reg, &opts).unwrap()
         })
     });
     g.finish();
@@ -86,20 +80,14 @@ fn bench_projection_and_threshold(c: &mut Criterion) {
     let rel = sensor_relation(1_000, &mut reg);
     let opts = ExecOptions::default();
     g.bench_function("project", |b| {
-        b.iter(|| {
-            let mut r = HistoryRegistry::new();
-            project(black_box(&rel), &["rid"], &mut r, &opts).unwrap()
-        })
+        b.iter(|| project(black_box(&rel), &["rid"], &reg, &opts).unwrap())
     });
     let pred = Predicate::And(vec![
         Predicate::cmp("v", CmpOp::Ge, 40.0),
         Predicate::cmp("v", CmpOp::Le, 60.0),
     ]);
     g.bench_function("threshold_range_query", |b| {
-        b.iter(|| {
-            let mut r = HistoryRegistry::new();
-            threshold_pred(black_box(&rel), &pred, CmpOp::Gt, 0.5, &mut r, &opts).unwrap()
-        })
+        b.iter(|| threshold_pred(black_box(&rel), &pred, CmpOp::Gt, 0.5, &reg, &opts).unwrap())
     });
     g.finish();
 }
@@ -117,19 +105,17 @@ fn bench_joins(c: &mut Criterion) {
         ]);
         g.bench_with_input(BenchmarkId::new("hash_equi", n), &n, |b, _| {
             b.iter(|| {
-                let mut rg = HistoryRegistry::new();
-                orion_core::join::join(black_box(&l), black_box(&r), Some(&pred), &mut rg, &opts)
+                orion_core::join::join(black_box(&l), black_box(&r), Some(&pred), &reg, &opts)
                     .unwrap()
             })
         });
         g.bench_with_input(BenchmarkId::new("nested_loop", n), &n, |b, _| {
             b.iter(|| {
-                let mut rg = HistoryRegistry::new();
                 orion_core::join::join_nested_loop(
                     black_box(&l),
                     black_box(&r),
                     Some(&pred),
-                    &mut rg,
+                    &reg,
                     &opts,
                 )
                 .unwrap()
@@ -168,8 +154,7 @@ fn bench_pws_reference(c: &mut Criterion) {
     });
     g.bench_function("efficient_engine_same_query", |b| {
         b.iter(|| {
-            let mut rg = HistoryRegistry::new();
-            orion_core::plan::execute(black_box(&plan), &tables, &mut rg, &ExecOptions::default())
+            orion_core::plan::execute(black_box(&plan), &tables, &reg, &ExecOptions::default())
                 .unwrap()
         })
     });

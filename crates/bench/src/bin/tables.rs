@@ -83,9 +83,9 @@ fn tables2_and_3() {
 
 fn section3c_selection() {
     println!("== Section III-C: sigma_(a < b) over Table II ==");
-    let (tables, mut reg) = table2_relation();
+    let (tables, reg) = table2_relation();
     let plan = Plan::scan("T").select(Predicate::cmp_cols("a", CmpOp::Lt, "b"));
-    let out = execute(&plan, &tables, &mut reg, &ExecOptions::default()).unwrap();
+    let out = execute(&plan, &tables, &reg, &ExecOptions::default()).unwrap();
     println!("  result tuples: {}", out.len());
     let t = &out.tuples[0];
     let n = &t.nodes[0];
@@ -151,18 +151,17 @@ fn fig3() {
     )
     .unwrap();
     let opts = ExecOptions::default();
-    let mut ta = orion_core::project::project(&t, &["a"], &mut reg, &opts).unwrap();
+    let mut ta = orion_core::project::project(&t, &["a"], &reg, &opts).unwrap();
     ta.name = "Ta".to_string();
     let sel =
-        orion_core::select::select(&t, &Predicate::cmp("b", CmpOp::Gt, 4i64), &mut reg, &opts)
-            .unwrap();
-    let mut tb = orion_core::project::project(&sel, &["b"], &mut reg, &opts).unwrap();
+        orion_core::select::select(&t, &Predicate::cmp("b", CmpOp::Gt, 4i64), &reg, &opts).unwrap();
+    let mut tb = orion_core::project::project(&sel, &["b"], &reg, &opts).unwrap();
     tb.name = "Tb".to_string();
-    let joined = orion_core::join::join(&ta, &tb, None, &mut reg, &opts).unwrap();
+    let joined = orion_core::join::join(&ta, &tb, None, &reg, &opts).unwrap();
     println!("  with histories (correct, the paper's T2):");
     print_rows(&joined, &reg, &opts);
     let naive_opts = ExecOptions { use_histories: false, ..ExecOptions::default() };
-    let joined_naive = orion_core::join::join(&ta, &tb, None, &mut reg, &naive_opts).unwrap();
+    let joined_naive = orion_core::join::join(&ta, &tb, None, &reg, &naive_opts).unwrap();
     println!("  without histories (incorrect, the paper's T1):");
     print_rows(&joined_naive, &reg, &naive_opts);
 }

@@ -190,17 +190,15 @@ fn threshold_for(cuts: &[f64], sel: f64) -> f64 {
     cuts[cuts.len() - k.min(cuts.len())] - 1e-9
 }
 
-/// Runs the query and returns (passing rids, pruned count). The output
-/// relation's history refs are released so repetitions leave the registry
-/// unchanged.
+/// Runs the query and returns the passing rids.
 fn run_query(
-    wb: &mut Workbench,
+    wb: &Workbench,
     pred: &Predicate,
     p: f64,
     mask: Option<&[bool]>,
     opts: &ExecOptions,
 ) -> EngineResult<Vec<i64>> {
-    let out = threshold_pred_masked(&wb.rel, pred, CmpOp::Gt, p, mask, &mut wb.reg, opts)?;
+    let out = threshold_pred_masked(&wb.rel, pred, CmpOp::Gt, p, mask, &wb.reg, opts)?;
     let rids = out
         .tuples
         .iter()
@@ -209,14 +207,13 @@ fn run_query(
             _ => unreachable!("rid is INT"),
         })
         .collect();
-    out.release(&mut wb.reg);
     Ok(rids)
 }
 
 /// One selectivity × mode measurement over a prebuilt workbench.
 fn measure(
     cfg: &FigIndexConfig,
-    wb: &mut Workbench,
+    wb: &Workbench,
     sel: f64,
     mode: orion_core::batch::ExecMode,
 ) -> EngineResult<FigIndexRow> {
@@ -327,11 +324,11 @@ fn measure(
 /// generated relation.
 pub fn run(cfg: &FigIndexConfig) -> EngineResult<Vec<FigIndexRow>> {
     use orion_core::batch::ExecMode;
-    let mut wb = build_workbench(cfg)?;
+    let wb = build_workbench(cfg)?;
     let mut rows = Vec::new();
     for &sel in &cfg.selectivities {
         for mode in [ExecMode::Row, ExecMode::Batch] {
-            rows.push(measure(cfg, &mut wb, sel, mode)?);
+            rows.push(measure(cfg, &wb, sel, mode)?);
         }
     }
     Ok(rows)

@@ -217,7 +217,7 @@ fn join_query(
 /// carried as-is — faster, but the output marginals are wrong.
 fn project_query(
     joined: &Relation,
-    reg: &mut HistoryRegistry,
+    reg: &HistoryRegistry,
     collapse_first: bool,
     opts: &ExecOptions,
 ) -> (f64, usize) {
@@ -300,9 +300,9 @@ pub fn run(cfg: &Fig6Config) -> Vec<Fig6Row> {
             // Projection overhead: same lazily-joined input, collapse on/off.
             let mut reg3 = HistoryRegistry::new();
             let (_, _, lazy_joined) = join_query(&heap, &mut reg3, &lazy);
-            let (pw, _) = project_query(&lazy_joined, &mut reg3, true, &proj_with);
+            let (pw, _) = project_query(&lazy_joined, &reg3, true, &proj_with);
             proj_w = proj_w.min(pw);
-            let (pwo, _) = project_query(&lazy_joined, &mut reg3, false, &proj_without);
+            let (pwo, _) = project_query(&lazy_joined, &reg3, false, &proj_without);
             proj_wo = proj_wo.min(pwo);
         }
         drop(heap);

@@ -144,7 +144,7 @@ fn build_relation(cfg: &ParallelConfig) -> (HashMap<String, Relation>, HistoryRe
 /// shared relation, verifying bit-identical output against the serial
 /// baseline. Panics if any thread count disagrees with serial.
 pub fn run(cfg: &ParallelConfig) -> Vec<ParallelRow> {
-    let (tables, mut reg) = build_relation(cfg);
+    let (tables, reg) = build_relation(cfg);
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     // The paper's range query: P(v in [40, 60]) — selection floors every
     // Gaussian to the interval, which is the per-tuple work being scaled.
@@ -169,7 +169,7 @@ pub fn run(cfg: &ParallelConfig) -> Vec<ParallelRow> {
         let mut out_len = 0usize;
         for _ in 0..cfg.repeats.max(1) {
             let start = Instant::now();
-            let out = select(rel, &pred, &mut reg, &opts).expect("selection");
+            let out = select(rel, &pred, &reg, &opts).expect("selection");
             best = best.min(start.elapsed().as_secs_f64());
             out_len = out.len();
             match &baseline {
@@ -179,7 +179,6 @@ pub fn run(cfg: &ParallelConfig) -> Vec<ParallelRow> {
                         out.tuples, base.tuples,
                         "threads={threads} diverged from serial output"
                     );
-                    out.release(&mut reg);
                 }
             }
         }

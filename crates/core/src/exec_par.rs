@@ -2,29 +2,22 @@
 //!
 //! The relational operators are embarrassingly parallel across tuples: all
 //! per-tuple work (`product`, `floor`, `marginalize`, history collapses)
-//! reads the [`HistoryRegistry`] immutably, and the only registry mutation
-//! an operator performs is reference-count maintenance when a result tuple
-//! is pushed. Execution is therefore split into two phases:
+//! reads the [`HistoryRegistry`] immutably, and a query operator never
+//! writes it. The input is cut into fixed-size *morsels* (contiguous index
+//! ranges); a scoped-thread worker pool claims morsels from an atomic
+//! cursor and evaluates the per-tuple closure into per-morsel buffers,
+//! which are stitched back **in input order**.
 //!
-//! 1. **Parallel compute** — the input is cut into fixed-size *morsels*
-//!    (contiguous index ranges); a scoped-thread worker pool claims morsels
-//!    from an atomic cursor and evaluates the per-tuple closure into
-//!    per-morsel buffers.
-//! 2. **Ordered serial commit** — buffers are stitched back **in input
-//!    order**, and the caller applies registry side effects (`add_refs`,
-//!    ref transfers) tuple by tuple, exactly as serial execution would.
-//!
-//! Because phase 1 is pure and phase 2 replays the serial commit order,
+//! Because the per-tuple work is pure and the stitch keeps input order,
 //! output tuples, pdf values and history ids are bit-identical to serial
 //! execution at any thread count. Errors are deterministic too: the error
 //! reported is the one the lowest-indexed failing tuple produced.
 //!
-//! Bulk insertion ([`insert_batch`]) extends the same protocol to history
-//! **id allocation**: phase 1 builds and validates rows in parallel, then
-//! the commit phase reserves one contiguous id range
-//! ([`HistoryRegistry::reserve_ids`]) and installs base pdfs in row order —
-//! the ids are exactly those a serial tuple-at-a-time load would have
-//! assigned.
+//! Bulk insertion ([`insert_batch`]) is the one writer. It builds and
+//! validates rows in parallel, then commits them serially in row order:
+//! it reserves one contiguous id range ([`HistoryRegistry::reserve_ids`])
+//! and installs base pdfs row by row, so the ids are exactly those a
+//! serial tuple-at-a-time load would have assigned.
 
 use crate::batch::ExecMode;
 use crate::error::{EngineError, Result};
@@ -63,9 +56,8 @@ pub fn effective_threads(requested: usize) -> usize {
 }
 
 /// Applies `f` to every item, in parallel when the options ask for it,
-/// returning the results in input order (phase 1 of the two-phase
-/// protocol). `f` receives the item index and must not touch the registry;
-/// the caller commits side effects serially over the returned buffer.
+/// returning the results in input order. `f` receives the item index and
+/// must not write shared state.
 pub(crate) fn run_tuples<T, U, F>(items: &[T], opts: &ExecOptions, f: F) -> Result<Vec<U>>
 where
     T: Sync,
@@ -156,9 +148,8 @@ where
     drop(p1);
 
     // Ordered stitch; the error from the lowest input index wins, matching
-    // what serial in-order evaluation would have reported. The caller's
-    // serial registry commit happens over this buffer, so the phase-2 span
-    // marks the parallel/serial boundary in the trace.
+    // what serial in-order evaluation would have reported. The
+    // `phase2.stitch` span marks the parallel/serial boundary in the trace.
     let _p2 = match &tracer {
         Some(t) => t.thread_lane("exec").span("phase2.stitch", "exec"),
         None => Span::noop(),
@@ -175,7 +166,7 @@ where
 /// Applies `f` to every morsel-sized chunk of `items` — one morsel becomes
 /// one batch — returning the per-chunk results stitched in input order.
 /// `f` receives the morsel index, the chunk's starting item index, and the
-/// chunk itself; like [`run_tuples`] it must not touch the registry. Batch
+/// chunk itself; like [`run_tuples`] it must not write shared state. Batch
 /// counters (`batches`, `batch_rows`) are recorded per chunk in both the
 /// serial and the parallel path, so `EXPLAIN ANALYZE` can report batch
 /// geometry. Error semantics match [`run_tuples`]: the error from the

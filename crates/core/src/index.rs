@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn indexed_threshold_matches_scan() {
-        let (rel, mut reg) = readings(300);
+        let (rel, reg) = readings(300);
         let opts = ExecOptions::default();
         let iv = Interval::new(20.0, 28.0);
         let pred = Predicate::And(vec![
@@ -188,9 +188,8 @@ mod tests {
         ]);
         for (op, p) in [(CmpOp::Gt, 0.5), (CmpOp::Ge, 0.9), (CmpOp::Lt, 0.1), (CmpOp::Gt, 1e-6)] {
             let stats = Arc::new(orion_obs::ExecStats::new());
-            let indexed =
-                threshold_pred(&rel, &pred, op, p, &mut reg, &fallback_opts(&stats)).unwrap();
-            let scanned = threshold_pred(&rel, &pred, op, p, &mut reg, &opts).unwrap();
+            let indexed = threshold_pred(&rel, &pred, op, p, &reg, &fallback_opts(&stats)).unwrap();
+            let scanned = threshold_pred(&rel, &pred, op, p, &reg, &opts).unwrap();
             // Same tuples in the same order: pruning only skips evaluations.
             assert_eq!(indexed.tuples, scanned.tuples, "op {op:?} p {p}");
             let snap = stats.snapshot();
@@ -222,7 +221,7 @@ mod tests {
         ]);
         let stats = Arc::new(orion_obs::ExecStats::new());
         let out =
-            threshold_pred(&rel, &pred, CmpOp::Gt, 0.5, &mut reg, &fallback_opts(&stats)).unwrap();
+            threshold_pred(&rel, &pred, CmpOp::Gt, 0.5, &reg, &fallback_opts(&stats)).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.tuples[0], rel.tuples[1]);
         assert_eq!(stats.snapshot().index_pruned, 1, "the mass-0.4 tuple is pruned");

@@ -17,6 +17,7 @@ use crate::schema::{Column, ProbSchema};
 use crate::select::{select, ExecOptions};
 use crate::tuple::ProbTuple;
 use crate::value::Value;
+use std::sync::Arc;
 
 /// Nested-loop join used as the correctness oracle for the hash path
 /// (exposed for tests and ablation benchmarks). Pairs whose *certain*
@@ -27,7 +28,7 @@ pub fn join_nested_loop(
     left: &Relation,
     right: &Relation,
     pred: Option<&Predicate>,
-    reg: &mut HistoryRegistry,
+    reg: &HistoryRegistry,
     opts: &ExecOptions,
 ) -> Result<Relation> {
     let template = cross(&left.clone_empty(), &right.clone_empty(), reg, opts)?;
@@ -35,7 +36,7 @@ pub fn join_nested_loop(
     let crossed = if equalities.is_empty() {
         cross(left, right, reg, opts)?
     } else {
-        cross_prefiltered(left, right, &template, &equalities, reg, opts)?
+        cross_prefiltered(left, right, &template, &equalities, opts)?
     };
     finish_join(crossed, pred, reg, opts)
 }
@@ -47,10 +48,12 @@ pub fn join_nested_loop(
 /// columns (their values simply appear twice — the Figure 3 pipeline);
 /// sharing an **uncertain** column is rejected because one pdf identity
 /// cannot occupy two result columns — alias (deep-copy) one side first.
+/// Concatenation reads no history; the registry argument only keeps the
+/// operators' signatures uniform.
 pub fn cross(
     left: &Relation,
     right: &Relation,
-    reg: &mut HistoryRegistry,
+    _reg: &HistoryRegistry,
     opts: &ExecOptions,
 ) -> Result<Relation> {
     for cl in left.schema.columns().iter().filter(|c| c.uncertain) {
@@ -79,24 +82,23 @@ pub fn cross(
     let mut deps = left.schema.deps().to_vec();
     deps.extend_from_slice(right.schema.deps());
     let schema = ProbSchema::from_columns(columns, deps);
-    let mut out = Relation::new(format!("({} x {})", left.name, right.name), schema);
-
-    // Phase 1 (parallel): pair materialization fans out over left tuples.
+    // Pair materialization fans out over left tuples.
     let groups = crate::exec_par::run_tuples_mode(&left.tuples, opts, |_, tl| {
         Ok(right.tuples.iter().map(|tr| pair_tuple(tl, tr)).collect::<Vec<_>>())
     })?;
-    // Phase 2 (serial, in input order): reference-count commits.
-    let tuples = out.tuples_mut();
-    tuples.reserve(left.len() * right.len());
-    for group in groups {
-        for t in group {
-            for n in &t.nodes {
-                reg.add_refs(&n.ancestors);
-            }
-            tuples.push(t);
-        }
-    }
-    Ok(out)
+    Ok(Relation {
+        name: format!("({} x {})", left.name, right.name),
+        schema,
+        tuples: concat(groups),
+    })
+}
+
+/// Stitches per-left-tuple pair groups, in input order, into one tuple
+/// vector.
+fn concat(groups: Vec<Vec<ProbTuple>>) -> Arc<Vec<ProbTuple>> {
+    let mut tuples = Vec::with_capacity(groups.iter().map(Vec::len).sum());
+    groups.into_iter().for_each(|g| tuples.extend(g));
+    Arc::new(tuples)
 }
 
 /// Reads crossed-row position `i` from an (unmaterialized) left/right pair
@@ -154,14 +156,12 @@ fn cross_prefiltered(
     right: &Relation,
     template: &Relation,
     equalities: &[(usize, usize)],
-    reg: &mut HistoryRegistry,
     opts: &ExecOptions,
 ) -> Result<Relation> {
-    let mut out = Relation::new(template.name.clone(), template.schema.clone());
     let n_left = left.schema.columns().len();
-    // Phase 1 (parallel): evaluate the pre-resolved certain equalities per
-    // pair. A comparison involving NULL (or incomparable types) yields
-    // `None` — UNKNOWN, never pruned — matching `Predicate::eval`. Both
+    // Evaluate the pre-resolved certain equalities per pair. A comparison
+    // involving NULL (or incomparable types) yields `None` — UNKNOWN,
+    // never pruned — matching `Predicate::eval`. Both
     // execution modes run this same closure through `run_tuples_mode`, so
     // pair access goes through one path (`crossed_value`) rather than a
     // row-mode-only shortcut into the relation.
@@ -185,17 +185,7 @@ fn cross_prefiltered(
         }
         Ok(matches)
     })?;
-    // Phase 2 (serial, in input order): reference-count commits.
-    let tuples = out.tuples_mut();
-    for group in groups {
-        for t in group {
-            for n in &t.nodes {
-                reg.add_refs(&n.ancestors);
-            }
-            tuples.push(t);
-        }
-    }
-    Ok(out)
+    Ok(template.with_tuples(concat(groups)))
 }
 
 /// Extracts a hash-joinable equality over *certain* columns from the
@@ -241,16 +231,14 @@ fn cross_matching(
     right: &Relation,
     template: &Relation,
     key: (usize, usize),
-    reg: &mut HistoryRegistry,
     opts: &ExecOptions,
 ) -> Result<Relation> {
     use crate::pws::CanonValue;
-    let mut out = Relation::new(template.name.clone(), template.schema.clone());
     let mut buckets: std::collections::HashMap<CanonValue, Vec<usize>> = Default::default();
     for (i, t) in right.tuples.iter().enumerate() {
         buckets.entry(CanonValue::from(&t.certain[key.1])).or_default().push(i);
     }
-    // Phase 1 (parallel): probe the shared bucket table per left tuple.
+    // Probe the shared bucket table per left tuple.
     let groups = crate::exec_par::run_tuples_mode(&left.tuples, opts, |_, tl| {
         let matches = buckets.get(&CanonValue::from(&tl.certain[key.0]));
         let hits: Vec<ProbTuple> = matches
@@ -261,23 +249,18 @@ fn cross_matching(
         }
         Ok(hits)
     })?;
-    // Phase 2 (serial, in input order): reference-count commits.
-    let tuples = out.tuples_mut();
-    for group in groups {
-        for t in group {
-            for n in &t.nodes {
-                reg.add_refs(&n.ancestors);
-            }
-            tuples.push(t);
-        }
-    }
-    Ok(out)
+    Ok(template.with_tuples(concat(groups)))
 }
 
 impl Relation {
     /// A copy of this relation with no tuples (schema/naming only).
     pub(crate) fn clone_empty(&self) -> Relation {
         Relation::new(self.name.clone(), self.schema.clone())
+    }
+
+    /// This relation's name and schema over `tuples`.
+    fn with_tuples(&self, tuples: Arc<Vec<ProbTuple>>) -> Relation {
+        Relation { name: self.name.clone(), schema: self.schema.clone(), tuples }
     }
 }
 
@@ -288,13 +271,13 @@ pub fn join(
     left: &Relation,
     right: &Relation,
     pred: Option<&Predicate>,
-    reg: &mut HistoryRegistry,
+    reg: &HistoryRegistry,
     opts: &ExecOptions,
 ) -> Result<Relation> {
     let template = cross(&left.clone_empty(), &right.clone_empty(), reg, opts)?;
     let crossed =
         match pred.and_then(|p| equi_key(&template.schema, left.schema.columns().len(), p)) {
-            Some(key) => cross_matching(left, right, &template, key, reg, opts)?,
+            Some(key) => cross_matching(left, right, &template, key, opts)?,
             None => cross(left, right, reg, opts)?,
         };
     finish_join(crossed, pred, reg, opts)
@@ -304,45 +287,20 @@ pub fn join(
 fn finish_join(
     crossed: Relation,
     pred: Option<&Predicate>,
-    reg: &mut HistoryRegistry,
+    reg: &HistoryRegistry,
     opts: &ExecOptions,
 ) -> Result<Relation> {
     let mut result = match pred {
-        Some(p) => {
-            let r = select(&crossed, p, reg, opts)?;
-            crossed.release(reg);
-            r
-        }
+        Some(p) => select(&crossed, p, reg, opts)?,
         None => crossed,
     };
     if opts.eager_collapse && opts.use_histories {
-        // Phase 1 (parallel): the history-aware collapse reads the
-        // registry immutably.
-        let reg_ref: &HistoryRegistry = reg;
         let computed = crate::exec_par::run_tuples_mode(&result.tuples, opts, |_, t| {
-            collapse::collapse_tuple_with_stats(t, reg_ref, opts.resolution, opts.stats_ref())
+            collapse::collapse_tuple_with_stats(t, reg, opts.resolution, opts.stats_ref())
         })?;
-        // Phase 2 (serial, in input order): reference transfers.
-        let mut collapsed = Vec::with_capacity(computed.len());
-        for (t, c) in result.tuples.iter().zip(computed) {
-            if c.is_vacuous() {
-                // Historically impossible combination (e.g. Figure 3's
-                // phantom pairs): drop it.
-                for n in &t.nodes {
-                    reg.release_refs(&n.ancestors);
-                }
-                continue;
-            }
-            // Transfer references from the old nodes to the collapsed ones.
-            for n in &t.nodes {
-                reg.release_refs(&n.ancestors);
-            }
-            for n in &c.nodes {
-                reg.add_refs(&n.ancestors);
-            }
-            collapsed.push(c);
-        }
-        result.tuples = collapsed.into();
+        // A vacuous collapse is a historically impossible combination
+        // (e.g. Figure 3's phantom pairs): drop it.
+        result.tuples = Arc::new(computed.into_iter().filter(|c| !c.is_vacuous()).collect());
     }
     Ok(result)
 }
@@ -387,8 +345,8 @@ mod tests {
 
     #[test]
     fn cross_product_concatenates() {
-        let (r1, r2, mut reg) = sensors();
-        let c = cross(&r1, &r2, &mut reg, &ExecOptions::default()).unwrap();
+        let (r1, r2, reg) = sensors();
+        let c = cross(&r1, &r2, &reg, &ExecOptions::default()).unwrap();
         assert_eq!(c.len(), 1);
         assert_eq!(c.schema.columns().len(), 4);
         // Shared column name gets qualified.
@@ -399,12 +357,12 @@ mod tests {
 
     #[test]
     fn join_with_uncertain_predicate() {
-        let (r1, r2, mut reg) = sensors();
+        let (r1, r2, reg) = sensors();
         let out = join(
             &r1,
             &r2,
             Some(&Predicate::cmp_cols("x", CmpOp::Lt, "y")),
-            &mut reg,
+            &reg,
             &ExecOptions::default(),
         )
         .unwrap();
@@ -444,8 +402,8 @@ mod tests {
             Predicate::cmp_cols("L.id", CmpOp::Eq, "R.id"),
             Predicate::cmp_cols("x", CmpOp::Le, "y"),
         ]);
-        let a = join(&l, &r, Some(&pred), &mut reg, &opts).unwrap();
-        let b = join_nested_loop(&l, &r, Some(&pred), &mut reg, &opts).unwrap();
+        let a = join(&l, &r, Some(&pred), &reg, &opts).unwrap();
+        let b = join_nested_loop(&l, &r, Some(&pred), &reg, &opts).unwrap();
         assert_eq!(a.len(), b.len());
         assert_eq!(a.len(), 4, "only same-id pairs match");
         for (ta, tb) in a.tuples.iter().zip(b.tuples.iter()) {
@@ -486,13 +444,12 @@ mod tests {
 
         let stats = std::sync::Arc::new(orion_obs::ExecStats::new());
         let opts = ExecOptions { stats: Some(stats.clone()), ..ExecOptions::default() };
-        let pruned_out = join_nested_loop(&l, &r, Some(&pred), &mut reg, &opts).unwrap();
+        let pruned_out = join_nested_loop(&l, &r, Some(&pred), &reg, &opts).unwrap();
         assert_eq!(stats.snapshot().pairs_pruned, 12);
 
         // Oracle: full cross + selection, no prefilter.
         let unfiltered =
-            finish_join(cross(&l, &r, &mut reg, &opts).unwrap(), Some(&pred), &mut reg, &opts)
-                .unwrap();
+            finish_join(cross(&l, &r, &reg, &opts).unwrap(), Some(&pred), &reg, &opts).unwrap();
         assert_eq!(pruned_out.tuples, unfiltered.tuples);
     }
 
@@ -527,7 +484,7 @@ mod tests {
         let pred = Predicate::cmp_cols("L.id", CmpOp::Eq, "R.id");
 
         let run = |mode: ExecMode, reg0: &HistoryRegistry| {
-            let mut reg = reg0.clone();
+            let reg = reg0.clone();
             let stats = std::sync::Arc::new(orion_obs::ExecStats::new());
             let opts = ExecOptions {
                 mode,
@@ -535,7 +492,7 @@ mod tests {
                 morsel_size: 2,
                 ..ExecOptions::default()
             };
-            let out = join_nested_loop(&l, &r, Some(&pred), &mut reg, &opts).unwrap();
+            let out = join_nested_loop(&l, &r, Some(&pred), &reg, &opts).unwrap();
             (out, stats.snapshot().pairs_pruned, reg)
         };
         let (row, row_pruned, reg_row) = run(ExecMode::Row, &reg);
@@ -553,8 +510,8 @@ mod tests {
 
     #[test]
     fn self_join_requires_alias() {
-        let (r1, _, mut reg) = sensors();
-        assert!(cross(&r1, &r1, &mut reg, &ExecOptions::default()).is_err());
+        let (r1, _, reg) = sensors();
+        assert!(cross(&r1, &r1, &reg, &ExecOptions::default()).is_err());
     }
 
     #[test]
@@ -595,12 +552,12 @@ mod tests {
         )
         .unwrap();
         let opts = ExecOptions::default();
-        let ta = project(&t, &["a"], &mut reg, &opts).unwrap();
-        let sel = select(&t, &Predicate::cmp("b", CmpOp::Gt, 4i64), &mut reg, &opts).unwrap();
-        let tb = project(&sel, &["b"], &mut reg, &opts).unwrap();
+        let ta = project(&t, &["a"], &reg, &opts).unwrap();
+        let sel = select(&t, &Predicate::cmp("b", CmpOp::Gt, 4i64), &reg, &opts).unwrap();
+        let tb = project(&sel, &["b"], &reg, &opts).unwrap();
         assert_eq!(tb.len(), 1, "t2 fails b > 4 entirely");
 
-        let joined = join(&ta, &tb, None, &mut reg, &opts).unwrap();
+        let joined = join(&ta, &tb, None, &reg, &opts).unwrap();
         assert_eq!(joined.len(), 2);
         // t'1 = ta1 x tb1 (same ancestor): joint must be Discrete({4,5}:0.9).
         let a_id = t.schema.column("a").unwrap().id;
@@ -669,10 +626,10 @@ mod tests {
         )
         .unwrap();
         let opts = ExecOptions { use_histories: false, ..ExecOptions::default() };
-        let ta = project(&t, &["a"], &mut reg, &opts).unwrap();
-        let sel = select(&t, &Predicate::cmp("b", CmpOp::Gt, 4i64), &mut reg, &opts).unwrap();
-        let tb = project(&sel, &["b"], &mut reg, &opts).unwrap();
-        let joined = join(&ta, &tb, None, &mut reg, &opts).unwrap();
+        let ta = project(&t, &["a"], &reg, &opts).unwrap();
+        let sel = select(&t, &Predicate::cmp("b", CmpOp::Gt, 4i64), &reg, &opts).unwrap();
+        let tb = project(&sel, &["b"], &reg, &opts).unwrap();
+        let joined = join(&ta, &tb, None, &reg, &opts).unwrap();
         // Naive product: 1.0 (marginal a mass) * 0.9 (floored b mass) = 0.9
         // but distributed wrongly: P(a=4, b=5) = 0.81 and the phantom
         // (2, 5) carries 0.09.

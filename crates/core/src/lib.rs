@@ -19,7 +19,7 @@
 //! * [`select`] / [`project`] / [`join`] — the PWS-closed operators
 //!   (Sections III-B/C/D), with symbolic floor fast paths.
 //! * [`exec_par`] — the morsel-driven parallel executor: scoped-thread
-//!   worker pool, two-phase compute/commit protocol, deterministic
+//!   worker pool, pure reads stitched in input order, deterministic
 //!   history-id reservation for bulk loads.
 //! * [`threshold`] — operations on probability values (Section III-E).
 //! * [`pws`] — a brute-force possible-worlds reference engine used to

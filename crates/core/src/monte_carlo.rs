@@ -109,7 +109,7 @@ pub fn mc_key_distribution(
 pub fn engine_key_distribution(
     plan: &Plan,
     tables: &HashMap<String, Relation>,
-    reg: &mut HistoryRegistry,
+    reg: &HistoryRegistry,
     opts: &ExecOptions,
 ) -> Result<KeyDistribution> {
     let rel = crate::plan::execute(plan, tables, reg, opts)?;
@@ -185,12 +185,11 @@ mod tests {
 
     #[test]
     fn continuous_selection_conforms() {
-        let (tables, mut reg) = gaussian_table();
+        let (tables, reg) = gaussian_table();
         let plan = Plan::scan("g").select(Predicate::cmp("x", CmpOp::Lt, 0.5));
         let mut rng = XorShift::new(42);
         let mc = mc_key_distribution(&plan, &tables, SAMPLES, &mut rng).unwrap();
-        let eng =
-            engine_key_distribution(&plan, &tables, &mut reg, &ExecOptions::default()).unwrap();
+        let eng = engine_key_distribution(&plan, &tables, &reg, &ExecOptions::default()).unwrap();
         let d = key_distribution_distance(&mc, &eng);
         assert!(d < MC_TOL, "deviation {d}\nmc {mc:?}\nengine {eng:?}");
     }
@@ -223,7 +222,7 @@ mod tests {
         let eng = engine_key_distribution(
             &plan,
             &tables,
-            &mut reg,
+            &reg,
             &ExecOptions { resolution: 96, ..ExecOptions::default() },
         )
         .unwrap();
@@ -269,8 +268,7 @@ mod tests {
             ta.join_on(tb, Some(Predicate::cmp_cols("pi(t).id", CmpOp::Eq, "pi(sigma(t)).id")));
         let mut rng = XorShift::new(99);
         let mc = mc_key_distribution(&plan, &tables, SAMPLES, &mut rng).unwrap();
-        let eng =
-            engine_key_distribution(&plan, &tables, &mut reg, &ExecOptions::default()).unwrap();
+        let eng = engine_key_distribution(&plan, &tables, &reg, &ExecOptions::default()).unwrap();
         let d = key_distribution_distance(&mc, &eng);
         assert!(d < MC_TOL + 0.01, "deviation {d}\nmc {mc:?}\nengine {eng:?}");
     }

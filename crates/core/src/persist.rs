@@ -852,10 +852,10 @@ mod tests {
         let (tables, reg) = sample_db();
         let path = temp("histories.db");
         save_database(&path, &tables, &reg).unwrap();
-        let (loaded, mut lreg) = load_database(&path).unwrap();
+        let (loaded, lreg) = load_database(&path).unwrap();
         let obj = &loaded["objects"];
         let opts = ExecOptions::default();
-        let sel = select(obj, &Predicate::cmp("x", CmpOp::Gt, 2.0), &mut lreg, &opts).unwrap();
+        let sel = select(obj, &Predicate::cmp("x", CmpOp::Gt, 2.0), &lreg, &opts).unwrap();
         assert_eq!(sel.len(), 1);
         assert!((sel.tuples[0].naive_existence() - 0.5).abs() < 1e-12);
         // The loaded node's ancestor id must resolve in the loaded registry.

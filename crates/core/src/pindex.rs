@@ -741,18 +741,9 @@ impl fmt::Debug for IndexHandle {
 pub enum PlannerMode {
     /// Cost-based: estimate scan vs index costs and pick the cheaper.
     Cost,
-    /// Rule-based: always prefer a usable index.
+    /// Rule-based: always prefer a usable index. A test hook, set in code,
+    /// that forces the index path for differential oracles.
     Rule,
-}
-
-impl PlannerMode {
-    /// Reads `ORION_PLANNER` (`cost` default, `rule` forces indexes).
-    pub fn from_env() -> Self {
-        match std::env::var("ORION_PLANNER") {
-            Ok(v) if v.eq_ignore_ascii_case("rule") => PlannerMode::Rule,
-            _ => PlannerMode::Cost,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -406,7 +406,7 @@ fn op_span(opts: &ExecOptions, plan: &Plan) -> Span {
 pub fn execute(
     plan: &Plan,
     tables: &HashMap<String, Relation>,
-    reg: &mut HistoryRegistry,
+    reg: &HistoryRegistry,
     opts: &ExecOptions,
 ) -> Result<Relation> {
     run(plan, &|name| tables.get(name), reg, opts, None).map(|(rel, _)| rel.into_owned())
@@ -430,7 +430,7 @@ pub fn execute(
 pub fn run<'t>(
     plan: &Plan,
     source: &dyn Fn(&str) -> Option<&'t Relation>,
-    reg: &mut HistoryRegistry,
+    reg: &HistoryRegistry,
     opts: &ExecOptions,
     catalog: Option<&StatsCatalog>,
 ) -> Result<(Cow<'t, Relation>, OpProfile)> {
@@ -439,7 +439,7 @@ pub fn run<'t>(
     let own_opts = stats.as_ref().map(|s| ExecOptions { stats: Some(s.clone()), ..opts.clone() });
     let node_opts = own_opts.as_ref().unwrap_or(opts);
     let mut children = Vec::new();
-    let mut input = |p: &Plan, reg: &mut HistoryRegistry| -> Result<Cow<'t, Relation>> {
+    let mut input = |p: &Plan| -> Result<Cow<'t, Relation>> {
         let (rel, profile) = run(p, source, reg, opts, catalog)?;
         if let Some(s) = &stats {
             s.tuples_in.add(rel.len() as u64);
@@ -460,32 +460,32 @@ pub fn run<'t>(
             )
         }
         Plan::Select(p, pred) => {
-            let rel = input(p, reg)?;
+            let rel = input(p)?;
             let ap = plan_select_access(&rel, pred, catalog, opts)?;
             alternatives = ap.alternatives;
             let _t = timer();
             Cow::Owned(select_masked(&rel, pred, ap.mask.as_deref(), reg, node_opts)?)
         }
         Plan::Project(p, cols) => {
-            let rel = input(p, reg)?;
+            let rel = input(p)?;
             let refs: Vec<&str> = cols.iter().map(|s| s.as_str()).collect();
             let _t = timer();
             Cow::Owned(project(&rel, &refs, reg, node_opts)?)
         }
         Plan::Join(l, r, pred) => {
-            let left = input(l, reg)?;
-            let right = input(r, reg)?;
+            let left = input(l)?;
+            let right = input(r)?;
             let _t = timer();
             Cow::Owned(join(&left, &right, pred.as_ref(), reg, node_opts)?)
         }
         Plan::ThresholdAttrs(p, attrs, op, prob) => {
-            let rel = input(p, reg)?;
+            let rel = input(p)?;
             let refs: Vec<&str> = attrs.iter().map(|s| s.as_str()).collect();
             let _t = timer();
             Cow::Owned(threshold_attrs(&rel, &refs, *op, *prob, reg, node_opts)?)
         }
         Plan::ThresholdPred(p, pred, op, prob) => {
-            let rel = input(p, reg)?;
+            let rel = input(p)?;
             let ap = plan_threshold_access(&rel, pred, *op, *prob, catalog, opts)?;
             alternatives = ap.alternatives;
             let _t = timer();
@@ -555,9 +555,9 @@ mod tests {
 
     #[test]
     fn execute_pipeline() {
-        let (tables, mut reg) = db();
+        let (tables, reg) = db();
         let plan = Plan::scan("t").select(Predicate::cmp("x", CmpOp::Lt, 8.0)).project(&["id"]);
-        let out = execute(&plan, &tables, &mut reg, &ExecOptions::default()).unwrap();
+        let out = execute(&plan, &tables, &reg, &ExecOptions::default()).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out.schema.columns().len(), 1);
         // Tuple 2 exists with probability 0.3 after the floor.
@@ -566,14 +566,14 @@ mod tests {
 
     #[test]
     fn execute_threshold() {
-        let (tables, mut reg) = db();
+        let (tables, reg) = db();
         let plan = Plan::ThresholdPred(
             Box::new(Plan::scan("t")),
             Predicate::cmp("x", CmpOp::Lt, 8.0),
             CmpOp::Gt,
             0.5,
         );
-        let out = execute(&plan, &tables, &mut reg, &ExecOptions::default()).unwrap();
+        let out = execute(&plan, &tables, &reg, &ExecOptions::default()).unwrap();
         assert_eq!(out.len(), 1, "only id=1 has P(x<8) = 0.8 > 0.5");
         assert_eq!(out.value(0, "id").unwrap(), &Value::Int(1));
     }
@@ -582,7 +582,7 @@ mod tests {
     fn profiled(
         plan: &Plan,
         tables: &HashMap<String, Relation>,
-        reg: &mut HistoryRegistry,
+        reg: &HistoryRegistry,
         opts: &ExecOptions,
     ) -> (Relation, OpProfile) {
         let opts = opts.clone().with_stats(Arc::new(ExecStats::new()));
@@ -592,11 +592,11 @@ mod tests {
 
     #[test]
     fn run_counts_per_operator_and_rolls_up_into_the_callers_collector() {
-        let (tables, mut reg) = db();
+        let (tables, reg) = db();
         let plan = Plan::scan("t").select(Predicate::cmp("x", CmpOp::Lt, 8.0)).project(&["id"]);
         let total = Arc::new(ExecStats::new());
         let opts = ExecOptions::default().with_stats(total.clone());
-        let (_, profile) = run(&plan, &|name| tables.get(name), &mut reg, &opts, None).unwrap();
+        let (_, profile) = run(&plan, &|name| tables.get(name), &reg, &opts, None).unwrap();
         assert_eq!(profile.name, "Project");
         assert_eq!(profile.stats.tuples_in, 2);
         assert_eq!(profile.stats.tuples_out, 2);
@@ -612,14 +612,14 @@ mod tests {
         assert_eq!(total.snapshot().pdf_floors, 2, "the statement total sees every operator");
         // No collector, no profile.
         let plain = ExecOptions::default();
-        let (_, profile) = run(&plan, &|name| tables.get(name), &mut reg, &plain, None).unwrap();
+        let (_, profile) = run(&plan, &|name| tables.get(name), &reg, &plain, None).unwrap();
         assert_eq!(profile, OpProfile::default());
     }
 
     #[test]
     fn unknown_table_errors() {
-        let (tables, mut reg) = db();
-        assert!(execute(&Plan::scan("nope"), &tables, &mut reg, &ExecOptions::default()).is_err());
+        let (tables, reg) = db();
+        assert!(execute(&Plan::scan("nope"), &tables, &reg, &ExecOptions::default()).is_err());
     }
 
     #[test]
@@ -642,13 +642,13 @@ mod tests {
 
     #[test]
     fn estimates_track_analyzed_tables_and_annotate_profiles() {
-        let (tables, mut reg) = db();
+        let (tables, reg) = db();
         let mut catalog = StatsCatalog::new();
         catalog.insert(crate::stats_catalog::analyze_relation(&tables["t"]).unwrap());
         let scan = Plan::scan("t");
         assert_eq!(estimate_rows(&scan, &catalog), 2, "analyzed scan uses real row count");
         let plan = scan.select(Predicate::cmp("x", CmpOp::Lt, 8.0)).project(&["id"]);
-        let (_, mut profile) = profiled(&plan, &tables, &mut reg, &ExecOptions::default());
+        let (_, mut profile) = profiled(&plan, &tables, &reg, &ExecOptions::default());
         annotate_estimates(&mut profile, &plan, &catalog);
         assert!(profile.est_rows.is_some());
         let sel = &profile.children[0];
@@ -691,7 +691,7 @@ mod tests {
         let ids = |r: &Relation| -> Vec<Value> {
             r.tuples.iter().map(|t| t.certain[0].clone()).collect()
         };
-        let base = execute(&plan, &tables, &mut reg, &ExecOptions::default()).unwrap();
+        let base = execute(&plan, &tables, &reg, &ExecOptions::default()).unwrap();
 
         let handle = IndexHandle::new();
         handle
@@ -709,7 +709,7 @@ mod tests {
                 indexes: Some(handle.clone()),
                 ..ExecOptions::default()
             };
-            let (out, profile) = profiled(&plan, &tables, &mut reg, &opts);
+            let (out, profile) = profiled(&plan, &tables, &reg, &opts);
             assert_eq!(ids(&out), ids(&base), "mode {mode:?} must match the scan bitwise");
             assert_eq!(profile.alternatives.len(), 2, "scan and index both priced");
             assert!(profile.alternatives[1].chosen, "index path wins under {mode:?}");
@@ -743,7 +743,7 @@ mod tests {
         let ids = |r: &Relation| -> Vec<Value> {
             r.tuples.iter().map(|t| t.certain[0].clone()).collect()
         };
-        let base = execute(&plan, &tables, &mut reg, &ExecOptions::default()).unwrap();
+        let base = execute(&plan, &tables, &reg, &ExecOptions::default()).unwrap();
         assert_eq!(base.len(), 10);
 
         let handle = IndexHandle::new();
@@ -763,18 +763,18 @@ mod tests {
             indexes: Some(handle.clone()),
             ..ExecOptions::default()
         };
-        let (out, profile) = profiled(&plan, &tables, &mut reg, &cost_opts);
+        let (out, profile) = profiled(&plan, &tables, &reg, &cost_opts);
         assert_eq!(ids(&out), ids(&base));
         assert!(profile.alternatives[0].chosen, "cold build: scan wins on cost");
         // Rule mode forces the index (building it as a side effect) ...
         let rule_opts = ExecOptions { planner: PlannerMode::Rule, ..cost_opts.clone() };
-        let (out, profile) = profiled(&plan, &tables, &mut reg, &rule_opts);
+        let (out, profile) = profiled(&plan, &tables, &reg, &rule_opts);
         assert_eq!(ids(&out), ids(&base));
         assert!(profile.alternatives[1].chosen, "rule mode always takes a usable index");
         assert_eq!(profile.stats.index_probes, 100);
         assert_eq!(profile.stats.index_pruned, 90);
         // ... after which the Cost planner flips to the now-fresh index.
-        let (out, profile) = profiled(&plan, &tables, &mut reg, &cost_opts);
+        let (out, profile) = profiled(&plan, &tables, &reg, &cost_opts);
         assert_eq!(ids(&out), ids(&base));
         assert!(profile.alternatives[1].chosen, "fresh build: index-range wins on cost");
     }

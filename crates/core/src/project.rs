@@ -21,11 +21,12 @@ use crate::tuple::ProbTuple;
 /// drop-disjoint-full-mass-sets rule.
 const FULL_MASS_EPS: f64 = 1e-9;
 
-/// Evaluates Π_cols over a relation.
+/// Evaluates Π_cols over a relation. Narrowing reads no history, so the
+/// registry argument only keeps the operators' signatures uniform.
 pub fn project(
     rel: &Relation,
     cols: &[&str],
-    reg: &mut HistoryRegistry,
+    _reg: &HistoryRegistry,
     opts: &ExecOptions,
 ) -> Result<Relation> {
     if cols.is_empty() {
@@ -56,10 +57,6 @@ pub fn project(
             (!v.is_empty()).then_some(v)
         })
         .collect();
-    let schema = ProbSchema::from_columns(new_cols, deps);
-    let mut out = Relation::new(format!("pi({})", rel.name), schema);
-
-    // Phase 1 (parallel): narrowing a tuple is pure per-tuple work.
     let projected = crate::exec_par::run_tuples_mode(&rel.tuples, opts, |_, t| {
         let certain: Vec<_> = kept_idx.iter().map(|&i| t.certain[i].clone()).collect();
         let mut nodes = Vec::new();
@@ -79,15 +76,11 @@ pub fn project(
         }
         Ok(ProbTuple { certain, nodes })
     })?;
-    // Phase 2 (serial, in input order): reference-count commits.
-    let tuples = out.tuples_mut();
-    for t in projected {
-        for n in &t.nodes {
-            reg.add_refs(&n.ancestors);
-        }
-        tuples.push(t);
-    }
-    Ok(out)
+    Ok(Relation {
+        name: format!("pi({})", rel.name),
+        schema: ProbSchema::from_columns(new_cols, deps),
+        tuples: projected.into(),
+    })
 }
 
 #[cfg(test)]
@@ -125,8 +118,8 @@ mod tests {
 
     #[test]
     fn projection_narrows_schema() {
-        let (rel, mut reg) = ab_relation();
-        let out = project(&rel, &["id", "a"], &mut reg, &ExecOptions::default()).unwrap();
+        let (rel, reg) = ab_relation();
+        let out = project(&rel, &["id", "a"], &reg, &ExecOptions::default()).unwrap();
         assert_eq!(out.schema.columns().len(), 2);
         assert_eq!(out.len(), 1);
         assert_eq!(out.value(0, "id").unwrap(), &Value::Int(1));
@@ -141,11 +134,11 @@ mod tests {
     fn partial_pdf_survives_projection_as_phantom() {
         // Select b > 1 (mass 0.4), project to a: the b node must be kept
         // (phantom) because its floor constrains tuple existence.
-        let (rel, mut reg) = ab_relation();
+        let (rel, reg) = ab_relation();
         let sel =
-            select(&rel, &Predicate::cmp("b", CmpOp::Gt, 1i64), &mut reg, &ExecOptions::default())
+            select(&rel, &Predicate::cmp("b", CmpOp::Gt, 1i64), &reg, &ExecOptions::default())
                 .unwrap();
-        let out = project(&sel, &["a"], &mut reg, &ExecOptions::default()).unwrap();
+        let out = project(&sel, &["a"], &reg, &ExecOptions::default()).unwrap();
         assert_eq!(out.schema.columns().len(), 1);
         let t = &out.tuples[0];
         assert_eq!(t.nodes.len(), 2, "partial b node kept as phantom");
@@ -155,15 +148,11 @@ mod tests {
     #[test]
     fn merged_set_keeps_projected_attr_as_phantom() {
         // σ_{a<b} merges {a,b}; Π_a then keeps the joint with phantom b.
-        let (rel, mut reg) = ab_relation();
-        let sel = select(
-            &rel,
-            &Predicate::cmp_cols("a", CmpOp::Lt, "b"),
-            &mut reg,
-            &ExecOptions::default(),
-        )
-        .unwrap();
-        let out = project(&sel, &["a"], &mut reg, &ExecOptions::default()).unwrap();
+        let (rel, reg) = ab_relation();
+        let sel =
+            select(&rel, &Predicate::cmp_cols("a", CmpOp::Lt, "b"), &reg, &ExecOptions::default())
+                .unwrap();
+        let out = project(&sel, &["a"], &reg, &ExecOptions::default()).unwrap();
         let t = &out.tuples[0];
         assert_eq!(t.nodes.len(), 1);
         assert_eq!(t.nodes[0].dims.len(), 2, "b retained as phantom dimension");
@@ -177,16 +166,16 @@ mod tests {
 
     #[test]
     fn projection_validation() {
-        let (rel, mut reg) = ab_relation();
-        assert!(project(&rel, &[], &mut reg, &ExecOptions::default()).is_err());
-        assert!(project(&rel, &["zzz"], &mut reg, &ExecOptions::default()).is_err());
-        assert!(project(&rel, &["a", "a"], &mut reg, &ExecOptions::default()).is_err());
+        let (rel, reg) = ab_relation();
+        assert!(project(&rel, &[], &reg, &ExecOptions::default()).is_err());
+        assert!(project(&rel, &["zzz"], &reg, &ExecOptions::default()).is_err());
+        assert!(project(&rel, &["a", "a"], &reg, &ExecOptions::default()).is_err());
     }
 
     #[test]
     fn projection_preserves_certain_columns_only() {
-        let (rel, mut reg) = ab_relation();
-        let out = project(&rel, &["id"], &mut reg, &ExecOptions::default()).unwrap();
+        let (rel, reg) = ab_relation();
+        let out = project(&rel, &["id"], &reg, &ExecOptions::default()).unwrap();
         assert_eq!(out.schema.columns().len(), 1);
         assert!(out.tuples[0].nodes.is_empty(), "full-mass pdfs dropped");
         assert!((out.tuples[0].naive_existence() - 1.0).abs() < 1e-12);

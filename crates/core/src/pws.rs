@@ -585,7 +585,7 @@ pub fn engine_row_distribution(
 pub fn conformance_report(
     plan: &Plan,
     tables: &HashMap<String, Relation>,
-    reg: &mut HistoryRegistry,
+    reg: &HistoryRegistry,
     opts: &ExecOptions,
 ) -> Result<(RowDistribution, RowDistribution)> {
     let truth = pws_row_distribution(plan, tables)?;
@@ -660,20 +660,20 @@ mod tests {
 
     #[test]
     fn selection_conforms_to_pws() {
-        let (tables, mut reg) = table2();
+        let (tables, reg) = table2();
         let plan = Plan::scan("T").select(Predicate::cmp_cols("a", CmpOp::Lt, "b"));
         let (truth, engine) =
-            conformance_report(&plan, &tables, &mut reg, &ExecOptions::default()).unwrap();
+            conformance_report(&plan, &tables, &reg, &ExecOptions::default()).unwrap();
         assert!(distribution_distance(&truth, &engine) < 1e-9, "{truth:?} vs {engine:?}");
         assert!(!truth.is_empty());
     }
 
     #[test]
     fn projection_conforms_to_pws() {
-        let (tables, mut reg) = table2();
+        let (tables, reg) = table2();
         let plan = Plan::scan("T").select(Predicate::cmp("b", CmpOp::Gt, 1i64)).project(&["a"]);
         let (truth, engine) =
-            conformance_report(&plan, &tables, &mut reg, &ExecOptions::default()).unwrap();
+            conformance_report(&plan, &tables, &reg, &ExecOptions::default()).unwrap();
         assert!(distribution_distance(&truth, &engine) < 1e-9, "{truth:?} vs {engine:?}");
     }
 

@@ -321,7 +321,8 @@ impl Relation {
     }
 
     /// Releases all history references held by this relation's tuples —
-    /// call when discarding a derived relation.
+    /// call when a *stored* relation is dropped. Query results hold no
+    /// references, so there is nothing to release for them.
     pub fn release(&self, reg: &mut HistoryRegistry) {
         for t in self.tuples.iter() {
             for n in &t.nodes {

@@ -61,9 +61,9 @@ pub struct ExecOptions {
     /// counters through [`ExecStats`].
     pub mode: crate::batch::ExecMode,
     /// Access-path policy: cost-based (estimate scan vs index and pick the
-    /// cheaper) or rule-based (always prefer a usable index). The default
-    /// honors the `ORION_PLANNER` environment variable. Either way results
-    /// are bit-identical — only the access path differs.
+    /// cheaper; the default) or rule-based (always prefer a usable index;
+    /// set by tests that force the index path). Either way results are
+    /// bit-identical — only the access path differs.
     pub planner: crate::pindex::PlannerMode,
     /// Shared secondary-index catalog. `None` (the default) plans pure
     /// scans; sessions attach their catalog so threshold and certain-range
@@ -82,7 +82,7 @@ impl Default for ExecOptions {
             morsel_size: crate::exec_par::DEFAULT_MORSEL_SIZE,
             trace: None,
             mode: crate::batch::ExecMode::from_env(),
-            planner: crate::pindex::PlannerMode::from_env(),
+            planner: crate::pindex::PlannerMode::Cost,
             indexes: None,
         }
     }
@@ -124,7 +124,7 @@ impl ExecOptions {
 pub fn select(
     rel: &Relation,
     pred: &Predicate,
-    reg: &mut HistoryRegistry,
+    reg: &HistoryRegistry,
     opts: &ExecOptions,
 ) -> Result<Relation> {
     select_masked(rel, pred, None, reg, opts)
@@ -142,7 +142,7 @@ pub fn select_masked(
     rel: &Relation,
     pred: &Predicate,
     mask: Option<&[bool]>,
-    reg: &mut HistoryRegistry,
+    reg: &HistoryRegistry,
     opts: &ExecOptions,
 ) -> Result<Relation> {
     pred.validate(&rel.schema)?;
@@ -159,10 +159,10 @@ pub fn select_masked(
 
     let mut out = Relation::new(format!("sigma({})", rel.name), rel.schema.clone());
     if uncertain_cols.is_empty() {
-        // Case 1: certain-only predicate. Parallel compute, ordered commit.
-        // Batch mode evaluates the predicate over columnar lanes, one
-        // chunk at a time; the lane evaluator reproduces `Predicate::eval`
-        // exactly (see `crate::batch`), so the kept set is identical.
+        // Case 1: certain-only predicate. Batch mode evaluates the
+        // predicate over columnar lanes, one chunk at a time; the lane
+        // evaluator reproduces `Predicate::eval` exactly (see
+        // `crate::batch`), so the kept set is identical.
         let kept = match opts.mode {
             ExecMode::Row => crate::exec_par::run_tuples(&rel.tuples, opts, |i, t| {
                 if mask.is_some_and(|m| !m[i]) {
@@ -188,10 +188,7 @@ pub fn select_masked(
             })?,
         };
         record_selected(opts, &kept);
-        let tuples = out.tuples_mut();
-        for t in kept.into_iter().flatten() {
-            push_tuple(tuples, t, reg);
-        }
+        out.tuples = Arc::new(kept.into_iter().flatten().collect());
         return Ok(out);
     }
 
@@ -202,9 +199,7 @@ pub fn select_masked(
     sets.push(a_ids.clone());
     out.schema.set_deps(closure(&sets));
 
-    // Phase 1 (parallel): per-tuple flooring reads the registry immutably.
     let fast = fast_path_atoms(rel, pred);
-    let reg_ref: &HistoryRegistry = reg;
     let computed = match (&fast, opts.mode) {
         // Batch fast path: certain atoms evaluated as chunk-wide lane
         // vectors, floors applied tuple-major — same arithmetic, same
@@ -216,17 +211,11 @@ pub fn select_masked(
         }
         _ => crate::exec_par::run_tuples_mode(&rel.tuples, opts, |_, t| match &fast {
             Some(atoms) => select_tuple_fast(rel, t, atoms, opts.stats_ref()),
-            None => select_tuple_general(rel, t, pred, &a_ids, reg_ref, opts),
+            None => select_tuple_general(rel, t, pred, &a_ids, reg, opts),
         })?,
     };
     record_selected(opts, &computed);
-    // Phase 2 (serial, in input order): reference-count commits.
-    let tuples = out.tuples_mut();
-    for nt in computed.into_iter().flatten() {
-        if !nt.is_vacuous() {
-            push_tuple(tuples, nt, reg);
-        }
-    }
+    out.tuples = Arc::new(computed.into_iter().flatten().filter(|t| !t.is_vacuous()).collect());
     Ok(out)
 }
 
@@ -239,13 +228,6 @@ fn record_selected(opts: &ExecOptions, computed: &[Option<ProbTuple>]) {
             s.batch_selected.add(computed.iter().filter(|t| t.is_some()).count() as u64);
         }
     }
-}
-
-fn push_tuple(out: &mut Vec<ProbTuple>, t: ProbTuple, reg: &mut HistoryRegistry) {
-    for n in &t.nodes {
-        reg.add_refs(&n.ancestors);
-    }
-    out.push(t);
 }
 
 /// Value lookup over a tuple's certain columns.
@@ -541,14 +523,10 @@ mod tests {
     fn selection_a_lt_b_matches_paper() {
         // Section III-C: σ_{a<b}(T) yields one tuple with joint
         // Discrete({0,1}:0.06, {0,2}:0.04, {1,2}:0.36).
-        let (rel, mut reg) = table2();
-        let out = select(
-            &rel,
-            &Predicate::cmp_cols("a", CmpOp::Lt, "b"),
-            &mut reg,
-            &ExecOptions::default(),
-        )
-        .unwrap();
+        let (rel, reg) = table2();
+        let out =
+            select(&rel, &Predicate::cmp_cols("a", CmpOp::Lt, "b"), &reg, &ExecOptions::default())
+                .unwrap();
         assert_eq!(out.len(), 1, "tuple 2 (7 !< 3) is fully floored");
         let t = &out.tuples[0];
         assert_eq!(t.nodes.len(), 1, "a and b merged into one dependency set");
@@ -594,7 +572,7 @@ mod tests {
             .unwrap();
         }
         let out =
-            select(&rel, &Predicate::cmp("id", CmpOp::Eq, 1i64), &mut reg, &ExecOptions::default())
+            select(&rel, &Predicate::cmp("id", CmpOp::Eq, 1i64), &reg, &ExecOptions::default())
                 .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.marginal(0, "loc").unwrap().to_string(), "Gaus(20,5)");
@@ -606,9 +584,8 @@ mod tests {
         let mut rel = Relation::new("t", schema);
         let mut reg = HistoryRegistry::new();
         rel.insert_simple(&mut reg, &[], &[("x", Pdf1::gaussian(5.0, 1.0).unwrap())]).unwrap();
-        let out =
-            select(&rel, &Predicate::cmp("x", CmpOp::Lt, 5.0), &mut reg, &ExecOptions::default())
-                .unwrap();
+        let out = select(&rel, &Predicate::cmp("x", CmpOp::Lt, 5.0), &reg, &ExecOptions::default())
+            .unwrap();
         let m = out.marginal(0, "x").unwrap();
         // The representation stays symbolic: [Gaus(5,1), Floor{[5,inf]}].
         assert_eq!(m.to_string(), "[Gaus(5,1), Floor{[5,inf]}]");
@@ -636,7 +613,7 @@ mod tests {
             Predicate::cmp("id", CmpOp::Le, 2i64),
             Predicate::cmp("x", CmpOp::Ge, 5.0),
         ]);
-        let out = select(&rel, &pred, &mut reg, &ExecOptions::default()).unwrap();
+        let out = select(&rel, &pred, &reg, &ExecOptions::default()).unwrap();
         assert_eq!(out.len(), 2);
         for i in 0..2 {
             let m = out.marginal(i, "x").unwrap();
@@ -647,10 +624,10 @@ mod tests {
 
     #[test]
     fn fully_floored_tuple_removed() {
-        let (rel, mut reg) = table2();
+        let (rel, reg) = table2();
         // a < 0 is impossible for both tuples.
         let out =
-            select(&rel, &Predicate::cmp("a", CmpOp::Lt, -1i64), &mut reg, &ExecOptions::default())
+            select(&rel, &Predicate::cmp("a", CmpOp::Lt, -1i64), &reg, &ExecOptions::default())
                 .unwrap();
         assert!(out.is_empty());
     }
@@ -675,7 +652,7 @@ mod tests {
         let out = select(
             &rel,
             &Predicate::cmp_cols("x", CmpOp::Gt, "bound"),
-            &mut reg,
+            &reg,
             &ExecOptions::default(),
         )
         .unwrap();
@@ -687,13 +664,13 @@ mod tests {
 
     #[test]
     fn or_predicate_takes_general_path() {
-        let (rel, mut reg) = table2();
+        let (rel, reg) = table2();
         // a = 0 OR a = 7: keeps world a=0 of tuple 1 (p 0.1) and tuple 2.
         let pred = Predicate::Or(vec![
             Predicate::cmp("a", CmpOp::Eq, 0i64),
             Predicate::cmp("a", CmpOp::Eq, 7i64),
         ]);
-        let out = select(&rel, &pred, &mut reg, &ExecOptions::default()).unwrap();
+        let out = select(&rel, &pred, &reg, &ExecOptions::default()).unwrap();
         assert_eq!(out.len(), 2);
         let m0 = out.tuples[0].node_for(rel.schema.column("a").unwrap().id).unwrap();
         assert!((m0.mass() - 0.1).abs() < 1e-12);
@@ -708,10 +685,8 @@ mod tests {
         let opts = ExecOptions::default();
         let p1 = Predicate::cmp("x", CmpOp::Gt, -1.0);
         let p2 = Predicate::cmp("x", CmpOp::Lt, 1.0);
-        let ab =
-            select(&select(&rel, &p1, &mut reg, &opts).unwrap(), &p2, &mut reg, &opts).unwrap();
-        let ba =
-            select(&select(&rel, &p2, &mut reg, &opts).unwrap(), &p1, &mut reg, &opts).unwrap();
+        let ab = select(&select(&rel, &p1, &reg, &opts).unwrap(), &p2, &reg, &opts).unwrap();
+        let ba = select(&select(&rel, &p2, &reg, &opts).unwrap(), &p1, &reg, &opts).unwrap();
         let (ma, mb) = (ab.marginal(0, "x").unwrap(), ba.marginal(0, "x").unwrap());
         assert!((ma.mass() - mb.mass()).abs() < 1e-12);
         for &x in &[-1.5, -0.5, 0.0, 0.5, 1.5] {
@@ -721,31 +696,24 @@ mod tests {
 
     /// Row and batch mode must agree bit-for-bit on every select path.
     fn assert_modes_agree(build: impl Fn() -> (Relation, HistoryRegistry), pred: &Predicate) {
-        // One relation, two cloned registries: AttrIds are globally
-        // allocated, so separate builds would not be comparable.
-        let (rel, reg0) = build();
-        let mut reg = reg0.clone();
+        // One relation for both runs: AttrIds are globally allocated, so
+        // separate builds would not be comparable.
+        let (rel, reg) = build();
         let row = select(
             &rel,
             pred,
-            &mut reg,
+            &reg,
             &ExecOptions { mode: ExecMode::Row, ..ExecOptions::default() },
         )
         .unwrap();
-        let mut reg_b = reg0.clone();
         let stats = std::sync::Arc::new(orion_obs::ExecStats::new());
         let opts = ExecOptions {
             mode: ExecMode::Batch,
             stats: Some(stats.clone()),
             ..ExecOptions::default()
         };
-        let batch = select(&rel, pred, &mut reg_b, &opts).unwrap();
+        let batch = select(&rel, pred, &reg, &opts).unwrap();
         assert_eq!(batch.tuples, row.tuples, "{pred}");
-        assert_eq!(reg_b.len(), reg.len());
-        assert_eq!(reg_b.last_id(), reg.last_id());
-        for (id, _) in reg.iter_bases() {
-            assert_eq!(reg_b.ref_count(id), reg.ref_count(id), "ref count of {id}");
-        }
         let snap = stats.snapshot();
         assert!(snap.batches > 0, "batch mode must record batches");
         assert_eq!(snap.batch_rows, rel.len() as u64);
@@ -797,10 +765,10 @@ mod tests {
         // The plan-level regression pins exact pdf_floors counts; the batch
         // fast path must count per tuple exactly as the row path does.
         let count = |mode: ExecMode| {
-            let (rel, mut reg) = table2();
+            let (rel, reg) = table2();
             let stats = std::sync::Arc::new(orion_obs::ExecStats::new());
             let opts = ExecOptions { mode, stats: Some(stats.clone()), ..ExecOptions::default() };
-            select(&rel, &Predicate::cmp("a", CmpOp::Lt, 5i64), &mut reg, &opts).unwrap();
+            select(&rel, &Predicate::cmp("a", CmpOp::Lt, 5i64), &reg, &opts).unwrap();
             stats.snapshot().pdf_floors
         };
         assert_eq!(count(ExecMode::Batch), count(ExecMode::Row));
@@ -808,11 +776,11 @@ mod tests {
 
     #[test]
     fn unknown_column_rejected() {
-        let (rel, mut reg) = table2();
+        let (rel, reg) = table2();
         assert!(select(
             &rel,
             &Predicate::cmp("zzz", CmpOp::Eq, 1i64),
-            &mut reg,
+            &reg,
             &ExecOptions::default()
         )
         .is_err());

@@ -33,6 +33,7 @@ use crate::select::{
 };
 use crate::tuple::{PdfNode, ProbTuple};
 use orion_pdf::prelude::RegionSet;
+use std::sync::Arc;
 
 /// `σ_{Pr(A) ⊙ p}`: keeps tuples whose probability over the attribute set
 /// `A` (the mass of its — history-merged — dependency sets) satisfies the
@@ -42,7 +43,7 @@ pub fn threshold_attrs(
     attrs: &[&str],
     op: CmpOp,
     p: f64,
-    reg: &mut HistoryRegistry,
+    reg: &HistoryRegistry,
     opts: &ExecOptions,
 ) -> Result<Relation> {
     if attrs.is_empty() {
@@ -62,25 +63,24 @@ pub fn threshold_attrs(
         })
         .collect::<Result<_>>()?;
 
-    let mut out = Relation::new(format!("sigma_pr({})", rel.name), rel.schema.clone());
-    // Phase 1 (parallel): probability evaluation reads the registry only.
-    let reg_ref: &HistoryRegistry = reg;
     let kept = crate::exec_par::run_tuples_mode(&rel.tuples, opts, |_, t| {
-        let prob = attr_set_probability(t, &ids, reg_ref, opts)?;
+        let prob = attr_set_probability(t, &ids, reg, opts)?;
         let cmp = prob
             .partial_cmp(&p)
             .ok_or_else(|| EngineError::Operator("non-finite probability".into()))?;
         Ok(op.test(cmp).then(|| t.clone()))
     })?;
-    // Phase 2 (serial, in input order): reference-count commits.
-    let tuples = out.tuples_mut();
-    for t in kept.into_iter().flatten() {
-        for n in &t.nodes {
-            reg.add_refs(&n.ancestors);
-        }
-        tuples.push(t);
+    Ok(kept_relation(format!("sigma_pr({})", rel.name), rel, kept))
+}
+
+/// The threshold result: the kept input tuples, unchanged and in input
+/// order, under the input's schema.
+fn kept_relation(name: String, rel: &Relation, kept: Vec<Option<ProbTuple>>) -> Relation {
+    Relation {
+        name,
+        schema: rel.schema.clone(),
+        tuples: Arc::new(kept.into_iter().flatten().collect()),
     }
-    Ok(out)
 }
 
 /// The probability mass of the (merged) dependency sets covering `ids`.
@@ -128,7 +128,7 @@ pub fn threshold_pred(
     pred: &Predicate,
     op: CmpOp,
     p: f64,
-    reg: &mut HistoryRegistry,
+    reg: &HistoryRegistry,
     opts: &ExecOptions,
 ) -> Result<Relation> {
     let mask = support_fallback_mask(rel, pred, op, p, opts);
@@ -139,17 +139,17 @@ pub fn threshold_pred(
 /// decision. `mask[i] == false` asserts tuple `i` cannot satisfy the
 /// threshold (a *sound* claim the index layer must guarantee); such tuples
 /// never enter probability evaluation. The iteration set is compacted to
-/// the candidate indices up front — phase 1 is pure and candidates keep
-/// their ascending input order, so the surviving tuples arrive at the
-/// serial commit in exactly the order a full scan would deliver them, and
-/// the output is bitwise identical to the unmasked run.
+/// the candidate indices up front. Candidates keep their ascending input
+/// order, so the surviving tuples come out in exactly the order a full
+/// scan would deliver them, and the output is bitwise identical to the
+/// unmasked run.
 pub fn threshold_pred_masked(
     rel: &Relation,
     pred: &Predicate,
     op: CmpOp,
     p: f64,
     mask: Option<&[bool]>,
-    reg: &mut HistoryRegistry,
+    reg: &HistoryRegistry,
     opts: &ExecOptions,
 ) -> Result<Relation> {
     pred.validate(&rel.schema)?;
@@ -157,12 +157,9 @@ pub fn threshold_pred_masked(
         s.index_probes.add(m.len() as u64);
         s.index_pruned.add(m.iter().filter(|&&keep| !keep).count() as u64);
     }
-    let mut out = Relation::new(format!("sigma_prob({})", rel.name), rel.schema.clone());
-    // Phase 1 (parallel): Pr(θ) evaluation reads the registry only.
-    let reg_ref: &HistoryRegistry = reg;
     let compiled = ProbPredicate::compile(rel, pred);
     let eval = |t: &ProbTuple| -> Result<Option<ProbTuple>> {
-        let prob = compiled.eval(t, reg_ref, opts)?;
+        let prob = compiled.eval(t, reg, opts)?;
         let cmp = prob
             .partial_cmp(&p)
             .ok_or_else(|| EngineError::Operator("non-finite probability".into()))?;
@@ -181,15 +178,7 @@ pub fn threshold_pred_masked(
         }
         None => crate::exec_par::run_tuples_mode(&rel.tuples, opts, |_, t| eval(t))?,
     };
-    // Phase 2 (serial, in input order): reference-count commits.
-    let tuples = out.tuples_mut();
-    for t in kept.into_iter().flatten() {
-        for n in &t.nodes {
-            reg.add_refs(&n.ancestors);
-        }
-        tuples.push(t);
-    }
-    Ok(out)
+    Ok(kept_relation(format!("sigma_prob({})", rel.name), rel, kept))
 }
 
 /// Builds a candidate mask from a support-interval index when no
@@ -465,13 +454,13 @@ mod tests {
     fn probabilistic_threshold_range_query() {
         // Which sensors are in [18, 22] with probability > 0.5? Only the
         // Gaus(20, 5) reading.
-        let (rel, mut reg) = readings();
+        let (rel, reg) = readings();
         let pred = Predicate::And(vec![
             Predicate::cmp("v", CmpOp::Ge, 18.0),
             Predicate::cmp("v", CmpOp::Le, 22.0),
         ]);
         let out =
-            threshold_pred(&rel, &pred, CmpOp::Gt, 0.5, &mut reg, &ExecOptions::default()).unwrap();
+            threshold_pred(&rel, &pred, CmpOp::Gt, 0.5, &reg, &ExecOptions::default()).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.value(0, "id").unwrap(), &Value::Int(1));
         // Result pdfs are NOT floored (operation on probability values).
@@ -500,24 +489,23 @@ mod tests {
         rel.insert_simple(&mut reg, &[], &[("x", Pdf1::certain(1.0))]).unwrap();
         rel.insert_simple(&mut reg, &[], &[("x", Pdf1::discrete(vec![(2.0, 0.4)]).unwrap())])
             .unwrap();
-        let out = threshold_attrs(&rel, &["x"], CmpOp::Gt, 0.5, &mut reg, &ExecOptions::default())
-            .unwrap();
+        let out =
+            threshold_attrs(&rel, &["x"], CmpOp::Gt, 0.5, &reg, &ExecOptions::default()).unwrap();
         assert_eq!(out.len(), 1);
         assert!((out.marginal(0, "x").unwrap().density(1.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn threshold_attrs_validation() {
-        let (rel, mut reg) = readings();
+        let (rel, reg) = readings();
         let opts = ExecOptions::default();
-        assert!(threshold_attrs(&rel, &[], CmpOp::Gt, 0.5, &mut reg, &opts).is_err());
-        assert!(threshold_attrs(&rel, &["id"], CmpOp::Gt, 0.5, &mut reg, &opts).is_err());
-        assert!(threshold_attrs(&rel, &["nope"], CmpOp::Gt, 0.5, &mut reg, &opts).is_err());
+        assert!(threshold_attrs(&rel, &[], CmpOp::Gt, 0.5, &reg, &opts).is_err());
+        assert!(threshold_attrs(&rel, &["id"], CmpOp::Gt, 0.5, &reg, &opts).is_err());
+        assert!(threshold_attrs(&rel, &["nope"], CmpOp::Gt, 0.5, &reg, &opts).is_err());
     }
 
     #[test]
     fn support_fallback_prunes_without_changing_results() {
-        use std::sync::Arc;
         // Mixed relation: an in-range gaussian (kept), a far-away gaussian
         // (support-pruned), and a partial mass-0.4 maybe-tuple carrying a
         // NULL certain key (mass-pruned for p = 0.5).
@@ -555,7 +543,7 @@ mod tests {
         };
         // Plain scan: no index infrastructure attached.
         let scan =
-            threshold_pred(&rel, &pred, CmpOp::Gt, 0.5, &mut reg, &ExecOptions::default()).unwrap();
+            threshold_pred(&rel, &pred, CmpOp::Gt, 0.5, &reg, &ExecOptions::default()).unwrap();
         // Fallback path: a session-level catalog exists but holds no
         // persistent index for this column.
         let stats = Arc::new(orion_obs::ExecStats::new());
@@ -563,7 +551,7 @@ mod tests {
             indexes: Some(crate::pindex::IndexHandle::new()),
             ..ExecOptions::default().with_stats(stats.clone())
         };
-        let pruned = threshold_pred(&rel, &pred, CmpOp::Gt, 0.5, &mut reg, &opts).unwrap();
+        let pruned = threshold_pred(&rel, &pred, CmpOp::Gt, 0.5, &reg, &opts).unwrap();
         assert_eq!(ids(&scan), vec!["Int(1)"]);
         assert_eq!(ids(&scan), ids(&pruned));
         let snap = stats.snapshot();
@@ -577,9 +565,9 @@ mod tests {
             Predicate::cmp("id", CmpOp::Eq, 1i64),
             Predicate::cmp("v", CmpOp::Le, 22.0),
         ]);
-        let a = threshold_pred(&rel, &pred3, CmpOp::Gt, 0.1, &mut reg, &ExecOptions::default())
-            .unwrap();
-        let b = threshold_pred(&rel, &pred3, CmpOp::Gt, 0.1, &mut reg, &opts).unwrap();
+        let a =
+            threshold_pred(&rel, &pred3, CmpOp::Gt, 0.1, &reg, &ExecOptions::default()).unwrap();
+        let b = threshold_pred(&rel, &pred3, CmpOp::Gt, 0.1, &reg, &opts).unwrap();
         assert_eq!(ids(&a), vec!["Int(1)"]);
         assert_eq!(ids(&a), ids(&b));
         assert_eq!(stats.snapshot().index_probes, 3, "fallback did not engage for pred3");
@@ -587,7 +575,6 @@ mod tests {
 
     #[test]
     fn support_index_is_cached_per_version() {
-        use std::sync::Arc;
         let handle = crate::pindex::IndexHandle::new();
         let opts = ExecOptions { indexes: Some(handle.clone()), ..ExecOptions::default() };
         let cache = handle.lock().build_cache();

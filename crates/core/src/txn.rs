@@ -268,16 +268,14 @@ impl Txn {
         Ok(Some(first))
     }
 
-    /// Runs `f` with read access to the view, own writes included. The
-    /// registry is mutable so query operators can do their reference
-    /// bookkeeping; bases they touch are private and never leak into the
-    /// commit.
+    /// Runs `f` with read access to the view and its registry, own writes
+    /// included.
     pub fn with_view<R>(
         &mut self,
-        f: impl FnOnce(&HashMap<String, Relation>, &mut HistoryRegistry) -> R,
+        f: impl FnOnce(&HashMap<String, Relation>, &HistoryRegistry) -> R,
     ) -> R {
         self.materialize_pending().expect("pending inserts name tables of the view");
-        f(&self.tables, &mut self.reg)
+        f(&self.tables, &self.reg)
     }
 
     /// One table of the view, own writes included.

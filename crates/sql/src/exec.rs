@@ -923,12 +923,12 @@ impl Database {
             // them, as a one-operator plan over the reordered input.
             Plan::Project(input, cols) if post.reorders() => {
                 let (rel, below) =
-                    plan::run(input, &source, &mut self.reg, &self.opts, Some(&self.stats))?;
+                    plan::run(input, &source, &self.reg, &self.opts, Some(&self.stats))?;
                 let mut rel = rel.into_owned();
-                post.order_and_limit(&mut rel, &mut self.reg)?;
+                post.order_and_limit(&mut rel)?;
                 let top = Plan::Project(Box::new(Plan::scan(&rel.name)), cols.clone());
                 let (out, mut profile) =
-                    plan::run(&top, &|_| Some(&rel), &mut self.reg, &self.opts, None)?;
+                    plan::run(&top, &|_| Some(&rel), &self.reg, &self.opts, None)?;
                 if let Some(scan) = profile.children.first_mut() {
                     *scan = below;
                 }
@@ -936,9 +936,9 @@ impl Database {
             }
             _ => {
                 let (mut rel, profile) =
-                    plan::run(&plan, &source, &mut self.reg, &self.opts, Some(&self.stats))?;
+                    plan::run(&plan, &source, &self.reg, &self.opts, Some(&self.stats))?;
                 if post.reorders() {
-                    post.order_and_limit(rel.to_mut(), &mut self.reg)?;
+                    post.order_and_limit(rel.to_mut())?;
                 }
                 (rel, profile)
             }

@@ -137,7 +137,7 @@ impl Post {
 
     /// ORDER BY (certain columns sort by value, uncertain columns by their
     /// conditional expectation), then LIMIT.
-    pub fn order_and_limit(&self, rel: &mut Relation, reg: &mut HistoryRegistry) -> Result<()> {
+    pub fn order_and_limit(&self, rel: &mut Relation) -> Result<()> {
         if let Some((col, desc)) = &self.order_by {
             let c = rel
                 .schema
@@ -176,11 +176,6 @@ impl Post {
             );
         }
         if let Some(n) = self.limit.filter(|&n| n < rel.len()) {
-            for t in &rel.tuples[n..] {
-                for node in &t.nodes {
-                    reg.release_refs(&node.ancestors);
-                }
-            }
             // Keep the prefix without copying the tail when the tuples are
             // shared.
             match Arc::get_mut(&mut rel.tuples) {

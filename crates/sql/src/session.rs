@@ -458,7 +458,7 @@ mod tests {
         let (tables, reg) = s.db().with_tables(|t, r| (t.clone(), r.clone()));
         let held = contents(&tables, &reg);
         let mut txn = Txn::begin(s.db());
-        let in_txn = txn.with_view(|t, r| contents(t, r));
+        let in_txn = txn.with_view(contents);
         assert_eq!(in_txn, held);
         for i in 10..110 {
             s.execute(&format!("INSERT INTO t VALUES ({i}, GAUSSIAN({i}, 2))")).unwrap();
@@ -467,8 +467,8 @@ mod tests {
         s.execute("DELETE FROM t WHERE id = 4").unwrap();
         assert_eq!(contents(&tables, &reg), held, "the held version is unchanged");
         check_invariants(&tables, &reg).unwrap();
-        assert_eq!(txn.with_view(|t, r| contents(t, r)), held, "the snapshot is unchanged");
-        txn.with_view(|t, r| check_invariants(t, r)).unwrap();
+        assert_eq!(txn.with_view(contents), held, "the snapshot is unchanged");
+        txn.with_view(check_invariants).unwrap();
         txn.rollback();
         s.db().check_invariants().unwrap();
         s.db().with_tables(|t, _| assert_eq!(t["t"].len(), 109));

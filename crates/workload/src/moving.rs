@@ -104,7 +104,7 @@ mod tests {
         let out = orion_core::select::select(
             &rel,
             &Predicate::cmp("x", CmpOp::Lt, 50.0),
-            &mut reg,
+            &reg,
             &ExecOptions::default(),
         )
         .unwrap();

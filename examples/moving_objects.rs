@@ -39,9 +39,8 @@ fn main() {
     println!("  relative error of independence: {:+.1}%\n", (indep_p / joint_p - 1.0) * 100.0);
 
     banner("Window query: objects west of x = 50 (floors the joint)");
-    let west =
-        select(&fleet, &Predicate::cmp("x", CmpOp::Lt, 50.0), &mut reg, &ExecOptions::default())
-            .unwrap();
+    let west = select(&fleet, &Predicate::cmp("x", CmpOp::Lt, 50.0), &reg, &ExecOptions::default())
+        .unwrap();
     println!("{} of {} objects have mass west of the line:", west.len(), fleet.len());
     for t in west.tuples.iter().take(5) {
         let Value::Int(oid) = t.certain[0] else { continue };
@@ -50,7 +49,7 @@ fn main() {
     println!();
 
     banner("Projection keeps the correlated y as a phantom dimension");
-    let xs = project(&west, &["oid", "x"], &mut reg, &ExecOptions::default()).unwrap();
+    let xs = project(&west, &["oid", "x"], &reg, &ExecOptions::default()).unwrap();
     let t = &xs.tuples[0];
     println!(
         "visible columns: {:?}",

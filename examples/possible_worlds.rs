@@ -62,7 +62,7 @@ fn main() {
     banner("Section III-C: sigma_(a < b), engine vs possible worlds");
     let plan = Plan::scan("T").select(Predicate::cmp_cols("a", CmpOp::Lt, "b"));
     let (truth, engine) =
-        conformance_report(&plan, &tables, &mut reg, &ExecOptions::default()).unwrap();
+        conformance_report(&plan, &tables, &reg, &ExecOptions::default()).unwrap();
     println!("possible-worlds ground truth:");
     show_distribution(&truth);
     println!("engine result:");
@@ -72,7 +72,7 @@ fn main() {
     banner("A full select-project pipeline is still PWS-consistent");
     let plan = Plan::scan("T").select(Predicate::cmp("b", CmpOp::Gt, 1i64)).project(&["a"]);
     let (truth, engine) =
-        conformance_report(&plan, &tables, &mut reg, &ExecOptions::default()).unwrap();
+        conformance_report(&plan, &tables, &reg, &ExecOptions::default()).unwrap();
     println!("possible-worlds ground truth:");
     show_distribution(&truth);
     println!("engine result:");

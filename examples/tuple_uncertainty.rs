@@ -57,7 +57,7 @@ fn main() {
     let sel = orion_core::select::select(
         &invoices,
         &Predicate::cmp("amount", CmpOp::Lt, 500.0),
-        &mut reg,
+        &reg,
         &opts,
     )
     .unwrap();

@@ -37,12 +37,6 @@ ORION_MODE=batch ORION_THREADS=1 cargo test -q
 echo "== cargo test -q (ORION_MODE=batch, ORION_THREADS=4) =="
 ORION_MODE=batch ORION_THREADS=4 cargo test -q
 
-echo "== cargo test -q (ORION_PLANNER=rule) =="
-# Tier-1 runs once more with the rule-based planner, which takes a usable
-# secondary index unconditionally: every indexed query path must stay green
-# and bit-identical even when the cost model would have chosen the scan.
-ORION_PLANNER=rule ORION_THREADS=1 cargo test -q
-
 echo "== batch + threshold fast-path differential oracles (3 pinned seeds) =="
 # Replays the serial-vs-batch pipeline oracle with pinned generator seeds,
 # mirroring the recovery oracle's replay protocol: row-serial, row-parallel,

@@ -148,9 +148,8 @@ fn registry_fingerprint(reg: &HistoryRegistry) -> (usize, u64, Vec<(u64, usize)>
 /// (including every pdf value and history id they carry), registry
 /// fingerprint, and existence probabilities.
 fn assert_mode_equivalent(plan: &Plan, schemas: &[(&str, &ProbSchema)], specs: &[Vec<TupleSpec>]) {
-    let (tables, mut reg) = build(schemas, specs);
-    let base =
-        execute(plan, &tables, &mut reg, &opts_with(ExecMode::Row, 1)).expect("row-serial run");
+    let (tables, reg) = build(schemas, specs);
+    let base = execute(plan, &tables, &reg, &opts_with(ExecMode::Row, 1)).expect("row-serial run");
     let base_fp = registry_fingerprint(&reg);
     let base_probs: Vec<f64> = base
         .tuples
@@ -163,9 +162,9 @@ fn assert_mode_equivalent(plan: &Plan, schemas: &[(&str, &ProbSchema)], specs: &
             if mode == ExecMode::Row && threads == 1 {
                 continue; // the baseline itself
             }
-            let (tables, mut reg) = build(schemas, specs);
-            let out = execute(plan, &tables, &mut reg, &opts_with(mode, threads))
-                .expect("configuration run");
+            let (tables, reg) = build(schemas, specs);
+            let out =
+                execute(plan, &tables, &reg, &opts_with(mode, threads)).expect("configuration run");
             assert_eq!(out.tuples, base.tuples, "mode={mode} threads={threads}, plan={plan:?}");
             assert_eq!(
                 registry_fingerprint(&reg),

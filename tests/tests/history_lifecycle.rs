@@ -33,35 +33,37 @@ fn base_with_joint(reg: &mut HistoryRegistry) -> Relation {
     rel
 }
 
-#[test]
-fn derived_views_hold_references() {
-    let mut reg = HistoryRegistry::new();
-    let rel = base_with_joint(&mut reg);
-    let base_id = *rel.tuples[0].nodes[0].ancestors.iter().next().unwrap();
-    assert_eq!(reg.ref_count(base_id), 1, "base tuple holds one reference");
-    let view = project(&rel, &["a"], &mut reg, &ExecOptions::default()).unwrap();
-    assert_eq!(reg.ref_count(base_id), 2, "derived view adds one");
-    view.release(&mut reg);
-    assert_eq!(reg.ref_count(base_id), 1);
+/// Takes the references a store takes for every node of `rel`'s tuples.
+/// Query results hold none; a relation kept past its statement must.
+fn pin(rel: &Relation, reg: &mut HistoryRegistry) {
+    for t in rel.tuples.iter() {
+        for n in &t.nodes {
+            reg.add_refs(&n.ancestors);
+        }
+    }
 }
 
 #[test]
 fn phantom_base_supports_late_recombination() {
-    // Derive two views, DELETE the base tuple, then recombine the views:
-    // the phantom base pdf must still drive the dependent merge.
+    // Derive two views and keep them (pinned, as a store would), DELETE the
+    // base tuple, then recombine the views: the phantom base pdf must still
+    // drive the dependent merge.
     let mut reg = HistoryRegistry::new();
     let mut rel = base_with_joint(&mut reg);
     let opts = ExecOptions::default();
 
-    let mut ta = project(&rel, &["id", "a"], &mut reg, &opts).unwrap();
+    let mut ta = project(&rel, &["id", "a"], &reg, &opts).unwrap();
     ta.name = "Ta".into();
-    let sel = select(&rel, &Predicate::cmp("b", CmpOp::Gt, 4i64), &mut reg, &opts).unwrap();
-    let mut tb = project(&sel, &["id", "b"], &mut reg, &opts).unwrap();
+    let sel = select(&rel, &Predicate::cmp("b", CmpOp::Gt, 4i64), &reg, &opts).unwrap();
+    let mut tb = project(&sel, &["id", "b"], &reg, &opts).unwrap();
     tb.name = "Tb".into();
-    sel.release(&mut reg);
+    let base_id = *rel.tuples[0].nodes[0].ancestors.iter().next().unwrap();
+    assert_eq!(reg.ref_count(base_id), 1, "reads take no references");
+    pin(&ta, &mut reg);
+    pin(&tb, &mut reg);
+    assert_eq!(reg.ref_count(base_id), 3);
 
     // Delete the base tuple: its pdf survives as a phantom node.
-    let base_id = *rel.tuples[0].nodes[0].ancestors.iter().next().unwrap();
     let removed = rel.delete_where(&mut reg, |_| true);
     assert_eq!(removed, 1);
     assert!(reg.base(base_id).unwrap().phantom, "kept as phantom while referenced");
@@ -71,16 +73,16 @@ fn phantom_base_supports_late_recombination() {
         &ta,
         &tb,
         Some(&Predicate::cmp_cols("Ta.id", CmpOp::Eq, "Tb.id")),
-        &mut reg,
+        &reg,
         &opts,
     )
     .unwrap();
     assert_eq!(joined.len(), 1);
     assert!((joined.tuples[0].naive_existence() - 0.9).abs() < 1e-12);
 
-    // Releasing every derived relation reclaims the phantom.
-    joined.release(&mut reg);
+    // Releasing the pinned views reclaims the phantom.
     ta.release(&mut reg);
+    assert!(reg.base(base_id).is_ok(), "still cited by Tb");
     tb.release(&mut reg);
     assert!(reg.base(base_id).is_err(), "phantom reclaimed at refcount zero");
 }
@@ -101,7 +103,7 @@ fn threshold_and_selection_share_history_semantics() {
     let mut reg = HistoryRegistry::new();
     let rel = base_with_joint(&mut reg);
     let opts = ExecOptions::default();
-    let sel = select(&rel, &Predicate::cmp_cols("a", CmpOp::Lt, "b"), &mut reg, &opts).unwrap();
+    let sel = select(&rel, &Predicate::cmp_cols("a", CmpOp::Lt, "b"), &reg, &opts).unwrap();
     let a_id = rel.schema.column("a").unwrap().id;
     let prob =
         orion_core::threshold::attr_set_probability(&sel.tuples[0], &[a_id], &reg, &opts).unwrap();
@@ -115,7 +117,7 @@ fn eager_and_lazy_collapse_agree() {
     let eager = ExecOptions::default();
     let lazy = ExecOptions { eager_collapse: false, ..ExecOptions::default() };
 
-    let build = |reg: &mut HistoryRegistry, opts: &ExecOptions| {
+    let build = |reg: &HistoryRegistry, opts: &ExecOptions| {
         let mut ta = project(&rel, &["id", "a"], reg, opts).unwrap();
         ta.name = "Ta".into();
         let sel = select(&rel, &Predicate::cmp("b", CmpOp::Gt, 4i64), reg, opts).unwrap();
@@ -130,8 +132,8 @@ fn eager_and_lazy_collapse_agree() {
         )
         .unwrap()
     };
-    let je = build(&mut reg, &eager);
-    let jl = build(&mut reg, &lazy);
+    let je = build(&reg, &eager);
+    let jl = build(&reg, &lazy);
     assert_eq!(je.len(), jl.len());
     // Lazy keeps two nodes; eager one — but collapsed existence agrees.
     assert_eq!(je.tuples[0].nodes.len(), 1);

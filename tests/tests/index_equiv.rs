@@ -164,9 +164,9 @@ fn registry_fingerprint(reg: &HistoryRegistry) -> (usize, u64, Vec<(u64, usize)>
 /// outputs and registry effects.
 fn assert_threshold_equivalent(specs: &[TupleSpec], q: &Query) {
     let schema = schema();
-    let (rel, mut reg, _) = build(&schema, specs);
+    let (rel, reg, _) = build(&schema, specs);
     let base =
-        threshold_pred(&rel, &q.pred, q.op, q.p, &mut reg, &opts_for(Path::Scan, ExecMode::Row, 1))
+        threshold_pred(&rel, &q.pred, q.op, q.p, &reg, &opts_for(Path::Scan, ExecMode::Row, 1))
             .expect("baseline scan");
     let base_fp = registry_fingerprint(&reg);
 
@@ -176,11 +176,11 @@ fn assert_threshold_equivalent(specs: &[TupleSpec], q: &Query) {
                 if path == Path::Scan && mode == ExecMode::Row && threads == 1 {
                     continue; // the baseline itself
                 }
-                let (rel, mut reg, stats) = build(&schema, specs);
+                let (rel, reg, stats) = build(&schema, specs);
                 let opts = opts_for(path, mode, threads);
                 let out = match path {
                     Path::Scan => {
-                        threshold_pred(&rel, &q.pred, q.op, q.p, &mut reg, &opts).expect("scan run")
+                        threshold_pred(&rel, &q.pred, q.op, q.p, &reg, &opts).expect("scan run")
                     }
                     Path::Cost | Path::Rule => {
                         let ap =
@@ -192,7 +192,7 @@ fn assert_threshold_equivalent(specs: &[TupleSpec], q: &Query) {
                             q.op,
                             q.p,
                             ap.mask.as_deref(),
-                            &mut reg,
+                            &reg,
                             &opts,
                         )
                         .expect("indexed run")
@@ -209,18 +209,18 @@ fn assert_threshold_equivalent(specs: &[TupleSpec], q: &Query) {
 /// Same protocol for certain-key selection through the `evx` index.
 fn assert_select_equivalent(specs: &[TupleSpec], pred: &Predicate) {
     let schema = schema();
-    let (rel, mut reg, _) = build(&schema, specs);
-    let base = select_masked(&rel, pred, None, &mut reg, &opts_for(Path::Scan, ExecMode::Row, 1))
+    let (rel, reg, _) = build(&schema, specs);
+    let base = select_masked(&rel, pred, None, &reg, &opts_for(Path::Scan, ExecMode::Row, 1))
         .expect("baseline scan");
     let base_fp = registry_fingerprint(&reg);
 
     for path in [Path::Cost, Path::Rule] {
         for mode in [ExecMode::Row, ExecMode::Batch] {
             for threads in THREADS {
-                let (rel, mut reg, stats) = build(&schema, specs);
+                let (rel, reg, stats) = build(&schema, specs);
                 let opts = opts_for(path, mode, threads);
                 let ap = plan_select_access(&rel, pred, Some(&stats), &opts).expect("plan");
-                let out = select_masked(&rel, pred, ap.mask.as_deref(), &mut reg, &opts)
+                let out = select_masked(&rel, pred, ap.mask.as_deref(), &reg, &opts)
                     .expect("indexed run");
                 let ctx = format!("path={path:?} mode={mode} threads={threads}, pred={pred:?}");
                 assert_eq!(out.tuples, base.tuples, "{ctx}");

@@ -159,15 +159,8 @@ fn both(sides: &mut [Side; 2], reader: bool, sql: &str, ctx: &str) -> Output {
 /// catalog is attached, so neither trees nor the support fallback engage.
 fn committed_scan(side: &Side, q: &Query) -> Vec<i64> {
     side.writer.db().with_tables(|tables, reg| {
-        let out = threshold_pred(
-            &tables["t"],
-            &q.pred(),
-            q.op,
-            q.p,
-            &mut reg.clone(),
-            &ExecOptions::default(),
-        )
-        .unwrap();
+        let out = threshold_pred(&tables["t"], &q.pred(), q.op, q.p, reg, &ExecOptions::default())
+            .unwrap();
         out.tuples
             .iter()
             .map(|t| match t.certain[0] {

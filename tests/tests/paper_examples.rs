@@ -55,12 +55,12 @@ fn table3_possible_worlds_probabilities() {
 fn section_3c_selection_example() {
     // σ_{a<b}(T) = one tuple with Discrete({0,1}:0.06, {0,2}:0.04,
     // {1,2}:0.36), schema Δ = {{a,b}}, ancestors {t1.a, t1.b}.
-    let (tables, mut reg) = table2();
+    let (tables, reg) = table2();
     let rel = &tables["T"];
     let out = orion_core::select::select(
         rel,
         &Predicate::cmp_cols("a", CmpOp::Lt, "b"),
-        &mut reg,
+        &reg,
         &ExecOptions::default(),
     )
     .unwrap();
@@ -123,7 +123,7 @@ fn figure3_complete_pipeline() {
         .unwrap();
     }
     let opts = ExecOptions::default();
-    let mut ta = orion_core::project::project(&t, &["a"], &mut reg, &opts).unwrap();
+    let mut ta = orion_core::project::project(&t, &["a"], &reg, &opts).unwrap();
     ta.name = "Ta".into();
     // Ta's marginals: Discrete(4:0.9, 2:0.1) and Discrete(7:0.7).
     let a_id = t.schema.column("a").unwrap().id;
@@ -133,9 +133,8 @@ fn figure3_complete_pipeline() {
     assert!((ma.density(2.0) - 0.1).abs() < 1e-12);
 
     let sel =
-        orion_core::select::select(&t, &Predicate::cmp("b", CmpOp::Gt, 4i64), &mut reg, &opts)
-            .unwrap();
-    let mut tb = orion_core::project::project(&sel, &["b"], &mut reg, &opts).unwrap();
+        orion_core::select::select(&t, &Predicate::cmp("b", CmpOp::Gt, 4i64), &reg, &opts).unwrap();
+    let mut tb = orion_core::project::project(&sel, &["b"], &reg, &opts).unwrap();
     tb.name = "Tb".into();
     assert_eq!(tb.len(), 1, "t2 fails b > 4");
     let mb = tb.marginal(0, "b").unwrap();
@@ -143,7 +142,7 @@ fn figure3_complete_pipeline() {
 
     // The joined T2 (correct): t'1 joint = Discrete({4,5}:0.9);
     // t'2 = Discrete({7,5}:0.63) via independence.
-    let joined = orion_core::join::join(&ta, &tb, None, &mut reg, &opts).unwrap();
+    let joined = orion_core::join::join(&ta, &tb, None, &reg, &opts).unwrap();
     assert_eq!(joined.len(), 2);
     let existences: Vec<f64> = joined.tuples.iter().map(|tp| tp.naive_existence()).collect();
     let mut sorted = existences.clone();

@@ -155,8 +155,8 @@ fn assert_parallel_equivalent(
     schemas: &[(&str, &ProbSchema)],
     specs: &[Vec<TupleSpec>],
 ) {
-    let (tables, mut reg) = build(schemas, specs);
-    let serial = execute(plan, &tables, &mut reg, &opts_with(1)).expect("serial run");
+    let (tables, reg) = build(schemas, specs);
+    let serial = execute(plan, &tables, &reg, &opts_with(1)).expect("serial run");
     let serial_fp = registry_fingerprint(&reg);
     let serial_probs: Vec<f64> = serial
         .tuples
@@ -165,8 +165,8 @@ fn assert_parallel_equivalent(
         .collect();
 
     for threads in THREADS {
-        let (tables, mut reg) = build(schemas, specs);
-        let par = execute(plan, &tables, &mut reg, &opts_with(threads)).expect("parallel run");
+        let (tables, reg) = build(schemas, specs);
+        let par = execute(plan, &tables, &reg, &opts_with(threads)).expect("parallel run");
         assert_eq!(par.tuples, serial.tuples, "threads={threads}, plan={plan:?}");
         assert_eq!(registry_fingerprint(&reg), serial_fp, "threads={threads}, plan={plan:?}");
         let probs: Vec<f64> = par
@@ -182,9 +182,9 @@ fn assert_parallel_equivalent(
 
 /// PWS oracle on a fresh copy (threshold-free plans only).
 fn assert_pws_conforms(plan: &Plan, schemas: &[(&str, &ProbSchema)], specs: &[Vec<TupleSpec>]) {
-    let (tables, mut reg) = build(schemas, specs);
+    let (tables, reg) = build(schemas, specs);
     let (truth, engine) =
-        conformance_report(plan, &tables, &mut reg, &opts_with(1)).expect("both engines run");
+        conformance_report(plan, &tables, &reg, &opts_with(1)).expect("both engines run");
     let d = distribution_distance(&truth, &engine);
     assert!(d < TOL, "PWS deviation {d} for plan {plan:?}");
 }
@@ -283,16 +283,16 @@ proptest! {
         let schemas = [("t", &schema)];
         let plan = Plan::scan("t").select(pred).project(&["id", "a"]);
         for threads in [1usize, 4] {
-            let (tables, mut reg) = build(&schemas, std::slice::from_ref(&specs));
-            let plain = execute(&plan, &tables, &mut reg, &opts_with(threads))
+            let (tables, reg) = build(&schemas, std::slice::from_ref(&specs));
+            let plain = execute(&plan, &tables, &reg, &opts_with(threads))
                 .expect("untraced run");
             let plain_fp = registry_fingerprint(&reg);
 
             let tracer = orion_obs::Tracer::new();
             tracer.set_enabled(true);
-            let (tables, mut reg) = build(&schemas, std::slice::from_ref(&specs));
+            let (tables, reg) = build(&schemas, std::slice::from_ref(&specs));
             let opts = opts_with(threads).with_trace(tracer.clone());
-            let traced = execute(&plan, &tables, &mut reg, &opts).expect("traced run");
+            let traced = execute(&plan, &tables, &reg, &opts).expect("traced run");
             prop_assert_eq!(&traced.tuples, &plain.tuples);
             prop_assert_eq!(registry_fingerprint(&reg), plain_fp);
             prop_assert!(!tracer.events().is_empty(), "tracer recorded spans");

@@ -23,10 +23,10 @@ fn reloaded_database_stays_pws_consistent() {
     let (tables, reg) = orion_tests::table2();
     let path = temp("pws.db");
     save_database(&path, &tables, &reg).unwrap();
-    let (loaded, mut lreg) = load_database(&path).unwrap();
+    let (loaded, lreg) = load_database(&path).unwrap();
     let plan = Plan::scan("T").select(Predicate::cmp_cols("a", CmpOp::Lt, "b"));
     let (truth, engine) =
-        conformance_report(&plan, &loaded, &mut lreg, &ExecOptions::default()).unwrap();
+        conformance_report(&plan, &loaded, &lreg, &ExecOptions::default()).unwrap();
     assert!(distribution_distance(&truth, &engine) < 1e-9);
     std::fs::remove_file(&path).ok();
 }
@@ -143,7 +143,7 @@ fn durable_db_recovers_committed_inserts_after_wal_corruption() {
     let mut f = std::fs::OpenOptions::new().append(true).open(dir.join(WAL_FILE)).unwrap();
     f.write_all(&[0xEE; 23]).unwrap();
     drop(f);
-    let mut rec = orion_tests::recover(&dir);
+    let rec = orion_tests::recover(&dir);
     assert_eq!(rec.db.recovery().wal_bytes_truncated, 23);
     assert_eq!(rec.rows("readings"), 4, "every committed insert survives");
     rec.db.check_invariants().unwrap();
@@ -151,7 +151,7 @@ fn durable_db_recovers_committed_inserts_after_wal_corruption() {
     let opts = ExecOptions::default();
     let pred = Predicate::cmp("v", CmpOp::Gt, 1.5);
     let rel = rec.tables["readings"].clone();
-    let sel = orion_core::select::select(&rel, &pred, &mut rec.reg, &opts).unwrap();
+    let sel = orion_core::select::select(&rel, &pred, &rec.reg, &opts).unwrap();
     assert!(!sel.is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -178,11 +178,11 @@ fn checkpoint_truncates_wal_and_snapshot_takes_over() {
 fn derived_relations_persist_with_floors() {
     // Save a database containing a *derived* (floored) relation; the floors
     // and partial masses must survive.
-    let (tables, mut reg) = orion_tests::table2();
+    let (tables, reg) = orion_tests::table2();
     let sel = orion_core::select::select(
         &tables["T"],
         &Predicate::cmp("a", CmpOp::Gt, 0i64),
-        &mut reg,
+        &reg,
         &ExecOptions::default(),
     )
     .unwrap();

@@ -114,7 +114,7 @@ fn arb_pred() -> impl Strategy<Value = Predicate> {
     ]
 }
 
-fn check(plan: &Plan, tables: &HashMap<String, Relation>, reg: &mut HistoryRegistry) {
+fn check(plan: &Plan, tables: &HashMap<String, Relation>, reg: &HistoryRegistry) {
     let opts = ExecOptions::default();
     let (truth, engine) = conformance_report(plan, tables, reg, &opts).expect("both engines run");
     let d = distribution_distance(&truth, &engine);
@@ -126,16 +126,16 @@ proptest! {
 
     #[test]
     fn selection_conforms(spec in arb_relation("t"), pred in arb_pred()) {
-        let (tables, mut reg) = build_tables(vec![spec]);
+        let (tables, reg) = build_tables(vec![spec]);
         let plan = Plan::scan("t").select(pred);
-        check(&plan, &tables, &mut reg);
+        check(&plan, &tables, &reg);
     }
 
     #[test]
     fn select_then_project_conforms(spec in arb_relation("t"), pred in arb_pred()) {
-        let (tables, mut reg) = build_tables(vec![spec]);
+        let (tables, reg) = build_tables(vec![spec]);
         let plan = Plan::scan("t").select(pred).project(&["id", "a"]);
-        check(&plan, &tables, &mut reg);
+        check(&plan, &tables, &reg);
     }
 
     #[test]
@@ -144,9 +144,9 @@ proptest! {
         p1 in arb_pred(),
         p2 in arb_pred(),
     ) {
-        let (tables, mut reg) = build_tables(vec![spec]);
+        let (tables, reg) = build_tables(vec![spec]);
         let plan = Plan::scan("t").select(p1).select(p2);
-        check(&plan, &tables, &mut reg);
+        check(&plan, &tables, &reg);
     }
 
     #[test]
@@ -155,7 +155,7 @@ proptest! {
         r in arb_relation("r"),
         op in prop_oneof![Just(CmpOp::Lt), Just(CmpOp::Eq), Just(CmpOp::Ge)],
     ) {
-        let (tables, mut reg) = build_tables(vec![l, r]);
+        let (tables, reg) = build_tables(vec![l, r]);
         // Join on an uncertain cross-table comparison. After projecting,
         // `a` lives only on the left and `b` only on the right, so the
         // names need no qualification.
@@ -164,29 +164,29 @@ proptest! {
             Plan::scan("r").project(&["id", "b"]),
             Some(pred),
         );
-        check(&plan, &tables, &mut reg);
+        check(&plan, &tables, &reg);
     }
 
     #[test]
     fn fig3_shape_pipeline_conforms(spec in arb_relation("t"), thresh in 0i64..5) {
         // Project two views of the same table, then rejoin them: the
         // history mechanism must reconstruct the original correlations.
-        let (tables, mut reg) = build_tables(vec![spec]);
+        let (tables, reg) = build_tables(vec![spec]);
         let ta = Plan::scan("t").project(&["id", "a"]);
         let tb = Plan::scan("t")
             .select(Predicate::cmp("b", CmpOp::Gt, thresh))
             .project(&["id", "b"]);
         let plan = ta.join_on(tb, Some(Predicate::cmp_cols("pi(t).id", CmpOp::Eq, "pi(sigma(t)).id")));
-        check(&plan, &tables, &mut reg);
+        check(&plan, &tables, &reg);
     }
 }
 
 #[test]
 fn join_project_join_composition() {
     // A deterministic deeper pipeline kept out of proptest for speed.
-    let (tables, mut reg) = orion_tests::table2();
+    let (tables, reg) = orion_tests::table2();
     let plan = Plan::scan("T").select(Predicate::cmp_cols("a", CmpOp::Lt, "b")).project(&["a"]);
     let opts = ExecOptions::default();
-    let (truth, engine) = conformance_report(&plan, &tables, &mut reg, &opts).unwrap();
+    let (truth, engine) = conformance_report(&plan, &tables, &reg, &opts).unwrap();
     assert!(distribution_distance(&truth, &engine) < TOL);
 }

@@ -254,8 +254,8 @@ fn select_runs_the_plan_explain_prints() {
         }
         explained += 1;
         let tables = stored_tables(&db);
-        let mut reg = db.registry_mut().clone();
-        let oracle = execute(&lowered.plan, &tables, &mut reg, &ExecOptions::default()).unwrap();
+        let reg = db.registry_mut().clone();
+        let oracle = execute(&lowered.plan, &tables, &reg, &ExecOptions::default()).unwrap();
 
         let rel = table(db.execute(sql).unwrap());
         assert_eq!(rel.tuples, oracle.tuples, "{sql}");
@@ -340,4 +340,51 @@ fn prob_items_render_unchanged() {
 | 7   | 1.000000 | 0.000000 |
 +-----+----------+----------+"
     );
+}
+
+/// Reads leave the registry as they found it: a SELECT's result is not
+/// stored, so it takes no references on the bases it cites. After each
+/// read the stored tables and the live registry still agree (every base's
+/// ref count equals its citing stored nodes), and deleting every row
+/// reclaims every base.
+#[test]
+fn reads_leave_reference_counts_untouched() {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE r (rid INT, v REAL UNCERTAIN)").unwrap();
+    db.execute("CREATE TABLE s (sid INT, w REAL UNCERTAIN)").unwrap();
+    db.execute(
+        "INSERT INTO r VALUES (1, GAUSSIAN(20, 4)), (2, UNIFORM(10, 40)), (3, GAUSSIAN(30, 1))",
+    )
+    .unwrap();
+    db.execute("INSERT INTO s VALUES (1, UNIFORM(15, 35)), (2, GAUSSIAN(25, 2))").unwrap();
+    let check = |db: &mut Database, sql: &str| {
+        let tables: std::collections::HashMap<_, _> = db
+            .table_names()
+            .into_iter()
+            .map(|n| (n.clone(), db.table(&n).unwrap().clone()))
+            .collect();
+        let reg = db.registry_mut();
+        if let Err(e) = orion_core::prelude::check_invariants(&tables, reg) {
+            panic!("after `{sql}`: {e}");
+        }
+    };
+    check(&mut db, "INSERT");
+    let reads = [
+        "SELECT rid FROM r WHERE v > 20",
+        "SELECT * FROM r WHERE PROB(v > 20) > 0.5",
+        "SELECT * FROM r WHERE PROB(v > 20) > 0.5",
+        "SELECT * FROM r WHERE PROB(v > 20) > 0.5",
+        "SELECT * FROM r LIMIT 1",
+        "SELECT * FROM r ORDER BY v LIMIT 1",
+        "SELECT * FROM r JOIN s ON rid = sid AND v < w",
+    ];
+    for sql in reads {
+        db.execute(sql).unwrap();
+        check(&mut db, sql);
+    }
+    db.execute("DELETE FROM r").unwrap();
+    check(&mut db, "DELETE FROM r");
+    assert_eq!(db.registry_mut().len(), 2, "only s's bases are left");
+    db.execute("DELETE FROM s").unwrap();
+    assert!(db.registry_mut().is_empty(), "{} bases left", db.registry_mut().len());
 }

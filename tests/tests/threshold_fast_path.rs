@@ -257,8 +257,7 @@ fn check_operator(rel: &Relation, reg: &HistoryRegistry, pred: &Predicate) {
         for threads in [1, 3] {
             let stats = Arc::new(ExecStats::new());
             let o = ExecOptions { mode, threads, morsel_size: 16, ..opts(true, &stats) };
-            let mut r = reg.clone();
-            let out = threshold_pred(rel, pred, CmpOp::Gt, 0.3, &mut r, &o).unwrap();
+            let out = threshold_pred(rel, pred, CmpOp::Gt, 0.3, reg, &o).unwrap();
             let got: Vec<&ProbTuple> = out.tuples.iter().collect();
             assert_eq!(got, want, "{mode:?} threads {threads} θ={pred}");
             let s = stats.snapshot();
@@ -306,23 +305,22 @@ fn already_floored_symbolic_pdfs() {
     // The output of a σ: symbolic pdfs carry a floor, histograms and
     // discrete pdfs have absorbed theirs.
     let mut g = Gen::new(2);
-    let (rel, mut reg) = base_rows(&mut g, 120);
+    let (rel, reg) = base_rows(&mut g, 120);
     let (a, b) = (g.range(10.0, 50.0), g.range(50.0, 90.0));
     let sel =
         Predicate::Or(vec![Predicate::cmp("v", CmpOp::Lt, a), Predicate::cmp("v", CmpOp::Gt, b)]);
     // An OR floors through the general path; an AND keeps floors symbolic.
-    let once = select(&rel, &Predicate::cmp("v", CmpOp::Gt, a), &mut reg, &ExecOptions::default())
-        .unwrap();
+    let once =
+        select(&rel, &Predicate::cmp("v", CmpOp::Gt, a), &reg, &ExecOptions::default()).unwrap();
     let twice =
-        select(&once, &Predicate::cmp("v", CmpOp::Lt, b), &mut reg, &ExecOptions::default())
-            .unwrap();
+        select(&once, &Predicate::cmp("v", CmpOp::Lt, b), &reg, &ExecOptions::default()).unwrap();
     assert!(twice.tuples.iter().any(|t| matches!(
         t.nodes[0].joint.blocks()[0],
         Block::Uni(Pdf1::Symbolic { ref floor, .. }) if floor.intervals().len() == 2
     )));
     let preds = predicates(&mut g, true, true);
     check("σ twice", &twice, &reg, &preds, [Expect::Fast, Expect::Fast]);
-    let general = select(&rel, &sel, &mut reg, &ExecOptions::default()).unwrap();
+    let general = select(&rel, &sel, &reg, &ExecOptions::default()).unwrap();
     check("σ general", &general, &reg, &preds, [Expect::Mixed, Expect::Mixed]);
     for pred in preds.iter().take(8) {
         check_operator(&twice, &reg, pred);
@@ -391,14 +389,14 @@ fn lazy_join(g: &mut Gen, n: usize) -> (Relation, HistoryRegistry) {
         base.insert(&mut reg, &[("id", Value::Int(id))], vec![(vec!["v", "w"], joint)]).unwrap();
     }
     let lazy = ExecOptions { eager_collapse: false, ..ExecOptions::default() };
-    let sel_v = select(&base, &Predicate::cmp("v", CmpOp::Lt, 90.0), &mut reg, &lazy).unwrap();
-    let mut ta = project(&sel_v, &["id", "v"], &mut reg, &lazy).unwrap();
+    let sel_v = select(&base, &Predicate::cmp("v", CmpOp::Lt, 90.0), &reg, &lazy).unwrap();
+    let mut ta = project(&sel_v, &["id", "v"], &reg, &lazy).unwrap();
     ta.name = "Ta".into();
-    let sel_w = select(&base, &Predicate::cmp("w", CmpOp::Gt, 5.0), &mut reg, &lazy).unwrap();
-    let mut tb = project(&sel_w, &["id", "w"], &mut reg, &lazy).unwrap();
+    let sel_w = select(&base, &Predicate::cmp("w", CmpOp::Gt, 5.0), &reg, &lazy).unwrap();
+    let mut tb = project(&sel_w, &["id", "w"], &reg, &lazy).unwrap();
     tb.name = "Tb".into();
     let on = Predicate::cmp_cols("Ta.id", CmpOp::Eq, "Tb.id");
-    let joined = join(&ta, &tb, Some(&on), &mut reg, &lazy).unwrap();
+    let joined = join(&ta, &tb, Some(&on), &reg, &lazy).unwrap();
     assert!(joined.tuples.iter().all(|t| t.nodes.len() == 2), "dependent nodes stay apart");
     (joined, reg)
 }

@@ -107,14 +107,14 @@ fn ancestor_level_pws_sees_mutual_exclusion() {
 
 #[test]
 fn engine_join_drops_mutually_exclusive_pairs() {
-    let (tables, mut reg) = mutex_table();
+    let (tables, reg) = mutex_table();
     let opts = ExecOptions::default();
     let plan = Plan::scan("T").project(&["id", "a"]).join_on(
         Plan::scan("T").project(&["id", "b"]),
         Some(Predicate::cmp_cols("a", CmpOp::Lt, "b")),
     );
     let truth = pws_row_distribution_via_ancestors(&plan, &tables, &reg).unwrap();
-    let result = execute(&plan, &tables, &mut reg, &opts).unwrap();
+    let result = execute(&plan, &tables, &reg, &opts).unwrap();
     let engine = engine_row_distribution(&result, &reg, &opts).unwrap();
     // Project rows to the certain key columns for comparison: engine rows
     // also carry the uncertain columns; restrict both to shared keys by
@@ -128,12 +128,12 @@ fn engine_join_drops_mutually_exclusive_pairs() {
 
 #[test]
 fn selection_composes_with_mutex_constraints() {
-    let (tables, mut reg) = mutex_table();
+    let (tables, reg) = mutex_table();
     let opts = ExecOptions::default();
     // Selection over an uncertain attribute of the alternatives.
     let plan = Plan::scan("T").select(Predicate::cmp("a", CmpOp::Lt, 25i64)).project(&["id"]);
     let truth = pws_row_distribution_via_ancestors(&plan, &tables, &reg).unwrap();
-    let result = execute(&plan, &tables, &mut reg, &opts).unwrap();
+    let result = execute(&plan, &tables, &reg, &opts).unwrap();
     let engine = engine_row_distribution(&result, &reg, &opts).unwrap();
     assert!(distribution_distance(&truth, &engine) < 1e-9);
     assert!((truth[&int_key(1)] - 0.3).abs() < 1e-12);
