@@ -9,12 +9,12 @@
 //!   framed records ([`orion_storage::Wal`]).
 //!
 //! **Commit protocol.** Every write logs first and applies second. Row
-//! data commits through [`crate::txn::Txn`]: its `[begin] [bases] [ops…]
-//! [commit]` frame reaches stable storage, and only then are the same
-//! records applied through [`crate::persist::apply_record`]. `ANALYZE` and
-//! index DDL commit one record each the same way. The invariant: **every
-//! WAL commit and every apply happens under the core lock; the core holds
-//! only durable state.** A failed commit applies nothing (the [`GroupWal`]
+//! data commits through [`crate::txn::Txn`]: its group record (`[bases]
+//! [ops…]`) reaches stable storage as one WAL frame, and only then is the
+//! same record applied through [`crate::persist::apply_record`]. `ANALYZE`
+//! and index DDL commit one bare record each the same way. The invariant:
+//! **every WAL commit and every apply happens under the core lock; the
+//! core holds only durable state.** A failed commit applies nothing (the [`GroupWal`]
 //! truncates the failed batch away), so memory never diverges from what
 //! recovery would rebuild, and no reader can observe a write whose commit
 //! later fails.
@@ -31,11 +31,14 @@
 //! **Recovery.** [`SharedDurableDb::open`] loads `snapshot.db` in one
 //! streaming scan ([`crate::persist::load_into`]), truncates any torn WAL
 //! tail, discards the whole WAL if its epoch predates the snapshot's, and
-//! otherwise replays every committed record through the same
+//! otherwise replays every frame, in one loop, through the same
 //! [`crate::persist::apply_record`] decoder the snapshot loader uses,
-//! reporting what it did in a [`RecoveryReport`]. Records outside any
-//! transaction frame (logs written by versions that committed each insert
-//! as bare base + tuple records) replay one by one, as they always did.
+//! reporting what it did in a [`RecoveryReport`]. A frame is a whole
+//! commit, so nothing is buffered: a transaction's frame is either intact
+//! (replayed) or part of the torn tail (gone). Bare base + tuple records
+//! of logs written before inserts ran as transactions replay through the
+//! same loop. A log holding the begin/commit/abort marker records of
+//! earlier versions fails with [`EngineError::Corrupt`], untouched.
 //! Re-opening a recovered database is idempotent: the second open replays
 //! the same records and truncates nothing. A directory holding
 //! `delta-*.db` files (incremental checkpoints written by earlier
@@ -44,7 +47,7 @@
 //! them.
 //!
 //! **Group commit.** The WAL is driven through
-//! [`orion_storage::GroupWal`]: each commit enqueues its framed records,
+//! [`orion_storage::GroupWal`]: each commit enqueues its one frame,
 //! one elected leader performs a single batched `append + fsync` for every
 //! queued commit, and followers block on their commit sequence number.
 //! Commits run under the core lock, so the pipeline sees one committer at
@@ -76,30 +79,26 @@ pub const WAL_FILE: &str = "wal.log";
 pub struct RecoveryReport {
     /// Whether a snapshot file existed and was loaded.
     pub snapshot_loaded: bool,
-    /// Committed WAL records replayed over the snapshot.
+    /// WAL frames (one per commit; the epoch stamp not counted) replayed
+    /// over the snapshot.
     pub wal_records_replayed: u64,
     /// Bytes of torn WAL tail discarded (crash mid-append).
     pub wal_bytes_truncated: u64,
-    /// Records discarded because the whole WAL predated the snapshot's
-    /// checkpoint epoch (crash between snapshot rename and WAL reset).
+    /// WAL frames (epoch stamp included) discarded because the whole WAL
+    /// predated the snapshot's checkpoint epoch (crash between snapshot
+    /// rename and WAL reset).
     pub stale_wal_records_discarded: u64,
-    /// Records belonging to a transaction whose commit marker never
-    /// reached stable storage (crash mid-transaction) or that was
-    /// explicitly aborted — discarded wholesale so no partial transaction
-    /// is ever visible after recovery.
-    pub incomplete_txn_records_discarded: u64,
 }
 
 impl RecoveryReport {
     /// Stable JSON rendering for stats exporters and test grepping.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"snapshot_loaded\":{},\"wal_records_replayed\":{},\"wal_bytes_truncated\":{},\"stale_wal_records_discarded\":{},\"incomplete_txn_records_discarded\":{}}}",
+            "{{\"snapshot_loaded\":{},\"wal_records_replayed\":{},\"wal_bytes_truncated\":{},\"stale_wal_records_discarded\":{}}}",
             self.snapshot_loaded,
             self.wal_records_replayed,
             self.wal_bytes_truncated,
-            self.stale_wal_records_discarded,
-            self.incomplete_txn_records_discarded
+            self.stale_wal_records_discarded
         )
     }
 }
@@ -322,7 +321,6 @@ impl SharedDurableDb {
         let wal_epoch = replay.records.first().and_then(|r| persist::record_epoch(r)).unwrap_or(0);
         let mut replayed = 0u64;
         let mut stale_discarded = 0u64;
-        let mut incomplete_discarded = 0u64;
         if wal_epoch < snap_epoch {
             // The WAL predates the snapshot: a crash hit the window between
             // a checkpoint's commit point (the snapshot rename) and its WAL
@@ -333,57 +331,14 @@ impl SharedDurableDb {
                 wal.reset()?;
             }
         } else {
-            // Transaction framing: records between a begin marker and its
-            // commit marker are buffered and applied only when the commit
-            // is seen — all-or-nothing. An abort marker, or a begin whose
-            // commit never reached stable storage (crash mid-transaction),
-            // discards the buffered records wholesale.
-            let mut txn_buf: Option<(u64, Vec<&[u8]>)> = None;
+            // Every frame is one committed unit: a transaction's group
+            // record, an ANALYZE or index-DDL record, the epoch stamp, or a
+            // bare base/tuple record of a log written before inserts ran
+            // as transactions. The torn tail is already gone, so each
+            // frame applies whole, in log order.
             for rec in &replay.records {
-                if let Some(marker) = persist::txn_marker(rec) {
-                    match (marker, &mut txn_buf) {
-                        (persist::TxnMarker::Begin(id), None) => txn_buf = Some((id, Vec::new())),
-                        (persist::TxnMarker::Begin(_), Some(_)) => {
-                            return Err(EngineError::Corrupt(
-                                "nested transaction begin in WAL".into(),
-                            ))
-                        }
-                        (persist::TxnMarker::Commit(id), Some((txid, buffered))) if id == *txid => {
-                            for r in buffered.drain(..) {
-                                persist::apply_record(r, &mut state)?;
-                                replayed += 1;
-                            }
-                            txn_buf = None;
-                        }
-                        (persist::TxnMarker::Abort(id), Some((txid, buffered))) if id == *txid => {
-                            incomplete_discarded += buffered.len() as u64;
-                            txn_buf = None;
-                        }
-                        (m, _) => {
-                            return Err(EngineError::Corrupt(format!(
-                                "transaction marker {m:?} without matching begin"
-                            )))
-                        }
-                    }
-                    continue;
-                }
-                match &mut txn_buf {
-                    Some((_, buffered)) => buffered.push(rec),
-                    // Outside a frame: epoch stamps, ANALYZE and index DDL
-                    // records, and the bare base/tuple records of logs
-                    // written before every insert was a transaction.
-                    None => {
-                        persist::apply_record(rec, &mut state)?;
-                        if persist::record_epoch(rec).is_none() {
-                            replayed += 1;
-                        }
-                    }
-                }
-            }
-            if let Some((_, buffered)) = txn_buf {
-                // Crash after the begin but before the commit made it to
-                // stable storage: the transaction never committed.
-                incomplete_discarded += buffered.len() as u64;
+                persist::apply_record(rec, &mut state)?;
+                replayed += u64::from(persist::record_epoch(rec).is_none());
             }
         }
         let recovery = RecoveryReport {
@@ -391,7 +346,6 @@ impl SharedDurableDb {
             wal_records_replayed: replayed,
             wal_bytes_truncated: replay.truncated_bytes,
             stale_wal_records_discarded: stale_discarded,
-            incomplete_txn_records_discarded: incomplete_discarded,
         };
         let epoch = state.wal_epoch.max(snap_epoch);
         let stats = state.take_stats();
@@ -440,7 +394,7 @@ impl SharedDurableDb {
         let ts = analyze_relation(rel)?;
         let mut buf = Vec::new();
         persist::encode_stats(&ts, &mut buf);
-        self.inner.wal.commit(&[buf])?;
+        self.inner.wal.commit(&buf)?;
         core.stats.insert(ts.clone());
         Ok(ts)
     }
@@ -466,7 +420,7 @@ impl SharedDurableDb {
         let def = validate_index_def(&core.tables, &core.indexes, name, table, column, kind)?;
         let mut buf = Vec::new();
         persist::encode_index_def(&def, &mut buf);
-        self.inner.wal.commit(&[buf])?;
+        self.inner.wal.commit(&buf)?;
         let created = core.indexes.lock().create(def);
         created
     }
@@ -480,7 +434,7 @@ impl SharedDurableDb {
         }
         let mut buf = Vec::new();
         persist::encode_index_drop(name, &mut buf);
-        self.inner.wal.commit(&[buf])?;
+        self.inner.wal.commit(&buf)?;
         let _ = core.indexes.lock().drop_index(name);
         Ok(())
     }
@@ -617,8 +571,8 @@ impl SharedDurableDb {
         check_invariants(&core.tables, &core.reg)
     }
 
-    /// Fault injection: the `nth` next WAL record (0 = the very next one)
-    /// fails its commit with an injected I/O error.
+    /// Fault injection: the `nth` next WAL commit (0 = the very next one)
+    /// fails with an injected I/O error.
     #[cfg(feature = "failpoints")]
     pub fn inject_wal_append_failure(&self, nth: u32) {
         self.inner.wal.fail_nth_record(nth);
@@ -795,8 +749,7 @@ mod tests {
         }
         let db = open(&dir);
         assert!(db.recovery().snapshot_loaded);
-        // Transaction markers are framing, not replayed records.
-        assert_eq!(db.recovery().wal_records_replayed, 2, "one base + one tuple after ckpt");
+        assert_eq!(db.recovery().wal_records_replayed, 1, "one insert frame after ckpt");
         assert_eq!(rows(&db, "readings"), 3);
         db.check_invariants().unwrap();
         std::fs::remove_dir_all(&dir).ok();
@@ -878,6 +831,31 @@ mod tests {
     }
 
     #[test]
+    fn legacy_marker_log_fails_open_and_is_left_untouched() {
+        // Earlier versions framed each transaction with begin/commit marker
+        // records (tags 6 and 7). Such a log is refused, not misread.
+        let dir = temp_dir("legacy_markers");
+        std::fs::create_dir_all(&dir).unwrap();
+        {
+            let (mut wal, _) = Wal::open(&dir.join(WAL_FILE)).unwrap();
+            let marker = |tag: u8| [&[tag][..], &42u64.to_le_bytes()].concat();
+            let mut schema_rec = Vec::new();
+            persist::encode_schema(&Relation::new("readings", schema()), &mut schema_rec);
+            for rec in [marker(6), schema_rec, marker(7)] {
+                wal.append(&rec).unwrap();
+            }
+            wal.sync().unwrap();
+        }
+        let before = dir_image(&dir);
+        let err = SharedDurableDb::open(&dir, GroupCommitConfig::default()).unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("one-frame commits") && msg.contains("checkpoint()"), "{msg}");
+        assert_eq!(dir_image(&dir), before, "a refused open leaves the log untouched");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn epoch_is_monotonic_across_checkpoints_and_reopens() {
         let dir = temp_dir("epochs");
         {
@@ -894,7 +872,7 @@ mod tests {
         }
         let db = open(&dir);
         assert_eq!(db.epoch(), 2, "epoch survives reopen");
-        assert_eq!(db.recovery().wal_records_replayed, 2, "post-checkpoint base + tuple");
+        assert_eq!(db.recovery().wal_records_replayed, 1, "post-checkpoint insert frame");
         assert_eq!(rows(&db, "readings"), 3);
         db.check_invariants().unwrap();
         db.checkpoint().unwrap();
@@ -911,7 +889,7 @@ mod tests {
             insert_n(&db, 0, 2);
         }
         // Simulate a crash mid-append: chop bytes off the WAL tail, tearing
-        // the last transaction's commit marker.
+        // the last transaction's frame.
         let wal_path = dir.join(WAL_FILE);
         let bytes = std::fs::read(&wal_path).unwrap();
         std::fs::write(&wal_path, &bytes[..bytes.len() - 5]).unwrap();

@@ -12,9 +12,9 @@
 //!              reject a stale WAL left by a crashed checkpoint
 //! [5: stats]   one table's ANALYZE statistics (versioned catalog codec);
 //!              replay overwrites per table, so it is idempotent
-//! [6: begin]   transaction begin marker (txn id) — WAL only
-//! [7: commit]  transaction commit marker (txn id) — WAL only
-//! [8: abort]   transaction abort marker (txn id) — WAL only
+//! [6–8]        retired: transaction begin/commit/abort markers of logs
+//!              written before one-frame commits; never reused, and a log
+//!              holding one is refused as corrupt
 //! [9: delete]  delete one tuple, identified by its exact encoded tuple
 //!              record (content-addressed: base ids make live tuples
 //!              unique; byte-equal duplicates are interchangeable)
@@ -24,14 +24,22 @@
 //!              replay installs-or-overwrites by name, so it is idempotent
 //! [12: index drop] drop one index definition by name; dropping an unknown
 //!              name is a no-op, so replay is idempotent
+//! [13: group]  one committed transaction — WAL only: u32 member count,
+//!              then per member a u32 length and one record of the tags
+//!              above (never a group); members apply in order
+//! [14: chunk]  snapshot only: one piece of a record too large for a heap
+//!              page — a "more pieces follow" flag byte, then the piece
 //! ```
 //!
-//! Records 6–8 never reach [`apply_record`]: WAL replay intercepts them
-//! (`txn_marker`) and buffers the records between a begin and its commit,
-//! applying the group atomically — a begin whose commit never made it to
-//! stable storage (crash mid-transaction) or that is followed by an abort
-//! marker is discarded wholesale. Snapshots contain only committed state
-//! and therefore never carry tags 6–10.
+//! A transaction commits as one group record in one WAL frame. The frame's
+//! length + CRC is the log's unit of atomicity — replay stops at the first
+//! torn frame — so a transaction is replayed whole or not at all, and
+//! replay is one loop over [`apply_record`]. Snapshots contain only
+//! committed state and therefore never carry tags 9, 10 or 13.
+//!
+//! A record longer than one heap page holds is written to a snapshot as a
+//! chain of chunk records; [`load_into`] joins the chain back before
+//! applying it. Every other record is written byte for byte as encoded.
 //!
 //! Schemas are written first, then bases, then tuples, so a single pass
 //! loads everything. Reference counts are rebuilt from the loaded tuples'
@@ -58,7 +66,7 @@ use crate::tuple::{NodeDim, PdfNode, ProbTuple, VarId};
 use crate::value::Value;
 use bytes::{Buf, BufMut};
 use orion_storage::codec::{checked_size, decode_joint, encode_joint, need, DecodeError};
-use orion_storage::{FileStore, HeapFile};
+use orion_storage::{FileStore, HeapFile, MAX_PAGE_RECORD};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -67,13 +75,17 @@ pub(crate) const TAG_BASE: u8 = 2;
 pub(crate) const TAG_TUPLE: u8 = 3;
 pub(crate) const TAG_EPOCH: u8 = 4;
 pub(crate) const TAG_STATS: u8 = 5;
-pub(crate) const TAG_TXN_BEGIN: u8 = 6;
-pub(crate) const TAG_TXN_COMMIT: u8 = 7;
-pub(crate) const TAG_TXN_ABORT: u8 = 8;
+// Retired: the transaction markers of logs written before one-frame
+// commits. Never reused; decoding one is corruption.
+const TAG_TXN_BEGIN: u8 = 6;
+const TAG_TXN_COMMIT: u8 = 7;
+const TAG_TXN_ABORT: u8 = 8;
 pub(crate) const TAG_DELETE: u8 = 9;
 pub(crate) const TAG_UPDATE: u8 = 10;
 pub(crate) const TAG_INDEX: u8 = 11;
 pub(crate) const TAG_INDEX_DROP: u8 = 12;
+const TAG_GROUP: u8 = 13;
+const TAG_CHUNK: u8 = 14;
 
 fn put_str(s: &str, out: &mut impl BufMut) {
     out.put_u32_le(s.len() as u32);
@@ -270,39 +282,6 @@ pub(crate) fn record_epoch(rec: &[u8]) -> Option<u64> {
     }
 }
 
-/// A transaction framing marker found in the WAL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TxnMarker {
-    /// Start buffering: records until the matching commit belong to txn.
-    Begin(u64),
-    /// Apply the buffered records atomically.
-    Commit(u64),
-    /// Discard the buffered records.
-    Abort(u64),
-}
-
-/// Encodes a 9-byte transaction marker record (begin/commit/abort).
-pub(crate) fn encode_txn_marker(tag: u8, txid: u64, out: &mut Vec<u8>) {
-    debug_assert!(matches!(tag, TAG_TXN_BEGIN | TAG_TXN_COMMIT | TAG_TXN_ABORT));
-    out.put_u8(tag);
-    out.put_u64_le(txid);
-}
-
-/// If `rec` is a transaction marker, which one. Strict like
-/// [`record_epoch`]: a truncated marker is not a marker.
-pub(crate) fn txn_marker(rec: &[u8]) -> Option<TxnMarker> {
-    if rec.len() != 9 {
-        return None;
-    }
-    let id = u64::from_le_bytes(rec[1..9].try_into().expect("8 bytes"));
-    match rec[0] {
-        TAG_TXN_BEGIN => Some(TxnMarker::Begin(id)),
-        TAG_TXN_COMMIT => Some(TxnMarker::Commit(id)),
-        TAG_TXN_ABORT => Some(TxnMarker::Abort(id)),
-        _ => None,
-    }
-}
-
 /// Encodes a content-addressed delete: the target tuple is identified by
 /// its exact encoded tuple record. Base-pdf ids make live tuples unique;
 /// byte-equal duplicates (certain-only rows) are interchangeable, so
@@ -328,6 +307,20 @@ pub(crate) fn encode_update(
     out.put_slice(old_tuple_rec);
     out.put_u32_le(new_tuple_rec.len() as u32);
     out.put_slice(new_tuple_rec);
+}
+
+/// Encodes one transaction's records as a single group record:
+/// `[13][u32 n][n × (u32 len, record)]`. Logged as one WAL frame, it is
+/// replayed whole or not at all.
+pub fn encode_group<M: AsRef<[u8]>>(members: &[M], out: &mut Vec<u8>) {
+    let body: usize = members.iter().map(|m| 4 + m.as_ref().len()).sum();
+    out.reserve(5 + body);
+    out.put_u8(TAG_GROUP);
+    out.put_u32_le(members.len() as u32);
+    for m in members {
+        out.put_u32_le(m.as_ref().len() as u32);
+        out.put_slice(m.as_ref());
+    }
 }
 
 /// Saves every relation and the registry into one file at `path`
@@ -393,36 +386,36 @@ pub fn save_snapshot_full(
     let mut buf = Vec::with_capacity(4096);
     if epoch > 0 {
         encode_epoch(epoch, &mut buf);
-        heap.insert(&buf)?;
+        insert_record(&mut heap, &buf)?;
     }
     let mut names: Vec<&String> = tables.keys().collect();
     names.sort();
     for name in &names {
         buf.clear();
         encode_schema(&tables[*name], &mut buf);
-        heap.insert(&buf)?;
+        insert_record(&mut heap, &buf)?;
     }
     for (id, base) in reg.iter_bases() {
         buf.clear();
         encode_base(id, base, &mut buf);
-        heap.insert(&buf)?;
+        insert_record(&mut heap, &buf)?;
     }
     for name in &names {
         for t in tables[*name].tuples.iter() {
             buf.clear();
             encode_tuple(name, t, &mut buf);
-            heap.insert(&buf)?;
+            insert_record(&mut heap, &buf)?;
         }
     }
     for ts in stats.iter() {
         buf.clear();
         encode_stats(ts, &mut buf);
-        heap.insert(&buf)?;
+        insert_record(&mut heap, &buf)?;
     }
     for def in indexes.defs() {
         buf.clear();
         encode_index_def(def, &mut buf);
-        heap.insert(&buf)?;
+        insert_record(&mut heap, &buf)?;
     }
     heap.sync()?;
     drop(heap);
@@ -431,6 +424,25 @@ pub fn save_snapshot_full(
     #[cfg(unix)]
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
+/// Writes one encoded record to a snapshot heap. A record longer than
+/// [`MAX_PAGE_RECORD`] is split into a chain of chunk records, each
+/// `[14][more][piece]` filling one page, that [`load_into`] joins back.
+fn insert_record(heap: &mut HeapFile<FileStore>, rec: &[u8]) -> Result<()> {
+    if rec.len() <= MAX_PAGE_RECORD {
+        heap.insert(rec)?;
+        return Ok(());
+    }
+    let mut pieces = rec.chunks(MAX_PAGE_RECORD - 2).peekable();
+    let mut chunk = Vec::with_capacity(MAX_PAGE_RECORD);
+    while let Some(piece) = pieces.next() {
+        chunk.clear();
+        chunk.extend_from_slice(&[TAG_CHUNK, u8::from(pieces.peek().is_some())]);
+        chunk.extend_from_slice(piece);
+        heap.insert(&chunk)?;
     }
     Ok(())
 }
@@ -565,7 +577,9 @@ impl LoadState {
 
 /// Applies one tagged record (as produced by [`save_database`]'s encoders
 /// or logged to the WAL) to `state`. Shared by snapshot loading and WAL
-/// replay, so both paths rebuild identical in-memory structures.
+/// replay, so both paths rebuild identical in-memory structures. A group
+/// record applies its members in order, each borrowed from `rec`; a nested
+/// group, a retired tag or a member that does not decode is corruption.
 ///
 /// Base records do **not** bump reference counts — counts are rebuilt
 /// solely from tuple records' ancestor sets, making replay idempotent with
@@ -680,10 +694,30 @@ pub fn apply_record(rec: &[u8], state: &mut LoadState) -> Result<()> {
                 }
             }
         }
+        TAG_GROUP => {
+            let n = get_count(buf, 4, "group members").map_err(bad)?;
+            for _ in 0..n {
+                let len = get_u32c(buf, "group member length").map_err(bad)? as usize;
+                need(buf, len, "group member").map_err(bad)?;
+                let (member, rest) = buf.split_at(len);
+                if member.first() == Some(&TAG_GROUP) {
+                    return Err(EngineError::Corrupt("nested group record".into()));
+                }
+                apply_record(member, state)?;
+                *buf = rest;
+            }
+            if !buf.is_empty() {
+                return Err(EngineError::Corrupt(format!(
+                    "group record has {} trailing bytes",
+                    buf.len()
+                )));
+            }
+        }
         TAG_TXN_BEGIN | TAG_TXN_COMMIT | TAG_TXN_ABORT => {
-            return Err(EngineError::Corrupt(
-                "transaction marker reached apply_record (replay must intercept framing)".into(),
-            ))
+            return Err(EngineError::Corrupt(format!(
+                "record tag {tag} is a transaction marker: the log predates one-frame commits; \
+                 open the database with the previous release and run checkpoint() first"
+            )))
         }
         TAG_EPOCH => {
             let e = get_u64c(buf, "checkpoint epoch").map_err(bad)?;
@@ -721,21 +755,40 @@ pub fn apply_record(rec: &[u8], state: &mut LoadState) -> Result<()> {
 
 /// Loads every record of the snapshot at `path` into `state`, without
 /// finishing it — [`crate::durable::SharedDurableDb::open`] replays WAL
-/// records into the same state afterwards.
+/// records into the same state afterwards. A chain of chunk records is
+/// joined back into the one record it was split from before it applies.
 pub fn load_into(path: &Path, state: &mut LoadState) -> Result<()> {
     let heap = HeapFile::new(FileStore::open(path)?, 64);
     let mut err: Option<EngineError> = None;
+    // The pieces of a chunked record read so far.
+    let mut chain: Option<Vec<u8>> = None;
     heap.scan(|_, rec| {
-        if let Err(e) = apply_record(rec, state) {
+        let res = match rec {
+            [TAG_CHUNK, more, piece @ ..] => {
+                chain.get_or_insert_with(Vec::new).extend_from_slice(piece);
+                match *more {
+                    0 => apply_record(&chain.take().expect("just extended"), state),
+                    _ => Ok(()),
+                }
+            }
+            _ if chain.is_some() => Err(chain_cut()),
+            _ => apply_record(rec, state),
+        };
+        if let Err(e) = res {
             err = Some(e);
             return false;
         }
         true
     })?;
-    match err {
-        Some(e) => Err(e),
-        None => Ok(()),
+    match (err, chain) {
+        (Some(e), _) => Err(e),
+        (None, Some(_)) => Err(chain_cut()),
+        (None, None) => Ok(()),
     }
+}
+
+fn chain_cut() -> EngineError {
+    EngineError::Corrupt("snapshot record chain cut short".into())
 }
 
 /// Loads a database saved by [`save_database`]. Rebuilds reference counts
@@ -1077,25 +1130,60 @@ mod tests {
         state
     }
 
+    /// The raw records of the heap file at `path`, in scan order.
+    fn heap_records(path: &Path) -> Vec<Vec<u8>> {
+        let heap = HeapFile::new(FileStore::open(path).unwrap(), 8);
+        let mut records = Vec::new();
+        heap.scan(|_, rec| {
+            records.push(rec.to_vec());
+            true
+        })
+        .unwrap();
+        records
+    }
+
     #[test]
-    fn txn_markers_decode_strictly() {
-        let mut rec = Vec::new();
-        encode_txn_marker(TAG_TXN_BEGIN, 42, &mut rec);
-        assert_eq!(txn_marker(&rec), Some(TxnMarker::Begin(42)));
-        assert_eq!(txn_marker(&rec[..5]), None, "truncated marker is not a marker");
-        assert_eq!(txn_marker(b"xx"), None);
-        let mut c = Vec::new();
-        encode_txn_marker(TAG_TXN_COMMIT, 42, &mut c);
-        assert_eq!(txn_marker(&c), Some(TxnMarker::Commit(42)));
-        let mut a = Vec::new();
-        encode_txn_marker(TAG_TXN_ABORT, 7, &mut a);
-        assert_eq!(txn_marker(&a), Some(TxnMarker::Abort(7)));
-        // Markers are WAL framing, not state records: reaching apply_record
-        // means the replay loop failed to intercept them.
-        for rec in [&rec, &c, &a] {
-            let err = apply_record(rec, &mut LoadState::default()).unwrap_err();
-            assert!(err.is_corruption(), "marker in apply_record classifies as corruption");
+    fn records_wider_than_a_page_chain_through_the_snapshot() {
+        let (mut tables, mut reg) = sample_db();
+        let wide = Pdf1::discrete((0..1024).map(|i| (i as f64, 1.0 / 1024.0)).collect()).unwrap();
+        let rel = tables.get_mut("readings").unwrap();
+        rel.insert_simple(&mut reg, &[("rid", Value::Int(8))], &[("v", wide)]).unwrap();
+        let path = temp("chained.db");
+        save_database(&path, &tables, &reg).unwrap();
+        let (loaded, lreg) = load_database(&path).unwrap();
+        assert_eq!(loaded["readings"].tuples, tables["readings"].tuples);
+        assert_eq!(lreg.len(), reg.len());
+
+        // Records that fit a page are written as encoded; the wide base and
+        // tuple records become chains of page-sized chunks.
+        let records = heap_records(&path);
+        let mut buf = Vec::new();
+        encode_schema(&tables["objects"], &mut buf);
+        assert_eq!(records[0], buf, "a record that fits is written byte for byte");
+        let chunks: Vec<&Vec<u8>> = records.iter().filter(|r| r[0] == TAG_CHUNK).collect();
+        assert!(chunks.len() >= 4, "two wide records, at least two chunks each");
+        assert!(chunks.iter().all(|c| c.len() <= MAX_PAGE_RECORD));
+        assert_eq!(chunks.iter().filter(|c| c[1] == 0).count(), 2, "two chains end");
+
+        // A chain cut short — by the end of the file, or by a record that
+        // is not its next chunk — is corruption.
+        let last_end = records.iter().rposition(|r| r[..2] == [TAG_CHUNK, 0]).unwrap();
+        for cut in
+            [&records[..last_end], &[records[0].clone(), chunks[0].clone(), records[0].clone()][..]]
+        {
+            let cut_path = temp("chained_cut.db");
+            let mut heap = HeapFile::new(FileStore::create(&cut_path).unwrap(), 8);
+            for r in cut {
+                heap.insert(r).unwrap();
+            }
+            heap.sync().unwrap();
+            drop(heap);
+            let err = load_database(&cut_path).unwrap_err();
+            assert!(err.is_corruption(), "{err}");
+            assert!(err.to_string().contains("cut short"), "{err}");
+            std::fs::remove_file(&cut_path).ok();
         }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -41,12 +41,13 @@
 //!    above the snapshot's high-water mark) are mapped, in ascending
 //!    private-id order, onto the next real ids — deterministic in commit
 //!    order, exactly what serial inserts would have allocated.
-//! 3. **Log**: one atomic [`orion_storage::GroupWal`] batch —
-//!    `[begin] [bases] [ops…] [commit]` — using the WAL record tags of
-//!    [`crate::persist`]. Recovery applies the group all-or-nothing: a
-//!    crash anywhere before the commit marker reaches stable storage
+//! 3. **Log**: one group record — `[bases] [ops…]`, built by
+//!    [`crate::persist::encode_group`] from the record encodings of
+//!    [`crate::persist`] — committed through [`orion_storage::GroupWal`]
+//!    as one length+CRC frame. Replay stops at the first torn frame, so a
+//!    crash anywhere before the whole frame reaches stable storage
 //!    discards the whole transaction.
-//! 4. **Apply**: on durable success the same records are fed through
+//! 4. **Apply**: on durable success the same group record is fed through
 //!    [`crate::persist::apply_record`] into the live tables/registry —
 //!    the *identical* decoder recovery uses, so live state and any replay
 //!    are bit-for-bit the same. A failed WAL commit applies nothing.
@@ -54,7 +55,7 @@
 use crate::durable::{SharedCore, SharedDurableDb};
 use crate::error::{EngineError, Result};
 use crate::history::{BasePdf, HistoryRegistry, PdfId};
-use crate::persist::{self, LoadState, TAG_TXN_BEGIN, TAG_TXN_COMMIT};
+use crate::persist::{self, LoadState};
 use crate::relation::Relation;
 use crate::schema::ProbSchema;
 use crate::tuple::ProbTuple;
@@ -495,17 +496,16 @@ impl Txn {
         // order.
         let map: HashMap<PdfId, PdfId> =
             needed.keys().zip(core.reg.last_id() + 1..).map(|(&pid, rid)| (pid, rid)).collect();
-        // Build the atomic WAL batch: [begin] [bases] [ops…] [commit].
-        let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(live.len() + needed.len() + 2);
-        let mut buf = Vec::new();
-        persist::encode_txn_marker(TAG_TXN_BEGIN, self.id, &mut buf);
-        payloads.push(std::mem::take(&mut buf));
+        // One group record — [bases] [ops…] — logged as one WAL frame.
+        let mut members: Vec<Vec<u8>> = Vec::with_capacity(needed.len() + live.len());
         for (pid, base) in &needed {
+            let mut buf = Vec::new();
             persist::encode_base(map[pid], base, &mut buf);
-            payloads.push(std::mem::take(&mut buf));
+            members.push(buf);
         }
         let mut touched: BTreeSet<String> = BTreeSet::new();
         for op in &live {
+            let mut buf = Vec::new();
             match op {
                 WriteOp::CreateTable { name, schema } => {
                     persist::encode_schema(&Relation::new(name.clone(), schema.clone()), &mut buf);
@@ -526,13 +526,13 @@ impl Txn {
                 }
                 WriteOp::Voided => unreachable!("voided ops were filtered"),
             }
-            payloads.push(std::mem::take(&mut buf));
+            members.push(buf);
         }
-        persist::encode_txn_marker(TAG_TXN_COMMIT, self.id, &mut buf);
-        payloads.push(std::mem::take(&mut buf));
-        // One atomic group-commit batch, under the core lock: no
-        // concurrent record can interleave inside the transaction's frame.
-        if let Err(e) = db.inner.wal.commit(&payloads) {
+        let mut group = Vec::new();
+        persist::encode_group(&members, &mut group);
+        // Logged under the core lock: no concurrent commit can land between
+        // this frame and its apply.
+        if let Err(e) = db.inner.wal.commit(&group) {
             metrics().counter("txn_aborts").inc();
             return Err(e.into());
         }
@@ -541,16 +541,7 @@ impl Txn {
         let mut ls = LoadState::default();
         std::mem::swap(&mut ls.tables, &mut core.tables);
         std::mem::swap(&mut ls.reg, &mut core.reg);
-        let mut apply_err = None;
-        for rec in &payloads {
-            if persist::txn_marker(rec).is_some() {
-                continue;
-            }
-            if let Err(e) = persist::apply_record(rec, &mut ls) {
-                apply_err = Some(e);
-                break;
-            }
-        }
+        let apply_err = persist::apply_record(&group, &mut ls).err();
         let (tables, reg) = ls.finish();
         core.tables = tables;
         core.reg = reg;
@@ -1046,6 +1037,46 @@ mod tests {
         }
         #[cfg(not(feature = "failpoints"))]
         let _ = reg_before;
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn multi_op_commit_appends_exactly_one_frame() {
+        let dir = temp_dir("one_frame");
+        let db = open(&dir);
+        seed_rows(&db, "readings", 0..4);
+        let frames = db.wal_stats().records_appended.get();
+        let mut t = Txn::begin(&db);
+        t.create_table("other", schema()).unwrap();
+        t.insert_simple(
+            "other",
+            &[("id", Value::Int(7))],
+            &[("v", Pdf1::gaussian(7.0, 1.0).unwrap())],
+        )
+        .unwrap();
+        assert_eq!(t.delete_where("readings", |t| id_of(t) == 1).unwrap(), 1);
+        let updated = t
+            .update_where(
+                "readings",
+                |t| id_of(t) == 2,
+                |t, _| {
+                    t.certain[0] = Value::Int(20);
+                    Ok(())
+                },
+            )
+            .unwrap();
+        assert_eq!(updated, 1);
+        t.commit().unwrap();
+        assert_eq!(db.wal_stats().records_appended.get() - frames, 1, "one frame per commit");
+        let live = db.with_tables(|tables, _| tables["readings"].tuples.clone());
+        drop(db);
+        let re = open(&dir);
+        assert_eq!(re.recovery().wal_records_replayed, 2, "the seed and the multi-op commit");
+        re.with_tables(|tables, _| {
+            assert_eq!(tables["readings"].tuples, live);
+            assert_eq!(tables["other"].len(), 1);
+        });
+        re.check_invariants().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

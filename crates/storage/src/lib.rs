@@ -32,5 +32,5 @@ pub use buffer::BufferPool;
 pub use faults::{Fault, FaultPlan, FaultyStore};
 pub use file::{FileStore, IoSnapshot, IoStats, MemStore, PageId, PageStore};
 pub use heap::{HeapFile, RecordId};
-pub use page::{ChecksumMismatch, Page, PAGE_SIZE};
+pub use page::{ChecksumMismatch, Page, MAX_PAGE_RECORD, PAGE_SIZE};
 pub use wal::{GroupCommitConfig, GroupWal, Wal, WalReplay, WalStats};

@@ -24,6 +24,9 @@ pub const PAGE_SIZE: usize = 8192;
 const HEADER: usize = 8;
 const CKSUM: usize = 4;
 const SLOT: usize = 4;
+
+/// Longest record an empty page holds (one slot entry plus the bytes).
+pub const MAX_PAGE_RECORD: usize = PAGE_SIZE - HEADER - SLOT;
 const DEAD: u16 = u16::MAX;
 
 /// A page whose stored CRC32 seal disagrees with its contents — the
@@ -256,7 +259,8 @@ mod tests {
     fn oversized_record_rejected() {
         let mut p = Page::new();
         assert!(p.insert(&vec![0u8; PAGE_SIZE]).is_none());
-        assert!(p.insert(&vec![0u8; PAGE_SIZE - HEADER - SLOT]).is_some());
+        assert!(p.insert(&vec![0u8; MAX_PAGE_RECORD + 1]).is_none());
+        assert!(p.insert(&vec![0u8; MAX_PAGE_RECORD]).is_some());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! discarding trailing garbage so later appends never interleave with it.
 //!
 //! **Group commit.** [`GroupWal`] wraps a [`Wal`] with a leader/follower
-//! commit pipeline: concurrent committers enqueue framed records under a
+//! commit pipeline: concurrent committers each enqueue one frame under a
 //! queue mutex, exactly one of them becomes the *leader*, drains the whole
 //! queue, performs a single contiguous `append + fsync` for the group, and
 //! wakes the followers blocked on their commit sequence number through a
@@ -58,9 +58,11 @@ fn wal_hists() -> &'static WalHists {
 /// Frame header size: payload length + CRC32.
 pub const FRAME_HEADER: usize = 8;
 
-/// Upper bound on one record's payload — a sanity check that stops replay
-/// from trusting a garbage length field.
-pub const MAX_RECORD: usize = 1 << 24;
+/// Upper bound on one record's payload: the u32 length field's limit. A
+/// frame carries a whole transaction, so there is no lower cap. Replay
+/// reads the whole file and checks each frame's CRC, so a garbage length
+/// field still ends at the torn tail.
+pub const MAX_RECORD: usize = u32::MAX as usize;
 
 /// What replay found in an existing log.
 #[derive(Debug, Clone, Default)]
@@ -88,6 +90,17 @@ pub struct Wal {
     fail_next_sync: bool,
 }
 
+/// Rejects a payload whose length the u32 frame header cannot carry.
+fn check_record_len(len: usize) -> std::io::Result<()> {
+    if len > MAX_RECORD {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("wal record of {len} bytes exceeds MAX_RECORD"),
+        ));
+    }
+    Ok(())
+}
+
 impl Wal {
     /// Opens (creating if absent) the log at `path`, replaying every
     /// committed record and truncating any torn tail. Returns the log
@@ -104,9 +117,6 @@ impl Wal {
         while let Some(header) = bytes.get(off..off + FRAME_HEADER) {
             let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
             let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-            if len > MAX_RECORD {
-                break;
-            }
             let Some(payload) = bytes.get(off + FRAME_HEADER..off + FRAME_HEADER + len) else {
                 break;
             };
@@ -168,12 +178,7 @@ impl Wal {
     /// Frames one payload (length + CRC32 header) into `out`, rejecting
     /// payloads over [`MAX_RECORD`].
     pub fn frame_into(payload: &[u8], out: &mut Vec<u8>) -> std::io::Result<()> {
-        if payload.len() > MAX_RECORD {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("wal record of {} bytes exceeds MAX_RECORD", payload.len()),
-            ));
-        }
+        check_record_len(payload.len())?;
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&crc32(payload).to_le_bytes());
         out.extend_from_slice(payload);
@@ -264,7 +269,7 @@ impl Wal {
 /// Counters for the group-commit pipeline, shared with the stats JSON.
 #[derive(Debug, Default)]
 pub struct WalStats {
-    /// Caller records made durable (epoch stamps not counted).
+    /// Frames made durable, one per commit (epoch stamps not counted).
     pub records_appended: Counter,
     /// Commit calls that went through the group pipeline.
     pub group_commit_commits: Counter,
@@ -331,8 +336,6 @@ struct FailedRange {
 struct Queue {
     /// Framed bytes awaiting the next leader flush.
     pending: Vec<u8>,
-    /// Caller records represented in `pending`.
-    pending_records: u64,
     /// Commits represented in `pending`.
     pending_commits: u64,
     /// Sequence number handed to the most recent commit.
@@ -367,10 +370,10 @@ impl Queue {
 
 /// A [`Wal`] wrapped in the leader/follower group-commit pipeline.
 ///
-/// [`GroupWal::commit`] is all-or-nothing for one caller's record set: the
-/// records are framed, enqueued as a unit, flushed by whichever committer
-/// is elected leader, and on a failed flush the whole batch is truncated
-/// away — so callers never see a partially durable commit.
+/// [`GroupWal::commit`] is all-or-nothing for one caller's payload: it is
+/// framed, enqueued, flushed by whichever committer is elected leader, and
+/// on a failed flush the whole batch is truncated away — so callers never
+/// see a partially durable commit.
 #[derive(Debug)]
 pub struct GroupWal {
     queue: Mutex<Queue>,
@@ -424,42 +427,35 @@ impl GroupWal {
         Ok(())
     }
 
-    /// Commits `payloads` as one atomic unit: all records durable on `Ok`,
-    /// none durable on `Err`. Blocks until a leader (possibly this caller)
-    /// has flushed — or failed to flush — the batch containing them.
-    pub fn commit(&self, payloads: &[Vec<u8>]) -> std::io::Result<()> {
-        // Frame outside any lock; oversized payloads fail only this caller.
-        let mut frames = Vec::new();
-        for p in payloads {
-            Wal::frame_into(p, &mut frames)?;
-        }
+    /// Commits `payload` as one frame: durable on `Ok`, absent on `Err`.
+    /// Blocks until a leader (possibly this caller) has flushed — or failed
+    /// to flush — the batch containing it.
+    pub fn commit(&self, payload: &[u8]) -> std::io::Result<()> {
+        // Frame outside any lock; an oversized payload fails only this caller.
+        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+        Wal::frame_into(payload, &mut frame)?;
 
         let mut q = self.queue.lock();
-        // Injected failures are consumed per *record* at enqueue time so the
-        // nth-append failpoint keeps PR 2 semantics under batching.
+        // Injected failures are consumed per commit at enqueue time.
         #[cfg(feature = "failpoints")]
-        for _ in payloads {
-            if let Some(n) = q.fail_record_in {
-                if n == 0 {
-                    q.fail_record_in = None;
-                    return Err(std::io::Error::other("injected wal append failure"));
-                }
-                q.fail_record_in = Some(n - 1);
+        if let Some(n) = q.fail_record_in {
+            if n == 0 {
+                q.fail_record_in = None;
+                return Err(std::io::Error::other("injected wal append failure"));
             }
+            q.fail_record_in = Some(n - 1);
         }
+        self.stats.group_commit_commits.inc();
         if !self.cfg.enabled {
             let stamp = q.stamp.clone();
             drop(q);
-            self.stats.group_commit_commits.inc();
-            return self.flush_solo(&stamp, &frames, payloads.len() as u64);
+            return self.flush(&stamp, &frame, 1);
         }
 
-        q.pending.extend_from_slice(&frames);
-        q.pending_records += payloads.len() as u64;
+        q.pending.extend_from_slice(&frame);
         q.pending_commits += 1;
         q.next_seq += 1;
         let my_seq = q.next_seq;
-        self.stats.group_commit_commits.inc();
 
         loop {
             if let Some(err) = q.take_failure(my_seq) {
@@ -484,7 +480,6 @@ impl GroupWal {
                 self.cond.wait_for(&mut q, self.cfg.window);
             }
             let batch = std::mem::take(&mut q.pending);
-            let nrecords = std::mem::take(&mut q.pending_records);
             let ncommits = std::mem::take(&mut q.pending_commits);
             let hi = q.next_seq;
             let lo = q.durable_seq + 1;
@@ -493,54 +488,13 @@ impl GroupWal {
 
             // I/O happens with the queue mutex released: late arrivals keep
             // enqueuing during the fsync and form the next batch.
-            let res = {
-                let mut wal = self.io.lock();
-                let start = wal.len();
-                let lane = self.lane();
-                wal_hists().batch_bytes.record(batch.len() as u64);
-                let r = (|| {
-                    if wal.is_empty() {
-                        if let Some(s) = &stamp {
-                            wal.append_frames(s)?;
-                        }
-                    }
-                    {
-                        let mut s = match &lane {
-                            Some(l) => l.span("wal.append", "wal"),
-                            None => Span::noop(),
-                        };
-                        if s.is_recording() {
-                            s.arg("bytes", batch.len() as u64);
-                            s.arg("records", nrecords);
-                            s.arg("commits", ncommits);
-                        }
-                        wal.append_frames(&batch)?;
-                    }
-                    let _s = match &lane {
-                        Some(l) => l.span("wal.fsync", "wal"),
-                        None => Span::noop(),
-                    };
-                    let t0 = Instant::now();
-                    let r = wal.sync();
-                    wal_hists().fsync_nanos.record_duration(t0.elapsed());
-                    r
-                })();
-                if r.is_err() {
-                    // Abort the whole batch; commits in it report failure.
-                    // (Ignore a secondary truncation error — truncate_to
-                    // poisons the log, so later appends are refused.)
-                    let _ = wal.truncate_to(start);
-                }
-                r
-            };
+            let res = self.flush(&stamp, &batch, ncommits);
 
             q = self.queue.lock();
             q.leader = false;
             q.durable_seq = hi;
             match &res {
                 Ok(()) => {
-                    self.stats.records_appended.add(nrecords);
-                    self.stats.fsyncs.inc();
                     self.stats.group_commit_batches.inc();
                     self.stats.fsyncs_saved.add(ncommits.saturating_sub(1));
                 }
@@ -560,14 +514,11 @@ impl GroupWal {
         }
     }
 
-    /// The `enabled: false` path: one `append + fsync` per commit, under
-    /// the I/O lock only.
-    fn flush_solo(
-        &self,
-        stamp: &Option<Vec<u8>>,
-        frames: &[u8],
-        nrecords: u64,
-    ) -> std::io::Result<()> {
+    /// One `append + fsync` of `frames` (`ncommits` commits), under the I/O
+    /// lock only; the epoch stamp goes first when the log is empty. On
+    /// failure the log is truncated back to where it was, so nothing of
+    /// the batch survives.
+    fn flush(&self, stamp: &Option<Vec<u8>>, frames: &[u8], ncommits: u64) -> std::io::Result<()> {
         let mut wal = self.io.lock();
         let start = wal.len();
         let lane = self.lane();
@@ -585,7 +536,7 @@ impl GroupWal {
                 };
                 if s.is_recording() {
                     s.arg("bytes", frames.len() as u64);
-                    s.arg("records", nrecords);
+                    s.arg("commits", ncommits);
                 }
                 wal.append_frames(frames)?;
             }
@@ -600,11 +551,13 @@ impl GroupWal {
         })();
         match res {
             Ok(()) => {
-                self.stats.records_appended.add(nrecords);
+                self.stats.records_appended.add(ncommits);
                 self.stats.fsyncs.inc();
                 Ok(())
             }
             Err(e) => {
+                // Ignore a secondary truncation error — truncate_to poisons
+                // the log, so later appends are refused.
                 let _ = wal.truncate_to(start);
                 Err(e)
             }
@@ -636,8 +589,8 @@ impl GroupWal {
         self.len() == 0
     }
 
-    /// Fault injection: the `nth` caller record from now (0 = the very
-    /// next) fails its commit before anything is enqueued.
+    /// Fault injection: the `nth` commit from now (0 = the very next)
+    /// fails before anything is enqueued.
     #[cfg(feature = "failpoints")]
     pub fn fail_nth_record(&self, nth: u32) {
         self.queue.lock().fail_record_in = Some(nth);
@@ -833,10 +786,30 @@ mod tests {
 
     #[test]
     fn oversized_record_rejected() {
-        let path = temp("oversize.wal");
-        let (mut wal, _) = Wal::open(&path).unwrap();
-        let err = wal.append(&vec![0u8; MAX_RECORD + 1]).unwrap_err();
+        // The bound is the u32 length field's; checked on the length alone
+        // so the test never allocates 4 GiB.
+        check_record_len(MAX_RECORD).unwrap();
+        let err = check_record_len(MAX_RECORD + 1).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn group_commit_carries_a_frame_over_16_mib() {
+        // Each frame is a whole transaction: one larger than the old 16 MiB
+        // per-record cap must append and replay.
+        let path = temp("group_big.wal");
+        let (wal, _) = Wal::open(&path).unwrap();
+        let group = GroupWal::new(wal, GroupCommitConfig::default());
+        let big: Vec<u8> = (0..(1usize << 24) + 4096).map(|i| (i % 251) as u8).collect();
+        group.commit(&big).unwrap();
+        group.commit(b"after").unwrap();
+        assert_eq!(group.stats().records_appended.get(), 2);
+        drop(group);
+        let (_, replay) = Wal::open(&path).unwrap();
+        assert_eq!(replay.truncated_bytes, 0);
+        assert_eq!(replay.records.len(), 2);
+        assert!(replay.records[0] == big, "the large frame replays byte for byte");
+        assert_eq!(replay.records[1], b"after");
         std::fs::remove_file(&path).ok();
     }
 
@@ -845,12 +818,12 @@ mod tests {
         let path = temp("group_roundtrip.wal");
         let (wal, _) = Wal::open(&path).unwrap();
         let group = GroupWal::new(wal, GroupCommitConfig::default());
-        group.commit(&[b"a".to_vec(), b"b".to_vec()]).unwrap();
-        group.commit(&[b"c".to_vec()]).unwrap();
-        assert_eq!(group.stats().records_appended.get(), 3);
+        group.commit(b"ab").unwrap();
+        group.commit(b"c").unwrap();
+        assert_eq!(group.stats().records_appended.get(), 2, "one frame per commit");
         drop(group);
         let (_, replay) = Wal::open(&path).unwrap();
-        assert_eq!(replay.records, vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);
+        assert_eq!(replay.records, vec![b"ab".to_vec(), b"c".to_vec()]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -870,7 +843,7 @@ mod tests {
                 let g = Arc::clone(&group);
                 std::thread::spawn(move || {
                     for i in 0..per {
-                        g.commit(&[format!("t{t}-r{i}").into_bytes()]).unwrap();
+                        g.commit(format!("t{t}-r{i}").as_bytes()).unwrap();
                     }
                 })
             })
@@ -898,10 +871,10 @@ mod tests {
         let (wal, _) = Wal::open(&path).unwrap();
         let group = GroupWal::new(wal, GroupCommitConfig::default());
         group.set_stamp(Some(b"epoch:7")).unwrap();
-        group.commit(&[b"x".to_vec()]).unwrap();
-        group.commit(&[b"y".to_vec()]).unwrap();
+        group.commit(b"x").unwrap();
+        group.commit(b"y").unwrap();
         group.reset().unwrap();
-        group.commit(&[b"z".to_vec()]).unwrap();
+        group.commit(b"z").unwrap();
         drop(group);
         let (_, replay) = Wal::open(&path).unwrap();
         // After the reset the stamp is re-prepended; before it, only once.
@@ -915,11 +888,11 @@ mod tests {
         let path = temp("group_sync_fail.wal");
         let (wal, _) = Wal::open(&path).unwrap();
         let group = GroupWal::new(wal, GroupCommitConfig::default());
-        group.commit(&[b"keep".to_vec()]).unwrap();
+        group.commit(b"keep").unwrap();
         group.fail_next_sync();
-        let err = group.commit(&[b"lost1".to_vec(), b"lost2".to_vec()]).unwrap_err();
+        let err = group.commit(b"lost").unwrap_err();
         assert!(err.to_string().contains("injected"));
-        group.commit(&[b"after".to_vec()]).unwrap();
+        group.commit(b"after").unwrap();
         drop(group);
         let (_, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.records, vec![b"keep".to_vec(), b"after".to_vec()]);
@@ -933,13 +906,14 @@ mod tests {
         let (wal, _) = Wal::open(&path).unwrap();
         let group = GroupWal::new(wal, GroupCommitConfig::default());
         group.fail_nth_record(2);
-        group.commit(&[b"r0".to_vec(), b"r1".to_vec()]).unwrap();
-        // Record #2 is the first record of this commit → whole commit fails.
-        assert!(group.commit(&[b"r2".to_vec(), b"r3".to_vec()]).is_err());
-        group.commit(&[b"r4".to_vec()]).unwrap();
+        group.commit(b"r0").unwrap();
+        group.commit(b"r1").unwrap();
+        // Frame #2 is this commit's: it fails, nothing of it is appended.
+        assert!(group.commit(b"r2").is_err());
+        group.commit(b"r3").unwrap();
         drop(group);
         let (_, replay) = Wal::open(&path).unwrap();
-        assert_eq!(replay.records, vec![b"r0".to_vec(), b"r1".to_vec(), b"r4".to_vec()]);
+        assert_eq!(replay.records, vec![b"r0".to_vec(), b"r1".to_vec(), b"r3".to_vec()]);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -224,39 +224,42 @@ pub fn stage_crash(scratch: &Path, snapshot: Option<&[u8]>, wal_prefix: &[u8]) {
     std::fs::write(scratch.join(WAL_FILE), wal_prefix).unwrap();
 }
 
-/// Number of operations whose *commit frame* fits entirely inside
-/// `bytes[..cut]`, mirroring the WAL replay rule: parsing stops at the
-/// first incomplete frame; base (2) and epoch (4) frames do not complete
-/// an operation by themselves.
+/// Number of operations whose frame fits entirely inside `bytes[..cut]`,
+/// mirroring the WAL replay rule: parsing stops at the first incomplete
+/// frame, and every whole frame is one commit.
 ///
-/// Outside a transaction group, a schema (1), tuple (3), stats (5),
-/// delete (9), update (10), index-create (11) or index-drop (12) frame
-/// each completes one operation. Between a txn-begin (6) marker and its
-/// commit (7), data frames are buffered: they count — all at once — only
-/// when the commit marker frame itself survives the cut. An abort marker
-/// (8) or a cut before the commit discards the whole group, exactly as
-/// recovery does.
+/// A transaction's group frame (13) completes one operation per member
+/// that is not a base pdf (2) — all at once, because the frame survives
+/// whole or not at all. A bare schema (1), tuple (3), stats (5), delete
+/// (9), update (10), index-create (11) or index-drop (12) frame completes
+/// one operation; base (2) and epoch (4) frames complete none.
 pub fn committed_ops(bytes: &[u8], cut: usize) -> usize {
     let mut off = 0usize;
     let mut ops = 0;
-    let mut pending: Option<usize> = None; // ops buffered in an open txn group
     while off + 8 <= cut {
         let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
         if off + 8 + len > cut {
             break;
         }
-        match (bytes[off + 8], &mut pending) {
-            (6, _) => pending = Some(0),
-            (7, Some(n)) => {
-                ops += *n;
-                pending = None;
-            }
-            (8, _) | (7, None) => pending = None,
-            (1 | 3 | 5 | 9 | 10 | 11 | 12, Some(n)) => *n += 1,
-            (1 | 3 | 5 | 9 | 10 | 11 | 12, None) => ops += 1,
-            _ => {}
-        }
+        let frame = &bytes[off + 8..off + 8 + len];
+        ops += match frame.first() {
+            Some(13) => group_members(frame).filter(|m| m[0] != 2).count(),
+            Some(1 | 3 | 5 | 9 | 10 | 11 | 12) => 1,
+            _ => 0,
+        };
         off += 8 + len;
     }
     ops
+}
+
+/// The member records of a group frame `[13][u32 n][n × (u32 len, record)]`.
+fn group_members(frame: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let n = u32::from_le_bytes(frame[1..5].try_into().unwrap());
+    let mut at = 5usize;
+    (0..n).map(move |_| {
+        let len = u32::from_le_bytes(frame[at..at + 4].try_into().unwrap()) as usize;
+        let member = &frame[at + 4..at + 4 + len];
+        at += 4 + len;
+        member
+    })
 }

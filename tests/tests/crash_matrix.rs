@@ -176,15 +176,12 @@ fn failed_wal_append_rolls_back_the_insert() {
     let committed_len = db.wal_len();
     let bases_before = db.with_tables(|_, reg| reg.len());
     let state = |db: &SharedDurableDb| db.with_tables(|t, reg| (t["readings"].len(), reg.len()));
-    // Fail each of the four records an insert transaction commits: begin
-    // marker, base pdf, tuple, commit marker.
-    for nth in 0..4 {
-        db.inject_wal_append_failure(nth);
-        assert!(insert(&db, 99).is_err(), "injected failure at append {nth}");
-        assert_eq!(state(&db), (1, bases_before), "nothing applied (append {nth})");
-        assert_eq!(db.wal_len(), committed_len, "wal rolled back (append {nth})");
-        db.check_invariants().unwrap();
-    }
+    // Fail the one frame an insert transaction commits.
+    db.inject_wal_append_failure(0);
+    assert!(insert(&db, 99).is_err(), "injected append failure");
+    assert_eq!(state(&db), (1, bases_before), "nothing applied");
+    assert_eq!(db.wal_len(), committed_len, "wal rolled back");
+    db.check_invariants().unwrap();
     // Same for a sync failure: the commit point was never reached.
     db.inject_wal_sync_failure();
     assert!(insert(&db, 99).is_err());
@@ -283,10 +280,9 @@ fn checkpoint_wal_reset_crash_matrix_never_mixes_epochs() {
 fn stale_wal_discard_counter_is_golden() {
     // Crash between checkpoint commit and WAL reset, with the *whole*
     // stale log surviving: the discard counter must account for exactly
-    // the records written before the checkpoint, transaction markers
-    // included — the create-table transaction's begin + schema + commit,
-    // then begin + base + tuple + commit for each of 3 inserts: 3 + 3 × 4
-    // = 15 — no more, no less.
+    // the frames written before the checkpoint — one per commit: the
+    // create-table transaction, then each of 3 inserts: 1 + 3 = 4 — no
+    // more, no less.
     let dir = temp_dir("stale_golden");
     {
         let db = open_db(&dir);
@@ -300,12 +296,12 @@ fn stale_wal_discard_counter_is_golden() {
     std::fs::write(dir.join(WAL_FILE), &stale_wal).unwrap();
     let rec = recover(&dir);
     assert!(rec.db.recovery().snapshot_loaded);
-    assert_eq!(rec.db.recovery().stale_wal_records_discarded, 15, "3 + 3 × 4 frames");
+    assert_eq!(rec.db.recovery().stale_wal_records_discarded, 4, "1 + 3 frames");
     assert_eq!(rec.db.recovery().wal_records_replayed, 0);
     assert_eq!(rec.rows("readings"), 3, "no double-apply");
     rec.db.check_invariants().unwrap();
     // The counter surfaces verbatim in the grepable stats JSON.
-    assert!(rec.db.stats_json().contains("\"stale_wal_records_discarded\":15"));
+    assert!(rec.db.stats_json().contains("\"stale_wal_records_discarded\":4"));
     drop(rec);
     // Idempotent: the discard is durable, a second open sees a clean log.
     let rec = recover(&dir);
@@ -319,9 +315,8 @@ fn stale_wal_discard_counter_is_golden() {
     drop(db);
     std::fs::write(dir.join(WAL_FILE), &stale_wal).unwrap();
     let rec = recover(&dir);
-    // Epoch stamp + begin + base + tuple + commit survived the simulated
-    // torn reset.
-    assert_eq!(rec.db.recovery().stale_wal_records_discarded, 5, "stamp + 4 insert frames");
+    // Epoch stamp + the insert's frame survived the simulated torn reset.
+    assert_eq!(rec.db.recovery().stale_wal_records_discarded, 2, "stamp + 1 insert frame");
     assert_eq!(rec.rows("readings"), 4);
     rec.db.check_invariants().unwrap();
     std::fs::remove_dir_all(&dir).ok();
@@ -491,8 +486,8 @@ fn recovery_and_fault_counters_are_grepable() {
     insert_ids(&db, 1..2);
     drop(db);
     let s = open_db(&dir).stats_json();
-    // Schema + base + tuple records replay; transaction markers are framing.
-    assert!(s.contains("\"wal_records_replayed\":3"), "stats: {s}");
+    // One frame per commit: the create-table and the insert transaction.
+    assert!(s.contains("\"wal_records_replayed\":2"), "stats: {s}");
     assert!(s.contains("\"wal_bytes_truncated\":0"), "stats: {s}");
 
     let store = FaultyStore::new(orion_storage::MemStore::new(), FaultPlan::new().fail_write(0));

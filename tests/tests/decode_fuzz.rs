@@ -2,7 +2,7 @@
 //! adversarially crafted — may panic a decoder. Corrupt input must always
 //! surface as a typed error (`DecodeError` / `EngineError::Corrupt`).
 
-use orion_core::persist::{apply_record, save_database, LoadState};
+use orion_core::persist::{apply_record, encode_group, save_database, LoadState};
 use orion_core::prelude::*;
 use orion_pdf::prelude::*;
 use orion_storage::codec::{decode_joint, decode_pdf1, encode_joint, encode_pdf1};
@@ -69,9 +69,9 @@ fn truncated_pdf_encodings_always_error() {
     }
 }
 
-#[test]
-fn truncated_database_records_always_error_as_corruption() {
-    // Snapshot a small database and harvest its raw tagged records.
+/// The raw tagged records of a small database saved as `name` (one file per
+/// test, so tests running in parallel never share it): schema, base, tuple.
+fn snapshot_records(name: &str) -> Vec<Vec<u8>> {
     let mut reg = HistoryRegistry::new();
     let schema = ProbSchema::new(
         vec![("id", ColumnType::Int, false), ("v", ColumnType::Real, true)],
@@ -87,7 +87,7 @@ fn truncated_database_records_always_error_as_corruption() {
     .unwrap();
     let mut tables = HashMap::new();
     tables.insert("T".to_string(), rel);
-    let path = std::env::temp_dir().join("orion_decode_fuzz.db");
+    let path = std::env::temp_dir().join(name);
     save_database(&path, &tables, &reg).unwrap();
     let heap = HeapFile::new(FileStore::open(&path).unwrap(), 8);
     let mut records: Vec<Vec<u8>> = Vec::new();
@@ -96,8 +96,15 @@ fn truncated_database_records_always_error_as_corruption() {
         true
     })
     .unwrap();
+    std::fs::remove_file(&path).ok();
     assert!(records.len() >= 3, "schema + base + tuple");
+    records
+}
 
+#[test]
+fn truncated_database_records_always_error_as_corruption() {
+    // Snapshot a small database and harvest its raw tagged records.
+    let records = snapshot_records("orion_decode_fuzz.db");
     for (i, rec) in records.iter().enumerate() {
         for cut in 0..rec.len() {
             let mut state = LoadState::default();
@@ -109,7 +116,57 @@ fn truncated_database_records_always_error_as_corruption() {
             assert!(err.is_corruption(), "record {i} prefix {cut}: {err}");
         }
     }
-    std::fs::remove_file(&path).ok();
+}
+
+/// A transaction's group record: the whole group applies; every strict
+/// prefix, a nested group and a retired marker member are corruption.
+#[test]
+fn group_records_decode_strictly() {
+    let records = snapshot_records("orion_decode_fuzz_group.db");
+    let mut group = Vec::new();
+    encode_group(&records, &mut group);
+    let mut state = LoadState::default();
+    apply_record(&group, &mut state).unwrap();
+    assert_eq!(state.tables["T"].len(), 1, "members apply in order");
+    for cut in 0..group.len() {
+        let err = apply_record(&group[..cut], &mut LoadState::default())
+            .expect_err(&format!("group prefix {cut} must not decode"));
+        assert!(err.is_corruption(), "group prefix {cut}: {err}");
+    }
+    let mut nested = Vec::new();
+    encode_group(&[&group], &mut nested);
+    let err = apply_record(&nested, &mut LoadState::default()).unwrap_err();
+    assert!(err.is_corruption() && err.to_string().contains("nested"), "{err}");
+    for tag in [6u8, 7, 8] {
+        let marker = [&[tag][..], &9u64.to_le_bytes()].concat();
+        let mut legacy = Vec::new();
+        encode_group(&[marker], &mut legacy);
+        let err = apply_record(&legacy, &mut LoadState::default()).unwrap_err();
+        assert!(err.is_corruption() && err.to_string().contains("checkpoint()"), "{err}");
+    }
+}
+
+/// A group whose member count or member length lies is rejected by bounds
+/// math over the bytes present — members are borrowed, never allocated.
+#[test]
+fn lying_group_counts_and_lengths_are_rejected_cheaply() {
+    let records = snapshot_records("orion_decode_fuzz_lying.db");
+    let mut group = Vec::new();
+    encode_group(&records, &mut group);
+    let n = records.len() as u32;
+    for count in [u32::MAX, n + 1, n - 1] {
+        let mut lie = group.clone();
+        lie[1..5].copy_from_slice(&count.to_le_bytes());
+        let err = apply_record(&lie, &mut LoadState::default()).unwrap_err();
+        assert!(err.is_corruption(), "count {count}: {err}");
+    }
+    let first_len = records[0].len() as u32;
+    for len in [u32::MAX, u32::MAX - 3, first_len + 1, first_len - 1] {
+        let mut lie = group.clone();
+        lie[5..9].copy_from_slice(&len.to_le_bytes());
+        let err = apply_record(&lie, &mut LoadState::default()).unwrap_err();
+        assert!(err.is_corruption(), "member length {len}: {err}");
+    }
 }
 
 /// Crafted length-field attacks: a u32::MAX count must be rejected by

@@ -178,14 +178,14 @@ fn injected_sync_failures_nack_whole_batches_but_never_acked_commits() {
 fn append_failpoint_under_concurrency_nacks_exactly_the_poisoned_commit() {
     let dir = temp_dir("append_fault");
     let db = open_readings(&dir);
-    // Deterministic single-threaded probe first: the very next record (the
-    // transaction's begin marker) fails, and the commit applies nothing.
+    // Deterministic single-threaded probe first: the very next frame (the
+    // whole transaction) fails, and the commit applies nothing.
     db.inject_wal_append_failure(0);
     assert!(insert(&db, -1).is_err());
     db.check_invariants().unwrap();
     assert!(live_ids(&db).is_empty());
-    // Then a concurrent burst with a handful of per-record faults sprayed
-    // in: whoever draws the poisoned record nacks, everyone else lands.
+    // Then a concurrent burst with a handful of per-commit faults sprayed
+    // in: whoever draws the poisoned frame nacks, everyone else lands.
     let (acked, nacked, seen) = hammer(&db, 4, 20, |db, i| {
         if i % 7 == 0 {
             db.inject_wal_append_failure(3);

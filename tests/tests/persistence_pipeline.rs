@@ -9,6 +9,7 @@ use orion_core::pws::{
     conformance_report, distribution_distance, pws_row_distribution_via_ancestors,
 };
 use orion_pdf::prelude::*;
+use orion_storage::MAX_PAGE_RECORD;
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -170,6 +171,48 @@ fn checkpoint_truncates_wal_and_snapshot_takes_over() {
     assert!(rec.db.recovery().snapshot_loaded);
     assert_eq!(rec.db.recovery().wal_records_replayed, 0);
     assert_eq!(rec.rows("readings"), 3);
+    rec.db.check_invariants().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn analyzed_stats_wider_than_a_page_survive_checkpoint_and_reopen() {
+    // ANALYZE over >= 256 sampled uncertain tuples writes a stats record
+    // larger than one heap page; the checkpoint must still write it.
+    let dir = durable_dir("wide_stats");
+    let stats = {
+        let db = orion_tests::open_db(&dir);
+        fill_readings(&db, 300, |i| i as f64);
+        let ts = db.analyze_table("readings").unwrap();
+        assert!(ts.encode().len() > MAX_PAGE_RECORD, "the stats record outgrows a page");
+        db.checkpoint().unwrap();
+        db.stats_catalog()
+    };
+    let rec = orion_tests::recover(&dir);
+    assert!(rec.db.recovery().snapshot_loaded);
+    assert_eq!(rec.db.recovery().wal_records_replayed, 0, "the stats live in the snapshot");
+    assert_eq!(rec.stats.encode(), stats.encode(), "bitwise-equal stats catalog");
+    assert_eq!(rec.rows("readings"), 300);
+    rec.db.check_invariants().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn wide_discrete_tuple_survives_checkpoint_and_reopen() {
+    let dir = durable_dir("wide_tuple");
+    let wide = Pdf1::discrete((0..1024).map(|i| (i as f64, 1.0 / 1024.0)).collect()).unwrap();
+    let (tables, reg) = {
+        let db = orion_tests::open_db(&dir);
+        orion_tests::txn_create_table(&db, "readings", readings_schema()).unwrap();
+        orion_tests::txn_insert_simple(&db, "readings", &[("id", Value::Int(1))], &[("v", wide)])
+            .unwrap();
+        db.checkpoint().unwrap();
+        db.with_tables(|t, r| (t.clone(), r.clone()))
+    };
+    let rec = orion_tests::recover(&dir);
+    assert!(rec.db.recovery().snapshot_loaded);
+    assert_eq!(rec.tables["readings"].tuples, tables["readings"].tuples);
+    assert_eq!(rec.reg.len(), reg.len());
     rec.db.check_invariants().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }

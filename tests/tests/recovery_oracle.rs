@@ -517,7 +517,7 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Multi-op transactions: the same byte-level crash matrix, but with WAL
-// records grouped between txn-begin/commit markers. Recovery must apply a
+// records grouped into one frame per transaction. Recovery must apply a
 // transaction *all or none* — a cut anywhere inside the group rolls the
 // whole transaction back.
 // ---------------------------------------------------------------------------
@@ -636,7 +636,7 @@ fn oracle_txn_step(
 /// Runs a transactional script against a shared durable handle and the
 /// oracle. Returns fingerprints indexed by committed-records-since-last-
 /// checkpoint, matching `committed_ops`: a committed transaction
-/// contributes one entry per step (all indexed past its commit marker), a
+/// contributes one entry per step (all indexed past its group frame), a
 /// rolled-back one contributes nothing.
 fn run_txn_workload(dir: &Path, script: &[Step]) -> Vec<String> {
     let db = open_db(dir);

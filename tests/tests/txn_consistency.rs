@@ -385,8 +385,8 @@ fn check_against_oracle(
     OracleVerdict { committed_txns: by_seq.len(), fps }
 }
 
-/// Number of transactions whose **commit marker frame** (tag 7) fits
-/// entirely inside `bytes[..cut]` — the all-or-none unit of recovery.
+/// Number of transactions whose **group frame** (tag 13) fits entirely
+/// inside `bytes[..cut]` — the all-or-none unit of recovery.
 fn committed_txn_groups(bytes: &[u8], cut: usize) -> usize {
     let mut off = 0usize;
     let mut k = 0;
@@ -395,7 +395,7 @@ fn committed_txn_groups(bytes: &[u8], cut: usize) -> usize {
         if off + 8 + len > cut {
             break;
         }
-        if bytes[off + 8] == 7 {
+        if bytes[off + 8] == 13 {
             k += 1;
         }
         off += 8 + len;
