@@ -1,5 +1,4 @@
-//! CI schema check for Chrome trace-event files, crash flight dumps, and
-//! slow-query dumps.
+//! CI schema check for Chrome trace-event files and slow-query dumps.
 //!
 //! Usage: `trace_check FILE [FILE ...]`
 //!
@@ -8,14 +7,11 @@
 //! keys on every `"X"` event, monotone timestamps, well-nested spans per
 //! lane, and at least one complete event. Files carrying a top-level
 //! `"kind": "slow_queries"` are workload-repository slow-query dumps
-//! (`slow-*.json`) and go through [`orion_obs::validate_slow_dump`]; files
-//! carrying a top-level `"reason"` key are flight-recorder dumps
-//! (`flight-*.json`) and go through [`orion_obs::validate_flight_dump`],
-//! which additionally requires a non-empty crash reason. Exits non-zero on
-//! the first unparseable or malformed file, so `scripts/check.sh` fails
-//! loudly when instrumentation regresses.
+//! (`slow-*.json`) and go through [`orion_obs::validate_slow_dump`]. Exits
+//! non-zero on the first unparseable or malformed file, so
+//! `scripts/check.sh` fails loudly when instrumentation regresses.
 
-use orion_obs::{json, validate_chrome_trace, validate_flight_dump, validate_slow_dump};
+use orion_obs::{json, validate_chrome_trace, validate_slow_dump};
 
 fn main() {
     let files: Vec<String> = std::env::args().skip(1).collect();
@@ -46,11 +42,7 @@ fn check(path: &str) -> Result<usize, String> {
     if doc.get("kind").and_then(json::Value::as_str) == Some("slow_queries") {
         return validate_slow_dump(&doc);
     }
-    if doc.get("reason").is_some() {
-        validate_flight_dump(&doc)?;
-    } else {
-        validate_chrome_trace(&doc)?;
-    }
+    validate_chrome_trace(&doc)?;
     let n = doc.get("traceEvents").and_then(json::Value::as_array).map(|a| a.len()).unwrap_or(0);
     Ok(n)
 }

@@ -265,12 +265,10 @@ fn measure(
         )));
     }
 
-    let mut plan_secs = 0.0f64;
     let mut index_secs = f64::INFINITY;
     for _ in 0..REPEATS {
         let start = Instant::now();
         for _ in 0..cfg.n_queries {
-            let p0 = Instant::now();
             let ap = plan_threshold_access(
                 &wb.rel,
                 &pred,
@@ -279,7 +277,6 @@ fn measure(
                 Some(&wb.stats),
                 &idx_opts,
             )?;
-            plan_secs += p0.elapsed().as_secs_f64();
             let idx_rids = run_query(wb, &pred, cfg.p, ap.mask.as_deref(), &idx_opts)?;
             if idx_rids != scan_rids {
                 return Err(EngineError::Operator(format!(
@@ -291,12 +288,6 @@ fn measure(
         }
         index_secs = index_secs.min(start.elapsed().as_secs_f64());
     }
-    if std::env::var_os("ORION_FIG5_DEBUG").is_some() {
-        eprintln!(
-            "  [debug] sel {sel} mode {mode:?}: plan+mask {plan_secs:.4}s across {REPEATS} reps; best batch {index_secs:.4}s"
-        );
-    }
-
     Ok(FigIndexRow {
         n_tuples: cfg.n_tuples,
         mode: mode.to_string(),

@@ -21,6 +21,7 @@ use orion_storage::codec::{decode_joint, encode_joint};
 use orion_storage::{FileStore, HeapFile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -255,6 +256,9 @@ fn project_query(
     (secs, projected.len())
 }
 
+/// Numbers the sweeps of this process, for their scratch heap file names.
+static SWEEP: AtomicU64 = AtomicU64::new(0);
+
 /// Runs the sweep: each tuple count measured with and without histories.
 pub fn run(cfg: &Fig6Config) -> Vec<Fig6Row> {
     let mut rows = Vec::new();
@@ -278,7 +282,10 @@ pub fn run(cfg: &Fig6Config) -> Vec<Fig6Row> {
         let base = base_table(n, cfg.points_per_pdf, cfg.seed, &mut reg0);
         let dir = std::env::temp_dir().join("orion_fig6");
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join(format!("base_{n}.dat"));
+        // Unique per sweep: concurrent sweeps (the unit tests run two)
+        // would otherwise rewrite and delete each other's heap mid-scan.
+        let sweep = SWEEP.fetch_add(1, Ordering::Relaxed);
+        let path = dir.join(format!("base_{n}_{}_{sweep}.dat", std::process::id()));
         let heap = write_base_heap(&base, &path).expect("write heap");
 
         // Repeat each measurement and keep the minimum to suppress I/O

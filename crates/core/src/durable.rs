@@ -103,41 +103,6 @@ impl RecoveryReport {
     }
 }
 
-/// Name of the workload-repository sidecar written next to the snapshot
-/// when `ORION_STATEMENTS_PERSIST=1`.
-pub const WORKLOAD_FILE: &str = "workload.json";
-
-/// Best-effort write of the workload repository + planner feedback into the
-/// [`WORKLOAD_FILE`] sidecar (temp → rename), gated on the repository's
-/// `persist` knob. Observability data: a failure here must never fail the
-/// checkpoint that triggered it, so errors are swallowed.
-fn persist_workload_sidecar(dir: &Path, workload: &WorkloadRepo, feedback: &PlanFeedbackStore) {
-    if !workload.config().persist {
-        return;
-    }
-    let doc = orion_obs::json::Value::object()
-        .with("workload", workload.to_json())
-        .with("plan_feedback", feedback.to_json());
-    let tmp = dir.join(format!("{WORKLOAD_FILE}.tmp"));
-    if std::fs::write(&tmp, doc.to_string_pretty()).is_ok() {
-        let _ = std::fs::rename(&tmp, dir.join(WORKLOAD_FILE));
-    }
-}
-
-/// Best-effort load of the [`WORKLOAD_FILE`] sidecar on open: counters
-/// merge into the fresh stores. Unconditional — a repository persisted by a
-/// previous process is picked up even when this process won't persist.
-fn load_workload_sidecar(dir: &Path, workload: &WorkloadRepo, feedback: &PlanFeedbackStore) {
-    let Ok(text) = std::fs::read_to_string(dir.join(WORKLOAD_FILE)) else { return };
-    let Ok(doc) = orion_obs::json::parse(&text) else { return };
-    if let Some(w) = doc.get("workload") {
-        let _ = workload.load_json(w);
-    }
-    if let Some(f) = doc.get("plan_feedback") {
-        let _ = feedback.load_json(f);
-    }
-}
-
 /// Refuses a directory holding `delta-*.db` files: incremental checkpoints
 /// written by earlier versions. Their records are in neither `snapshot.db`
 /// nor the WAL (which they reset), so opening without them would silently
@@ -273,9 +238,7 @@ pub(crate) struct SharedInner {
     recovery: RecoveryReport,
     /// Checkpoint page accounting (`ckpt_pages_copied`).
     io: Arc<IoStats>,
-    /// Per-statement workload repository fed by the SQL session layer;
-    /// persisted to a [`WORKLOAD_FILE`] sidecar at checkpoint when
-    /// `ORION_STATEMENTS_PERSIST=1`.
+    /// Per-statement workload repository fed by the SQL session layer.
     workload: Arc<WorkloadRepo>,
     /// Planner cardinality-feedback store folded from profiled executions.
     feedback: Arc<PlanFeedbackStore>,
@@ -304,12 +267,6 @@ impl SharedDurableDb {
     pub fn open(dir: &Path, cfg: GroupCommitConfig) -> Result<Self> {
         std::fs::create_dir_all(dir)?;
         reject_delta_files(dir)?;
-        // Crash observability: flight-recorder dumps land next to the data
-        // they describe, and a panic anywhere in the process leaves one
-        // (both no-ops unless the recorder is enabled via ORION_TRACE=1 or
-        // recorder::set_enabled).
-        orion_obs::recorder::set_dump_dir(dir);
-        orion_obs::recorder::install_panic_hook();
         let snap = dir.join(SNAPSHOT_FILE);
         let mut state = LoadState::default();
         let snapshot_loaded = snap.exists();
@@ -355,7 +312,6 @@ impl SharedDurableDb {
         set_epoch_stamp(&wal, epoch)?;
         let workload = Arc::new(WorkloadRepo::from_env());
         let feedback = Arc::new(PlanFeedbackStore::new());
-        load_workload_sidecar(dir, &workload, &feedback);
         let core = SharedCore {
             dir: dir.to_path_buf(),
             tables,
@@ -488,7 +444,6 @@ impl SharedDurableDb {
         core.epoch = new_epoch;
         self.inner.wal.reset()?;
         set_epoch_stamp(&self.inner.wal, new_epoch)?;
-        persist_workload_sidecar(&core.dir, &self.inner.workload, &self.inner.feedback);
         Ok(())
     }
 
@@ -677,47 +632,6 @@ mod tests {
     /// Rows in `table` (0 when it does not exist).
     fn rows(db: &SharedDurableDb, table: &str) -> usize {
         db.with_tables(|tables, _| tables.get(table).map_or(0, Relation::len))
-    }
-
-    #[test]
-    fn workload_sidecar_round_trips_across_checkpoint_and_reopen() {
-        use orion_obs::workload::{ExecSample, WorkloadConfig};
-        let dir = temp_dir("workload_sidecar");
-        {
-            let db = open(&dir);
-            create_table(&db, "readings");
-            insert_n(&db, 0, 2);
-            let repo = db.workload();
-            repo.set_config(WorkloadConfig { persist: true, ..WorkloadConfig::default() });
-            repo.record(&ExecSample {
-                fingerprint: 0x42,
-                text: "SELECT id FROM readings WHERE v < ?".to_string(),
-                nanos: 1_500,
-                rows: 2,
-                ..Default::default()
-            });
-            db.plan_feedback().observe("readings", "Scan", 10, 20);
-            db.checkpoint().unwrap();
-            assert!(dir.join(WORKLOAD_FILE).exists());
-        }
-        let db = open(&dir);
-        let stats = db.workload().statements();
-        assert_eq!(stats.len(), 1);
-        assert_eq!((stats[0].fingerprint, stats[0].calls), (0x42, 1));
-        let fb = db.plan_feedback().summaries();
-        assert_eq!(fb.len(), 1);
-        assert_eq!((fb[0].last_est, fb[0].last_actual), (10, 20));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn workload_sidecar_not_written_without_persist_knob() {
-        let dir = temp_dir("workload_sidecar_off");
-        let db = open(&dir);
-        create_table(&db, "readings");
-        db.checkpoint().unwrap();
-        assert!(!dir.join(WORKLOAD_FILE).exists());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

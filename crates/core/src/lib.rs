@@ -67,9 +67,7 @@ pub mod value;
 pub mod prelude {
     pub use crate::batch::ExecMode;
     pub use crate::collapse::{collapse_tuple, existence_prob, DEFAULT_RESOLUTION};
-    pub use crate::durable::{
-        check_invariants, ActiveTxnInfo, RecoveryReport, SharedDurableDb, WORKLOAD_FILE,
-    };
+    pub use crate::durable::{check_invariants, ActiveTxnInfo, RecoveryReport, SharedDurableDb};
     pub use crate::error::{EngineError, Result as EngineResult};
     pub use crate::exec_par::{effective_threads, insert_batch, BulkRow, DEFAULT_MORSEL_SIZE};
     pub use crate::history::{Ancestors, HistoryRegistry, PdfId};

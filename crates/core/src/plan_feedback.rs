@@ -127,7 +127,7 @@ impl PlanFeedbackStore {
         self.inner.lock().clear();
     }
 
-    /// JSON form, round-tripping through [`PlanFeedbackStore::load_json`].
+    /// JSON form of every summary (the bench `.stats.json` sidecars embed it).
     pub fn to_json(&self) -> json::Value {
         let mut arr = json::Value::array();
         for s in self.summaries() {
@@ -143,40 +143,6 @@ impl PlanFeedbackStore {
             );
         }
         json::Value::object().with("feedback", arr)
-    }
-
-    /// Merges a [`PlanFeedbackStore::to_json`] document back in (counts and
-    /// q-error sums add, max takes the max, last-seen pairs overwrite).
-    pub fn load_json(&self, doc: &json::Value) -> Result<(), String> {
-        let arr = doc
-            .get("feedback")
-            .and_then(json::Value::as_array)
-            .ok_or("plan-feedback doc missing feedback array")?;
-        let mut inner = self.inner.lock();
-        for s in arr {
-            let table =
-                s.get("table").and_then(json::Value::as_str).ok_or("summary missing table")?;
-            let op = s.get("op").and_then(json::Value::as_str).ok_or("summary missing op")?;
-            let get_u = |k: &str| s.get(k).and_then(json::Value::as_u64).unwrap_or(0);
-            let get_f = |k: &str| s.get(k).and_then(json::Value::as_f64).unwrap_or(0.0);
-            let entry = inner.entry((table.to_string(), op.to_string())).or_insert_with(|| {
-                FeedbackSummary {
-                    table: table.to_string(),
-                    op: op.to_string(),
-                    n: 0,
-                    max_q: 1.0,
-                    sum_q: 0.0,
-                    last_est: 0,
-                    last_actual: 0,
-                }
-            });
-            entry.n += get_u("n");
-            entry.sum_q += get_f("sum_q");
-            entry.max_q = entry.max_q.max(get_f("max_q"));
-            entry.last_est = get_u("last_est");
-            entry.last_actual = get_u("last_actual");
-        }
-        Ok(())
     }
 }
 
@@ -262,19 +228,5 @@ mod tests {
         );
         let join = &store.summaries()[0];
         assert!((join.max_q - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn json_round_trip_merges() {
-        let store = PlanFeedbackStore::new();
-        store.observe("t", "Scan", 10, 40);
-        let doc = store.to_json();
-        let restored = PlanFeedbackStore::new();
-        restored.load_json(&doc).unwrap();
-        restored.load_json(&doc).unwrap();
-        let s = &restored.summaries()[0];
-        assert_eq!(s.n, 2);
-        assert_eq!(s.max_q, 4.0);
-        assert!((s.sum_q - 8.0).abs() < 1e-12);
     }
 }

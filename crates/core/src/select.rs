@@ -51,7 +51,8 @@ pub struct ExecOptions {
     pub morsel_size: usize,
     /// Span tracer for this execution. `None` (the default) falls back to
     /// the process tracer ([`Tracer::global`]) *when that is enabled*, so
-    /// `ORION_TRACE=1` traces everything without plumbing. Tracing is
+    /// `EXPLAIN TRACE` traces its statement without plumbing; tests set a
+    /// private tracer here to stay isolated from each other. Tracing is
     /// record-only and never affects results (see `tests/parallel_equiv.rs`).
     pub trace: Option<Tracer>,
     /// Row- or batch-at-a-time execution. The default honors the

@@ -3,8 +3,8 @@
 //! The offline build environment rules out `serde_json`, so this module
 //! implements what the engine's observability layer needs: a [`Value`]
 //! tree, `From` conversions for the primitive types the exporters use, a
-//! stable two-space pretty printer, and — since the trace validator and
-//! flight-recorder tests must read emitted artifacts back — a
+//! stable two-space pretty printer, and — since the trace and slow-dump
+//! validators must read emitted artifacts back — a
 //! recursive-descent [`parse`] with typed accessors ([`Value::as_str`],
 //! [`Value::as_u64`], ...). Object keys keep insertion order so exported
 //! artifacts diff cleanly.

@@ -16,25 +16,23 @@
 //!   parser (the build environment is offline, so no `serde_json`);
 //! * [`trace`] — structured, query-scoped hierarchical spans recorded into
 //!   per-lane ring buffers, exported as Chrome trace-event JSON;
-//! * [`recorder`] — the crash flight recorder: a bounded process-wide ring
-//!   of recent spans dumped to `flight-<ts>.json` on panic or fault kills;
 //! * [`workload`] — the pg_stat_statements-style statement repository:
 //!   per-fingerprint call/latency/IO counters plus the bounded slow-query
 //!   ring with captured plans, fed by the SQL session layer.
 //!
-//! Engine-scoped state (stats, profiles, per-engine registries) stays
-//! instance-based, so two engines in one process keep independent metrics.
-//! Three deliberately process-wide pieces exist for cross-cutting
+//! Engine-scoped state (stats, profiles, per-engine registries, the
+//! statement repository) stays instance-based, so two engines in one
+//! process keep independent metrics, and nothing outlives its process.
+//! Two deliberately process-wide pieces exist for cross-cutting
 //! observability: [`metrics::global`] (WAL/fsync histograms + Prometheus
-//! exposition), [`trace::Tracer::global`] (the tracer the storage layer
-//! records into, off unless `ORION_TRACE=1`), and the [`recorder`] flight
-//! ring. All three are record-only and cost one relaxed atomic load when
-//! disabled.
+//! exposition) and [`trace::Tracer::global`] (the tracer the storage layer
+//! records into). Both are record-only. The tracer starts disabled and is
+//! switched on for one statement by `EXPLAIN TRACE`; while off, a span
+//! costs one relaxed atomic load.
 
 pub mod json;
 pub mod metrics;
 pub mod profile;
-pub mod recorder;
 pub mod stats;
 pub mod trace;
 pub mod workload;
@@ -42,9 +40,7 @@ pub mod workload;
 pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, SpanTimer};
 pub use profile::{AltPath, OpProfile};
 pub use stats::{ExecStats, ExecStatsSnapshot, ExecTimer, WorkerLane};
-pub use trace::{
-    validate_chrome_trace, validate_flight_dump, Lane, LaneStats, Span, TraceEvent, Tracer,
-};
+pub use trace::{validate_chrome_trace, Lane, Span, TraceEvent, Tracer};
 pub use workload::{
     validate_slow_dump, ExecSample, SlowCause, SlowQuery, SlowTicket, StatementStats,
     WorkloadConfig, WorkloadRepo,

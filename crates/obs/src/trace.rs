@@ -82,12 +82,10 @@ struct LaneInner {
 struct TracerInner {
     /// The whole disabled-path cost: one relaxed load of this flag.
     enabled: AtomicBool,
-    /// Whether closed spans are also copied into the process-wide flight
-    /// recorder (true only for the global tracer, so private test tracers
-    /// stay isolated).
-    feed_flight: bool,
     origin: Instant,
     next_span: AtomicU64,
+    /// Lane ids are never reused, even after [`Tracer::clear`] drops a lane.
+    next_tid: AtomicU64,
     next_trace: AtomicU64,
     current_trace: AtomicU64,
     capacity: usize,
@@ -117,9 +115,9 @@ impl Tracer {
         Tracer {
             inner: Arc::new(TracerInner {
                 enabled: AtomicBool::new(false),
-                feed_flight: false,
                 origin: Instant::now(),
                 next_span: AtomicU64::new(0),
+                next_tid: AtomicU64::new(0),
                 next_trace: AtomicU64::new(0),
                 current_trace: AtomicU64::new(0),
                 capacity,
@@ -129,30 +127,11 @@ impl Tracer {
     }
 
     /// The process-wide tracer the storage and durability layers record
-    /// into. Enabled at first use when the `ORION_TRACE` environment
-    /// variable is `1`/`true`/`on`; toggleable afterwards with
-    /// [`Tracer::set_enabled`]. Its closed spans also feed the
-    /// [`crate::recorder`] flight ring.
+    /// into. Starts **disabled**; `EXPLAIN TRACE` (and the bench `--trace`
+    /// flags) turn it on around one statement with [`Tracer::set_enabled`].
     pub fn global() -> &'static Tracer {
         static GLOBAL: OnceLock<Tracer> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let t = Tracer {
-                inner: Arc::new(TracerInner {
-                    enabled: AtomicBool::new(env_trace_enabled()),
-                    feed_flight: true,
-                    origin: Instant::now(),
-                    next_span: AtomicU64::new(0),
-                    next_trace: AtomicU64::new(0),
-                    current_trace: AtomicU64::new(0),
-                    capacity: DEFAULT_RING_CAPACITY,
-                    lanes: Mutex::new(Vec::new()),
-                }),
-            };
-            if t.enabled() {
-                crate::recorder::set_enabled(true);
-            }
-            t
-        })
+        GLOBAL.get_or_init(Tracer::new)
     }
 
     /// Whether spans are currently recorded (relaxed load).
@@ -184,7 +163,7 @@ impl Tracer {
         let mut lanes = self.inner.lanes.lock();
         let lane = match lanes.iter().find(|l| l.name == name) {
             Some(l) => Arc::clone(l),
-            None => Self::push_lane(&mut lanes, name),
+            None => self.push_lane(&mut lanes, name),
         };
         Lane { tracer: Arc::clone(&self.inner), lane }
     }
@@ -203,24 +182,28 @@ impl Tracer {
     /// distinct, so viewers render duplicates as separate tracks).
     pub fn unique_lane(&self, name: &str) -> Lane {
         let mut lanes = self.inner.lanes.lock();
-        let lane = Self::push_lane(&mut lanes, name);
+        let lane = self.push_lane(&mut lanes, name);
         Lane { tracer: Arc::clone(&self.inner), lane }
     }
 
-    fn push_lane(lanes: &mut Vec<Arc<LaneInner>>, name: &str) -> Arc<LaneInner> {
+    fn push_lane(&self, lanes: &mut Vec<Arc<LaneInner>>, name: &str) -> Arc<LaneInner> {
         let l = Arc::new(LaneInner {
             name: name.to_string(),
-            tid: lanes.len() as u64 + 1,
+            tid: self.inner.next_tid.fetch_add(1, Ordering::Relaxed) + 1,
             state: Mutex::new(LaneState::default()),
         });
         lanes.push(Arc::clone(&l));
         l
     }
 
-    /// Empties every lane's ring (and open-span stacks). Lane registrations
-    /// and id counters survive, so ids stay unique across clears.
+    /// Empties every lane's ring (and open-span stacks) and forgets every
+    /// lane no live [`Lane`] handle holds — the per-run worker lanes of a
+    /// finished parallel operator — so a long-lived tracer's registry does
+    /// not grow with each traced statement. Id counters survive, so span
+    /// and lane ids stay unique across clears.
     pub fn clear(&self) {
-        let lanes = self.inner.lanes.lock();
+        let mut lanes = self.inner.lanes.lock();
+        lanes.retain(|l| Arc::strong_count(l) > 1);
         for lane in lanes.iter() {
             let mut st = lane.state.lock();
             st.ring.clear();
@@ -244,24 +227,6 @@ impl Tracer {
     /// Total events evicted from full rings since the last clear.
     pub fn dropped(&self) -> u64 {
         self.inner.lanes.lock().iter().map(|l| l.state.lock().dropped).sum()
-    }
-
-    /// Per-lane accounting in registration order — the row source for the
-    /// `orion.trace_lanes` virtual table.
-    pub fn lane_stats(&self) -> Vec<LaneStats> {
-        let lanes = self.inner.lanes.lock();
-        lanes
-            .iter()
-            .map(|l| {
-                let st = l.state.lock();
-                LaneStats {
-                    name: l.name.clone(),
-                    tid: l.tid,
-                    events: st.ring.len() as u64,
-                    dropped: st.dropped,
-                }
-            })
-            .collect()
     }
 
     /// Exports the recorded spans as a Chrome trace-event JSON document:
@@ -376,18 +341,6 @@ fn chrome_event(e: &TraceEvent) -> json::Value {
         .with("args", args)
 }
 
-/// Renders a slice of events (e.g. a flight-recorder dump) as a Chrome
-/// trace-event array, sorted by start time.
-pub(crate) fn chrome_events_json(events: &[TraceEvent]) -> json::Value {
-    let mut sorted: Vec<&TraceEvent> = events.iter().collect();
-    sorted.sort_by(|a, b| a.start_ns.cmp(&b.start_ns).then(b.end_ns.cmp(&a.end_ns)));
-    let mut arr = json::Value::array();
-    for e in sorted {
-        arr.push(chrome_event(e));
-    }
-    arr
-}
-
 /// A small process-unique tag for the calling thread, used by
 /// [`Tracer::thread_lane`] (dense, unlike the opaque `std::thread::ThreadId`).
 fn thread_tag() -> u64 {
@@ -396,28 +349,6 @@ fn thread_tag() -> u64 {
         static TAG: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
     }
     TAG.with(|t| *t)
-}
-
-/// Whether `ORION_TRACE` asks for tracing (`1`/`true`/`on`, like
-/// `ORION_THREADS` this is read from the environment once at first use).
-pub fn env_trace_enabled() -> bool {
-    match std::env::var("ORION_TRACE") {
-        Ok(v) => matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "on"),
-        Err(_) => false,
-    }
-}
-
-/// Point-in-time accounting for one lane (see [`Tracer::lane_stats`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LaneStats {
-    /// Lane display name.
-    pub name: String,
-    /// Lane id (the Chrome `tid`).
-    pub tid: u64,
-    /// Events currently held in the ring.
-    pub events: u64,
-    /// Events evicted because the ring was full.
-    pub dropped: u64,
 }
 
 /// A handle onto one lane of a tracer: cheap to clone, `Send + Sync`, and
@@ -518,9 +449,6 @@ impl Drop for Span {
             end_ns,
             args: a.args,
         };
-        if a.tracer.feed_flight {
-            crate::recorder::record(&event);
-        }
         let mut st = a.lane.state.lock();
         if let Some(pos) = st.open.iter().rposition(|&id| id == a.span_id) {
             st.open.truncate(pos);
@@ -591,20 +519,6 @@ pub fn validate_chrome_trace(doc: &json::Value) -> Result<(), String> {
         return Err("no \"X\" (complete) events in trace".into());
     }
     Ok(())
-}
-
-/// Validates a flight-recorder dump document (`flight-*.json`): the same
-/// Chrome trace-event checks as [`validate_chrome_trace`], plus the
-/// recorder's own contract — a non-empty top-level `"reason"` string
-/// saying why the dump was taken. Used by the `trace_check` CI binary and
-/// the crash-matrix spot-check.
-pub fn validate_flight_dump(doc: &json::Value) -> Result<(), String> {
-    match doc.get("reason").and_then(json::Value::as_str) {
-        None => return Err("missing top-level \"reason\" string".into()),
-        Some("") => return Err("empty \"reason\"".into()),
-        Some(_) => {}
-    }
-    validate_chrome_trace(doc)
 }
 
 #[cfg(test)]
@@ -785,35 +699,23 @@ mod tests {
     }
 
     #[test]
-    fn lane_stats_track_events_and_drops() {
-        let t = Tracer::with_capacity(2);
-        t.set_enabled(true);
-        let lane = t.lane("exec");
-        for i in 0..5 {
-            let _s = lane.span(format!("s{i}"), "test");
-        }
-        let stats = t.lane_stats();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].name, "exec");
-        assert_eq!(stats[0].tid, 1);
-        assert_eq!(stats[0].events, 2);
-        assert_eq!(stats[0].dropped, 3);
-    }
-
-    #[test]
-    fn flight_dump_validator_requires_reason() {
+    fn clear_forgets_unheld_lanes_and_never_reuses_tids() {
         let t = Tracer::new();
         t.set_enabled(true);
-        {
-            let _s = t.lane("main").span("work", "test");
+        let kept = t.unique_lane("wal");
+        for w in 0..3 {
+            let _s = t.unique_lane(&format!("worker-{w}")).span("morsel", "exec");
         }
-        let trace = t.export_chrome_json();
-        // A valid trace without a reason is not a valid flight dump.
-        assert!(validate_flight_dump(&trace).unwrap_err().contains("reason"));
-        let dump = trace.clone().with("reason", "panic: boom");
-        validate_flight_dump(&dump).unwrap();
-        let empty = trace.with("reason", "");
-        assert!(validate_flight_dump(&empty).is_err());
+        t.clear();
+        let fresh = t.unique_lane("worker-0");
+        {
+            let _a = kept.span("fsync", "wal");
+            let _b = fresh.span("morsel", "exec");
+        }
+        let doc = t.export_chrome_json().to_string_compact();
+        assert_eq!(doc.matches("\"thread_name\"").count(), 2, "{doc}");
+        let tids: Vec<u64> = t.events().iter().map(|e| e.tid).collect();
+        assert!(tids.contains(&1) && tids.contains(&5), "{tids:?}");
     }
 
     #[test]

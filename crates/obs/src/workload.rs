@@ -9,12 +9,11 @@
 //! latency crosses [`WorkloadConfig::slow_nanos`] — or every Nth statement
 //! when [`WorkloadConfig::sample_every`] is set — are additionally captured
 //! into a bounded ring with their rendered `EXPLAIN ANALYZE` plan (including
-//! the chosen-vs-rejected access-path prices) and a flight-recorder snippet.
+//! the chosen-vs-rejected access-path prices).
 //!
 //! Both sides surface as virtual tables (`orion.statements`,
-//! `orion.slow_queries`), the slow ring dumps as validated JSON next to the
-//! Chrome traces, and the whole repository round-trips through JSON so the
-//! durable engine can persist it across checkpoints.
+//! `orion.slow_queries`), and the slow ring dumps as validated JSON. The
+//! repository lives and dies with its engine: nothing is persisted.
 //!
 //! Cost discipline matches the tracer: while disabled, the per-statement
 //! price is one relaxed atomic load ([`WorkloadRepo::enabled`]).
@@ -55,9 +54,6 @@ pub struct WorkloadConfig {
     pub max_statements: usize,
     /// Slow-query ring capacity.
     pub max_slow: usize,
-    /// Whether the durable engine persists the repository to a
-    /// `workload.json` sidecar at checkpoint (`ORION_STATEMENTS_PERSIST=1`).
-    pub persist: bool,
 }
 
 impl Default for WorkloadConfig {
@@ -68,14 +64,13 @@ impl Default for WorkloadConfig {
             sample_every: 0,
             max_statements: DEFAULT_MAX_STATEMENTS,
             max_slow: DEFAULT_MAX_SLOW,
-            persist: false,
         }
     }
 }
 
 impl WorkloadConfig {
-    /// Reads `ORION_STATEMENTS`, `ORION_SLOW_MS`, `ORION_SLOW_SAMPLE` and
-    /// `ORION_STATEMENTS_PERSIST` on top of the defaults.
+    /// Reads `ORION_STATEMENTS`, `ORION_SLOW_MS` and `ORION_SLOW_SAMPLE` on
+    /// top of the defaults.
     pub fn from_env() -> WorkloadConfig {
         let mut cfg = WorkloadConfig::default();
         if let Ok(v) = std::env::var("ORION_STATEMENTS") {
@@ -87,7 +82,6 @@ impl WorkloadConfig {
         if let Some(n) = std::env::var("ORION_SLOW_SAMPLE").ok().and_then(|v| v.parse().ok()) {
             cfg.sample_every = n;
         }
-        cfg.persist = std::env::var("ORION_STATEMENTS_PERSIST").is_ok_and(|v| v == "1");
         cfg
     }
 }
@@ -164,9 +158,6 @@ pub struct SlowQuery {
     /// chosen-vs-rejected access-path prices (empty when the statement is
     /// not plan-capturable, e.g. DML).
     pub plan: String,
-    /// Flight-recorder snippet: the most recent span events at capture time
-    /// (empty when the recorder is off).
-    pub trace: String,
 }
 
 /// Accumulated statistics for one statement fingerprint.
@@ -421,9 +412,9 @@ impl WorkloadRepo {
         self.seq.store(0, Ordering::Relaxed);
     }
 
-    /// JSON form of the whole repository: per-statement counters with their
-    /// latency histograms plus the slow ring. Round-trips through
-    /// [`WorkloadRepo::load_json`].
+    /// JSON form of the per-statement counters with their latency
+    /// histograms (the slow ring is dumped by
+    /// [`WorkloadRepo::dump_slow_to_dir`]).
     pub fn to_json(&self) -> json::Value {
         let mut statements = json::Value::array();
         for s in self.statements() {
@@ -449,52 +440,6 @@ impl WorkloadRepo {
             .with("statements", statements)
     }
 
-    /// Merges a [`WorkloadRepo::to_json`] document back in (counters add;
-    /// first-seen text wins). The slow ring is not persisted: captured plans
-    /// describe a process that no longer exists.
-    pub fn load_json(&self, doc: &json::Value) -> Result<(), String> {
-        let statements = doc
-            .get("statements")
-            .and_then(json::Value::as_array)
-            .ok_or("workload doc missing statements array")?;
-        let mut inner = self.inner.lock();
-        for s in statements {
-            let fp = s
-                .get("fingerprint")
-                .and_then(json::Value::as_str)
-                .and_then(|h| u64::from_str_radix(h, 16).ok())
-                .ok_or("statement missing hex fingerprint")?;
-            let text =
-                s.get("text").and_then(json::Value::as_str).ok_or("statement missing text")?;
-            let get = |k: &str| s.get(k).and_then(json::Value::as_u64).unwrap_or(0);
-            let entry = inner.map.entry(fp).or_insert_with(|| Entry::new(text.to_string()));
-            entry.calls += get("calls");
-            entry.errors += get("errors");
-            entry.rows += get("rows");
-            entry.total_nanos += get("total_nanos");
-            entry.pages_read += get("pages_read");
-            entry.pdf_ops += get("pdf_ops");
-            entry.index_probes += get("index_probes");
-            entry.txn_retries += get("txn_retries");
-            if let Some(buckets) =
-                s.get("latency").and_then(|l| l.get("buckets")).and_then(json::Value::as_array)
-            {
-                for b in buckets {
-                    let le = b.get("le").and_then(json::Value::as_u64).unwrap_or(0);
-                    let n = b.get("n").and_then(json::Value::as_u64).unwrap_or(0);
-                    entry.latency[Histogram::bucket_index(le)] += n;
-                }
-            }
-        }
-        if let Some(seq) = doc.get("seq").and_then(json::Value::as_u64) {
-            self.seq.fetch_add(seq, Ordering::Relaxed);
-        }
-        if let Some(n) = doc.get("overflowed").and_then(json::Value::as_u64) {
-            inner.overflowed += n;
-        }
-        Ok(())
-    }
-
     /// Dumps the slow ring into `dir` as `slow-<epoch-secs>-<seq>.json`, a
     /// document [`validate_slow_dump`] accepts.
     pub fn dump_slow_to_dir(&self, dir: &Path) -> std::io::Result<PathBuf> {
@@ -508,8 +453,7 @@ impl WorkloadRepo {
                     .with("nanos", q.nanos)
                     .with("rows", q.rows)
                     .with("cause", q.cause.as_str())
-                    .with("plan", q.plan.as_str())
-                    .with("trace", q.trace.as_str()),
+                    .with("plan", q.plan.as_str()),
             );
         }
         let inner = self.inner.lock();
@@ -566,10 +510,8 @@ pub fn validate_slow_dump(doc: &json::Value) -> Result<usize, String> {
             Some("slow") | Some("sampled") => {}
             other => return Err(format!("query {i}: bad cause {other:?}")),
         }
-        for key in ["plan", "trace"] {
-            if q.get(key).and_then(json::Value::as_str).is_none() {
-                return Err(format!("query {i}: missing {key}"));
-            }
+        if q.get("plan").and_then(json::Value::as_str).is_none() {
+            return Err(format!("query {i}: missing plan"));
         }
     }
     Ok(queries.len())
@@ -650,7 +592,6 @@ mod tests {
                 rows: 0,
                 cause: t.cause,
                 plan: "Scan t\n  paths: scan*".to_string(),
-                trace: String::new(),
             });
         }
         let ring = repo.slow_queries();
@@ -680,34 +621,11 @@ mod tests {
                         .with("text", "SELECT ?")
                         .with("nanos", 5u64)
                         .with("cause", "eh")
-                        .with("plan", "")
-                        .with("trace", ""),
+                        .with("plan", ""),
                 );
                 a
             });
         assert!(validate_slow_dump(&bad_cause).unwrap_err().contains("bad cause"));
-    }
-
-    #[test]
-    fn json_round_trip_merges_counters() {
-        let repo = WorkloadRepo::default();
-        repo.record(&sample(0xabc, "SELECT ?", 128));
-        repo.record(&sample(0xabc, "SELECT ?", 4096));
-        let doc = repo.to_json();
-
-        let restored = WorkloadRepo::default();
-        restored.load_json(&doc).unwrap();
-        // Load twice: counters add.
-        restored.load_json(&doc).unwrap();
-        let stats = restored.statements();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].fingerprint, 0xabc);
-        assert_eq!(stats[0].calls, 4);
-        assert_eq!(stats[0].total_nanos, 2 * (128 + 4096));
-        assert_eq!(stats[0].latency.count, 4);
-        // Bucket structure survived the le round trip.
-        assert_eq!(stats[0].latency.buckets[Histogram::bucket_index(128)], 2);
-        assert_eq!(stats[0].latency.buckets[Histogram::bucket_index(4096)], 2);
     }
 
     #[test]
@@ -717,6 +635,5 @@ mod tests {
         assert!(cfg.enabled);
         assert_eq!(cfg.slow_nanos, u64::MAX);
         assert_eq!(cfg.sample_every, 0);
-        assert!(!cfg.persist);
     }
 }

@@ -361,8 +361,9 @@ impl Database {
     /// `SELECT` would, always profiled, and returns the operator tree in
     /// place of the rows. All forms run the query; the plain form renders
     /// only the plan shape. `TRACE` additionally runs with the global tracer
-    /// enabled and writes a Chrome trace-event JSON file (to
-    /// `ORION_TRACE_FILE` if set, else the system temp dir). Post-relational
+    /// enabled and writes a Chrome trace-event JSON file,
+    /// `orion-trace-<id>.json` in the system temp dir, whose path the output
+    /// carries. Post-relational
     /// stages (DISTINCT, ORDER BY, LIMIT, computed select items, aggregates)
     /// are not part of the operator algebra and are rejected.
     fn explain(&mut self, analyze: bool, trace: bool, inner: Statement) -> Result<Output> {
@@ -379,10 +380,10 @@ impl Database {
         let mut query_id = 0;
         if trace {
             if !was_enabled {
-                // Ambient tracing was off: start from empty rings so the
-                // file holds exactly this query. When `ORION_TRACE=1` keep
-                // whatever the process recorded so far (WAL, checkpoints) —
-                // the query's spans are distinguished by their trace id.
+                // Tracing was off: start from empty rings so the file holds
+                // exactly this query. When a caller already turned the
+                // global tracer on (a bench `--trace` run), keep what it
+                // recorded — the query's spans carry their own trace id.
                 tracer.clear();
                 tracer.set_enabled(true);
             }
@@ -406,10 +407,7 @@ impl Database {
         let profile = self.take_profile().expect("a profiled SELECT keeps its profile");
         self.feedback.fold(&profile);
         let trace = if trace {
-            let path = match std::env::var_os("ORION_TRACE_FILE") {
-                Some(p) => std::path::PathBuf::from(p),
-                None => std::env::temp_dir().join(format!("orion-trace-{query_id}.json")),
-            };
+            let path = std::env::temp_dir().join(format!("orion-trace-{query_id}.json"));
             tracer
                 .write_chrome_trace(&path)
                 .map_err(|e| SqlError::Exec(format!("cannot write trace file {path:?}: {e}")))?;
@@ -453,7 +451,6 @@ impl Database {
             "orion.indexes" => self.sys_indexes()?,
             "orion.metrics" => self.sys_metrics()?,
             "orion.io" => self.sys_io()?,
-            "orion.trace_lanes" => self.sys_trace_lanes()?,
             "orion.txns" => self.sys_txns()?,
             "orion.statements" => self.sys_statements()?,
             "orion.slow_queries" => self.sys_slow_queries()?,
@@ -461,8 +458,8 @@ impl Database {
             other => {
                 return Err(SqlError::Exec(format!(
                     "unknown system table '{other}' (available: orion.tables, orion.columns, \
-                     orion.stats, orion.indexes, orion.metrics, orion.io, orion.trace_lanes, \
-                     orion.txns, orion.statements, orion.slow_queries, orion.plan_feedback)"
+                     orion.stats, orion.indexes, orion.metrics, orion.io, orion.txns, \
+                     orion.statements, orion.slow_queries, orion.plan_feedback)"
                 )))
             }
         };
@@ -660,32 +657,6 @@ impl Database {
         )
     }
 
-    /// `orion.trace_lanes`: one row per registered tracer lane.
-    fn sys_trace_lanes(&self) -> Result<Relation> {
-        let rows = Tracer::global()
-            .lane_stats()
-            .into_iter()
-            .map(|l| {
-                vec![
-                    Value::Text(l.name),
-                    Value::Int(l.tid as i64),
-                    Value::Int(l.events as i64),
-                    Value::Int(l.dropped as i64),
-                ]
-            })
-            .collect();
-        system_rel(
-            "orion.trace_lanes",
-            &[
-                ("lane", ColumnType::Text),
-                ("tid", ColumnType::Int),
-                ("events", ColumnType::Int),
-                ("dropped", ColumnType::Int),
-            ],
-            rows,
-        )
-    }
-
     /// `orion.txns`: one row per live transaction of the attached durable
     /// engine (empty for detached in-memory sessions).
     fn sys_txns(&self) -> Result<Relation> {
@@ -762,7 +733,7 @@ impl Database {
 
     /// `orion.slow_queries`: the attached repository's capture ring, oldest
     /// first, with the rendered `EXPLAIN ANALYZE` plan (chosen-vs-rejected
-    /// access paths included) and the flight-recorder snippet.
+    /// access paths included).
     fn sys_slow_queries(&self) -> Result<Relation> {
         let rows = match &self.workload {
             None => Vec::new(),
@@ -778,7 +749,6 @@ impl Database {
                         Value::Int(q.rows as i64),
                         Value::Text(q.cause.as_str().to_string()),
                         Value::Text(q.plan.clone()),
-                        Value::Text(q.trace.clone()),
                     ]
                 })
                 .collect(),
@@ -793,7 +763,6 @@ impl Database {
                 ("rows", ColumnType::Int),
                 ("cause", ColumnType::Text),
                 ("plan", ColumnType::Text),
-                ("trace", ColumnType::Text),
             ],
             rows,
         )
@@ -1681,11 +1650,7 @@ mod tests {
         let out = db.execute("EXPLAIN SELECT rid FROM readings").unwrap();
         let Output::Explain { trace, .. } = out else { panic!("expected explain") };
         assert!(trace.is_none());
-        // Keep the file when CI pinned its location (check.sh validates it
-        // with trace_check after the test run).
-        if std::env::var_os("ORION_TRACE_FILE").is_none() {
-            std::fs::remove_file(&info.path).ok();
-        }
+        std::fs::remove_file(&info.path).ok();
     }
 
     #[test]
@@ -1724,7 +1689,6 @@ mod tests {
             ("orion.indexes", &["name", "tbl", "col", "kind", "pages", "epoch"]),
             ("orion.metrics", &["name", "kind", "count", "sum"]),
             ("orion.io", &["counter", "value"]),
-            ("orion.trace_lanes", &["lane", "tid", "events", "dropped"]),
             ("orion.txns", &["id", "snapshot_epoch", "writes"]),
             (
                 "orion.statements",
@@ -1743,10 +1707,7 @@ mod tests {
                     "txn_retries",
                 ],
             ),
-            (
-                "orion.slow_queries",
-                &["seq", "fingerprint", "stmt", "ms", "rows", "cause", "plan", "trace"],
-            ),
+            ("orion.slow_queries", &["seq", "fingerprint", "stmt", "ms", "rows", "cause", "plan"]),
             (
                 "orion.plan_feedback",
                 &["tbl", "op", "n", "max_q", "mean_q", "last_est", "last_actual"],
@@ -1907,7 +1868,7 @@ mod tests {
     }
 
     #[test]
-    fn orion_io_and_trace_lanes_are_queryable() {
+    fn orion_io_is_queryable() {
         let mut db = sensor_db();
         let Output::Table(rel) = db.execute("SELECT * FROM orion.io").unwrap() else {
             panic!("expected table")
@@ -1925,11 +1886,6 @@ mod tests {
             panic!("expected table")
         };
         assert_eq!(rel.value(0, "value").unwrap(), &Value::Int(5));
-        // trace_lanes executes with a stable schema regardless of whether
-        // the global tracer has registered lanes in this process.
-        let Output::Table(_) = db.execute("SELECT * FROM orion.trace_lanes").unwrap() else {
-            panic!("expected table")
-        };
     }
 
     #[test]

@@ -314,8 +314,8 @@ fn cmp_str(op: CmpOp) -> &'static str {
     }
 }
 
-/// FNV-1a 64-bit (dependency-free, stable across processes — fingerprints
-/// persist in the `workload.json` sidecar).
+/// FNV-1a 64-bit (dependency-free, stable across processes, so slow dumps
+/// from different runs agree on a statement's fingerprint).
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

@@ -23,7 +23,7 @@
 //!   stats catalog;
 //! * read-only system virtual tables in the reserved `orion.` namespace
 //!   (`orion.tables`, `orion.columns`, `orion.stats`, `orion.metrics`,
-//!   `orion.io`, `orion.trace_lanes`, `orion.txns`, `orion.indexes`,
+//!   `orion.io`, `orion.txns`, `orion.indexes`,
 //!   `orion.statements`, `orion.slow_queries`, `orion.plan_feedback`),
 //!   queryable and joinable like any user table;
 //! * `BEGIN` / `COMMIT` / `ROLLBACK` snapshot-isolation transactions on a

@@ -32,7 +32,7 @@ use crate::fingerprint::fingerprint;
 use crate::parser::parse;
 use orion_core::prelude::*;
 use orion_core::tuple::PdfNode;
-use orion_obs::{recorder, ExecSample, ExecStats, OpProfile, SlowQuery};
+use orion_obs::{ExecSample, ExecStats, OpProfile, SlowQuery};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,9 +43,6 @@ const AUTOCOMMIT_RETRIES: u32 = 5;
 
 /// Base backoff before an auto-commit retry; doubles per attempt.
 const RETRY_BACKOFF: Duration = Duration::from_micros(100);
-
-/// How many recent flight-recorder events a slow-query capture keeps.
-const SLOW_TRACE_EVENTS: usize = 16;
 
 /// A SQL session over a durable engine, with transactions.
 pub struct DurableSession {
@@ -139,7 +136,6 @@ impl DurableSession {
                 rows,
                 cause: ticket.cause,
                 plan,
-                trace: trace_snippet(),
             });
         }
         result
@@ -290,20 +286,6 @@ impl DurableSession {
         qdb.set_plan_feedback(self.db.plan_feedback());
         qdb
     }
-}
-
-/// Formats the tail of the flight-recorder ring as one line per span for
-/// slow-query captures. Empty when the recorder is disabled.
-fn trace_snippet() -> String {
-    let events = recorder::recent(SLOW_TRACE_EVENTS);
-    let mut out = String::new();
-    for e in &events {
-        if !out.is_empty() {
-            out.push('\n');
-        }
-        out.push_str(&format!("[{}] {} {}ns", e.cat, e.name, e.end_ns.saturating_sub(e.start_ns)));
-    }
-    out
 }
 
 /// Stages one DML statement into a transaction.

@@ -238,11 +238,6 @@ impl<S: PageStore> PageStore for FaultyStore<S> {
                 self.stats.faults_injected.inc();
                 self.stats.failed_writes.inc();
                 self.halted = self.halt_on_fault;
-                if self.halted {
-                    // A halt is the simulated kill: leave a black-box trace
-                    // (no-op unless the flight recorder is enabled).
-                    orion_obs::recorder::dump(&format!("halt-on-fault: failed write at op {op}"));
-                }
                 Err(std::io::Error::other(format!("injected write failure at op {op}")))
             }
             Some(Fault::TornWrite { keep }) => {
@@ -255,9 +250,6 @@ impl<S: PageStore> PageStore for FaultyStore<S> {
                 }
                 self.inner.write_page(id, &torn)?;
                 self.halted = self.halt_on_fault;
-                if self.halted {
-                    orion_obs::recorder::dump(&format!("halt-on-fault: torn write at op {op}"));
-                }
                 Err(std::io::Error::other(format!("injected torn write at op {op}")))
             }
             Some(Fault::BitFlipRead { .. }) => self.inner.write_page(id, page),

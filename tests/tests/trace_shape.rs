@@ -84,8 +84,8 @@ fn explain_trace_end_to_end_records_workers_wal_and_morsels() {
     use orion_pdf::prelude::Pdf1;
     use orion_sql::exec::{Database, Output};
 
-    // Enable the process-wide tracer up front (idempotent under
-    // `ORION_TRACE=1`) so the WAL workload below records its spans.
+    // Enable the process-wide tracer up front so the WAL workload below
+    // records its spans.
     Tracer::global().set_enabled(true);
 
     // A durable workload: every insert transaction commits through the
@@ -113,8 +113,6 @@ fn explain_trace_end_to_end_records_workers_wal_and_morsels() {
     // EXPLAIN TRACE at 4 workers with single-tuple morsels: the selection
     // is forced down the parallel path, so the trace must carry one lane
     // per worker and a span per morsel claim.
-    let trace_file = dir.join("explain.trace.json");
-    std::env::set_var("ORION_TRACE_FILE", &trace_file);
     let opts = ExecOptions { threads: 4, morsel_size: 1, ..ExecOptions::default() };
     let mut db = Database::with_options(opts);
     db.execute("CREATE TABLE readings (rid INT, value REAL UNCERTAIN)").expect("create");
@@ -128,14 +126,8 @@ fn explain_trace_end_to_end_records_workers_wal_and_morsels() {
         .execute("EXPLAIN TRACE SELECT rid FROM readings WHERE value < 20")
         .expect("explain trace");
     let Output::Explain { trace: Some(info), .. } = out else { panic!("expected trace info") };
-    assert_eq!(
-        std::path::Path::new(&info.path),
-        trace_file.as_path(),
-        "ORION_TRACE_FILE is honored"
-    );
-    std::env::remove_var("ORION_TRACE_FILE");
 
-    let text = std::fs::read_to_string(&trace_file).expect("trace file written");
+    let text = std::fs::read_to_string(&info.path).expect("trace file written");
     let doc = json::parse(&text).expect("trace parses");
     validate_chrome_trace(&doc).expect("trace validates");
 
@@ -162,8 +154,7 @@ fn explain_trace_end_to_end_records_workers_wal_and_morsels() {
     // The span tree the SQL layer reports names the worker lanes too.
     assert!(info.tree.contains("worker-0"), "tree:\n{}", info.tree);
 
-    if !orion_obs::trace::env_trace_enabled() {
-        Tracer::global().set_enabled(false);
-    }
+    Tracer::global().set_enabled(false);
+    std::fs::remove_file(&info.path).ok();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -562,11 +562,14 @@ fn txn_chaos_survives_injected_faults() {
         check_against_oracle(&db, &reports, &mut oracle_tables, &mut oracle_reg, base_seq);
     assert!(verdict.committed_txns > 0, "chaos run must still commit transactions");
 
-    // The nemesis may have left failpoints armed (one sync flag, one
-    // append counter). Two probe commits consume whatever is pending —
-    // each either commits (feed the oracle) or aborts without trace.
+    // The nemesis may have left failpoints armed: one sync flag and one
+    // record countdown that fires on the third commit from now at the
+    // latest (`inject_wal_append_failure(i % 3)`). A commit the countdown
+    // fails never reaches the sync, so draining both takes three probe
+    // commits — each either commits (feed the oracle) or aborts without
+    // trace.
     let stats = StatsCatalog::new();
-    for (i, uid) in [888_000_001i64, 888_000_002].into_iter().enumerate() {
+    for (i, uid) in [888_000_001i64, 888_000_002, 888_000_003].into_iter().enumerate() {
         let e = Effect::Insert { key: i as i64, uid, val: 2.0 + i as f64 };
         let mut probe = Txn::begin(&db);
         stage(&mut probe, &e).unwrap();

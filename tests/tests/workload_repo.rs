@@ -184,7 +184,7 @@ fn plan_feedback_matches_explain_analyze() {
 }
 
 /// Slow-query capture by threshold and by sampling, plus the validated
-/// JSON dump next to the Chrome traces.
+/// JSON dump.
 #[test]
 fn slow_queries_capture_and_dump_validates() {
     let dir = temp_dir("slow");
