@@ -2,7 +2,7 @@
 //! on-disk relations of uncertain tuples, per representation.
 //!
 //! Usage: `fig5_performance [--full] [--mode row|batch] [--compare]
-//! [--min-speedup X] [--json PATH] [--trace PATH]`
+//! [--min-speedup X] [--json PATH]`
 //!
 //! Default is a 10x scaled-down sweep (50K-300K tuples); `--full` runs the
 //! paper's 0.5M-3M. `--mode batch` runs the query phase through the
@@ -11,9 +11,7 @@
 //! reporting the row/batch speedup (with `--min-speedup X` the process
 //! exits non-zero if the widest representation's aggregate speedup —
 //! fig5's `Discrete(25)`, where the columnar layout has the most bytes to
-//! win — falls below `X`). `--trace
-//! PATH` records the sweep with the structured tracer and writes a
-//! Chrome trace-event file.
+//! win — falls below `X`).
 
 use orion_bench::fig5::{
     aggregate_speedup, cleanup, compare, compare_to_json, estimate_report, rows_to_json, run_mode,
@@ -45,7 +43,6 @@ fn main() {
         .position(|a| a == "--json")
         .and_then(|i| args.get(i + 1))
         .map(std::path::PathBuf::from);
-    let trace_path = report::trace_arg(&args);
 
     let cfg = if full { Fig5Config::default() } else { Fig5Config::quick() };
     eprintln!(
@@ -85,9 +82,6 @@ fn main() {
         if let Some(p) = json_path {
             report::write_json(&p, &compare_to_json(&rows)).expect("write json");
             eprintln!("wrote {}", p.display());
-        }
-        if let Some(p) = trace_path {
-            report::write_trace(&p);
         }
         cleanup(&cfg.dir);
         if let Some(min) = min_speedup {
@@ -145,9 +139,6 @@ fn main() {
         report::write_json(&sp, &stats_json(&rows, &estimates, statements))
             .expect("write stats json");
         eprintln!("wrote {}", sp.display());
-    }
-    if let Some(p) = trace_path {
-        report::write_trace(&p);
     }
     cleanup(&cfg.dir);
 }

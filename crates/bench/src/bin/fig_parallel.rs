@@ -1,12 +1,10 @@
 //! Morsel-driven parallel scaling sweep: selection runtime and speedup at
 //! increasing worker counts, with bit-identical output enforced.
 //!
-//! Usage: `fig_parallel [--quick] [--json PATH] [--trace PATH] [--min-speedup X]`
+//! Usage: `fig_parallel [--quick] [--json PATH] [--min-speedup X]`
 //! Default is the acceptance workload (500K Gaussian tuples); `--quick`
 //! runs 100K. `--json PATH` also writes a `.stats.json` sibling with the
-//! per-worker morsel/busy-time lanes; `--trace PATH` records the sweep with
-//! the structured tracer and writes a Chrome trace-event file. With
-//! `--min-speedup X` the process exits non-zero unless the 4-thread
+//! per-worker morsel/busy-time lanes. With `--min-speedup X` the process exits non-zero unless the 4-thread
 //! speedup reaches `X` — intended for CI gates on machines with at least
 //! 4 cores.
 
@@ -26,7 +24,6 @@ fn main() {
         .position(|a| a == "--min-speedup")
         .and_then(|i| args.get(i + 1))
         .map(|s| s.parse::<f64>().expect("--min-speedup takes a number"));
-    let trace_path = report::trace_arg(&args);
 
     let cfg = if quick { ParallelConfig::quick() } else { ParallelConfig::default() };
     eprintln!(
@@ -56,9 +53,6 @@ fn main() {
         let sp = report::stats_path(&p);
         report::write_json(&sp, &stats_json(&rows)).expect("write stats json");
         eprintln!("wrote {}", sp.display());
-    }
-    if let Some(p) = trace_path {
-        report::write_trace(&p);
     }
     if let Some(min) = min_speedup {
         let got = speedup_at(&rows, 4).unwrap_or(0.0);

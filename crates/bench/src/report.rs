@@ -44,22 +44,6 @@ pub fn stats_path(results: &Path) -> std::path::PathBuf {
     results.with_extension("stats.json")
 }
 
-/// Handles the shared `--trace PATH` bench flag: when present in `args`,
-/// enables the process-wide tracer (so the run records exec / WAL /
-/// checkpoint spans) and returns the path to hand to [`write_trace`] once
-/// the run finishes.
-pub fn trace_arg(args: &[String]) -> Option<std::path::PathBuf> {
-    let p = args.iter().position(|a| a == "--trace").and_then(|i| args.get(i + 1))?;
-    orion_obs::Tracer::global().set_enabled(true);
-    Some(std::path::PathBuf::from(p))
-}
-
-/// Writes the global tracer's recorded spans as a Chrome trace-event file.
-pub fn write_trace(path: &Path) {
-    orion_obs::Tracer::global().write_chrome_trace(path).expect("write trace file");
-    eprintln!("wrote {}", path.display());
-}
-
 /// Formats a duration in adaptive units.
 pub fn fmt_secs(secs: f64) -> String {
     if secs < 1e-3 {

@@ -181,18 +181,6 @@ pub fn validate_index_def(
     Ok(IndexDef { name: name.into(), table: table.into(), column: column.into(), kind })
 }
 
-/// A span on the calling thread's `checkpoint` lane, inert while tracing
-/// is off. Checkpoints are serialized per database (they hold the engine
-/// lock), and thread-keying keeps concurrent databases off each other's
-/// lanes.
-fn ckpt_span(name: &'static str) -> orion_obs::Span {
-    let t = orion_obs::Tracer::global();
-    if !t.enabled() {
-        return orion_obs::Span::noop();
-    }
-    t.thread_lane("checkpoint").span(name, "checkpoint")
-}
-
 /// Mutable database state behind [`SharedDurableDb`]'s core lock. It holds
 /// only durable state: tables, registry, stats and index definitions
 /// change only after the WAL commit that logs the change has returned
@@ -427,7 +415,6 @@ impl SharedDurableDb {
     /// [`SharedDurableDb::io_stats`] (`ckpt_pages_copied`).
     pub fn checkpoint(&self) -> Result<()> {
         let mut core = self.inner.core.lock();
-        let mut span = ckpt_span("checkpoint.full");
         let new_epoch = core.epoch + 1;
         let snap = core.dir.join(SNAPSHOT_FILE);
         let cat = core.indexes.lock();
@@ -436,10 +423,6 @@ impl SharedDurableDb {
         let pages =
             std::fs::metadata(&snap).map(|m| m.len().div_ceil(PAGE_SIZE as u64)).unwrap_or(0);
         self.inner.io.ckpt_pages_copied.add(pages);
-        if span.is_recording() {
-            span.arg("epoch", new_epoch);
-            span.arg("pages_copied", pages);
-        }
         // The rename inside save_snapshot_full was the commit point.
         core.epoch = new_epoch;
         self.inner.wal.reset()?;

@@ -75,12 +75,12 @@ where
     let cursor = AtomicUsize::new(0);
     // Tracing is record-only: spans observe the claim loop but never feed
     // back into scheduling or results (see `tests/parallel_equiv.rs`).
-    let tracer = opts.tracer().cloned();
+    let tracer = &opts.trace;
     // Finished morsels, tagged with their index for in-order stitching.
     let done: Mutex<Vec<(usize, Result<Vec<U>>)>> = Mutex::new(Vec::with_capacity(n_morsels));
 
-    let mut p1 = match &tracer {
-        Some(t) => t.thread_lane("exec").span("phase1.compute", "exec"),
+    let mut p1 = match tracer {
+        Some(t) => t.lane("exec").span("phase1.compute", "exec"),
         None => Span::noop(),
     };
     if p1.is_recording() {
@@ -90,12 +90,12 @@ where
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
-            let (cursor, done, f, tracer) = (&cursor, &done, &f, &tracer);
+            let (cursor, done, f) = (&cursor, &done, &f);
             handles.push(scope.spawn(move || {
-                // One fresh trace lane per worker, one span per morsel
-                // claim. `unique_lane` keeps concurrent queries' workers
-                // (which may share display names) on distinct lanes.
-                let lane = tracer.as_ref().map(|t| t.unique_lane(&format!("worker-{w}")));
+                // One trace lane per worker, one span per morsel claim.
+                // Parallel operators of a statement run one after another,
+                // so a later operator's worker `w` reuses this lane.
+                let lane = tracer.as_ref().map(|t| t.lane(&format!("worker-{w}")));
                 let start = Instant::now();
                 let mut claimed = 0u64;
                 loop {
@@ -150,8 +150,8 @@ where
     // Ordered stitch; the error from the lowest input index wins, matching
     // what serial in-order evaluation would have reported. The
     // `phase2.stitch` span marks the parallel/serial boundary in the trace.
-    let _p2 = match &tracer {
-        Some(t) => t.thread_lane("exec").span("phase2.stitch", "exec"),
+    let _p2 = match tracer {
+        Some(t) => t.lane("exec").span("phase2.stitch", "exec"),
         None => Span::noop(),
     };
     let mut slots = done.into_inner();
@@ -205,11 +205,11 @@ where
     let n_morsels = items.len().div_ceil(morsel);
     let workers = threads.min(n_morsels);
     let cursor = AtomicUsize::new(0);
-    let tracer = opts.tracer().cloned();
+    let tracer = &opts.trace;
     let done: Mutex<Vec<(usize, Result<Vec<U>>)>> = Mutex::new(Vec::with_capacity(n_morsels));
 
-    let mut p1 = match &tracer {
-        Some(t) => t.thread_lane("exec").span("phase1.compute", "exec"),
+    let mut p1 = match tracer {
+        Some(t) => t.lane("exec").span("phase1.compute", "exec"),
         None => Span::noop(),
     };
     if p1.is_recording() {
@@ -219,9 +219,9 @@ where
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
-            let (cursor, done, f, tracer, record) = (&cursor, &done, &f, &tracer, &record);
+            let (cursor, done, f, record) = (&cursor, &done, &f, &record);
             handles.push(scope.spawn(move || {
-                let lane = tracer.as_ref().map(|t| t.unique_lane(&format!("worker-{w}")));
+                let lane = tracer.as_ref().map(|t| t.lane(&format!("worker-{w}")));
                 let start = Instant::now();
                 let mut claimed = 0u64;
                 loop {
@@ -262,8 +262,8 @@ where
     });
     drop(p1);
 
-    let _p2 = match &tracer {
-        Some(t) => t.thread_lane("exec").span("phase2.stitch", "exec"),
+    let _p2 = match tracer {
+        Some(t) => t.lane("exec").span("phase2.stitch", "exec"),
         None => Span::noop(),
     };
     let mut slots = done.into_inner();
@@ -335,8 +335,8 @@ where
     // Phase 2: ordered serial commit. One contiguous reservation covers
     // every base pdf; walking rows in order assigns exactly the ids a
     // serial load would have produced.
-    let mut p2 = match opts.tracer() {
-        Some(t) => t.thread_lane("exec").span("insert_batch.commit", "exec"),
+    let mut p2 = match &opts.trace {
+        Some(t) => t.lane("exec").span("insert_batch.commit", "exec"),
         None => Span::noop(),
     };
     if p2.is_recording() {

@@ -388,15 +388,13 @@ fn op_detail(plan: &Plan) -> String {
     }
 }
 
-/// A span on the driver's `exec` lane, inert when tracing is off (one
-/// relaxed atomic load). Operator spans open before child recursion, so
-/// they nest like the plan tree and cover inclusive time — self time lives
-/// in the `ExecStats` args a profiled run attaches.
+/// A span on the statement's `exec` lane, inert when the statement is not
+/// traced. Operator spans open before child recursion, so they nest like
+/// the plan tree and cover inclusive time — self time lives in the
+/// `ExecStats` args a profiled run attaches.
 fn op_span(opts: &ExecOptions, plan: &Plan) -> Span {
-    match opts.tracer() {
-        // Thread-keyed lane: concurrent queries on other threads get their
-        // own lanes, so operator spans always nest.
-        Some(t) => t.thread_lane("exec").span(op_name(plan), "exec"),
+    match &opts.trace {
+        Some(t) => t.lane("exec").span(op_name(plan), "exec"),
         None => Span::noop(),
     }
 }

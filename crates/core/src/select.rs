@@ -49,11 +49,11 @@ pub struct ExecOptions {
     /// so small relations never pay thread costs; tests shrink this to
     /// force parallelism on tiny inputs.
     pub morsel_size: usize,
-    /// Span tracer for this execution. `None` (the default) falls back to
-    /// the process tracer ([`Tracer::global`]) *when that is enabled*, so
-    /// `EXPLAIN TRACE` traces its statement without plumbing; tests set a
-    /// private tracer here to stay isolated from each other. Tracing is
-    /// record-only and never affects results (see `tests/parallel_equiv.rs`).
+    /// Span tracer for this statement. `None` (the default) records
+    /// nothing; `EXPLAIN TRACE` attaches a fresh tracer for its statement,
+    /// and the plan runner and morsel workers record into it.
+    /// Tracing is record-only and never affects results (see
+    /// `tests/parallel_equiv.rs`).
     pub trace: Option<Tracer>,
     /// Row- or batch-at-a-time execution. The default honors the
     /// `ORION_MODE` environment variable (`batch` selects batch mode).
@@ -105,19 +105,6 @@ impl ExecOptions {
     /// Borrows the collector in the form the collapse helpers take.
     pub fn stats_ref(&self) -> Option<&ExecStats> {
         self.stats.as_deref()
-    }
-
-    /// The tracer in effect: an explicitly attached one wins; otherwise the
-    /// process tracer when it is enabled. Costs one relaxed atomic load
-    /// when tracing is off everywhere.
-    pub fn tracer(&self) -> Option<&Tracer> {
-        match &self.trace {
-            Some(t) => t.enabled().then_some(t),
-            None => {
-                let g = Tracer::global();
-                g.enabled().then_some(g)
-            }
-        }
     }
 }
 

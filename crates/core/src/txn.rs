@@ -76,15 +76,6 @@ fn metrics() -> &'static orion_obs::metrics::MetricsRegistry {
     orion_obs::metrics::global()
 }
 
-/// A span on the calling thread's `txn` lane, inert while tracing is off.
-fn txn_span(name: &'static str) -> orion_obs::Span {
-    let t = orion_obs::Tracer::global();
-    if !t.enabled() {
-        return orion_obs::Span::noop();
-    }
-    t.thread_lane("txn").span(name, "txn")
-}
-
 fn unknown_table(name: &str) -> EngineError {
     EngineError::Operator(format!("unknown table '{name}'"))
 }
@@ -172,11 +163,7 @@ impl Txn {
     /// and registry segments with the committed state (O(tables +
     /// segments), nothing encoded).
     pub fn begin(db: &SharedDurableDb) -> Txn {
-        let mut span = txn_span("txn.begin");
         let id = next_txn_id();
-        if span.is_recording() {
-            span.arg("txid", id);
-        }
         metrics().counter("txn_begins").inc();
         let (tables, reg, snapshot_epoch, begin_seq) = {
             let core = db.inner.core.lock();
@@ -449,11 +436,6 @@ impl Txn {
     pub fn commit(mut self) -> Result<u64> {
         self.finished = true;
         let started = std::time::Instant::now();
-        let mut span = txn_span("txn.commit");
-        if span.is_recording() {
-            span.arg("txid", self.id);
-            span.arg("writes", self.write_count() as u64);
-        }
         let db = self.db.clone();
         let live: Vec<WriteOp> =
             self.ops.iter().filter(|o| !matches!(o, WriteOp::Voided)).cloned().collect();
@@ -570,9 +552,6 @@ impl Txn {
         drop(core);
         metrics().counter("txn_commits").inc();
         metrics().histogram("txn.commit_nanos").record(started.elapsed().as_nanos() as u64);
-        if span.is_recording() {
-            span.arg("commit_seq", seq);
-        }
         Ok(seq)
     }
 
@@ -580,10 +559,6 @@ impl Txn {
     /// was ever shared or logged.
     pub fn rollback(mut self) {
         self.finished = true;
-        let mut span = txn_span("txn.abort");
-        if span.is_recording() {
-            span.arg("txid", self.id);
-        }
         self.db.inner.txns.lock().remove(&self.id);
         metrics().counter("txn_aborts").inc();
     }

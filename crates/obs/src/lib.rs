@@ -23,12 +23,10 @@
 //! Engine-scoped state (stats, profiles, per-engine registries, the
 //! statement repository) stays instance-based, so two engines in one
 //! process keep independent metrics, and nothing outlives its process.
-//! Two deliberately process-wide pieces exist for cross-cutting
+//! One deliberately process-wide piece exists for cross-cutting
 //! observability: [`metrics::global`] (WAL/fsync histograms + Prometheus
-//! exposition) and [`trace::Tracer::global`] (the tracer the storage layer
-//! records into). Both are record-only. The tracer starts disabled and is
-//! switched on for one statement by `EXPLAIN TRACE`; while off, a span
-//! costs one relaxed atomic load.
+//! exposition), record-only. A [`trace::Tracer`] belongs to one statement:
+//! `EXPLAIN TRACE` creates it and hands it to the executor.
 
 pub mod json;
 pub mod metrics;

@@ -1,39 +1,40 @@
-//! Structured tracing: query-scoped hierarchical spans across threads,
+//! Structured tracing: one statement's hierarchical spans across threads,
 //! recorded into per-lane ring buffers and exported as Chrome trace-event
 //! JSON (loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)).
 //!
 //! # Model
 //!
-//! A [`Tracer`] owns a set of **lanes** — one per logical thread of
-//! execution (the query driver, each morsel worker, the WAL, the buffer
-//! pool). A lane hands out RAII [`Span`] guards; dropping the guard closes
-//! the span and records one [`TraceEvent`] into the lane's bounded ring
-//! buffer (oldest events are evicted first, so a long-running process keeps
-//! the *recent* history). Spans on one lane nest like a stack, which is
-//! exactly the discipline the RAII guard enforces, so parent links come for
-//! free and the Chrome "X" (complete) events render as a flame graph.
+//! A [`Tracer`] belongs to one statement: `EXPLAIN TRACE` creates it and
+//! hands it to the executor in `ExecOptions::trace`. It owns a set of
+//! **lanes**, one per logical thread of execution: `exec` for the query
+//! driver and `worker-{w}` for each morsel worker. A lane hands out RAII
+//! [`Span`] guards; dropping the guard closes the span and records one
+//! [`TraceEvent`] into the lane's bounded ring buffer (oldest events are
+//! evicted first). Spans on one lane nest like a stack, which is exactly
+//! the discipline the RAII guard enforces, so parent links come for free
+//! and the Chrome "X" (complete) events render as a flame graph.
 //!
 //! # ID scheme
 //!
-//! Span ids are allocated from one process-wide-per-tracer atomic counter
-//! (never reused, never 0 — 0 means "no parent"). Trace ids group every
-//! span recorded between two [`Tracer::begin_trace`] calls, which the SQL
-//! layer uses to stamp each `EXPLAIN TRACE` query; spans that run outside
-//! any query (WAL background work) carry the last started trace id.
+//! Span ids come from one per-tracer atomic counter (never 0 — 0 means "no
+//! parent"). Lane ids are dense in creation order and name-keyed: a
+//! statement's parallel operators run one after another, so reusing the
+//! `worker-{w}` lane of an earlier operator keeps its spans nested.
 //!
-//! # Disabled cost
+//! # Cost
 //!
-//! When disabled, [`Lane::span`] is a single relaxed atomic load returning
-//! an inert guard — no allocation, no lock, no clock read. Tracing is
-//! record-only: it never branches on data values, so enabling it cannot
-//! perturb query results (see `tests/parallel_equiv.rs`).
+//! Not tracing means `ExecOptions::trace` is `None`: call sites check the
+//! `Option` and take [`Span::noop`], an inert guard with no allocation, no
+//! lock and no clock read. Tracing is record-only: it never branches on
+//! data values, so it cannot perturb query results (see
+//! `tests/parallel_equiv.rs`).
 
 use crate::json;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Events kept per lane before the oldest is evicted.
@@ -52,8 +53,6 @@ pub struct TraceEvent {
     pub span_id: u64,
     /// Enclosing span's id on the same lane, 0 for a root span.
     pub parent_id: u64,
-    /// Trace (query) id current when the span opened.
-    pub trace_id: u64,
     /// Start, nanoseconds since the tracer's origin instant.
     pub start_ns: u64,
     /// End, nanoseconds since the tracer's origin instant.
@@ -80,14 +79,8 @@ struct LaneInner {
 
 #[derive(Debug)]
 struct TracerInner {
-    /// The whole disabled-path cost: one relaxed load of this flag.
-    enabled: AtomicBool,
     origin: Instant,
     next_span: AtomicU64,
-    /// Lane ids are never reused, even after [`Tracer::clear`] drops a lane.
-    next_tid: AtomicU64,
-    next_trace: AtomicU64,
-    current_trace: AtomicU64,
     capacity: usize,
     lanes: Mutex<Vec<Arc<LaneInner>>>,
 }
@@ -105,111 +98,42 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// A fresh, **disabled** tracer with the default ring capacity.
+    /// A fresh tracer with the default ring capacity.
     pub fn new() -> Tracer {
         Tracer::with_capacity(DEFAULT_RING_CAPACITY)
     }
 
-    /// A fresh, disabled tracer keeping at most `capacity` events per lane.
+    /// A fresh tracer keeping at most `capacity` events per lane.
     pub fn with_capacity(capacity: usize) -> Tracer {
         Tracer {
             inner: Arc::new(TracerInner {
-                enabled: AtomicBool::new(false),
                 origin: Instant::now(),
                 next_span: AtomicU64::new(0),
-                next_tid: AtomicU64::new(0),
-                next_trace: AtomicU64::new(0),
-                current_trace: AtomicU64::new(0),
                 capacity,
                 lanes: Mutex::new(Vec::new()),
             }),
         }
     }
 
-    /// The process-wide tracer the storage and durability layers record
-    /// into. Starts **disabled**; `EXPLAIN TRACE` (and the bench `--trace`
-    /// flags) turn it on around one statement with [`Tracer::set_enabled`].
-    pub fn global() -> &'static Tracer {
-        static GLOBAL: OnceLock<Tracer> = OnceLock::new();
-        GLOBAL.get_or_init(Tracer::new)
-    }
-
-    /// Whether spans are currently recorded (relaxed load).
-    pub fn enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns recording on or off. Open spans on either side of the flip
-    /// record iff they were opened while enabled.
-    pub fn set_enabled(&self, on: bool) {
-        self.inner.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Starts a new trace (query) scope and returns its id (≥ 1). Spans
-    /// opened afterwards carry this id until the next call.
-    pub fn begin_trace(&self) -> u64 {
-        let id = self.inner.next_trace.fetch_add(1, Ordering::Relaxed) + 1;
-        self.inner.current_trace.store(id, Ordering::Relaxed);
-        id
-    }
-
     /// The lane named `name`, creating it on first use. Lanes are keyed by
-    /// name so repeated lookups share one ring. **A shared lane requires
-    /// the caller to serialize its spans** (one thread, or one mutex held
-    /// across every span) — overlapping spans on one lane would break
-    /// Chrome nesting. Contexts that cannot guarantee that use
-    /// [`Tracer::thread_lane`] or [`Tracer::unique_lane`].
+    /// name so repeated lookups share one ring. **A lane requires the
+    /// caller to serialize its spans** (one thread at a time) — overlapping
+    /// spans on one lane would break Chrome nesting.
     pub fn lane(&self, name: &str) -> Lane {
         let mut lanes = self.inner.lanes.lock();
         let lane = match lanes.iter().find(|l| l.name == name) {
             Some(l) => Arc::clone(l),
-            None => self.push_lane(&mut lanes, name),
+            None => {
+                let l = Arc::new(LaneInner {
+                    name: name.to_string(),
+                    tid: lanes.len() as u64 + 1,
+                    state: Mutex::new(LaneState::default()),
+                });
+                lanes.push(Arc::clone(&l));
+                l
+            }
         };
         Lane { tracer: Arc::clone(&self.inner), lane }
-    }
-
-    /// A lane named `{prefix} (t{N})` where `N` identifies the calling
-    /// thread — spans from it are serialized by construction, so
-    /// concurrent queries on different threads never interleave on one
-    /// lane. Repeated calls from the same thread share the lane.
-    pub fn thread_lane(&self, prefix: &str) -> Lane {
-        self.lane(&format!("{prefix} (t{})", thread_tag()))
-    }
-
-    /// A **new** lane on every call, even when the display name repeats —
-    /// for short-lived serialized contexts like the morsel workers of one
-    /// query (each invocation gets fresh lanes; Chrome `tid`s stay
-    /// distinct, so viewers render duplicates as separate tracks).
-    pub fn unique_lane(&self, name: &str) -> Lane {
-        let mut lanes = self.inner.lanes.lock();
-        let lane = self.push_lane(&mut lanes, name);
-        Lane { tracer: Arc::clone(&self.inner), lane }
-    }
-
-    fn push_lane(&self, lanes: &mut Vec<Arc<LaneInner>>, name: &str) -> Arc<LaneInner> {
-        let l = Arc::new(LaneInner {
-            name: name.to_string(),
-            tid: self.inner.next_tid.fetch_add(1, Ordering::Relaxed) + 1,
-            state: Mutex::new(LaneState::default()),
-        });
-        lanes.push(Arc::clone(&l));
-        l
-    }
-
-    /// Empties every lane's ring (and open-span stacks) and forgets every
-    /// lane no live [`Lane`] handle holds — the per-run worker lanes of a
-    /// finished parallel operator — so a long-lived tracer's registry does
-    /// not grow with each traced statement. Id counters survive, so span
-    /// and lane ids stay unique across clears.
-    pub fn clear(&self) {
-        let mut lanes = self.inner.lanes.lock();
-        lanes.retain(|l| Arc::strong_count(l) > 1);
-        for lane in lanes.iter() {
-            let mut st = lane.state.lock();
-            st.ring.clear();
-            st.open.clear();
-            st.dropped = 0;
-        }
     }
 
     /// Every recorded event, across all lanes, sorted by start time (ties:
@@ -224,7 +148,7 @@ impl Tracer {
         events
     }
 
-    /// Total events evicted from full rings since the last clear.
+    /// Total events evicted from full rings.
     pub fn dropped(&self) -> u64 {
         self.inner.lanes.lock().iter().map(|l| l.state.lock().dropped).sum()
     }
@@ -326,7 +250,7 @@ fn render_nodes(
 fn chrome_event(e: &TraceEvent) -> json::Value {
     let ts = e.start_ns / 1_000;
     let dur = (e.end_ns / 1_000).saturating_sub(ts);
-    let mut args = json::Value::object().with("trace_id", e.trace_id);
+    let mut args = json::Value::object();
     for (k, v) in &e.args {
         args.set(k, v.clone());
     }
@@ -341,16 +265,6 @@ fn chrome_event(e: &TraceEvent) -> json::Value {
         .with("args", args)
 }
 
-/// A small process-unique tag for the calling thread, used by
-/// [`Tracer::thread_lane`] (dense, unlike the opaque `std::thread::ThreadId`).
-fn thread_tag() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    thread_local! {
-        static TAG: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    TAG.with(|t| *t)
-}
-
 /// A handle onto one lane of a tracer: cheap to clone, `Send + Sync`, and
 /// the only way to open spans.
 #[derive(Debug, Clone)]
@@ -360,12 +274,8 @@ pub struct Lane {
 }
 
 impl Lane {
-    /// Opens a span. When the tracer is disabled this is one relaxed
-    /// atomic load and returns an inert guard.
+    /// Opens a span, recorded when the returned guard drops.
     pub fn span(&self, name: impl Into<String>, cat: &'static str) -> Span {
-        if !self.tracer.enabled.load(Ordering::Relaxed) {
-            return Span { active: None };
-        }
         let span_id = self.tracer.next_span.fetch_add(1, Ordering::Relaxed) + 1;
         let parent_id = {
             let mut st = self.lane.state.lock();
@@ -381,7 +291,6 @@ impl Lane {
                 cat,
                 span_id,
                 parent_id,
-                trace_id: self.tracer.current_trace.load(Ordering::Relaxed),
                 start_ns: elapsed_ns(self.tracer.origin),
                 args: Vec::new(),
             }),
@@ -401,13 +310,12 @@ struct ActiveSpan {
     cat: &'static str,
     span_id: u64,
     parent_id: u64,
-    trace_id: u64,
     start_ns: u64,
     args: Vec<(String, json::Value)>,
 }
 
 /// RAII span guard: records one [`TraceEvent`] when dropped. Inert (free)
-/// when the tracer was disabled at open time.
+/// when made by [`Span::noop`].
 #[derive(Debug)]
 #[must_use = "a span records when dropped; binding it to _ closes it immediately"]
 pub struct Span {
@@ -444,7 +352,6 @@ impl Drop for Span {
             tid: a.lane.tid,
             span_id: a.span_id,
             parent_id: a.parent_id,
-            trace_id: a.trace_id,
             start_ns: a.start_ns,
             end_ns,
             args: a.args,
@@ -526,22 +433,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_spans_record_nothing() {
-        let t = Tracer::new();
-        let lane = t.lane("main");
-        {
-            let mut s = lane.span("work", "test");
-            s.arg("k", 1u64);
-            assert!(!s.is_recording());
-        }
-        assert!(t.events().is_empty());
-    }
-
-    #[test]
     fn spans_nest_and_carry_ids() {
         let t = Tracer::new();
-        t.set_enabled(true);
-        let q = t.begin_trace();
         let lane = t.lane("main");
         {
             let _outer = lane.span("outer", "test");
@@ -553,29 +446,23 @@ mod tests {
         let inner = events.iter().find(|e| e.name == "inner").unwrap();
         assert_eq!(outer.parent_id, 0);
         assert_eq!(inner.parent_id, outer.span_id);
-        assert_eq!(outer.trace_id, q);
         assert!(inner.start_ns >= outer.start_ns && inner.end_ns <= outer.end_ns);
     }
 
     #[test]
     fn ring_is_bounded_and_counts_drops() {
         let t = Tracer::with_capacity(4);
-        t.set_enabled(true);
         let lane = t.lane("main");
         for i in 0..10 {
             let _s = lane.span(format!("s{i}"), "test");
         }
         assert_eq!(t.events().len(), 4);
         assert_eq!(t.dropped(), 6);
-        t.clear();
-        assert!(t.events().is_empty());
-        assert_eq!(t.dropped(), 0);
     }
 
     #[test]
     fn export_validates_and_names_lanes() {
         let t = Tracer::new();
-        t.set_enabled(true);
         let a = t.lane("alpha");
         let b = t.lane("beta");
         {
@@ -598,7 +485,6 @@ mod tests {
     #[test]
     fn span_tree_renders_nesting_and_caps_children() {
         let t = Tracer::new();
-        t.set_enabled(true);
         let lane = t.lane("exec");
         {
             let _root = lane.span("query", "exec");
@@ -614,42 +500,30 @@ mod tests {
     }
 
     #[test]
-    fn unique_lanes_get_fresh_tids_and_thread_lane_reuses() {
+    fn lanes_are_keyed_by_name() {
         let t = Tracer::new();
-        t.set_enabled(true);
-        let a = t.unique_lane("worker-0");
-        let b = t.unique_lane("worker-0");
+        let (a, b) = (t.lane("exec"), t.lane("exec"));
+        let w = t.lane("worker-0");
         {
-            let _sa = a.span("x", "test");
-        }
-        {
-            let _sb = b.span("y", "test");
+            let _p = a.span("p", "test");
+            let _c = b.span("c", "test");
+            let _x = w.span("x", "test");
         }
         let events = t.events();
-        assert_eq!(events.len(), 2);
-        assert_ne!(events[0].tid, events[1].tid, "unique lanes have distinct tids");
-        let l1 = t.thread_lane("exec");
-        let l2 = t.thread_lane("exec");
-        {
-            let _s1 = l1.span("p", "test");
-            let _s2 = l2.span("c", "test");
-        }
-        let events = t.events();
-        let p = events.iter().find(|e| e.name == "p").unwrap();
-        let c = events.iter().find(|e| e.name == "c").unwrap();
-        assert_eq!(p.tid, c.tid, "same thread shares one lane");
-        assert_eq!(c.parent_id, p.span_id);
+        let find = |n: &str| events.iter().find(|e| e.name == n).unwrap();
+        assert_eq!(find("p").tid, find("c").tid, "one name, one lane");
+        assert_eq!(find("c").parent_id, find("p").span_id);
+        assert_ne!(find("x").tid, find("p").tid, "distinct names get distinct tids");
     }
 
     #[test]
-    fn concurrent_unique_lanes_validate() {
+    fn concurrent_worker_lanes_validate() {
         // Overlapping spans from concurrent threads must not break Chrome
         // nesting because every worker records on its own lane.
         let t = Tracer::new();
-        t.set_enabled(true);
         std::thread::scope(|s| {
             for w in 0..4 {
-                let lane = t.unique_lane(&format!("worker-{w}"));
+                let lane = t.lane(&format!("worker-{w}"));
                 s.spawn(move || {
                     for i in 0..20 {
                         let mut sp = lane.span("morsel", "exec");
@@ -699,31 +573,10 @@ mod tests {
     }
 
     #[test]
-    fn clear_forgets_unheld_lanes_and_never_reuses_tids() {
-        let t = Tracer::new();
-        t.set_enabled(true);
-        let kept = t.unique_lane("wal");
-        for w in 0..3 {
-            let _s = t.unique_lane(&format!("worker-{w}")).span("morsel", "exec");
-        }
-        t.clear();
-        let fresh = t.unique_lane("worker-0");
-        {
-            let _a = kept.span("fsync", "wal");
-            let _b = fresh.span("morsel", "exec");
-        }
-        let doc = t.export_chrome_json().to_string_compact();
-        assert_eq!(doc.matches("\"thread_name\"").count(), 2, "{doc}");
-        let tids: Vec<u64> = t.events().iter().map(|e| e.tid).collect();
-        assert!(tids.contains(&1) && tids.contains(&5), "{tids:?}");
-    }
-
-    #[test]
     fn truncation_preserves_nesting_in_export() {
         // A child fully inside its parent in nanoseconds must stay inside
         // after the floor division to microseconds.
         let t = Tracer::new();
-        t.set_enabled(true);
         let lane = t.lane("main");
         {
             let _p = lane.span("parent", "test");

@@ -45,8 +45,8 @@ pub enum Statement {
     /// `EXPLAIN [ANALYZE | TRACE] stmt` — renders the operator tree the
     /// statement would run; with `ANALYZE`, executes it and annotates each
     /// operator with its execution stats; with `TRACE`, executes it with
-    /// the global tracer enabled, writes a Chrome trace-event JSON file,
-    /// and reports the path plus the recorded span tree.
+    /// a tracer of its own, writes a Chrome trace-event JSON file, and
+    /// reports the path plus the recorded span tree.
     Explain { analyze: bool, trace: bool, inner: Box<Statement> },
     /// `BEGIN [TRANSACTION | WORK]` — opens a snapshot-isolation
     /// transaction (durable sessions only).

@@ -11,6 +11,7 @@ use orion_obs::{ExecStats, MetricsRegistry, OpProfile, Tracer, WorkloadRepo};
 use orion_pdf::prelude::*;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Name prefix of the read-only system (virtual) tables.
@@ -360,10 +361,11 @@ impl Database {
     /// `EXPLAIN [ANALYZE | TRACE] SELECT ...`: runs the statement exactly as
     /// `SELECT` would, always profiled, and returns the operator tree in
     /// place of the rows. All forms run the query; the plain form renders
-    /// only the plan shape. `TRACE` additionally runs with the global tracer
-    /// enabled and writes a Chrome trace-event JSON file,
-    /// `orion-trace-<id>.json` in the system temp dir, whose path the output
-    /// carries. Post-relational
+    /// only the plan shape. `TRACE` additionally records the statement's
+    /// spans into its own tracer (the session's, if one is attached) and
+    /// writes them as a Chrome trace-event JSON file,
+    /// `orion-trace-<pid>-<n>.json` in the system temp dir (`n` counts the
+    /// process's trace files), whose path the output carries. Post-relational
     /// stages (DISTINCT, ORDER BY, LIMIT, computed select items, aggregates)
     /// are not part of the operator algebra and are rejected.
     fn explain(&mut self, analyze: bool, trace: bool, inner: Statement) -> Result<Output> {
@@ -375,39 +377,31 @@ impl Database {
                     .into(),
             ));
         }
-        let tracer = Tracer::global();
-        let was_enabled = tracer.enabled();
-        let mut query_id = 0;
-        if trace {
-            if !was_enabled {
-                // Tracing was off: start from empty rings so the file holds
-                // exactly this query. When a caller already turned the
-                // global tracer on (a bench `--trace` run), keep what it
-                // recorded — the query's spans carry their own trace id.
-                tracer.clear();
-                tracer.set_enabled(true);
-            }
-            query_id = tracer.begin_trace();
-        }
-        // EXPLAIN profiles even when the session attached no collector.
+        // EXPLAIN profiles even when the session attached no collector, and
+        // TRACE records into a fresh tracer when the session attached none.
         let own_collector = self.opts.stats.is_none();
         if own_collector {
             self.opts.stats = Some(Arc::default());
         }
+        let own_tracer = trace && self.opts.trace.is_none();
+        let tracer = trace.then(|| self.opts.trace.get_or_insert_with(Tracer::new).clone());
         // The result relation is discarded like any undisplayed SELECT
         // output.
         let ran = self.select(lowered);
         if own_collector {
             self.opts.stats = None;
         }
-        if trace && !was_enabled {
-            tracer.set_enabled(false);
+        if own_tracer {
+            self.opts.trace = None;
         }
         ran?;
         let profile = self.take_profile().expect("a profiled SELECT keeps its profile");
         self.feedback.fold(&profile);
-        let trace = if trace {
-            let path = std::env::temp_dir().join(format!("orion-trace-{query_id}.json"));
+        let trace = if let Some(tracer) = tracer {
+            static TRACE_FILES: AtomicU64 = AtomicU64::new(0);
+            let n = TRACE_FILES.fetch_add(1, Ordering::Relaxed) + 1;
+            let file = format!("orion-trace-{}-{n}.json", std::process::id());
+            let path = std::env::temp_dir().join(file);
             tracer
                 .write_chrome_trace(&path)
                 .map_err(|e| SqlError::Exec(format!("cannot write trace file {path:?}: {e}")))?;

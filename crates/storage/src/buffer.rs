@@ -14,10 +14,9 @@
 
 use crate::file::{IoStats, PageId, PageStore};
 use crate::page::{ChecksumMismatch, Page};
-use orion_obs::{Lane, Span, Tracer};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 struct Frame {
     page: Page,
@@ -37,10 +36,6 @@ struct PoolInner<S: PageStore> {
 pub struct BufferPool<S: PageStore> {
     inner: Mutex<PoolInner<S>>,
     stats: Arc<IoStats>,
-    /// This pool's trace lane, created lazily when tracing is on. Every
-    /// span-opening path holds the `inner` mutex, so spans on the lane are
-    /// serialized; per-instance so concurrent pools never share a lane.
-    lane: OnceLock<Lane>,
 }
 
 impl<S: PageStore> BufferPool<S> {
@@ -55,22 +50,7 @@ impl<S: PageStore> BufferPool<S> {
                 clock: 0,
             }),
             stats: Arc::new(IoStats::default()),
-            lane: OnceLock::new(),
         }
-    }
-
-    /// A span on this pool's lane, inert while tracing is off.
-    fn span(&self, name: &'static str, page: Option<PageId>) -> Span {
-        let t = Tracer::global();
-        if !t.enabled() {
-            return Span::noop();
-        }
-        let lane = self.lane.get_or_init(|| t.unique_lane("storage"));
-        let mut s = lane.span(name, "storage");
-        if let Some(id) = page {
-            s.arg("page", u64::from(id));
-        }
-        s
     }
 
     /// Handle to the pool's [`IoStats`] (orion-obs atomic counters):
@@ -111,7 +91,6 @@ impl<S: PageStore> BufferPool<S> {
             };
             let Some(mut frame) = g.frames.remove(&victim) else { break };
             if frame.dirty {
-                let _s = self.span("page.write_back", Some(victim));
                 frame.page.seal();
                 if let Err(e) = g.store.write_page(victim, &frame.page) {
                     // Keep the data: the frame goes back in, still dirty, so
@@ -153,13 +132,11 @@ impl<S: PageStore> BufferPool<S> {
             return Ok(f(&frame.page));
         }
         self.stats.cache_misses.inc();
-        let s = self.span("page.fault_in", Some(id));
         self.make_room(&mut g)?;
         let mut page = Page::new();
         g.store.read_page(id, &mut page)?;
         self.stats.physical_reads.inc();
         Self::verify(&self.stats, id, &page)?;
-        drop(s);
         let r = f(&page);
         g.frames.insert(id, Frame { page, dirty: false, last_used: stamp });
         Ok(r)
@@ -180,10 +157,6 @@ impl<S: PageStore> BufferPool<S> {
     pub fn scan_pages(&self, mut f: impl FnMut(PageId, &Page) -> bool) -> std::io::Result<()> {
         let mut g = self.inner.lock();
         let pages = g.store.page_count();
-        let mut s = self.span("pool.scan", None);
-        if s.is_recording() {
-            s.arg("pages", u64::from(pages));
-        }
         // Runs of uncached pages are fetched `SCAN_RUN` at a time through
         // one multi-page read (amortizing per-page syscall cost), reusing
         // this scratch window across the whole scan.
@@ -237,13 +210,11 @@ impl<S: PageStore> BufferPool<S> {
             return Ok(f(&mut frame.page));
         }
         self.stats.cache_misses.inc();
-        let s = self.span("page.fault_in", Some(id));
         self.make_room(&mut g)?;
         let mut page = Page::new();
         g.store.read_page(id, &mut page)?;
         self.stats.physical_reads.inc();
         Self::verify(&self.stats, id, &page)?;
-        drop(s);
         let r = f(&mut page);
         g.frames.insert(id, Frame { page, dirty: true, last_used: stamp });
         Ok(r)
@@ -256,10 +227,6 @@ impl<S: PageStore> BufferPool<S> {
         let mut g = self.inner.lock();
         let dirty: Vec<PageId> =
             g.frames.iter().filter(|(_, f)| f.dirty).map(|(&id, _)| id).collect();
-        let mut s = self.span("pool.flush", None);
-        if s.is_recording() {
-            s.arg("dirty_pages", dirty.len() as u64);
-        }
         for id in dirty {
             let Some(frame) = g.frames.get_mut(&id) else { continue };
             frame.page.seal();

@@ -27,7 +27,7 @@
 //! under concurrency one fsync covers many commits.
 
 use crate::checksum::crc32;
-use orion_obs::{json, Counter, Histogram, Lane, Span, Tracer};
+use orion_obs::{json, Counter, Histogram};
 use parking_lot::{Condvar, Mutex};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -381,10 +381,6 @@ pub struct GroupWal {
     io: Mutex<Wal>,
     cfg: GroupCommitConfig,
     stats: Arc<WalStats>,
-    /// This instance's trace lane, created lazily on the first flush with
-    /// tracing enabled. Per-instance (not a shared name) because two logs
-    /// flushing concurrently on one shared lane would interleave spans.
-    lane: OnceLock<Lane>,
 }
 
 impl GroupWal {
@@ -396,16 +392,7 @@ impl GroupWal {
             io: Mutex::new(wal),
             cfg,
             stats: Arc::new(WalStats::default()),
-            lane: OnceLock::new(),
         }
-    }
-
-    /// The lane flush spans record on, `None` while tracing is off. Safe to
-    /// share across committer threads: only the leader (or a solo flusher)
-    /// opens spans, always under the `io` mutex.
-    fn lane(&self) -> Option<&Lane> {
-        let t = Tracer::global();
-        t.enabled().then(|| self.lane.get_or_init(|| t.unique_lane("wal")))
     }
 
     /// Shared counters.
@@ -521,7 +508,6 @@ impl GroupWal {
     fn flush(&self, stamp: &Option<Vec<u8>>, frames: &[u8], ncommits: u64) -> std::io::Result<()> {
         let mut wal = self.io.lock();
         let start = wal.len();
-        let lane = self.lane();
         wal_hists().batch_bytes.record(frames.len() as u64);
         let res = (|| {
             if wal.is_empty() {
@@ -529,21 +515,7 @@ impl GroupWal {
                     wal.append_frames(s)?;
                 }
             }
-            {
-                let mut s = match &lane {
-                    Some(l) => l.span("wal.append", "wal"),
-                    None => Span::noop(),
-                };
-                if s.is_recording() {
-                    s.arg("bytes", frames.len() as u64);
-                    s.arg("commits", ncommits);
-                }
-                wal.append_frames(frames)?;
-            }
-            let _s = match &lane {
-                Some(l) => l.span("wal.fsync", "wal"),
-                None => Span::noop(),
-            };
+            wal.append_frames(frames)?;
             let t0 = Instant::now();
             let r = wal.sync();
             wal_hists().fsync_nanos.record_duration(t0.elapsed());

@@ -22,8 +22,9 @@ echo "== cargo test -q (ORION_THREADS=1) =="
 ORION_THREADS=1 cargo test -q
 
 echo "== cargo test -q (ORION_THREADS=4) =="
-# Tracing is record-only; tests/tests/trace_equiv.rs runs a durable script
-# traced and untraced and compares the committed states bit for bit.
+# Tracing is record-only; tests/tests/trace_shape.rs runs the index-forced
+# threshold query at 4 workers with and without a tracer and compares the
+# rendered answers.
 ORION_THREADS=4 cargo test -q
 
 echo "== cargo test -q (ORION_MODE=batch, ORION_THREADS=1) =="

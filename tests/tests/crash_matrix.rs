@@ -20,16 +20,9 @@ use orion_core::prelude::*;
 use orion_pdf::prelude::*;
 use orion_storage::{FaultPlan, FaultyStore, FileStore, HeapFile, PAGE_SIZE};
 use orion_tests::{
-    committed_ops, open_db, recover, stage_crash, txn_create_table, txn_insert_simple,
+    committed_ops, open_db, recover, scratch_dir, stage_crash, txn_create_table, txn_insert_simple,
 };
-use std::path::{Path, PathBuf};
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("orion_crash_matrix").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use std::path::Path;
 
 fn sensor_schema() -> ProbSchema {
     ProbSchema::new(vec![("id", ColumnType::Int, false), ("v", ColumnType::Real, true)], vec![])
@@ -65,10 +58,10 @@ fn build_wal_db(dir: &Path, n: i64) -> Vec<u8> {
 
 #[test]
 fn wal_crash_matrix_recovers_committed_prefix_at_every_cut() {
-    let src = temp_dir("wal_matrix_src");
+    let src = scratch_dir("crash_matrix-wal_matrix_src");
     let wal = build_wal_db(&src, 4);
     assert!(!wal.is_empty());
-    let scratch = temp_dir("wal_matrix_cut");
+    let scratch = scratch_dir("crash_matrix-wal_matrix_cut");
     // Kill at every byte offset of the log.
     for cut in 0..=wal.len() {
         stage_crash(&scratch, None, &wal[..cut]);
@@ -94,7 +87,7 @@ fn post_checkpoint_wal_crash_matrix_never_replays_into_duplicates() {
     // the first frame is the epoch stamp, and recovery must yield the
     // checkpointed tuples plus exactly the post-checkpoint commits that
     // fit in the surviving prefix — never a duplicate.
-    let src = temp_dir("ckpt_matrix_src");
+    let src = scratch_dir("crash_matrix-ckpt_matrix_src");
     {
         let db = open_db(&src);
         create_readings(&db);
@@ -105,7 +98,7 @@ fn post_checkpoint_wal_crash_matrix_never_replays_into_duplicates() {
     let snap = std::fs::read(src.join(SNAPSHOT_FILE)).unwrap();
     let wal = std::fs::read(src.join(WAL_FILE)).unwrap();
     assert!(!wal.is_empty());
-    let scratch = temp_dir("ckpt_matrix_cut");
+    let scratch = scratch_dir("crash_matrix-ckpt_matrix_cut");
     for cut in 0..=wal.len() {
         stage_crash(&scratch, Some(&snap), &wal[..cut]);
         let expect = 2 + committed_ops(&wal, cut);
@@ -120,7 +113,7 @@ fn post_checkpoint_wal_crash_matrix_never_replays_into_duplicates() {
 
 #[test]
 fn checkpoint_then_crash_preserves_checkpointed_state() {
-    let dir = temp_dir("ckpt_crash");
+    let dir = scratch_dir("crash_matrix-ckpt_crash");
     {
         let db = open_db(&dir);
         create_readings(&db);
@@ -141,7 +134,7 @@ fn checkpoint_then_crash_preserves_checkpointed_state() {
 
 #[test]
 fn leftover_tmp_snapshot_is_ignored_and_replaced() {
-    let dir = temp_dir("tmp_snapshot");
+    let dir = scratch_dir("crash_matrix-tmp_snapshot");
     // A crash mid-save leaves a half-written temp file behind.
     std::fs::write(dir.join("snapshot.db.tmp"), b"half-written junk").unwrap();
     let db = open_db(&dir);
@@ -161,7 +154,7 @@ fn failed_wal_append_rolls_back_the_insert() {
     // A WAL append failure must leave neither an in-memory tuple that
     // recovery would never rebuild, nor registry garbage: the insert rolls
     // back wholesale and a retry commits exactly once.
-    let dir = temp_dir("append_rollback");
+    let dir = scratch_dir("crash_matrix-append_rollback");
     let db = open_db(&dir);
     create_readings(&db);
     let insert = |db: &SharedDurableDb, i: i64| {
@@ -199,7 +192,7 @@ fn failed_wal_append_rolls_back_the_insert() {
 
 #[test]
 fn failed_create_table_leaves_no_phantom_table() {
-    let dir = temp_dir("schema_rollback");
+    let dir = scratch_dir("crash_matrix-schema_rollback");
     let db = open_db(&dir);
     db.inject_wal_append_failure(0);
     assert!(txn_create_table(&db, "readings", sensor_schema()).is_err());
@@ -218,7 +211,7 @@ fn failed_create_table_leaves_no_phantom_table() {
 /// epoch-1 snapshot, the WAL, and the epoch-2 snapshot the next checkpoint
 /// writes over them.
 fn build_checkpoint_scenario(name: &str, base: i64, tail: i64) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
-    let dir = temp_dir(name);
+    let dir = scratch_dir(&format!("crash_matrix-{name}"));
     let db = open_db(&dir);
     create_readings(&db);
     insert_ids(&db, 0..base);
@@ -240,7 +233,7 @@ fn snapshot_tmp_write_crash_matrix_keeps_pre_checkpoint_state() {
     // before the rename. Recovery must ignore the torn temp file and land
     // on the full pre-checkpoint state (old snapshot + old WAL).
     let (snap, wal, next) = build_checkpoint_scenario("tmp_write_matrix_src", 2, 3);
-    let scratch = temp_dir("tmp_write_matrix_cut");
+    let scratch = scratch_dir("crash_matrix-tmp_write_matrix_cut");
     for cut in 0..=next.len() {
         stage_crash(&scratch, Some(&snap), &wal);
         std::fs::write(scratch.join(format!("{SNAPSHOT_FILE}.tmp")), &next[..cut]).unwrap();
@@ -259,7 +252,7 @@ fn checkpoint_wal_reset_crash_matrix_never_mixes_epochs() {
     // any surviving prefix of the stale WAL must be fenced off by the epoch
     // stamp — replaying even one record would double-apply it.
     let (_, stale_wal, next) = build_checkpoint_scenario("reset_matrix_src", 2, 3);
-    let scratch = temp_dir("reset_matrix_cut");
+    let scratch = scratch_dir("crash_matrix-reset_matrix_cut");
     for cut in 0..=stale_wal.len() {
         stage_crash(&scratch, Some(&next), &stale_wal[..cut]);
         let rec = recover(&scratch);
@@ -283,7 +276,7 @@ fn stale_wal_discard_counter_is_golden() {
     // the frames written before the checkpoint — one per commit: the
     // create-table transaction, then each of 3 inserts: 1 + 3 = 4 — no
     // more, no less.
-    let dir = temp_dir("stale_golden");
+    let dir = scratch_dir("crash_matrix-stale_golden");
     {
         let db = open_db(&dir);
         create_readings(&db);
@@ -366,7 +359,7 @@ fn storage_crash_matrix_reads_clean_prefix_or_detects_torn_page() {
     let plan = FaultPlan::seeded(0xC0FFEE, 64, 8);
     let points = plan.write_fault_points();
     assert!(!points.is_empty(), "seeded plan must schedule write faults");
-    let path = temp_dir("storage_matrix").join("heap.dat");
+    let path = scratch_dir("crash_matrix-storage_matrix").join("heap.dat");
     let mut torn_detected = 0u64;
     // The matrix: one run per (kill point, fault shape).
     for &nth in &points {
@@ -400,12 +393,12 @@ fn storage_crash_matrix_reads_clean_prefix_or_detects_torn_page() {
         }
     }
     assert!(torn_detected > 0, "matrix must exercise torn-page detection");
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 
 #[test]
 fn read_bit_flip_is_detected_by_the_pool() {
-    let path = temp_dir("bit_flip").join("heap.dat");
+    let path = scratch_dir("crash_matrix-bit_flip").join("heap.dat");
     {
         let mut heap = HeapFile::new(FileStore::create(&path).unwrap(), 4);
         for i in 0..20u64 {
@@ -424,14 +417,14 @@ fn read_bit_flip_is_detected_by_the_pool() {
     assert_eq!(fstats.read_bit_flips.get(), 1);
     // Golden: exactly the one flipped page is counted, nothing else.
     assert_eq!(heap.pool().stats().snapshot().torn_pages, 1);
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 
 #[test]
 fn recovery_and_fault_counters_are_grepable() {
     // The observability contract: every durability counter surfaces in a
     // stats JSON a harness can grep.
-    let dir = temp_dir("counters");
+    let dir = scratch_dir("crash_matrix-counters");
     let db = open_db(&dir);
     create_readings(&db);
     insert_ids(&db, 1..2);

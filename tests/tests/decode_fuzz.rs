@@ -87,7 +87,8 @@ fn snapshot_records(name: &str) -> Vec<Vec<u8>> {
     .unwrap();
     let mut tables = HashMap::new();
     tables.insert("T".to_string(), rel);
-    let path = std::env::temp_dir().join(name);
+    let dir = orion_tests::scratch_dir("decode_fuzz");
+    let path = dir.join(name);
     save_database(&path, &tables, &reg).unwrap();
     let heap = HeapFile::new(FileStore::open(&path).unwrap(), 8);
     let mut records: Vec<Vec<u8>> = Vec::new();
@@ -96,7 +97,7 @@ fn snapshot_records(name: &str) -> Vec<Vec<u8>> {
         true
     })
     .unwrap();
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
     assert!(records.len() >= 3, "schema + base + tuple");
     records
 }

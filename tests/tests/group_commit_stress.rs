@@ -16,17 +16,9 @@ use orion_pdf::prelude::*;
 use orion_storage::GroupCommitConfig;
 use orion_tests::{recover, txn_create_table, txn_insert_simple};
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("orion_group_commit_stress").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn schema() -> ProbSchema {
     ProbSchema::new(vec![("id", ColumnType::Int, false), ("v", ColumnType::Real, true)], vec![])
@@ -128,7 +120,7 @@ fn hammer(
 
 #[test]
 fn concurrent_commits_are_acked_and_survive_recovery() {
-    let dir = temp_dir("fault_free");
+    let dir = orion_tests::scratch_dir("group_commit_stress-fault_free");
     let db = open_readings(&dir);
     let (acked, nacked, seen) = hammer(&db, 8, 40, |_, _| {});
     assert_eq!(acked.len(), 8 * 40, "fault-free run acks everything");
@@ -152,7 +144,7 @@ fn concurrent_commits_are_acked_and_survive_recovery() {
 
 #[test]
 fn injected_sync_failures_nack_whole_batches_but_never_acked_commits() {
-    let dir = temp_dir("sync_faults");
+    let dir = orion_tests::scratch_dir("group_commit_stress-sync_faults");
     let db = open_readings(&dir);
     // Fails the *next batch* fsync: whichever commits share that batch all
     // get nacked.
@@ -176,7 +168,7 @@ fn injected_sync_failures_nack_whole_batches_but_never_acked_commits() {
 
 #[test]
 fn append_failpoint_under_concurrency_nacks_exactly_the_poisoned_commit() {
-    let dir = temp_dir("append_fault");
+    let dir = orion_tests::scratch_dir("group_commit_stress-append_fault");
     let db = open_readings(&dir);
     // Deterministic single-threaded probe first: the very next frame (the
     // whole transaction) fails, and the commit applies nothing.
@@ -202,7 +194,7 @@ fn append_failpoint_under_concurrency_nacks_exactly_the_poisoned_commit() {
 
 #[test]
 fn checkpoints_interleaved_with_writers_preserve_the_acked_set() {
-    let dir = temp_dir("ckpt_interleave");
+    let dir = orion_tests::scratch_dir("group_commit_stress-ckpt_interleave");
     let db = open_readings(&dir);
     let acked = Mutex::new(BTreeSet::new());
     std::thread::scope(|s| {

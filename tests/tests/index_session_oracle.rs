@@ -172,7 +172,7 @@ fn committed_scan(side: &Side, q: &Query) -> Vec<i64> {
 }
 
 fn run_oracle(name: &str, seed: u64) {
-    let base = std::env::temp_dir().join("orion_index_session_oracle").join(name);
+    let base = orion_tests::scratch_dir(&format!("index_session_oracle-{name}"));
     let mut sides = [Side::open(base.join("indexed"), true), Side::open(base.join("plain"), false)];
     let mut rng = StdRng::seed_from_u64(seed);
     let mut next_id = 0i64;
@@ -249,6 +249,7 @@ fn run_oracle(name: &str, seed: u64) {
         drop(side);
         std::fs::remove_dir_all(dir).ok();
     }
+    std::fs::remove_dir_all(base).ok();
 }
 
 #[test]

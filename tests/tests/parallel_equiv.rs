@@ -275,7 +275,7 @@ proptest! {
 
     #[test]
     fn tracing_is_bitwise_invisible(specs in arb_tuples(), pred in arb_pred()) {
-        // Tracing is record-only: a run with an enabled tracer attached
+        // Tracing is record-only: a run with a tracer attached
         // must be bitwise identical to the untraced run — same tuples,
         // same registry fingerprint — at serial and parallel thread
         // counts, while still recording spans.
@@ -289,7 +289,6 @@ proptest! {
             let plain_fp = registry_fingerprint(&reg);
 
             let tracer = orion_obs::Tracer::new();
-            tracer.set_enabled(true);
             let (tables, reg) = build(&schemas, std::slice::from_ref(&specs));
             let opts = opts_with(threads).with_trace(tracer.clone());
             let traced = execute(&plan, &tables, &reg, &opts).expect("traced run");

@@ -14,9 +14,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 
 fn temp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("orion_persist_pipeline");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+    orion_tests::scratch_dir("persist_pipeline").join(name)
 }
 
 #[test]
@@ -29,7 +27,7 @@ fn reloaded_database_stays_pws_consistent() {
     let (truth, engine) =
         conformance_report(&plan, &loaded, &lreg, &ExecOptions::default()).unwrap();
     assert!(distribution_distance(&truth, &engine) < 1e-9);
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 
 #[test]
@@ -71,7 +69,7 @@ fn mutex_groups_survive_save_load() {
     };
     assert!(!dist.contains_key(&pair(1, 2)), "mutually exclusive after reload");
     assert!((dist[&pair(1, 1)] - 0.4).abs() < 1e-12);
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 
 #[test]
@@ -91,8 +89,8 @@ fn save_load_save_is_stable() {
         assert_eq!(rel.schema, t2[name].schema);
     }
     assert_eq!(r1.len(), r2.len());
-    std::fs::remove_file(&p1).ok();
-    std::fs::remove_file(&p2).ok();
+    std::fs::remove_dir_all(p1.parent().unwrap()).ok();
+    std::fs::remove_dir_all(p2.parent().unwrap()).ok();
 }
 
 #[test]
@@ -106,7 +104,7 @@ fn atomic_save_leaves_no_tmp_and_survives_overwrite() {
     assert!(!std::path::Path::new(&tmp).exists(), "temp file must be renamed away");
     let (loaded, _) = load_database(&path).unwrap();
     assert_eq!(loaded.len(), tables.len());
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 
 fn readings_schema() -> ProbSchema {
@@ -130,9 +128,7 @@ fn fill_readings(db: &SharedDurableDb, n: i64, mean: impl Fn(i64) -> f64) {
 }
 
 fn durable_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("orion_persist_pipeline").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    dir
+    orion_tests::scratch_dir(&format!("persist_pipeline-{name}"))
 }
 
 #[test]
@@ -242,5 +238,5 @@ fn derived_relations_persist_with_floors() {
     let m = v.tuples[0].node_for(a).unwrap().marginal(a).unwrap();
     assert!((m.mass() - 0.9).abs() < 1e-12);
     assert_eq!(m.density(0.0), 0.0);
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }

@@ -32,24 +32,13 @@ use orion_core::pindex::{BuiltIndex, IndexCatalog, IndexDef, IndexKind};
 use orion_core::prelude::*;
 use orion_pdf::prelude::*;
 use orion_tests::{
-    committed_ops, fingerprint, open_db, recover, stage_crash, txn_create_table, txn_insert,
-    txn_insert_simple,
+    committed_ops, fingerprint, open_db, recover, scratch_dir, stage_crash, txn_create_table,
+    txn_insert, txn_insert_simple,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Unique scratch directories across proptest cases within one process.
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("orion_recovery_oracle").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use std::path::Path;
 
 fn oracle_schema() -> ProbSchema {
     ProbSchema::new(
@@ -383,10 +372,8 @@ fn crash_matrix(src: &Path, fps: &[String], scratch: &Path) {
 
 /// End-to-end: run the workload, then grind the matrix.
 fn run_oracle(name: &str, ops: &[Op]) {
-    let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    let src = temp_dir(&format!("{name}_{n}_src"));
-    let scratch =
-        std::env::temp_dir().join("orion_recovery_oracle").join(format!("{name}_{n}_cut"));
+    let src = scratch_dir(&format!("recovery_oracle-{name}-src"));
+    let scratch = scratch_dir(&format!("recovery_oracle-{name}-cut"));
     let fps = run_workload(&src, ops);
     crash_matrix(&src, &fps, &scratch);
     std::fs::remove_dir_all(&src).ok();
@@ -677,10 +664,8 @@ fn run_txn_workload(dir: &Path, script: &[Step]) -> Vec<String> {
 }
 
 fn run_txn_oracle(name: &str, script: &[Step]) {
-    let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    let src = temp_dir(&format!("{name}_{n}_src"));
-    let scratch =
-        std::env::temp_dir().join("orion_recovery_oracle").join(format!("{name}_{n}_cut"));
+    let src = scratch_dir(&format!("recovery_oracle-{name}-src"));
+    let scratch = scratch_dir(&format!("recovery_oracle-{name}-cut"));
     let fps = run_txn_workload(&src, script);
     crash_matrix(&src, &fps, &scratch);
     std::fs::remove_dir_all(&src).ok();
@@ -769,10 +754,8 @@ fn oracle_conflicted_txn_leaves_no_wal_trace() {
     // First-committer-wins: the losing transaction's failed commit must
     // not write a single WAL byte, so every crash cut recovers to a state
     // that never contains its writes.
-    let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    let src = temp_dir(&format!("txn_conflict_{n}_src"));
-    let scratch =
-        std::env::temp_dir().join("orion_recovery_oracle").join(format!("txn_conflict_{n}_cut"));
+    let src = scratch_dir("recovery_oracle-txn_conflict-src");
+    let scratch = scratch_dir("recovery_oracle-txn_conflict-cut");
     let db = open_db(&src);
     let mut tables: HashMap<String, Relation> = HashMap::new();
     let mut reg = HistoryRegistry::new();

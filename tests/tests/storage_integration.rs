@@ -9,9 +9,7 @@ use orion_workload::SensorWorkload;
 use std::path::PathBuf;
 
 fn temp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("orion_storage_integration");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir.join(name)
+    orion_tests::scratch_dir("storage_integration").join(name)
 }
 
 #[test]
@@ -43,7 +41,7 @@ fn sensor_relation_round_trips_through_disk() {
     })
     .unwrap();
     assert_eq!(seen, 1_000);
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 
 #[test]
@@ -80,7 +78,7 @@ fn joint_pdfs_round_trip_through_disk() {
     })
     .unwrap();
     assert_eq!(i, 3);
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 
 #[test]
@@ -136,7 +134,6 @@ fn small_pool_scan_touches_every_page_once() {
 #[test]
 fn wal_survives_trailing_garbage_across_reopen() {
     let path = temp_path("garbage.wal");
-    std::fs::remove_file(&path).ok();
     {
         let (mut wal, _) = Wal::open(&path).unwrap();
         wal.append(b"committed-1").unwrap();
@@ -158,7 +155,7 @@ fn wal_survives_trailing_garbage_across_reopen() {
     let (_, replay) = Wal::open(&path).unwrap();
     assert_eq!(replay.records.len(), 3);
     assert_eq!(replay.truncated_bytes, 0);
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 
 /// A store whose next `fail` writes error without touching the data —

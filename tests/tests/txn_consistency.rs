@@ -38,29 +38,17 @@
 use orion_core::durable::{SNAPSHOT_FILE, WAL_FILE};
 use orion_core::prelude::*;
 use orion_pdf::prelude::*;
-use orion_tests::{fingerprint, recover, stage_crash};
+use orion_tests::{fingerprint, recover, scratch_dir, stage_crash};
 use proptest::test_runner::TestRng;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::time::Duration;
-
-/// Unique scratch directories across tests within one process.
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
 const TABLE: &str = "acct";
 /// Small shared key space so clients collide on rows and exercise
 /// first-committer-wins validation, not just disjoint appends.
 const KEYS: u64 = 8;
 const MAX_ATTEMPTS: u32 = 200;
-
-fn temp_dir(name: &str) -> PathBuf {
-    let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join("orion_txn_consistency").join(format!("{name}_{n}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn acct_schema() -> ProbSchema {
     ProbSchema::new(
@@ -455,7 +443,7 @@ fn setup(dir: &Path) -> (SharedDurableDb, HashMap<String, Relation>, HistoryRegi
 /// durability reopen, and (optionally) the byte-level kill matrix.
 fn run_checker(name: &str, seed: u64, clients: usize, txns: usize, matrix: bool) {
     assert!(clients >= 4, "the checker needs real concurrency");
-    let dir = temp_dir(&format!("{name}_{seed}"));
+    let dir = scratch_dir(&format!("txn_consistency-{name}_{seed}"));
     let (db, mut oracle_tables, mut oracle_reg, base_seq) = setup(&dir);
 
     let reports: Vec<ClientReport> = std::thread::scope(|s| {
@@ -481,8 +469,7 @@ fn run_checker(name: &str, seed: u64, clients: usize, txns: usize, matrix: bool)
     drop(re);
 
     if matrix {
-        let scratch =
-            std::env::temp_dir().join("orion_txn_consistency").join(format!("{name}_{seed}_cut"));
+        let scratch = scratch_dir(&format!("txn_consistency-{name}_{seed}_cut"));
         kill_matrix(&dir, &verdict.fps, &scratch);
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -520,10 +507,10 @@ fn txn_consistency_env_seeded() {
 #[cfg(feature = "failpoints")]
 #[test]
 fn txn_chaos_survives_injected_faults() {
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     let seed = 0xFA17;
-    let dir = temp_dir("chaos");
+    let dir = scratch_dir("txn_consistency-chaos");
     let (db, mut oracle_tables, mut oracle_reg, base_seq) = setup(&dir);
 
     let done = AtomicBool::new(false);

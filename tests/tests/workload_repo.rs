@@ -6,20 +6,9 @@
 use orion_core::prelude::{q_error, Value};
 use orion_obs::{json, validate_slow_dump, SlowCause};
 use orion_sql::{fingerprint, parse, DurableSession, Output};
+use orion_tests::scratch_dir;
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Unique scratch directories across tests within one process.
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn temp_dir(name: &str) -> PathBuf {
-    let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join("orion_workload_repo").join(format!("{name}_{n}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use std::path::Path;
 
 /// Opens a session whose repository is force-enabled with slow capture off,
 /// regardless of ambient `ORION_*` environment.
@@ -94,7 +83,7 @@ proptest! {
 fn counters_conserve_under_four_concurrent_clients() {
     const CLIENTS: usize = 4;
     const STMTS: usize = 30;
-    let dir = temp_dir("conserve");
+    let dir = scratch_dir("workload_repo-conserve");
     let mut root = session(&dir);
     let repo = root.db().workload();
     root.execute("CREATE TABLE wl (a INT, x REAL UNCERTAIN)").unwrap();
@@ -149,7 +138,7 @@ fn counters_conserve_under_four_concurrent_clients() {
 /// figures of the `EXPLAIN ANALYZE` run that produced them.
 #[test]
 fn plan_feedback_matches_explain_analyze() {
-    let dir = temp_dir("feedback");
+    let dir = scratch_dir("workload_repo-feedback");
     let mut s = session(&dir);
     s.execute("CREATE TABLE wl (a INT, x REAL UNCERTAIN)").unwrap();
     let rows: Vec<String> =
@@ -187,7 +176,7 @@ fn plan_feedback_matches_explain_analyze() {
 /// JSON dump.
 #[test]
 fn slow_queries_capture_and_dump_validates() {
-    let dir = temp_dir("slow");
+    let dir = scratch_dir("workload_repo-slow");
     let mut s = session(&dir);
     let repo = s.db().workload();
     s.execute("CREATE TABLE wl (a INT, x REAL UNCERTAIN)").unwrap();
@@ -228,7 +217,7 @@ fn slow_queries_capture_and_dump_validates() {
 /// user tables, and agree with the repository's own accounting.
 #[test]
 fn workload_vtables_join_with_user_tables() {
-    let dir = temp_dir("vtables");
+    let dir = scratch_dir("workload_repo-vtables");
     let mut s = session(&dir);
     let repo = s.db().workload();
     let mut cfg = repo.config();
@@ -301,7 +290,7 @@ fn sum_counter(plan: &str, key: &str) -> u64 {
 /// / LIMIT here) are captured all the same.
 #[test]
 fn slow_log_keeps_the_plan_that_ran() {
-    let dir = temp_dir("ran_once");
+    let dir = scratch_dir("workload_repo-ran_once");
     let mut s = session(&dir);
     let repo = s.db().workload();
     s.execute("CREATE TABLE wl (a INT, x REAL UNCERTAIN)").unwrap();
