@@ -357,7 +357,7 @@ mod tests {
         // distribution; the without-histories join is a plain product.
         let mut reg0 = HistoryRegistry::new();
         let base = base_table(30, 3, 9, &mut reg0);
-        let path = std::env::temp_dir().join("orion_fig6_test_hist.dat");
+        let path = orion_obs::scratch_dir("fig6-test").join("hist.dat");
         let heap = write_base_heap(&base, &path).unwrap();
         let with = ExecOptions::default();
         let mut reg1 = HistoryRegistry::new();

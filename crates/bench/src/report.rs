@@ -72,7 +72,7 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        let dir = std::env::temp_dir().join("orion_bench_report_test");
+        let dir = orion_obs::scratch_dir("bench-report-test");
         let path = dir.join("x.json");
         let mut arr = json::Value::array();
         for v in [1u64, 2, 3] {

@@ -67,7 +67,7 @@ pub fn sum_exact(rel: &Relation, col: &str) -> Result<DiscretePdf> {
             .enumerate()
             .map_err(|_| EngineError::Operator("sum_exact requires discrete pdfs".into()))?;
         acc = Some(match acc {
-            None => d,
+            None => d.into_owned(),
             Some(a) => convolve_discrete(&a, &d)?,
         });
     }

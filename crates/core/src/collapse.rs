@@ -167,14 +167,13 @@ pub fn merge_pair_with_stats(
     let idx1: Vec<usize> = n1.dims.iter().map(|d| pos_of_var(d.var)).collect();
     let idx2: Vec<usize> = n2.dims.iter().map(|d| pos_of_var(d.var)).collect();
     let order = joint.dim_order_after_merge(&all_dims);
-    let j1 = n1.joint.clone();
-    let j2 = n2.joint.clone();
+    let (j1, j2) = (&n1.joint, &n2.joint);
     let mut buf1 = vec![0.0; idx1.len()];
     let mut buf2 = vec![0.0; idx2.len()];
     if let Some(s) = stats {
         s.pdf_floors.inc();
     }
-    let floored = joint.floor_predicate(&all_dims, resolution, move |x| {
+    let floored = joint.floor_predicate(&all_dims, resolution, |x| {
         for (b, &i) in buf1.iter_mut().zip(&idx1) {
             *b = x[i];
         }
@@ -209,10 +208,13 @@ pub fn merge_nodes_with_stats(
     resolution: usize,
     stats: Option<&ExecStats>,
 ) -> Result<PdfNode> {
-    let mut it = nodes.iter();
-    let first = it.next().ok_or_else(|| EngineError::Operator("merge of zero nodes".into()))?;
-    let mut acc = (*first).clone();
-    for n in it {
+    let (first, rest) =
+        nodes.split_first().ok_or_else(|| EngineError::Operator("merge of zero nodes".into()))?;
+    let Some((second, rest)) = rest.split_first() else {
+        return Ok((*first).clone());
+    };
+    let mut acc = merge_pair_with_stats(first, second, reg, resolution, stats)?;
+    for n in rest {
         acc = merge_pair_with_stats(&acc, n, reg, resolution, stats)?;
     }
     Ok(acc)
@@ -271,6 +273,14 @@ pub fn collapse_tuple_with_stats(
         }
     }
     Ok(ProbTuple { certain: tuple.certain.clone(), nodes })
+}
+
+/// Whether no two nodes share an ancestor: then collapsing their tuple
+/// merges nothing and leaves it as it is.
+pub(crate) fn ancestor_disjoint(nodes: &[PdfNode]) -> bool {
+    nodes.iter().enumerate().all(|(i, a)| {
+        nodes[i + 1..].iter().all(|b| !HistoryRegistry::dependent(&a.ancestors, &b.ancestors))
+    })
 }
 
 /// The true existence probability of a tuple, collapsing dependent nodes

@@ -573,9 +573,7 @@ mod tests {
     use orion_pdf::prelude::Pdf1;
 
     fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("orion_durable_test").join(name);
-        std::fs::remove_dir_all(&dir).ok();
-        dir
+        orion_obs::scratch_dir(&format!("durable-test-{name}"))
     }
 
     fn schema() -> ProbSchema {

@@ -295,12 +295,23 @@ fn finish_join(
         None => crossed,
     };
     if opts.eager_collapse && opts.use_histories {
+        // Only tuples holding historically dependent nodes collapse; the
+        // rest would come back unchanged, so they are kept, not copied.
         let computed = crate::exec_par::run_tuples_mode(&result.tuples, opts, |_, t| {
-            collapse::collapse_tuple_with_stats(t, reg, opts.resolution, opts.stats_ref())
+            if collapse::ancestor_disjoint(&t.nodes) {
+                return Ok(None);
+            }
+            collapse::collapse_tuple_with_stats(t, reg, opts.resolution, opts.stats_ref()).map(Some)
         })?;
+        let tuples = Arc::try_unwrap(result.tuples).unwrap_or_else(|shared| (*shared).clone());
         // A vacuous collapse is a historically impossible combination
         // (e.g. Figure 3's phantom pairs): drop it.
-        result.tuples = Arc::new(computed.into_iter().filter(|c| !c.is_vacuous()).collect());
+        result.tuples = Arc::new(
+            (tuples.into_iter().zip(computed))
+                .map(|(t, c)| c.unwrap_or(t))
+                .filter(|c| !c.is_vacuous())
+                .collect(),
+        );
     }
     Ok(result)
 }

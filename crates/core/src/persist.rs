@@ -830,9 +830,7 @@ mod tests {
     use orion_pdf::prelude::*;
 
     fn temp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("orion_persist_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        orion_obs::scratch_dir("persist-test").join(name)
     }
 
     fn sample_db() -> (HashMap<String, Relation>, HistoryRegistry) {

@@ -10,6 +10,7 @@ use crate::interval_of_cmp;
 use crate::schema::ProbSchema;
 use crate::value::Value;
 use orion_pdf::prelude::RegionSet;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -164,37 +165,25 @@ impl Predicate {
                 // comparisons require comparable operands.
                 va.compare(&vb).map(|ord| op.test(ord))
             }
-            Predicate::And(ps) => {
-                let mut unknown = false;
-                for p in ps {
-                    match p.eval(lookup) {
-                        Some(false) => return Some(false),
-                        None => unknown = true,
-                        Some(true) => {}
-                    }
-                }
-                if unknown {
-                    None
-                } else {
-                    Some(true)
-                }
-            }
-            Predicate::Or(ps) => {
-                let mut unknown = false;
-                for p in ps {
-                    match p.eval(lookup) {
-                        Some(true) => return Some(true),
-                        None => unknown = true,
-                        Some(false) => {}
-                    }
-                }
-                if unknown {
-                    None
-                } else {
-                    Some(false)
-                }
-            }
+            Predicate::And(ps) => and3(ps.iter().map(|p| p.eval(lookup))),
+            Predicate::Or(ps) => or3(ps.iter().map(|p| p.eval(lookup))),
             Predicate::Not(p) => p.eval(lookup).map(|b| !b),
+        }
+    }
+
+    /// Resolves every column once, through `slot`, into the form the
+    /// per-point floor evaluates; a column `slot` does not know reads as
+    /// `NULL`, as it does under [`Predicate::eval`].
+    pub(crate) fn bind(&self, slot: &impl Fn(&str) -> Option<Slot>) -> BoundPredicate {
+        let operand = |s: &Scalar| match s {
+            Scalar::Col(c) => slot(c).map_or(Operand::Lit(Value::Null), Operand::Slot),
+            Scalar::Lit(v) => Operand::Lit(v.clone()),
+        };
+        match self {
+            Predicate::Cmp(a, op, b) => BoundPredicate::Cmp(operand(a), *op, operand(b)),
+            Predicate::And(ps) => BoundPredicate::And(ps.iter().map(|p| p.bind(slot)).collect()),
+            Predicate::Or(ps) => BoundPredicate::Or(ps.iter().map(|p| p.bind(slot)).collect()),
+            Predicate::Not(p) => BoundPredicate::Not(Box::new(p.bind(slot))),
         }
     }
 
@@ -219,6 +208,77 @@ impl Predicate {
         };
         let x = v.as_f64()?;
         Some((col.clone(), interval_of_cmp::failing_region(op, x)))
+    }
+}
+
+/// Three-valued AND, evaluating operands in order until one is FALSE.
+fn and3(operands: impl Iterator<Item = Option<bool>>) -> Option<bool> {
+    let mut unknown = false;
+    for v in operands {
+        match v {
+            Some(false) => return Some(false),
+            None => unknown = true,
+            Some(true) => {}
+        }
+    }
+    (!unknown).then_some(true)
+}
+
+/// Three-valued OR, evaluating operands in order until one is TRUE.
+fn or3(operands: impl Iterator<Item = Option<bool>>) -> Option<bool> {
+    and3(operands.map(|v| v.map(|b| !b))).map(|b| !b)
+}
+
+/// Where a bound predicate reads a column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Slot {
+    /// Coordinate `i` of the point being floored.
+    Dim(usize),
+    /// Position `i` of the tuple's certain values.
+    Certain(usize),
+}
+
+/// A comparison operand of a [`BoundPredicate`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Operand {
+    Slot(Slot),
+    Lit(Value),
+}
+
+impl Operand {
+    fn value<'v>(&'v self, point: &[f64], certain: &'v [Value]) -> Cow<'v, Value> {
+        match *self {
+            Operand::Slot(Slot::Dim(i)) => Cow::Owned(Value::Real(point[i])),
+            Operand::Slot(Slot::Certain(i)) => Cow::Borrowed(&certain[i]),
+            Operand::Lit(ref v) => Cow::Borrowed(v),
+        }
+    }
+}
+
+/// A [`Predicate`] with its columns resolved to [`Slot`]s
+/// ([`Predicate::bind`]): evaluating it per point looks up no name and
+/// copies no value.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum BoundPredicate {
+    Cmp(Operand, CmpOp, Operand),
+    And(Vec<BoundPredicate>),
+    Or(Vec<BoundPredicate>),
+    Not(Box<BoundPredicate>),
+}
+
+impl BoundPredicate {
+    /// [`Predicate::eval`] with `Slot::Dim(i)` reading `Value::Real(point[i])`
+    /// and `Slot::Certain(i)` reading `certain[i]`.
+    pub(crate) fn eval(&self, point: &[f64], certain: &[Value]) -> Option<bool> {
+        match self {
+            BoundPredicate::Cmp(a, op, b) => {
+                let (a, b) = (a.value(point, certain), b.value(point, certain));
+                a.compare(&b).map(|ord| op.test(ord))
+            }
+            BoundPredicate::And(ps) => and3(ps.iter().map(|p| p.eval(point, certain))),
+            BoundPredicate::Or(ps) => or3(ps.iter().map(|p| p.eval(point, certain))),
+            BoundPredicate::Not(p) => p.eval(point, certain).map(|b| !b),
+        }
     }
 }
 

@@ -77,9 +77,8 @@ fn joint_choices(joint: &orion_pdf::prelude::JointPdf) -> Result<JointChoices> {
             "PWS enumeration requires discrete base pdfs (continuous pdf found)".into(),
         )
     })?;
-    let mut outcomes: Vec<Option<Vec<f64>>> =
-        j.points().iter().map(|(v, _)| Some(v.clone())).collect();
-    let mut probs: Vec<f64> = j.points().iter().map(|(_, p)| *p).collect();
+    let mut outcomes: Vec<Option<Vec<f64>>> = j.points().map(|(v, _)| Some(v.to_vec())).collect();
+    let mut probs: Vec<f64> = j.points().map(|(_, p)| p).collect();
     let mass = j.mass();
     if mass < 1.0 - 1e-12 {
         outcomes.push(None);

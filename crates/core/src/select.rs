@@ -15,12 +15,14 @@ use crate::batch::{CertainLanes, ExecMode, TriVec};
 use crate::collapse;
 use crate::error::{EngineError, Result};
 use crate::history::HistoryRegistry;
-use crate::predicate::Predicate;
+use crate::predicate::{BoundPredicate, Predicate, Slot};
 use crate::relation::Relation;
 use crate::schema::{closure, AttrId};
 use crate::tuple::{PdfNode, ProbTuple};
 use crate::value::Value;
 use orion_obs::{ExecStats, Tracer};
+use orion_pdf::prelude::RegionSet;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Execution options shared by the relational operators.
@@ -188,6 +190,7 @@ pub fn select_masked(
     out.schema.set_deps(closure(&sets));
 
     let fast = fast_path_atoms(rel, pred);
+    let bound = fast.is_none().then(|| bind_general(rel, pred, &a_ids));
     let computed = match (&fast, opts.mode) {
         // Batch fast path: certain atoms evaluated as chunk-wide lane
         // vectors, floors applied tuple-major — same arithmetic, same
@@ -199,7 +202,10 @@ pub fn select_masked(
         }
         _ => crate::exec_par::run_tuples_mode(&rel.tuples, opts, |_, t| match &fast {
             Some(atoms) => select_tuple_fast(rel, t, atoms, opts.stats_ref()),
-            None => select_tuple_general(rel, t, pred, &a_ids, reg, opts),
+            None => {
+                let bound = bound.as_ref().expect("bound when there is no fast path");
+                select_tuple_general(t, bound, &a_ids, reg, opts)
+            }
         })?,
     };
     record_selected(opts, &computed);
@@ -230,7 +236,7 @@ pub(crate) fn certain_lookup<'a>(
 /// uncertain column with its failing region.
 pub(crate) enum FastAtom {
     Certain(Predicate),
-    Floor { col: String, attr: AttrId, region: orion_pdf::prelude::RegionSet },
+    Floor { col: String, attr: AttrId, region: RegionSet },
 }
 
 /// Decomposes the predicate into fast-path atoms when possible: a
@@ -269,30 +275,57 @@ pub(crate) fn select_tuple_fast(
     atoms: &[FastAtom],
     stats: Option<&ExecStats>,
 ) -> Result<Option<ProbTuple>> {
-    let mut nt = t.clone();
+    let mut nodes: Vec<Cow<PdfNode>> = t.nodes.iter().map(Cow::Borrowed).collect();
     for atom in atoms {
         match atom {
             FastAtom::Certain(p) => {
-                let lookup = certain_lookup(rel, &nt);
-                if p.eval(&lookup) != Some(true) {
+                if p.eval(&certain_lookup(rel, t)) != Some(true) {
                     return Ok(None);
                 }
             }
             FastAtom::Floor { col, attr, region } => {
-                let ni = nt
-                    .node_index_for(*attr)
-                    .ok_or_else(|| EngineError::Operator(format!("no pdf node for '{col}'")))?;
-                let node = &nt.nodes[ni];
-                let dim = node.dim_of(*attr).expect("node covers attr");
-                if let Some(s) = stats {
-                    s.pdf_floors.inc();
-                }
-                let floored = node.joint.floor_axis(dim, region);
-                nt.nodes[ni] = PdfNode::new(node.dims.clone(), floored, node.ancestors.clone());
+                floor_node(&mut nodes, col, *attr, region, stats)?;
             }
         }
     }
-    Ok(Some(nt))
+    Ok(Some(with_nodes(t, nodes)))
+}
+
+/// Floors the node covering `attr` by `region`. A node still borrowed from
+/// the input tuple is replaced by its floored copy; no joint is copied only
+/// to be overwritten.
+fn floor_node(
+    nodes: &mut [Cow<'_, PdfNode>],
+    col: &str,
+    attr: AttrId,
+    region: &RegionSet,
+    stats: Option<&ExecStats>,
+) -> Result<()> {
+    let ni = nodes
+        .iter()
+        .position(|n| n.covers(attr))
+        .ok_or_else(|| EngineError::Operator(format!("no pdf node for '{col}'")))?;
+    let dim = nodes[ni].dim_of(attr).expect("node covers attr");
+    if let Some(s) = stats {
+        s.pdf_floors.inc();
+    }
+    let floored = nodes[ni].joint.floor_axis(dim, region);
+    match &mut nodes[ni] {
+        Cow::Owned(n) => n.joint = floored,
+        Cow::Borrowed(n) => {
+            let n: &PdfNode = n;
+            nodes[ni] = Cow::Owned(PdfNode::new(n.dims.clone(), floored, n.ancestors.clone()));
+        }
+    }
+    Ok(())
+}
+
+/// `t` with its pdf nodes replaced by `nodes`.
+fn with_nodes(t: &ProbTuple, nodes: Vec<Cow<'_, PdfNode>>) -> ProbTuple {
+    ProbTuple {
+        certain: t.certain.clone(),
+        nodes: nodes.into_iter().map(Cow::into_owned).collect(),
+    }
 }
 
 /// Batch fast path over one chunk. Certain atoms are pure functions of the
@@ -321,7 +354,7 @@ fn select_chunk_fast(
     'tuples: for (i, t) in chunk.iter().enumerate() {
         // Flooring never touches certain values, so the precomputed
         // tri-states stay valid throughout the walk.
-        let mut nt = t.clone();
+        let mut nodes: Vec<Cow<PdfNode>> = t.nodes.iter().map(Cow::Borrowed).collect();
         for (k, atom) in atoms.iter().enumerate() {
             match atom {
                 FastAtom::Certain(_) => {
@@ -331,30 +364,36 @@ fn select_chunk_fast(
                     }
                 }
                 FastAtom::Floor { col, attr, region } => {
-                    let ni = nt
-                        .node_index_for(*attr)
-                        .ok_or_else(|| EngineError::Operator(format!("no pdf node for '{col}'")))?;
-                    let node = &nt.nodes[ni];
-                    let dim = node.dim_of(*attr).expect("node covers attr");
-                    if let Some(s) = stats {
-                        s.pdf_floors.inc();
-                    }
-                    let floored = node.joint.floor_axis(dim, region);
-                    nt.nodes[ni] = PdfNode::new(node.dims.clone(), floored, node.ancestors.clone());
+                    floor_node(&mut nodes, col, *attr, region, stats)?;
                 }
             }
         }
-        out.push(Some(nt));
+        out.push(Some(with_nodes(t, nodes)));
     }
     Ok(out)
 }
 
+/// Binds a general-path predicate once per statement: each uncertain
+/// column reads coordinate `i` of the floored point, where `a_ids[i]` is
+/// its attribute; each certain column reads its certain value.
+pub(crate) fn bind_general(rel: &Relation, pred: &Predicate, a_ids: &[AttrId]) -> BoundPredicate {
+    pred.bind(&|name| {
+        let idx = rel.schema.index_of(name)?;
+        let col = &rel.schema.columns()[idx];
+        if col.uncertain {
+            a_ids.iter().position(|&a| a == col.id).map(Slot::Dim)
+        } else {
+            Some(Slot::Certain(idx))
+        }
+    })
+}
+
 /// General path (Case 2(b)): merge the dependency sets intersecting the
-/// predicate, bind certain attributes, and floor where θ is false.
+/// predicate and floor where θ — bound by [`bind_general`] over `a_ids` —
+/// is false.
 pub(crate) fn select_tuple_general(
-    rel: &Relation,
     t: &ProbTuple,
-    pred: &Predicate,
+    pred: &BoundPredicate,
     a_ids: &[AttrId],
     reg: &HistoryRegistry,
     opts: &ExecOptions,
@@ -380,20 +419,20 @@ pub(crate) fn select_tuple_general(
     // Merge them (history-aware product; naive product when histories are
     // disabled for the Figure 6 ablation).
     let merged = if touched.len() == 1 {
-        t.nodes[touched[0]].clone()
+        Cow::Borrowed(&t.nodes[touched[0]])
     } else {
         let refs: Vec<&PdfNode> = touched.iter().map(|&i| &t.nodes[i]).collect();
-        if opts.use_histories {
+        Cow::Owned(if opts.use_histories {
             collapse::merge_nodes_with_stats(&refs, reg, opts.resolution, opts.stats_ref())?
         } else {
             if let Some(s) = opts.stats_ref() {
                 s.pdf_products.add(refs.len() as u64 - 1);
             }
             naive_merge(&refs)?
-        }
+        })
     };
 
-    // Bind every predicate column: uncertain -> dim index, certain -> value.
+    // Predicate column `i` is the merged node's dimension `dims[i]`.
     let dims: Vec<usize> = a_ids
         .iter()
         .map(|&a| {
@@ -402,53 +441,29 @@ pub(crate) fn select_tuple_general(
                 .ok_or_else(|| EngineError::Operator(format!("merged node misses attr {a}")))
         })
         .collect::<Result<_>>()?;
-    let col_names: Vec<String> = a_ids
-        .iter()
-        .map(|&a| rel.schema.column_by_id(a).expect("validated").name.clone())
-        .collect();
 
     // Pre-compute the dimension reorder floor_predicate will apply.
     let order = merged.joint.dim_order_after_merge(&dims);
 
-    let certain_vals: Vec<(String, Value)> = pred
-        .columns()
-        .into_iter()
-        .filter(|c| !rel.schema.column(c).expect("validated").uncertain)
-        .map(|c| {
-            let idx = rel.schema.index_of(&c).expect("validated");
-            (c, t.certain[idx].clone())
-        })
-        .collect();
-
-    let pred_cloned = pred.clone();
-    let names = col_names.clone();
     if let Some(s) = opts.stats_ref() {
         s.pdf_floors.inc();
     }
-    let floored = merged.joint.floor_predicate(&dims, opts.resolution, move |x| {
-        let lookup = |name: &str| -> Value {
-            if let Some(i) = names.iter().position(|n| n == name) {
-                return Value::Real(x[i]);
-            }
-            certain_vals
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v.clone())
-                .unwrap_or(Value::Null)
-        };
-        pred_cloned.eval(&lookup) == Some(true)
-    })?;
+    let floored = merged
+        .joint
+        .floor_predicate(&dims, opts.resolution, |x| pred.eval(x, &t.certain) == Some(true))?;
     let new_dims: Vec<crate::tuple::NodeDim> = order.iter().map(|&i| merged.dims[i]).collect();
-    let new_node = PdfNode::new(new_dims, floored, merged.ancestors);
-
-    let mut nodes = Vec::with_capacity(t.nodes.len() - touched.len() + 1);
-    for (i, n) in t.nodes.iter().enumerate() {
-        if i == touched[0] {
-            nodes.push(new_node.clone());
-        } else if !touched.contains(&i) {
-            nodes.push(n.clone());
-        }
-    }
+    let ancestors = match merged {
+        Cow::Borrowed(n) => n.ancestors.clone(),
+        Cow::Owned(n) => n.ancestors,
+    };
+    let mut new_node = Some(PdfNode::new(new_dims, floored, ancestors));
+    let nodes = (t.nodes.iter().enumerate())
+        .filter_map(|(i, n)| match touched.binary_search(&i) {
+            Ok(0) => new_node.take(),
+            Ok(_) => None,
+            Err(_) => Some(n.clone()),
+        })
+        .collect();
     Ok(Some(ProbTuple { certain: t.certain.clone(), nodes }))
 }
 

@@ -25,11 +25,12 @@
 use crate::collapse;
 use crate::error::{EngineError, Result};
 use crate::history::HistoryRegistry;
-use crate::predicate::{CmpOp, Predicate};
+use crate::predicate::{BoundPredicate, CmpOp, Predicate};
 use crate::relation::Relation;
 use crate::schema::AttrId;
 use crate::select::{
-    certain_lookup, fast_path_atoms, select_tuple_fast, select_tuple_general, ExecOptions, FastAtom,
+    bind_general, certain_lookup, fast_path_atoms, select_tuple_fast, select_tuple_general,
+    ExecOptions, FastAtom,
 };
 use crate::tuple::{PdfNode, ProbTuple};
 use orion_pdf::prelude::RegionSet;
@@ -267,7 +268,7 @@ enum Shape {
     Atoms { atoms: Vec<FastAtom>, fast: bool },
     /// Anything else: σ's general merge-and-floor path over θ's
     /// uncertain attributes.
-    General(Predicate, Vec<AttrId>),
+    General(BoundPredicate, Vec<AttrId>),
 }
 
 impl<'a> ProbPredicate<'a> {
@@ -290,7 +291,7 @@ impl<'a> ProbPredicate<'a> {
                     let fast = floors.count() <= MAX_FAST_FLOORS;
                     Shape::Atoms { atoms, fast }
                 }
-                None => Shape::General(pred.clone(), uncertain),
+                None => Shape::General(bind_general(rel, pred, &uncertain), uncertain),
             }
         };
         ProbPredicate { rel, shape }
@@ -351,7 +352,7 @@ impl<'a> ProbPredicate<'a> {
                 }
             }
         }
-        if opts.use_histories && !ancestor_disjoint(&t.nodes) {
+        if opts.use_histories && !collapse::ancestor_disjoint(&t.nodes) {
             return Ok(None);
         }
         // Each floor lands on the first node covering its column, as
@@ -402,9 +403,7 @@ impl<'a> ProbPredicate<'a> {
                 (pred.eval(&certain_lookup(self.rel, t)) == Some(true)).then(|| t.clone())
             }
             Shape::Atoms { atoms, .. } => select_tuple_fast(self.rel, t, atoms, opts.stats_ref())?,
-            Shape::General(pred, attrs) => {
-                select_tuple_general(self.rel, t, pred, attrs, reg, opts)?
-            }
+            Shape::General(pred, attrs) => select_tuple_general(t, pred, attrs, reg, opts)?,
         };
         Ok(match floored {
             None => 0.0,
@@ -414,14 +413,6 @@ impl<'a> ProbPredicate<'a> {
             Some(ft) => ft.naive_existence(),
         })
     }
-}
-
-/// Whether no two nodes share an ancestor — then collapsing the tuple
-/// merges nothing and its existence probability is the plain product.
-fn ancestor_disjoint(nodes: &[PdfNode]) -> bool {
-    nodes.iter().enumerate().all(|(i, a)| {
-        nodes[i + 1..].iter().all(|b| !HistoryRegistry::dependent(&a.ancestors, &b.ancestors))
-    })
 }
 
 #[cfg(test)]

@@ -679,9 +679,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("orion_txn_test").join(name);
-        std::fs::remove_dir_all(&dir).ok();
-        dir
+        orion_obs::scratch_dir(&format!("txn-test-{name}"))
     }
 
     fn schema() -> ProbSchema {

@@ -35,6 +35,9 @@ pub mod stats;
 pub mod trace;
 pub mod workload;
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+
 pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, SpanTimer};
 pub use profile::{AltPath, OpProfile};
 pub use stats::{ExecStats, ExecStatsSnapshot, ExecTimer, WorkerLane};
@@ -43,6 +46,18 @@ pub use workload::{
     validate_slow_dump, ExecSample, SlowCause, SlowQuery, SlowTicket, StatementStats,
     WorkloadConfig, WorkloadRepo,
 };
+
+/// A fresh, empty scratch directory, `temp_dir()/orion-<name>-<pid>-<n>`
+/// with `n` counting this process's calls: two test processes running at
+/// once, or two tests of one process, never share a directory.
+pub fn scratch_dir(name: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("orion-{name}-{}-{n}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("the temporary directory is writable");
+    dir
+}
 
 /// Formats a nanosecond count in adaptive human units (`412ns`, `3.1us`,
 /// `2.4ms`, `1.20s`).

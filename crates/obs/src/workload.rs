@@ -598,7 +598,7 @@ mod tests {
         assert_eq!(ring.len(), 2);
         assert_eq!(ring[0].seq, 3, "oldest two evicted");
 
-        let dir = std::env::temp_dir().join("orion_obs_test").join("workload");
+        let dir = crate::scratch_dir("obs-workload");
         let path = repo.dump_slow_to_dir(&dir).unwrap();
         let doc = json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(validate_slow_dump(&doc).unwrap(), 2);

@@ -107,18 +107,13 @@ impl DiscretePdf {
 
     /// Smallest and largest support values, or `None` when vacuous.
     pub fn support(&self) -> Option<Interval> {
-        match (self.points.first(), self.points.last()) {
-            (Some(&(lo, _)), Some(&(hi, _))) => Some(Interval::new(lo, hi)),
-            _ => None,
-        }
+        Some(Interval::new(self.points.first()?.0, self.points.last()?.0))
     }
 
     /// Applies a floor: drops every point inside `region` (their possible
     /// worlds fail the selection, so the tuple does not exist there).
     pub fn floor_region(&self, region: &RegionSet) -> DiscretePdf {
-        DiscretePdf {
-            points: self.points.iter().filter(|(v, _)| !region.contains(*v)).copied().collect(),
-        }
+        self.filter(|v| !region.contains(v))
     }
 
     /// The mass of `floor_region(r₁).floor_region(r₂)…` over `regions`,

@@ -21,6 +21,7 @@ use crate::histogram::Histogram;
 use crate::interval::{Interval, RegionSet};
 use crate::pdf1d::{Pdf1, VACUOUS_EPS};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Default grid resolution (bins per dimension) used when a continuous
 /// dependency set must be materialized onto a grid.
@@ -97,16 +98,13 @@ impl Block {
     }
 
     /// Enumerates the block as an explicit joint pmf (discrete blocks only).
-    fn enumerate(&self) -> Result<JointDiscrete> {
+    fn enumerate(&self) -> Result<Cow<'_, JointDiscrete>> {
         match self {
             Block::Uni(p) => {
-                let d = p.enumerate()?;
-                JointDiscrete::from_points(
-                    1,
-                    d.points().iter().map(|&(v, p)| (vec![v], p)).collect(),
-                )
+                let (coords, probs) = p.enumerate()?.points().iter().copied().unzip();
+                JointDiscrete::from_flat(1, coords, probs).map(Cow::Owned)
             }
-            Block::Points(j) => Ok(j.clone()),
+            Block::Points(j) => Ok(Cow::Borrowed(j)),
             Block::Grid(_) => Err(PdfError::IncompatibleOperands(
                 "cannot enumerate a continuous grid block".into(),
             )),
@@ -244,8 +242,8 @@ impl JointPdf {
     /// Independent product of two joints (paper `product`, historically
     /// independent case): concatenates dimensions.
     pub fn product(&self, other: &JointPdf) -> JointPdf {
-        let mut blocks = self.blocks.clone();
-        blocks.extend_from_slice(&other.blocks);
+        let mut blocks = Vec::with_capacity(self.blocks.len() + other.blocks.len());
+        blocks.extend(self.blocks.iter().chain(&other.blocks).cloned());
         JointPdf { blocks }
     }
 
@@ -253,13 +251,12 @@ impl JointPdf {
     /// representation (symbolic floors stay symbolic).
     pub fn floor_axis(&self, dim: usize, region: &RegionSet) -> JointPdf {
         let (bi, off) = self.locate(dim);
-        let mut blocks = self.blocks.clone();
-        blocks[bi] = match &self.blocks[bi] {
+        let floored = match &self.blocks[bi] {
             Block::Uni(p) => Block::Uni(p.floor_region(region)),
             Block::Points(j) => Block::Points(j.filter(|v| !region.contains(v[off]))),
             Block::Grid(g) => Block::Grid(g.floor_axis(off, region)),
         };
-        JointPdf { blocks }
+        self.replace_blocks(&[bi], floored)
     }
 
     /// The mass [`JointPdf::floor_axis`] would leave after flooring each
@@ -303,52 +300,47 @@ impl JointPdf {
         if dims.is_empty() {
             return Ok(self.clone());
         }
-        let merged = self.merge_dims(dims, resolution)?;
-        // After merging, the touched dims live in one block, but merging
-        // non-adjacent blocks reorders global dimensions; translate each
-        // original index through the post-merge order before locating it.
-        let order = self.dim_order_after_merge(dims);
-        let positions: Vec<(usize, usize)> = dims
+        // The touched blocks merge into one, whose dimensions are theirs in
+        // block order; find each predicate dimension's offset in it.
+        let touched = self.touched_blocks(dims);
+        let offsets: Vec<usize> = dims
             .iter()
             .map(|&d| {
-                let new_idx = order
-                    .iter()
-                    .position(|&orig| orig == d)
-                    .expect("dim present in post-merge order");
-                merged.locate(new_idx)
+                let (bi, off) = self.locate(d);
+                let before = touched.iter().take_while(|&&t| t != bi);
+                before.map(|&t| self.blocks[t].arity()).sum::<usize>() + off
             })
             .collect();
-        let bi = positions[0].0;
-        debug_assert!(positions.iter().all(|&(b, _)| b == bi));
-        let offsets: Vec<usize> = positions.iter().map(|&(_, o)| o).collect();
-        let mut blocks = merged.blocks.clone();
         let mut args = vec![0.0; offsets.len()];
-        blocks[bi] = match &merged.blocks[bi] {
-            Block::Uni(p) => {
+        let mut keep = |v: &[f64]| {
+            for (a, &o) in args.iter_mut().zip(&offsets) {
+                *a = v[o];
+            }
+            pred(&args)
+        };
+        let enumerable =
+            touched.len() > 1 && touched.iter().all(|&i| self.blocks[i].is_enumerable());
+        let floored = match touched.split_last() {
+            // Discrete blocks: filter their product as it is formed.
+            Some((last, init)) if enumerable => {
+                let head = enumerate_blocks(init.iter().map(|&i| &self.blocks[i]))?;
+                Block::Points(product_filter(&head, &self.blocks[*last], keep)?)
+            }
+            _ => match self.merged_block(&touched, resolution)?.as_ref() {
                 // Single dim: evaluate by filtering (exact for discrete,
                 // region-free fallback via enumerate/histogram otherwise).
-                match p.enumerate() {
-                    Ok(d) => Block::Uni(Pdf1::Discrete(d.filter(|v| pred(&[v])))),
+                Block::Uni(p) => match p.enumerate() {
+                    Ok(d) => Block::Uni(Pdf1::Discrete(d.filter(|v| keep(&[v])))),
                     Err(_) => {
                         let g = Block::Uni(p.clone()).to_grid(resolution)?;
-                        Block::Grid(g.floor_predicate(|pt| pred(pt)))
+                        Block::Grid(g.floor_predicate(keep))
                     }
-                }
-            }
-            Block::Points(j) => Block::Points(j.filter(|v| {
-                for (a, &o) in args.iter_mut().zip(&offsets) {
-                    *a = v[o];
-                }
-                pred(&args)
-            })),
-            Block::Grid(g) => Block::Grid(g.floor_predicate(|v| {
-                for (a, &o) in args.iter_mut().zip(&offsets) {
-                    *a = v[o];
-                }
-                pred(&args)
-            })),
+                },
+                Block::Points(j) => Block::Points(j.filter(keep)),
+                Block::Grid(g) => Block::Grid(g.floor_predicate(keep)),
+            },
         };
-        Ok(JointPdf { blocks })
+        Ok(self.replace_blocks(&touched, floored))
     }
 
     /// Merges all blocks containing any of `dims` into a single correlated
@@ -357,49 +349,9 @@ impl JointPdf {
     /// Exact (joint pmf) when every touched block is enumerable; otherwise
     /// materialized onto a grid with `resolution` bins per dimension.
     pub fn merge_dims(&self, dims: &[usize], resolution: usize) -> Result<JointPdf> {
-        let touched: Vec<usize> = {
-            let mut v: Vec<usize> = dims.iter().map(|&d| self.locate(d).0).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
+        let touched = self.touched_blocks(dims);
         if touched.len() <= 1 {
             return Ok(self.clone());
-        }
-        // Merge into the position of the first touched block; the merged
-        // block's dimensions are ordered by original global order, so we
-        // must place it so that global ordering is preserved. We rebuild the
-        // block list with the merged block at the first touched position and
-        // record the new dimension order via permutation of the merged part.
-        let all_enumerable = touched.iter().all(|&i| self.blocks[i].is_enumerable());
-        let merged_block = if all_enumerable {
-            let mut acc: Option<JointDiscrete> = None;
-            for &i in &touched {
-                let j = self.blocks[i].enumerate()?;
-                acc = Some(match acc {
-                    None => j,
-                    Some(a) => a.product(&j),
-                });
-            }
-            Block::Points(acc.expect("non-empty merge set"))
-        } else {
-            let mut acc: Option<JointGrid> = None;
-            for &i in &touched {
-                let g = self.blocks[i].to_grid(resolution)?;
-                acc = Some(match acc {
-                    None => g,
-                    Some(a) => a.product(&g),
-                });
-            }
-            Block::Grid(acc.expect("non-empty merge set"))
-        };
-        let mut blocks = Vec::with_capacity(self.blocks.len() - touched.len() + 1);
-        for (i, b) in self.blocks.iter().enumerate() {
-            if i == touched[0] {
-                blocks.push(merged_block.clone());
-            } else if !touched.contains(&i) {
-                blocks.push(b.clone());
-            }
         }
         // NOTE: dimension order changes when merged blocks were not
         // adjacent: the merged block occupies the first touched slot and
@@ -408,19 +360,61 @@ impl JointPdf {
         // untouched blocks that sat between touched blocks now come after
         // the merged block. Callers that care about global order must use
         // `dim_order_after_merge` to build the permutation.
-        Ok(JointPdf { blocks })
+        let merged = self.merged_block(&touched, resolution)?.into_owned();
+        Ok(self.replace_blocks(&touched, merged))
+    }
+
+    /// The sorted, distinct indices of the blocks holding `dims`.
+    fn touched_blocks(&self, dims: &[usize]) -> Vec<usize> {
+        let mut v: Vec<usize> = dims.iter().map(|&d| self.locate(d).0).collect();
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
+    /// The touched blocks (>= 1) as one correlated block over their
+    /// dimensions in block order: borrowed when there is one, exact (joint
+    /// pmf) when every one is enumerable, else materialized onto a grid with
+    /// `resolution` bins per dimension.
+    fn merged_block(&self, touched: &[usize], resolution: usize) -> Result<Cow<'_, Block>> {
+        if let [only] = touched {
+            return Ok(Cow::Borrowed(&self.blocks[*only]));
+        }
+        if touched.iter().all(|&i| self.blocks[i].is_enumerable()) {
+            let joint = enumerate_blocks(touched.iter().map(|&i| &self.blocks[i]))?;
+            return Ok(Cow::Owned(Block::Points(joint.into_owned())));
+        }
+        let mut acc: Option<JointGrid> = None;
+        for &i in touched {
+            let g = self.blocks[i].to_grid(resolution)?;
+            acc = Some(match acc {
+                None => g,
+                Some(a) => a.product(&g),
+            });
+        }
+        Ok(Cow::Owned(Block::Grid(acc.expect("non-empty merge set"))))
+    }
+
+    /// This joint with the `touched` blocks (sorted, >= 1) replaced by
+    /// `merged`, placed in the first touched slot; every other block is
+    /// copied.
+    fn replace_blocks(&self, touched: &[usize], merged: Block) -> JointPdf {
+        let mut merged = Some(merged);
+        let blocks = (0..self.blocks.len())
+            .filter_map(|i| match touched.binary_search(&i) {
+                Ok(0) => merged.take(),
+                Ok(_) => None,
+                Err(_) => Some(self.blocks[i].clone()),
+            })
+            .collect();
+        JointPdf { blocks }
     }
 
     /// Returns, for a merge over `dims`, the new global order of the
     /// original dimensions: `result[i]` is the original index of the
     /// dimension now at position `i`.
     pub fn dim_order_after_merge(&self, dims: &[usize]) -> Vec<usize> {
-        let touched: Vec<usize> = {
-            let mut v: Vec<usize> = dims.iter().map(|&d| self.locate(d).0).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
+        let touched = self.touched_blocks(dims);
         if touched.len() <= 1 {
             return (0..self.arity()).collect();
         }
@@ -458,13 +452,18 @@ impl JointPdf {
         if keep.len() == self.arity() && keep.iter().enumerate().all(|(i, &d)| i == d) {
             return Ok(self.clone());
         }
+        if let Some(d) = keep.iter().find(|&&d| d >= self.arity()) {
+            panic!("dimension {d} out of range for arity {}", self.arity());
+        }
         // Group kept dims by block, preserving requested order per block.
-        let located: Vec<(usize, usize)> = keep.iter().map(|&d| self.locate(d)).collect();
         let mut new_blocks: Vec<Block> = Vec::new();
         let mut dropped_mass = 1.0;
-        for (bi, b) in self.blocks.iter().enumerate() {
+        let mut start = 0;
+        for b in &self.blocks {
+            let end = start + b.arity();
             let kept_offsets: Vec<usize> =
-                located.iter().filter(|&&(blk, _)| blk == bi).map(|&(_, o)| o).collect();
+                keep.iter().filter(|d| (start..end).contains(*d)).map(|d| d - start).collect();
+            start = end;
             if kept_offsets.is_empty() {
                 dropped_mass *= b.mass();
                 continue;
@@ -493,8 +492,10 @@ impl JointPdf {
         match &m.blocks[0] {
             Block::Uni(p) => Ok(p.clone()),
             Block::Points(j) => {
-                let pts = j.points().iter().map(|(v, p)| (v[0], *p)).collect();
-                Ok(Pdf1::Discrete(DiscretePdf::from_points(pts)?))
+                // The points are sorted and distinct already; zero masses
+                // are all `DiscretePdf::from_points` would drop.
+                let pts = j.points().filter(|&(_, p)| p != 0.0).map(|(v, p)| (v[0], p)).collect();
+                Ok(Pdf1::Discrete(DiscretePdf::from_sorted_points_unchecked(pts)))
             }
             Block::Grid(g) => {
                 debug_assert_eq!(g.arity(), 1);
@@ -540,15 +541,7 @@ impl JointPdf {
     /// Enumerates the whole joint as an explicit pmf (all-discrete joints
     /// only) — the entry point for the possible-worlds reference engine.
     pub fn enumerate(&self) -> Result<JointDiscrete> {
-        let mut acc: Option<JointDiscrete> = None;
-        for b in &self.blocks {
-            let j = b.enumerate()?;
-            acc = Some(match acc {
-                None => j,
-                Some(a) => a.product(&j),
-            });
-        }
-        Ok(acc.expect("joint has >= 1 block"))
+        Ok(enumerate_blocks(self.blocks.iter())?.into_owned())
     }
 
     /// Serialized-size proxy: total `f64` parameters across blocks.
@@ -562,6 +555,64 @@ impl JointPdf {
             })
             .sum()
     }
+}
+
+/// `head.product(&tail.enumerate()?).filter(keep)` for an enumerable
+/// `tail`, without forming the points `keep` rejects or copying a `Uni`
+/// tail into a joint first.
+fn product_filter(
+    head: &JointDiscrete,
+    tail: &Block,
+    keep: impl FnMut(&[f64]) -> bool,
+) -> Result<JointDiscrete> {
+    match tail {
+        // A discrete pdf's values are sorted and distinct: enumerating it
+        // only drops its zero masses.
+        Block::Uni(p) => {
+            let d = p.enumerate()?;
+            let points = d.points().iter().filter(|(_, p)| *p != 0.0);
+            Ok(filtered_product(head, points.map(|(v, p)| (std::slice::from_ref(v), *p)), 1, keep))
+        }
+        _ => Ok(filtered_product(head, tail.enumerate()?.points(), tail.arity(), keep)),
+    }
+}
+
+/// The points of `head` × `tail` (of arity `tail_arity`) that `keep`
+/// accepts, in product order.
+fn filtered_product<'t>(
+    head: &JointDiscrete,
+    tail: impl Iterator<Item = (&'t [f64], f64)> + Clone,
+    tail_arity: usize,
+    mut keep: impl FnMut(&[f64]) -> bool,
+) -> JointDiscrete {
+    let arity = head.arity() + tail_arity;
+    let n = head.len() * tail.clone().count();
+    let (mut coords, mut probs) = (Vec::with_capacity(n * arity), Vec::with_capacity(n));
+    for (v1, p1) in head.points() {
+        for (v2, p2) in tail.clone() {
+            let start = coords.len();
+            coords.extend_from_slice(v1);
+            coords.extend_from_slice(v2);
+            match keep(&coords[start..]) {
+                true => probs.push(p1 * p2),
+                false => coords.truncate(start),
+            }
+        }
+    }
+    // A product of sorted, distinct points stays sorted and distinct.
+    JointDiscrete::from_sorted(arity, coords, probs)
+}
+
+/// The product of the (>= 1) blocks' enumerations, in order; a lone
+/// `Points` block is borrowed.
+fn enumerate_blocks<'a>(
+    mut blocks: impl Iterator<Item = &'a Block>,
+) -> Result<Cow<'a, JointDiscrete>> {
+    let mut acc = blocks.next().expect("joint has >= 1 block").enumerate()?;
+    for b in blocks {
+        acc = Cow::Owned(acc.product(&*b.enumerate()?));
+    }
+    Ok(acc)
 }
 
 #[cfg(test)]

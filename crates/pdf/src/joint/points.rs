@@ -5,66 +5,85 @@
 //! (Table II/III, the `a < b` selection of Section III-C, and the history
 //! example of Figure 3), and the representation the possible-worlds
 //! reference engine checks operators against.
+//!
+//! The points are stored flat — one coordinate array, one mass array — so
+//! a joint costs two heap allocations however many points it has, and
+//! every kernel is a loop over slices. The arrays are boxed slices, not
+//! `Vec`s, so that a `JointDiscrete` (40 bytes) is no larger than a `Pdf1`
+//! and does not widen the `Block` enum that every stored pdf lives in.
 
 use crate::error::{PdfError, Result};
 use crate::interval::Interval;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// A joint pmf over `arity`-dimensional real points.
+///
+/// Point `i` is `coords[i * arity..(i + 1) * arity]` with mass `probs[i]`;
+/// points are lexicographically sorted and distinct.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JointDiscrete {
     arity: usize,
-    /// Lexicographically sorted, deduplicated `(point, probability)` pairs.
-    points: Vec<(Vec<f64>, f64)>,
+    /// Row-major coordinates, `arity` per point.
+    coords: Box<[f64]>,
+    /// One mass per point.
+    probs: Box<[f64]>,
 }
 
-fn cmp_points(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
-    for (x, y) in a.iter().zip(b) {
-        match x.partial_cmp(y).expect("finite coordinates") {
-            std::cmp::Ordering::Equal => continue,
-            o => return o,
-        }
-    }
-    std::cmp::Ordering::Equal
+/// Lexicographic order of two `arity`-dimensional points, given as the
+/// coordinate pair `pair(k)` of each dimension `k`.
+fn lex(arity: usize, pair: impl Fn(usize) -> (f64, f64)) -> Ordering {
+    let cmp = |(x, y): (f64, f64)| x.partial_cmp(&y).expect("finite coordinates");
+    (0..arity).map(|k| cmp(pair(k))).find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
 }
 
 impl JointDiscrete {
     /// Builds a joint pmf; points must all have dimension `arity`, be
     /// finite, and carry non-negative mass totaling at most `1 + 1e-9`.
     /// Duplicates are merged; zero-mass points dropped.
-    pub fn from_points(arity: usize, mut points: Vec<(Vec<f64>, f64)>) -> Result<Self> {
-        if arity == 0 {
-            return Err(PdfError::InvalidParameter("joint arity must be >= 1".into()));
+    pub fn from_points(arity: usize, points: Vec<(Vec<f64>, f64)>) -> Result<Self> {
+        if let Some((v, _)) = points.iter().find(|(v, _)| v.len() != arity) {
+            let msg = format!("point has dimension {}, expected {arity}", v.len());
+            return Err(PdfError::InvalidParameter(msg));
         }
-        for (v, p) in &points {
-            if v.len() != arity {
-                return Err(PdfError::InvalidParameter(format!(
-                    "point has dimension {}, expected {arity}",
-                    v.len()
-                )));
-            }
-            if v.iter().any(|x| !x.is_finite()) || !p.is_finite() || *p < 0.0 {
-                return Err(PdfError::InvalidParameter(
-                    "joint points must be finite with mass >= 0".into(),
-                ));
-            }
+        let coords = points.iter().flat_map(|(v, _)| v.iter().copied()).collect();
+        JointDiscrete::from_flat(arity, coords, points.iter().map(|(_, p)| *p).collect())
+    }
+
+    /// [`JointDiscrete::from_points`] over row-major `coords` (`arity` per
+    /// point) and one mass per point. Input that is already sorted,
+    /// distinct and free of zero masses is kept as is.
+    pub fn from_flat(arity: usize, coords: Vec<f64>, probs: Vec<f64>) -> Result<Self> {
+        if arity == 0
+            || coords.len() != arity.saturating_mul(probs.len())
+            || coords.iter().any(|x| !x.is_finite())
+            || probs.iter().any(|p| !p.is_finite() || *p < 0.0)
+        {
+            let msg = format!("joint of arity {arity} needs arity >= 1, finite points, mass >= 0");
+            return Err(PdfError::InvalidParameter(msg));
         }
-        points.sort_by(|a, b| cmp_points(&a.0, &b.0));
-        let mut merged: Vec<(Vec<f64>, f64)> = Vec::with_capacity(points.len());
-        for (v, p) in points {
-            if p == 0.0 {
-                continue;
-            }
-            match merged.last_mut() {
-                Some(last) if cmp_points(&last.0, &v) == std::cmp::Ordering::Equal => last.1 += p,
-                _ => merged.push((v, p)),
-            }
+        let j = JointDiscrete::from_sorted(arity, coords, probs);
+        let (c, a) = (&j.coords, arity);
+        let normal = !j.probs.contains(&0.0)
+            && (1..j.len()).all(|i| lex(a, |k| (c[(i - 1) * a + k], c[i * a + k])).is_lt());
+        if normal {
+            return j.checked_mass();
         }
-        let total: f64 = merged.iter().map(|(_, p)| p).sum();
+        gather(arity, &j.probs, |i, k| j.coords[i * arity + k])
+    }
+
+    /// A joint over flat points that are already sorted, distinct and
+    /// valid (as a filtered product of valid joints is); nothing is checked.
+    pub(crate) fn from_sorted(arity: usize, coords: Vec<f64>, probs: Vec<f64>) -> Self {
+        JointDiscrete { arity, coords: coords.into_boxed_slice(), probs: probs.into_boxed_slice() }
+    }
+
+    fn checked_mass(self) -> Result<Self> {
+        let total = self.mass();
         if total > 1.0 + 1e-9 {
             return Err(PdfError::InvalidParameter(format!("total joint mass {total} exceeds 1")));
         }
-        Ok(JointDiscrete { arity, points: merged })
+        Ok(self)
     }
 
     /// Number of dimensions.
@@ -73,79 +92,80 @@ impl JointDiscrete {
     }
 
     /// The sorted `(point, probability)` pairs.
-    pub fn points(&self) -> &[(Vec<f64>, f64)] {
-        &self.points
+    pub fn points(&self) -> impl ExactSizeIterator<Item = (&[f64], f64)> + Clone + '_ {
+        self.coords.chunks_exact(self.arity).zip(self.probs.iter().copied())
     }
 
     /// Number of support points.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.probs.len()
     }
 
     /// Whether no support point remains.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.probs.is_empty()
     }
 
     /// Total mass (< 1 for partial pdfs).
     pub fn mass(&self) -> f64 {
-        self.points.iter().map(|(_, p)| p).sum()
+        self.probs.iter().sum()
     }
 
     /// Probability mass at exactly `point`.
     pub fn prob_at(&self, point: &[f64]) -> f64 {
-        match self.points.binary_search_by(|(v, _)| cmp_points(v, point)) {
-            Ok(i) => self.points[i].1,
-            Err(_) => 0.0,
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            match lex(self.arity, |k| (self.coords[mid * self.arity + k], point[k])) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return self.probs[mid],
+            }
         }
+        0.0
     }
 
     /// Marginalizes onto the dimensions listed in `keep` (in the given
     /// order). Corresponds to the paper's `marginalize(f, A)`.
     pub fn marginalize(&self, keep: &[usize]) -> Result<JointDiscrete> {
         if keep.is_empty() || keep.iter().any(|&d| d >= self.arity) {
-            return Err(PdfError::IncompatibleOperands(format!(
-                "marginalize dims {keep:?} out of range for arity {}",
-                self.arity
-            )));
+            let msg = format!("marginalize dims {keep:?} out of range for arity {}", self.arity);
+            return Err(PdfError::IncompatibleOperands(msg));
         }
-        let projected = self
-            .points
-            .iter()
-            .map(|(v, p)| (keep.iter().map(|&d| v[d]).collect::<Vec<_>>(), *p))
-            .collect();
-        JointDiscrete::from_points(keep.len(), projected)
+        gather(keep.len(), &self.probs, |i, k| self.coords[i * self.arity + keep[k]])
     }
 
     /// Keeps only the points satisfying `pred` — the exact, general floor.
     pub fn filter(&self, mut pred: impl FnMut(&[f64]) -> bool) -> JointDiscrete {
-        JointDiscrete {
-            arity: self.arity,
-            points: self.points.iter().filter(|(v, _)| pred(v)).cloned().collect(),
+        let (mut coords, mut probs) =
+            (Vec::with_capacity(self.coords.len()), Vec::with_capacity(self.len()));
+        for (v, p) in self.points().filter(|(v, _)| pred(v)) {
+            coords.extend_from_slice(v);
+            probs.push(p);
         }
+        JointDiscrete::from_sorted(self.arity, coords, probs)
     }
 
     /// Independent product: the cartesian joint over `self`'s dims followed
     /// by `other`'s dims.
     pub fn product(&self, other: &JointDiscrete) -> JointDiscrete {
-        let mut points = Vec::with_capacity(self.points.len() * other.points.len());
-        for (v1, p1) in &self.points {
-            for (v2, p2) in &other.points {
-                let mut v = Vec::with_capacity(self.arity + other.arity);
-                v.extend_from_slice(v1);
-                v.extend_from_slice(v2);
-                points.push((v, p1 * p2));
+        let (arity, n) = (self.arity + other.arity, self.len() * other.len());
+        let (mut coords, mut probs) = (Vec::with_capacity(n * arity), Vec::with_capacity(n));
+        for (v1, p1) in self.points() {
+            for (v2, p2) in other.points() {
+                coords.extend_from_slice(v1);
+                coords.extend_from_slice(v2);
+                probs.push(p1 * p2);
             }
         }
         // Cartesian products of sorted inputs stay sorted and deduplicated.
-        JointDiscrete { arity: self.arity + other.arity, points }
+        JointDiscrete::from_sorted(arity, coords, probs)
     }
 
     /// Probability that every dimension lies inside its box interval.
     pub fn box_prob(&self, bounds: &[Interval]) -> f64 {
         assert_eq!(bounds.len(), self.arity, "box dimensionality mismatch");
-        self.points
-            .iter()
+        self.points()
             .filter(|(v, _)| v.iter().zip(bounds).all(|(x, iv)| iv.contains(*x)))
             .map(|(_, p)| p)
             .sum()
@@ -157,52 +177,63 @@ impl JointDiscrete {
         if mass <= 0.0 || dim >= self.arity {
             return None;
         }
-        Some(self.points.iter().map(|(v, p)| v[dim] * p).sum::<f64>() / mass)
+        Some(self.points().map(|(v, p)| v[dim] * p).sum::<f64>() / mass)
     }
 
     /// Rescales all masses by `factor` in `[0, 1]`.
     pub fn scale(&self, factor: f64) -> JointDiscrete {
         debug_assert!((0.0..=1.0 + 1e-12).contains(&factor));
-        JointDiscrete {
-            arity: self.arity,
-            points: self.points.iter().map(|(v, p)| (v.clone(), p * factor)).collect(),
-        }
+        let probs = self.probs.iter().map(|p| p * factor).collect();
+        JointDiscrete { arity: self.arity, coords: self.coords.clone(), probs }
     }
 
     /// Reorders dimensions: output dim `i` is input dim `perm[i]`.
     pub fn permute(&self, perm: &[usize]) -> Result<JointDiscrete> {
         if perm.len() != self.arity {
-            return Err(PdfError::IncompatibleOperands(format!(
-                "permutation arity {} != {}",
-                perm.len(),
-                self.arity
-            )));
+            let msg = format!("permutation arity {} != {}", perm.len(), self.arity);
+            return Err(PdfError::IncompatibleOperands(msg));
         }
-        let pts =
-            self.points.iter().map(|(v, p)| (perm.iter().map(|&d| v[d]).collect(), *p)).collect();
-        JointDiscrete::from_points(self.arity, pts)
+        self.marginalize(perm)
     }
+}
+
+/// The joint over `probs.len()` points whose coordinate `k` of point `i` is
+/// `at(i, k)`, normalized as [`JointDiscrete::from_points`] does: points
+/// stably sorted, duplicates merged by summing their masses in that order,
+/// zero masses dropped, total mass checked.
+fn gather(arity: usize, probs: &[f64], at: impl Fn(usize, usize) -> f64) -> Result<JointDiscrete> {
+    let cmp = |a: usize, b: usize| lex(arity, |k| (at(a, k), at(b, k)));
+    let n = probs.len();
+    // Points already in order (say, a marginal onto leading dimensions)
+    // need no permutation: their stable sort is the identity.
+    let mut order = Vec::new();
+    if !(1..n).all(|i| cmp(i - 1, i).is_le()) {
+        order = (0..n).collect();
+        order.sort_by(|&a, &b| cmp(a, b));
+    }
+    let (mut coords, mut out) = (Vec::with_capacity(n * arity), Vec::with_capacity(n));
+    let mut first: Option<usize> = None;
+    for i in (0..n).map(|r| order.get(r).map_or(r, |&i| i)).filter(|&i| probs[i] != 0.0) {
+        match (first, out.last_mut()) {
+            (Some(f), Some(last)) if cmp(f, i).is_eq() => *last += probs[i],
+            _ => {
+                coords.extend((0..arity).map(|k| at(i, k)));
+                out.push(probs[i]);
+                first = Some(i);
+            }
+        }
+    }
+    JointDiscrete::from_sorted(arity, coords, out).checked_mass()
 }
 
 impl std::fmt::Display for JointDiscrete {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Discrete(")?;
-        for (i, (v, p)) in self.points.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            if v.len() == 1 {
-                write!(f, "{}:{p}", v[0])?;
-            } else {
-                write!(f, "{{")?;
-                for (j, x) in v.iter().enumerate() {
-                    if j > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{x}")?;
-                }
-                write!(f, "}}:{p}")?;
-            }
+        for (i, (v, p)) in self.points().enumerate() {
+            let sep = if i > 0 { ", " } else { "" };
+            let (open, close) = if v.len() == 1 { ("", "") } else { ("{", "}") };
+            let xs: Vec<String> = v.iter().map(f64::to_string).collect();
+            write!(f, "{sep}{open}{}{close}:{p}", xs.join(","))?;
         }
         write!(f, ")")
     }
@@ -265,7 +296,8 @@ mod tests {
         assert!((j.prob_at(&[1.0, 2.0]) - 0.36).abs() < 1e-12);
         assert!((j.mass() - 1.0).abs() < 1e-12);
         // Sorted invariant holds (prob_at relies on binary search).
-        let again = JointDiscrete::from_points(2, j.points().to_vec()).unwrap();
+        let pts = j.points().map(|(v, p)| (v.to_vec(), p)).collect();
+        let again = JointDiscrete::from_points(2, pts).unwrap();
         assert_eq!(again, j);
     }
 

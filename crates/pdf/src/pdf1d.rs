@@ -13,6 +13,7 @@ use crate::histogram::Histogram;
 use crate::interval::{Interval, RegionSet};
 use crate::symbolic::Symbolic;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Mass below which a pdf is considered vacuous (the tuple cannot exist).
 pub const VACUOUS_EPS: f64 = 1e-12;
@@ -301,16 +302,17 @@ impl Pdf1 {
         DiscretePdf::from_points(pts).ok()
     }
 
-    /// Converts into an explicit discrete pdf when the domain is genuinely
-    /// discrete (symbolic discrete distributions are enumerated exactly up
-    /// to `TAIL_EPS` tail mass). Returns an error for continuous pdfs.
-    pub fn enumerate(&self) -> Result<DiscretePdf> {
+    /// The explicit discrete pdf when the domain is genuinely discrete:
+    /// borrowed from a `Discrete` pdf, enumerated from a discrete symbolic
+    /// one (exactly up to `TAIL_EPS` tail mass). Returns an error for
+    /// continuous pdfs.
+    pub fn enumerate(&self) -> Result<Cow<'_, DiscretePdf>> {
         match self {
-            Pdf1::Discrete(d) => Ok(d.clone()),
+            Pdf1::Discrete(d) => Ok(Cow::Borrowed(d)),
             Pdf1::Symbolic { dist, floor, scale } if dist.is_discrete() => {
                 let pts = dist.enumerate_discrete(TAIL_EPS).expect("discrete symbolic enumerates");
                 let d = DiscretePdf::from_points(pts)?;
-                Ok(d.floor_region(floor).scale(*scale))
+                Ok(Cow::Owned(d.floor_region(floor).scale(*scale)))
             }
             _ => Err(PdfError::IncompatibleOperands("cannot enumerate a continuous pdf".into())),
         }

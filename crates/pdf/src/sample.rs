@@ -96,7 +96,7 @@ impl JointDiscrete {
         for (v, p) in self.points() {
             acc += p;
             if target < acc {
-                return Some(v.clone());
+                return Some(v.to_vec());
             }
         }
         None

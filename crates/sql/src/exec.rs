@@ -1420,8 +1420,7 @@ mod tests {
 
     #[test]
     fn save_and_open_round_trip() {
-        let dir = std::env::temp_dir().join("orion_sql_persist");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = orion_obs::scratch_dir("sql-persist");
         let path = dir.join("db.orion");
         {
             let mut db = sensor_db();
@@ -1449,8 +1448,7 @@ mod tests {
 
     #[test]
     fn save_and_open_keeps_index_definitions() {
-        let dir = std::env::temp_dir().join("orion_sql_persist_ix");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = orion_obs::scratch_dir("sql-persist-ix");
         let path = dir.join("db.orion");
         {
             let mut db = sensor_db();
@@ -1479,8 +1477,7 @@ mod tests {
 
     #[test]
     fn save_and_open_round_trip_keeps_analyze_stats() {
-        let dir = std::env::temp_dir().join("orion_sql_persist_stats");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = orion_obs::scratch_dir("sql-persist-stats");
         let path = dir.join("db.orion");
         let saved = {
             let mut db = sensor_db();

@@ -3,33 +3,67 @@
 
 use crate::error::Result;
 use crate::exec::Output;
-use orion_core::prelude::Relation;
+use orion_core::prelude::{Column, EngineError, ProbTuple, Relation};
+use orion_pdf::prelude::Pdf1;
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// Renders a relation as an aligned text table, showing certain values and
 /// pdf summaries for uncertain columns (plus an `exists` column when any
 /// tuple is a maybe-tuple).
 pub fn render_relation(rel: &Relation) -> Result<String> {
-    let mut header: Vec<String> = rel.schema.columns().iter().map(|c| c.name.clone()).collect();
-    let show_exists = rel.tuples.iter().any(|t| (t.naive_existence() - 1.0).abs() > 1e-9);
+    let columns = rel.schema.columns();
+    let mut header: Vec<String> = columns.iter().map(|c| c.name.clone()).collect();
+    // Each column is resolved by name once: a certain column to its value
+    // position, an uncertain one to the attribute its pdf node covers.
+    let cells: Vec<Cell> = columns
+        .iter()
+        .map(|c| {
+            if c.uncertain {
+                Cell::Marginal(rel.schema.column(&c.name).expect("col"))
+            } else {
+                Cell::Certain(rel.schema.index_of(&c.name).expect("col"))
+            }
+        })
+        .collect();
+    let existence: Vec<f64> = rel.tuples.iter().map(ProbTuple::naive_existence).collect();
+    let show_exists = existence.iter().any(|e| (e - 1.0).abs() > 1e-9);
     if show_exists {
         header.push("Pr(exists)".to_string());
     }
     let mut rows: Vec<Vec<String>> = Vec::with_capacity(rel.len());
-    for (ti, t) in rel.tuples.iter().enumerate() {
+    for (t, e) in rel.tuples.iter().zip(&existence) {
         let mut row = Vec::with_capacity(header.len());
-        for c in rel.schema.columns() {
-            if c.uncertain {
-                row.push(rel.marginal(ti, &c.name)?.to_string());
-            } else {
-                row.push(t.certain[rel.schema.index_of(&c.name).expect("col")].to_string());
-            }
+        for cell in &cells {
+            row.push(match *cell {
+                Cell::Certain(i) => t.certain[i].to_string(),
+                Cell::Marginal(col) => marginal(t, col)?.to_string(),
+            });
         }
         if show_exists {
-            row.push(format!("{:.4}", t.naive_existence()));
+            row.push(format!("{e:.4}"));
         }
         rows.push(row);
     }
     Ok(render_grid(&header, &rows))
+}
+
+/// Where a rendered column's cells come from.
+enum Cell<'a> {
+    /// The certain value at this position.
+    Certain(usize),
+    /// The visible marginal of this uncertain column.
+    Marginal(&'a Column),
+}
+
+/// [`Relation::marginal`] of one tuple, with the column already resolved.
+fn marginal(t: &ProbTuple, col: &Column) -> Result<Pdf1> {
+    let node = t
+        .node_for(col.id)
+        .ok_or_else(|| EngineError::Operator(format!("column '{}' is certain", col.name)))?;
+    Ok(node
+        .marginal(col.id)
+        .ok_or_else(|| EngineError::Operator("marginal extraction failed".into()))?)
 }
 
 /// Renders an [`Output`] for display.
@@ -89,30 +123,23 @@ fn render_table_stats(ts: &orion_core::prelude::TableStats) -> String {
 /// (e.g. the captured plan text in `orion.slow_queries`) are escaped so
 /// every cell occupies exactly one grid line and alignment survives.
 fn render_grid(header: &[String], rows: &[Vec<String>]) -> String {
-    let escape = |c: &String| -> String {
+    fn escape(c: &str) -> Cow<'_, str> {
         if c.contains(['\n', '\t']) {
-            c.replace('\n', "\\n").replace('\t', "\\t")
+            Cow::Owned(c.replace('\n', "\\n").replace('\t', "\\t"))
         } else {
-            c.clone()
+            Cow::Borrowed(c)
         }
-    };
-    let rows: Vec<Vec<String>> = rows.iter().map(|r| r.iter().map(escape).collect()).collect();
-    let rows = &rows;
+    }
+    let rows: Vec<Vec<Cow<str>>> =
+        rows.iter().map(|r| r.iter().map(|c| escape(c)).collect()).collect();
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
+    for row in &rows {
         for (i, cell) in row.iter().enumerate() {
             if i < widths.len() {
                 widths[i] = widths[i].max(cell.len());
             }
         }
     }
-    let line = |cells: &[String]| -> String {
-        let mut s = String::from("|");
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!(" {:width$} |", c, width = widths[i]));
-        }
-        s
-    };
     let sep = {
         let mut s = String::from("+");
         for w in &widths {
@@ -121,16 +148,21 @@ fn render_grid(header: &[String], rows: &[Vec<String>]) -> String {
         }
         s
     };
-    let mut out = String::new();
-    out.push_str(&sep);
-    out.push('\n');
-    out.push_str(&line(header));
-    out.push('\n');
-    out.push_str(&sep);
-    out.push('\n');
-    for row in rows {
-        out.push_str(&line(row));
+    let mut out = String::with_capacity((sep.len() + 1) * (rows.len() + 4));
+    let line = |out: &mut String, cells: &mut dyn Iterator<Item = &str>| {
+        out.push('|');
+        for (c, width) in cells.zip(&widths) {
+            write!(out, " {c:width$} |").expect("writing to a String cannot fail");
+        }
         out.push('\n');
+    };
+    out.push_str(&sep);
+    out.push('\n');
+    line(&mut out, &mut header.iter().map(String::as_str));
+    out.push_str(&sep);
+    out.push('\n');
+    for row in &rows {
+        line(&mut out, &mut row.iter().map(|c| c.as_ref()));
     }
     out.push_str(&sep);
     out

@@ -383,9 +383,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("orion_session_test").join(name);
-        std::fs::remove_dir_all(&dir).ok();
-        dir
+        orion_obs::scratch_dir(&format!("session-test-{name}"))
     }
 
     fn int_cell(out: &Output, col: &str) -> i64 {

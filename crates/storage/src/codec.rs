@@ -314,7 +314,7 @@ fn encode_block(b: &Block, out: &mut impl BufMut) {
                 for &x in v {
                     out.put_f64_le(x);
                 }
-                out.put_f64_le(*p);
+                out.put_f64_le(p);
             }
         }
         Block::Grid(g) => {
@@ -344,13 +344,13 @@ fn decode_block(buf: &mut impl Buf) -> Result<Block> {
             let n = buf.get_u32_le() as usize;
             let per_point = checked_size(arity.saturating_add(1), 8, "points row")?;
             need(buf, checked_size(n, per_point, "points")?, "points data")?;
-            let mut pts = Vec::with_capacity(n);
+            let mut coords = Vec::with_capacity(n * arity);
+            let mut probs = Vec::with_capacity(n);
             for _ in 0..n {
-                let v: Vec<f64> = (0..arity).map(|_| buf.get_f64_le()).collect();
-                let p = buf.get_f64_le();
-                pts.push((v, p));
+                coords.extend((0..arity).map(|_| buf.get_f64_le()));
+                probs.push(buf.get_f64_le());
             }
-            JointDiscrete::from_points(arity, pts)
+            JointDiscrete::from_flat(arity, coords, probs)
                 .map(Block::Points)
                 .map_err(|e| DecodeError(e.to_string()))
         }

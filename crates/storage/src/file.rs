@@ -317,8 +317,7 @@ mod tests {
 
     #[test]
     fn file_store_round_trip() {
-        let dir = std::env::temp_dir().join("orion_storage_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = orion_obs::scratch_dir("storage-test");
         let path = dir.join("pages.dat");
         let mut s = FileStore::create(&path).unwrap();
         let a = s.allocate().unwrap();
@@ -338,8 +337,7 @@ mod tests {
 
     #[test]
     fn read_pages_matches_single_reads() {
-        let dir = std::env::temp_dir().join("orion_storage_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = orion_obs::scratch_dir("storage-test");
         let path = dir.join("runs.dat");
         let mut s = FileStore::create(&path).unwrap();
         for i in 0..7u8 {
@@ -364,8 +362,7 @@ mod tests {
 
     #[test]
     fn read_pages_past_eof_names_the_torn_page() {
-        let dir = std::env::temp_dir().join("orion_storage_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = orion_obs::scratch_dir("storage-test");
         let path = dir.join("runs_torn.dat");
         let mut s = FileStore::create(&path).unwrap();
         for _ in 0..4 {
@@ -385,8 +382,7 @@ mod tests {
 
     #[test]
     fn shrunk_file_read_reports_torn_page() {
-        let dir = std::env::temp_dir().join("orion_storage_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = orion_obs::scratch_dir("storage-test");
         let path = dir.join("shrunk.dat");
         let mut s = FileStore::create(&path).unwrap();
         s.allocate().unwrap();

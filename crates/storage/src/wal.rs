@@ -582,11 +582,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn temp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("orion_wal_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
-        std::fs::remove_file(&path).ok();
-        path
+        orion_obs::scratch_dir("wal-test").join(name)
     }
 
     #[test]

@@ -7,20 +7,9 @@ use orion_storage::codec::encode_joint;
 use orion_storage::GroupCommitConfig;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 
-/// A fresh, empty scratch directory, `temp_dir()/orion-<name>-<pid>-<n>`
-/// with `n` counting this process's calls: two test processes running at
-/// once, or two tests of one process, never share a directory.
-pub fn scratch_dir(name: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("orion-{name}-{}-{n}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+pub use orion_obs::scratch_dir;
 
 /// Builds the paper's Table II relation and its registry.
 pub fn table2() -> (HashMap<String, Relation>, HistoryRegistry) {
