@@ -61,6 +61,7 @@ use crate::pindex::{IndexDef, IndexHandle, IndexKind};
 use crate::plan_feedback::PlanFeedbackStore;
 use crate::relation::Relation;
 use crate::stats_catalog::{analyze_relation, StatsCatalog, TableStats};
+use crate::txn::TxnStats;
 use orion_obs::workload::WorkloadRepo;
 use orion_storage::wal::WalStats;
 use orion_storage::{GroupCommitConfig, GroupWal, IoStats, Wal, PAGE_SIZE};
@@ -226,6 +227,9 @@ pub(crate) struct SharedInner {
     recovery: RecoveryReport,
     /// Checkpoint page accounting (`ckpt_pages_copied`).
     io: Arc<IoStats>,
+    /// Begin / commit / conflict / abort counters of this engine's
+    /// transactions.
+    pub(crate) txn_stats: TxnStats,
     /// Per-statement workload repository fed by the SQL session layer.
     workload: Arc<WorkloadRepo>,
     /// Planner cardinality-feedback store folded from profiled executions.
@@ -316,6 +320,7 @@ impl SharedDurableDb {
                 wal,
                 recovery,
                 io: Arc::new(IoStats::default()),
+                txn_stats: TxnStats::default(),
                 workload,
                 feedback,
                 txns: Mutex::new(HashMap::new()),
@@ -459,6 +464,11 @@ impl SharedDurableDb {
     /// Group-commit counters (fsyncs, batches, fsyncs saved).
     pub fn wal_stats(&self) -> Arc<WalStats> {
         self.inner.wal.stats()
+    }
+
+    /// Transaction counters and commit latency of this engine.
+    pub fn txn_stats(&self) -> &TxnStats {
+        &self.inner.txn_stats
     }
 
     /// Checkpoint I/O counters (`ckpt_pages_copied`).

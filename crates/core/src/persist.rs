@@ -347,28 +347,15 @@ pub fn save_snapshot(
     reg: &HistoryRegistry,
     epoch: u64,
 ) -> Result<()> {
-    save_snapshot_with_stats(path, tables, reg, &StatsCatalog::new(), epoch)
+    save_snapshot_full(path, tables, reg, &StatsCatalog::new(), &IndexCatalog::new(), epoch)
 }
 
-/// [`save_snapshot`] that also persists the ANALYZE stats catalog: one
-/// stats record per analyzed table, written after the tuples so replay sees
-/// schemas first. An empty catalog writes nothing, matching the legacy
-/// format byte for byte.
-pub fn save_snapshot_with_stats(
-    path: &Path,
-    tables: &HashMap<String, Relation>,
-    reg: &HistoryRegistry,
-    stats: &StatsCatalog,
-    epoch: u64,
-) -> Result<()> {
-    save_snapshot_full(path, tables, reg, stats, &IndexCatalog::new(), epoch)
-}
-
-/// [`save_snapshot_with_stats`] that also persists the secondary-index
-/// catalog: one index record per definition, written last (after stats).
-/// Only definitions are durable — trees are rebuilt deterministically on
-/// first use. An empty catalog writes nothing, matching the legacy format
-/// byte for byte.
+/// [`save_snapshot`] that also persists the ANALYZE stats catalog and the
+/// secondary-index catalog: one stats record per analyzed table, written
+/// after the tuples so replay sees schemas first, then one index record
+/// per definition. Only index definitions are durable — trees are rebuilt
+/// deterministically on first use. Empty catalogs write nothing, matching
+/// the legacy format byte for byte.
 pub fn save_snapshot_full(
     path: &Path,
     tables: &HashMap<String, Relation>,
@@ -799,29 +786,6 @@ pub fn load_database(path: &Path) -> Result<(HashMap<String, Relation>, HistoryR
     Ok(state.finish())
 }
 
-/// [`save_database`] that also persists the ANALYZE stats catalog, so a
-/// save → open round trip keeps every analyzed table's statistics.
-pub fn save_database_with_stats(
-    path: &Path,
-    tables: &HashMap<String, Relation>,
-    reg: &HistoryRegistry,
-    stats: &StatsCatalog,
-) -> Result<()> {
-    save_snapshot_with_stats(path, tables, reg, stats, 0)
-}
-
-/// [`load_database`] that also returns the persisted ANALYZE stats
-/// catalog (empty for files written before stats records existed).
-pub fn load_database_with_stats(
-    path: &Path,
-) -> Result<(HashMap<String, Relation>, HistoryRegistry, StatsCatalog)> {
-    let mut state = LoadState::default();
-    load_into(path, &mut state)?;
-    let stats = state.take_stats();
-    let (tables, reg) = state.finish();
-    Ok((tables, reg, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1017,7 +981,7 @@ mod tests {
         let mut stats = StatsCatalog::new();
         stats.insert(analyze_relation(&tables["readings"]).unwrap());
         let path = temp("stats.db");
-        save_snapshot_with_stats(&path, &tables, &reg, &stats, 2).unwrap();
+        save_snapshot_full(&path, &tables, &reg, &stats, &IndexCatalog::new(), 2).unwrap();
         let mut state = LoadState::default();
         load_into(&path, &mut state).unwrap();
         let loaded = state.take_stats();

@@ -60,6 +60,7 @@ use crate::relation::Relation;
 use crate::schema::ProbSchema;
 use crate::tuple::ProbTuple;
 use crate::value::Value;
+use orion_obs::{Counter, Histogram};
 use orion_pdf::prelude::{JointPdf, Pdf1};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -72,8 +73,20 @@ fn next_txn_id() -> u64 {
     NEXT_TXN_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-fn metrics() -> &'static orion_obs::metrics::MetricsRegistry {
-    orion_obs::metrics::global()
+/// Transaction counters of one durable engine, the `txn_*` rows of its
+/// `orion.metrics` table (see [`SharedDurableDb::txn_stats`]).
+#[derive(Debug, Default)]
+pub struct TxnStats {
+    /// Transactions begun.
+    pub begins: Counter,
+    /// Transactions committed (read-only ones included).
+    pub commits: Counter,
+    /// Commits refused by first-committer-wins validation.
+    pub conflicts: Counter,
+    /// Rollbacks, failed WAL commits, and transactions dropped unfinished.
+    pub aborts: Counter,
+    /// Wall time of each successful commit, in nanoseconds.
+    pub commit_nanos: Histogram,
 }
 
 fn unknown_table(name: &str) -> EngineError {
@@ -164,7 +177,7 @@ impl Txn {
     /// segments), nothing encoded).
     pub fn begin(db: &SharedDurableDb) -> Txn {
         let id = next_txn_id();
-        metrics().counter("txn_begins").inc();
+        db.inner.txn_stats.begins.inc();
         let (tables, reg, snapshot_epoch, begin_seq) = {
             let core = db.inner.core.lock();
             (core.tables.clone(), core.reg.clone(), core.epoch, core.commit_seq)
@@ -443,8 +456,8 @@ impl Txn {
         if live.is_empty() {
             // Read-only (or fully self-cancelled): nothing to validate,
             // log, or apply.
-            metrics().counter("txn_commits").inc();
-            metrics().histogram("txn.commit_nanos").record(started.elapsed().as_nanos() as u64);
+            db.inner.txn_stats.commits.inc();
+            db.inner.txn_stats.commit_nanos.record_duration(started.elapsed());
             return Ok(db.inner.core.lock().commit_seq);
         }
         // Fresh base pdfs referenced by the surviving ops, by private id.
@@ -470,7 +483,7 @@ impl Txn {
         self.reg = HistoryRegistry::new();
         let mut core = db.inner.core.lock();
         if let Err(e) = validate(&core, &live, self.begin_seq) {
-            metrics().counter("txn_conflicts").inc();
+            db.inner.txn_stats.conflicts.inc();
             return Err(e);
         }
         // Fresh bases mapped onto the next real ids in ascending private-id
@@ -515,7 +528,7 @@ impl Txn {
         // Logged under the core lock: no concurrent commit can land between
         // this frame and its apply.
         if let Err(e) = db.inner.wal.commit(&group) {
-            metrics().counter("txn_aborts").inc();
+            db.inner.txn_stats.aborts.inc();
             return Err(e.into());
         }
         // Durable — apply through the same decoder recovery uses, so the
@@ -550,8 +563,8 @@ impl Txn {
             core.stamps.insert(table, seq);
         }
         drop(core);
-        metrics().counter("txn_commits").inc();
-        metrics().histogram("txn.commit_nanos").record(started.elapsed().as_nanos() as u64);
+        db.inner.txn_stats.commits.inc();
+        db.inner.txn_stats.commit_nanos.record_duration(started.elapsed());
         Ok(seq)
     }
 
@@ -560,7 +573,7 @@ impl Txn {
     pub fn rollback(mut self) {
         self.finished = true;
         self.db.inner.txns.lock().remove(&self.id);
-        metrics().counter("txn_aborts").inc();
+        self.db.inner.txn_stats.aborts.inc();
     }
 }
 
@@ -568,7 +581,7 @@ impl Drop for Txn {
     fn drop(&mut self) {
         if !self.finished {
             self.db.inner.txns.lock().remove(&self.id);
-            metrics().counter("txn_aborts").inc();
+            self.db.inner.txn_stats.aborts.inc();
         }
     }
 }

@@ -4,9 +4,8 @@
 //! goes*: operator cost and the overhead of history maintenance. This crate
 //! gives the engine the counters to answer that question without guessing:
 //!
-//! * [`metrics`] — named atomic [`Counter`]s and log2-bucketed latency
-//!   [`Histogram`]s grouped in an instance-scoped (global-free)
-//!   [`MetricsRegistry`], plus the RAII [`SpanTimer`];
+//! * [`metrics`] — atomic [`Counter`]s and log2-bucketed latency
+//!   [`Histogram`]s, held as plain fields by the structs that own them;
 //! * [`stats`] — the per-operator [`ExecStats`] collector threaded through
 //!   the relational operators (tuples in/out, pdf products / floors /
 //!   marginalizations, history collapses, wall time);
@@ -20,13 +19,11 @@
 //!   per-fingerprint call/latency/IO counters plus the bounded slow-query
 //!   ring with captured plans, fed by the SQL session layer.
 //!
-//! Engine-scoped state (stats, profiles, per-engine registries, the
-//! statement repository) stays instance-based, so two engines in one
-//! process keep independent metrics, and nothing outlives its process.
-//! One deliberately process-wide piece exists for cross-cutting
-//! observability: [`metrics::global`] (WAL/fsync histograms + Prometheus
-//! exposition), record-only. A [`trace::Tracer`] belongs to one statement:
-//! `EXPLAIN TRACE` creates it and hands it to the executor.
+//! No metric here is process-wide: counters, stats, profiles and the
+//! statement repository belong to the engine or statement that owns them,
+//! so two engines in one process keep independent metrics. A
+//! [`trace::Tracer`] belongs to one statement: `EXPLAIN TRACE` creates it
+//! and hands it to the executor.
 
 pub mod json;
 pub mod metrics;
@@ -38,7 +35,7 @@ pub mod workload;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, SpanTimer};
+pub use metrics::{Counter, Histogram, HistogramSnapshot};
 pub use profile::{AltPath, OpProfile};
 pub use stats::{ExecStats, ExecStatsSnapshot, ExecTimer, WorkerLane};
 pub use trace::{validate_chrome_trace, Lane, Span, TraceEvent, Tracer};

@@ -1,38 +1,18 @@
-//! Named counters, log2-bucketed latency histograms and the registry that
-//! holds them — instance-based and lock-free on the hot path: incrementing
-//! a counter or recording a latency touches only relaxed atomics; the
-//! registry lock is paid once at handle lookup. One process-wide registry
-//! ([`global`]) exists for cross-cutting metrics (WAL batch sizes, fsync
-//! latencies) that no single engine instance owns; everything else stays
-//! instance-scoped.
+//! Atomic counters and log2-bucketed latency histograms: lock-free on the
+//! hot path (incrementing a counter or recording a sample touches only
+//! relaxed atomics). They are plain fields of the struct that owns them
+//! (`WalStats`, `IoStats`, the transaction counters of a durable engine),
+//! so every engine keeps its own.
 
 use crate::json;
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
-
-/// The process-wide registry. The WAL and checkpoint paths record their
-/// batch-size and fsync-latency histograms here (they are always-on:
-/// histogram recording is cheap and independent of tracing), and
-/// [`MetricsRegistry::render_prometheus`] on this registry gives
-/// long-running processes a scrapeable text exposition.
-pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
-}
+use std::time::Duration;
 
 /// A monotonically increasing atomic counter.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// A counter at zero.
-    pub const fn new() -> Counter {
-        Counter(AtomicU64::new(0))
-    }
-
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
@@ -77,11 +57,6 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
     /// The bucket index a value lands in.
     pub fn bucket_index(value: u64) -> usize {
         if value == 0 {
@@ -180,170 +155,13 @@ impl HistogramSnapshot {
     }
 }
 
-/// An instance-scoped registry of named counters and histograms.
-///
-/// Handles are `Arc`s: look a metric up once, then increment without ever
-/// touching the registry lock again. Cloning the registry shares the
-/// underlying metrics.
-#[derive(Debug, Default, Clone)]
-pub struct MetricsRegistry {
-    inner: Arc<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Returns (creating on first use) the counter named `name`.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.inner.counters.lock();
-        match map.get(name) {
-            Some(c) => Arc::clone(c),
-            None => {
-                let c = Arc::new(Counter::new());
-                map.insert(name.to_string(), Arc::clone(&c));
-                c
-            }
-        }
-    }
-
-    /// Returns (creating on first use) the histogram named `name`.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.inner.histograms.lock();
-        match map.get(name) {
-            Some(h) => Arc::clone(h),
-            None => {
-                let h = Arc::new(Histogram::new());
-                map.insert(name.to_string(), Arc::clone(&h));
-                h
-            }
-        }
-    }
-
-    /// Current value of a counter, 0 when it was never created.
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.inner.counters.lock().get(name).map_or(0, |c| c.get())
-    }
-
-    /// Name-sorted snapshot of every counter — the row source for the
-    /// `orion.metrics` virtual table.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        self.inner.counters.lock().iter().map(|(n, c)| (n.clone(), c.get())).collect()
-    }
-
-    /// Name-sorted snapshot of every histogram.
-    pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
-        self.inner.histograms.lock().iter().map(|(n, h)| (n.clone(), h.snapshot())).collect()
-    }
-
-    /// Starts an RAII timer recording into the histogram named `name` when
-    /// dropped.
-    pub fn span(&self, name: &str) -> SpanTimer {
-        SpanTimer::new(self.histogram(name))
-    }
-
-    /// Snapshot of every metric, keys sorted, as a JSON object with
-    /// `counters` and `histograms` sections.
-    pub fn snapshot_json(&self) -> json::Value {
-        let mut counters = json::Value::object();
-        for (name, c) in self.inner.counters.lock().iter() {
-            counters.set(name, c.get());
-        }
-        let mut histograms = json::Value::object();
-        for (name, h) in self.inner.histograms.lock().iter() {
-            histograms.set(name, h.snapshot().to_json());
-        }
-        json::Value::object().with("counters", counters).with("histograms", histograms)
-    }
-
-    /// Prometheus text exposition (version 0.0.4) of every metric: counters
-    /// as `# TYPE <name> counter`, histograms as cumulative
-    /// `<name>_bucket{le="..."}` series plus `_sum` and `_count`. Every log2
-    /// upper bound up to the last non-empty bucket is emitted (cumulative
-    /// counts, so empty buckets repeat the running total), then `+Inf`.
-    /// Metric names are sanitized to `[a-zA-Z0-9_:]` (dots become
-    /// underscores), per the Prometheus data model.
-    pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (name, c) in self.inner.counters.lock().iter() {
-            let name = sanitize_metric_name(name);
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {}", c.get());
-        }
-        for (name, h) in self.inner.histograms.lock().iter() {
-            let name = sanitize_metric_name(name);
-            let snap = h.snapshot();
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            // Every boundary up to the last non-empty bucket appears, so the
-            // cumulative `le` ladder is dense and monotone (empty buckets
-            // repeat the running total instead of vanishing); boundaries past
-            // the data are elided and +Inf carries the total regardless.
-            let mut cumulative = 0u64;
-            if let Some(last) = snap.buckets.iter().rposition(|&n| n > 0) {
-                for (i, &n) in snap.buckets.iter().enumerate().take(last + 1) {
-                    cumulative += n;
-                    let _ = writeln!(
-                        out,
-                        "{name}_bucket{{le=\"{}\"}} {cumulative}",
-                        Histogram::bucket_upper_bound(i)
-                    );
-                }
-            }
-            let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", snap.count);
-            let _ = writeln!(out, "{name}_sum {}", snap.sum);
-            let _ = writeln!(out, "{name}_count {}", snap.count);
-        }
-        out
-    }
-}
-
-/// Maps a registry metric name onto the Prometheus charset: `[a-zA-Z0-9_:]`
-/// pass through, everything else (the registry's `.` separators) becomes
-/// `_`.
-fn sanitize_metric_name(name: &str) -> String {
-    name.chars().map(|c| if c.is_ascii_alphanumeric() || c == ':' { c } else { '_' }).collect()
-}
-
-/// RAII span timer: records the elapsed wall time into a histogram when
-/// dropped (or explicitly via [`SpanTimer::stop`]).
-#[derive(Debug)]
-pub struct SpanTimer {
-    hist: Arc<Histogram>,
-    start: Instant,
-}
-
-impl SpanTimer {
-    /// Starts timing into `hist`.
-    pub fn new(hist: Arc<Histogram>) -> SpanTimer {
-        SpanTimer { hist, start: Instant::now() }
-    }
-
-    /// Stops and records now instead of at scope end.
-    pub fn stop(self) {}
-}
-
-impl Drop for SpanTimer {
-    fn drop(&mut self) {
-        self.hist.record_duration(self.start.elapsed());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn counter_basics() {
-        let c = Counter::new();
+        let c = Counter::default();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
@@ -375,7 +193,7 @@ mod tests {
 
     #[test]
     fn histogram_record_and_quantiles() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for v in [0u64, 1, 1, 3, 100, 1000] {
             h.record(v);
         }
@@ -391,32 +209,14 @@ mod tests {
     }
 
     #[test]
-    fn registry_reuses_handles_and_snapshots() {
-        let reg = MetricsRegistry::new();
-        let a = reg.counter("ops.select");
-        let b = reg.counter("ops.select");
-        a.inc();
-        b.inc();
-        assert_eq!(reg.counter_value("ops.select"), 2);
-        assert_eq!(reg.counter_value("missing"), 0);
-        reg.histogram("lat").record(7);
-        let snap = reg.snapshot_json();
-        let text = snap.to_string_compact();
-        assert!(text.contains("\"ops.select\":2"));
-        assert!(text.contains("\"lat\""));
-    }
-
-    #[test]
     fn concurrent_increments_from_many_threads() {
-        let reg = MetricsRegistry::new();
+        let c = Counter::default();
+        let h = Histogram::default();
         let threads = 8;
         let per_thread = 10_000u64;
         std::thread::scope(|s| {
             for _ in 0..threads {
-                let reg = reg.clone();
-                s.spawn(move || {
-                    let c = reg.counter("shared");
-                    let h = reg.histogram("lat");
+                s.spawn(|| {
                     for i in 0..per_thread {
                         c.inc();
                         h.record(i % 17);
@@ -424,79 +224,9 @@ mod tests {
                 });
             }
         });
-        assert_eq!(reg.counter_value("shared"), threads * per_thread);
-        let snap = reg.histogram("lat").snapshot();
+        assert_eq!(c.get(), threads * per_thread);
+        let snap = h.snapshot();
         assert_eq!(snap.count, threads * per_thread);
         assert_eq!(snap.buckets.iter().sum::<u64>(), snap.count);
-    }
-
-    #[test]
-    fn prometheus_exposition_shape() {
-        let reg = MetricsRegistry::new();
-        reg.counter("wal.commits").add(3);
-        let h = reg.histogram("wal.fsync_nanos");
-        h.record(0);
-        h.record(5); // bucket 3, le=7
-        h.record(6);
-        let text = reg.render_prometheus();
-        assert!(text.contains("# TYPE wal_commits counter\nwal_commits 3\n"), "{text}");
-        assert!(text.contains("# TYPE wal_fsync_nanos histogram"), "{text}");
-        // Cumulative buckets: le="0" sees the zero sample, le="7" all three.
-        assert!(text.contains("wal_fsync_nanos_bucket{le=\"0\"} 1"), "{text}");
-        assert!(text.contains("wal_fsync_nanos_bucket{le=\"7\"} 3"), "{text}");
-        assert!(text.contains("wal_fsync_nanos_bucket{le=\"+Inf\"} 3"), "{text}");
-        assert!(text.contains("wal_fsync_nanos_sum 11"), "{text}");
-        assert!(text.contains("wal_fsync_nanos_count 3"), "{text}");
-        // Dots were sanitized away.
-        assert!(!text.contains("wal.commits"), "{text}");
-    }
-
-    #[test]
-    fn prometheus_exposition_golden() {
-        let reg = MetricsRegistry::new();
-        reg.counter("wal.commits").add(3);
-        let h = reg.histogram("wal.fsync_nanos");
-        h.record(0);
-        h.record(5);
-        h.record(6);
-        // The `le` ladder is dense up to the last non-empty bucket: the empty
-        // le="1" boundary still appears, repeating the cumulative count, and
-        // boundaries past le="7" are elided in favor of +Inf.
-        let golden = "\
-# TYPE wal_commits counter
-wal_commits 3
-# TYPE wal_fsync_nanos histogram
-wal_fsync_nanos_bucket{le=\"0\"} 1
-wal_fsync_nanos_bucket{le=\"1\"} 1
-wal_fsync_nanos_bucket{le=\"3\"} 1
-wal_fsync_nanos_bucket{le=\"7\"} 3
-wal_fsync_nanos_bucket{le=\"+Inf\"} 3
-wal_fsync_nanos_sum 11
-wal_fsync_nanos_count 3
-";
-        assert_eq!(reg.render_prometheus(), golden);
-    }
-
-    #[test]
-    fn prometheus_empty_histogram_emits_only_inf() {
-        let reg = MetricsRegistry::new();
-        reg.histogram("idle");
-        let text = reg.render_prometheus();
-        assert_eq!(
-            text,
-            "# TYPE idle histogram\nidle_bucket{le=\"+Inf\"} 0\nidle_sum 0\nidle_count 0\n"
-        );
-    }
-
-    #[test]
-    fn span_timer_records_on_drop() {
-        let reg = MetricsRegistry::new();
-        {
-            let _t = reg.span("phase");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let s = reg.histogram("phase").snapshot();
-        assert_eq!(s.count, 1);
-        assert!(s.sum >= 1_000_000, "recorded at least 1ms, got {}ns", s.sum);
     }
 }

@@ -7,7 +7,7 @@ use crate::lower::{lower, Lowered};
 use crate::parser::parse;
 use orion_core::plan::{self, annotate_estimates, Plan};
 use orion_core::prelude::*;
-use orion_obs::{ExecStats, MetricsRegistry, OpProfile, Tracer, WorkloadRepo};
+use orion_obs::{ExecStats, Histogram, OpProfile, Tracer, WorkloadRepo};
 use orion_pdf::prelude::*;
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -54,7 +54,6 @@ pub struct Database {
     reg: HistoryRegistry,
     opts: ExecOptions,
     stats: StatsCatalog,
-    metrics: MetricsRegistry,
     io: Arc<IoStats>,
     txn_db: Option<SharedDurableDb>,
     workload: Option<Arc<WorkloadRepo>>,
@@ -87,7 +86,6 @@ impl Database {
             reg: HistoryRegistry::new(),
             opts,
             stats: StatsCatalog::new(),
-            metrics: orion_obs::metrics::global().clone(),
             io: Arc::new(IoStats::default()),
             txn_db: None,
             workload: None,
@@ -102,21 +100,17 @@ impl Database {
         &self.stats
     }
 
-    /// Replaces the registry behind `orion.metrics` (defaults to the
-    /// process-wide one; cloning a registry shares its metrics).
-    pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
-        self.metrics = metrics;
-    }
-
-    /// Attaches the buffer-pool counters behind `orion.io` (e.g. a durable
-    /// engine's [`SharedDurableDb::io_stats`]; defaults to a detached
-    /// all-zero instance).
+    /// Attaches the buffer-pool counters behind the `io.*` rows of
+    /// `orion.metrics` (e.g. a durable engine's
+    /// [`SharedDurableDb::io_stats`]; defaults to a detached all-zero
+    /// instance).
     pub fn set_io_stats(&mut self, io: Arc<IoStats>) {
         self.io = io;
     }
 
     /// Attaches a durable engine behind `orion.txns` (its live transaction
-    /// registry; defaults to none, rendering an empty table).
+    /// registry) and the `txn*` / `wal.*` rows of `orion.metrics`; defaults
+    /// to none, rendering an empty `orion.txns` and no such rows.
     pub fn set_txn_db(&mut self, db: SharedDurableDb) {
         self.txn_db = Some(db);
     }
@@ -444,7 +438,6 @@ impl Database {
             "orion.stats" => self.sys_stats()?,
             "orion.indexes" => self.sys_indexes()?,
             "orion.metrics" => self.sys_metrics()?,
-            "orion.io" => self.sys_io()?,
             "orion.txns" => self.sys_txns()?,
             "orion.statements" => self.sys_statements()?,
             "orion.slow_queries" => self.sys_slow_queries()?,
@@ -452,7 +445,7 @@ impl Database {
             other => {
                 return Err(SqlError::Exec(format!(
                     "unknown system table '{other}' (available: orion.tables, orion.columns, \
-                     orion.stats, orion.indexes, orion.metrics, orion.io, orion.txns, \
+                     orion.stats, orion.indexes, orion.metrics, orion.txns, \
                      orion.statements, orion.slow_queries, orion.plan_feedback)"
                 )))
             }
@@ -596,26 +589,53 @@ impl Database {
         )
     }
 
-    /// `orion.metrics`: one row per counter / histogram of the session's
-    /// registry; values agree with `render_prometheus` on the same registry.
+    /// `orion.metrics`: the attached engine's transaction counters and
+    /// commit latency, then its WAL's batch-size and fsync-latency
+    /// histograms (none of these for a detached session), then one
+    /// `io.<counter>` row per buffer-pool counter.
     fn sys_metrics(&self) -> Result<Relation> {
-        let mut rows = Vec::new();
-        for (name, v) in self.metrics.counters() {
-            rows.push(vec![
-                Value::Text(name),
+        let counter = |name: &str, v: u64| {
+            vec![
+                Value::Text(name.to_string()),
                 Value::Text("counter".to_string()),
                 Value::Int(v as i64),
                 Value::Null,
-            ]);
-        }
-        for (name, h) in self.metrics.histograms() {
-            rows.push(vec![
-                Value::Text(name),
+            ]
+        };
+        let histogram = |name: &str, h: &Histogram| {
+            let s = h.snapshot();
+            vec![
+                Value::Text(name.to_string()),
                 Value::Text("histogram".to_string()),
-                Value::Int(h.count as i64),
-                Value::Real(h.sum as f64),
+                Value::Int(s.count as i64),
+                Value::Real(s.sum as f64),
+            ]
+        };
+        let mut rows = Vec::new();
+        if let Some(db) = &self.txn_db {
+            let txn = db.txn_stats();
+            let wal = db.wal_stats();
+            rows.extend([
+                counter("txn_aborts", txn.aborts.get()),
+                counter("txn_begins", txn.begins.get()),
+                counter("txn_commits", txn.commits.get()),
+                counter("txn_conflicts", txn.conflicts.get()),
+                histogram("txn.commit_nanos", &txn.commit_nanos),
+                histogram("wal.batch_bytes", &wal.batch_bytes),
+                histogram("wal.fsync_nanos", &wal.fsync_nanos),
             ]);
         }
+        let io = self.io.snapshot();
+        rows.extend([
+            counter("io.physical_reads", io.physical_reads),
+            counter("io.physical_writes", io.physical_writes),
+            counter("io.cache_hits", io.cache_hits),
+            counter("io.cache_misses", io.cache_misses),
+            counter("io.evictions", io.evictions),
+            counter("io.torn_pages", io.torn_pages),
+            counter("io.write_errors", io.write_errors),
+            counter("io.ckpt_pages_copied", io.ckpt_pages_copied),
+        ]);
         system_rel(
             "orion.metrics",
             &[
@@ -625,29 +645,6 @@ impl Database {
                 ("sum", ColumnType::Real),
             ],
             rows,
-        )
-    }
-
-    /// `orion.io`: one row per buffer-pool counter.
-    fn sys_io(&self) -> Result<Relation> {
-        let s = self.io.snapshot();
-        let counters: [(&str, u64); 8] = [
-            ("physical_reads", s.physical_reads),
-            ("physical_writes", s.physical_writes),
-            ("cache_hits", s.cache_hits),
-            ("cache_misses", s.cache_misses),
-            ("evictions", s.evictions),
-            ("torn_pages", s.torn_pages),
-            ("write_errors", s.write_errors),
-            ("ckpt_pages_copied", s.ckpt_pages_copied),
-        ];
-        system_rel(
-            "orion.io",
-            &[("counter", ColumnType::Text), ("value", ColumnType::Int)],
-            counters
-                .into_iter()
-                .map(|(n, v)| vec![Value::Text(n.to_string()), Value::Int(v as i64)])
-                .collect(),
         )
     }
 
@@ -1679,7 +1676,6 @@ mod tests {
             ),
             ("orion.indexes", &["name", "tbl", "col", "kind", "pages", "epoch"]),
             ("orion.metrics", &["name", "kind", "count", "sum"]),
-            ("orion.io", &["counter", "value"]),
             ("orion.txns", &["id", "snapshot_epoch", "writes"]),
             (
                 "orion.statements",
@@ -1827,56 +1823,69 @@ mod tests {
     }
 
     #[test]
-    fn orion_metrics_rows_match_prometheus_export() {
-        let mut db = sensor_db();
-        // A private registry keeps this deterministic under parallel tests.
-        let reg = MetricsRegistry::new();
-        reg.counter("probe_a").add(7);
-        reg.counter("probe_b").add(0);
-        reg.histogram("probe_lat").record(5);
-        db.set_metrics(reg.clone());
-        let Output::Table(rel) = db.execute("SELECT * FROM orion.metrics").unwrap() else {
-            panic!("expected table")
-        };
-        assert_eq!(rel.len(), 3);
-        // Every row must agree with the Prometheus exposition of the same
-        // registry (the check.sh consistency gate).
-        let prom = reg.render_prometheus();
-        for ti in 0..rel.len() {
-            let Value::Text(name) = rel.value(ti, "name").unwrap() else { panic!("text name") };
-            let Value::Text(kind) = rel.value(ti, "kind").unwrap() else { panic!("text kind") };
-            let Value::Int(count) = rel.value(ti, "count").unwrap() else { panic!("int count") };
-            let sanitized: String = name
-                .chars()
-                .map(|c| if c.is_ascii_alphanumeric() || c == ':' { c } else { '_' })
-                .collect();
-            let needle = match kind.as_str() {
-                "counter" => format!("\n{sanitized} {count}\n"),
-                _ => format!("{sanitized}_count {count}\n"),
-            };
-            assert!(prom.contains(&needle), "row {name}={count} not in exposition:\n{prom}");
+    fn orion_metrics_counts_only_its_own_engine() {
+        use crate::session::DurableSession;
+        const N: i64 = 5;
+        let (dir_a, dir_b) =
+            (orion_obs::scratch_dir("metrics-a"), orion_obs::scratch_dir("metrics-b"));
+        let mut a = DurableSession::open(&dir_a).unwrap();
+        let mut b = DurableSession::open(&dir_b).unwrap();
+        a.execute("CREATE TABLE t (a INT, x REAL UNCERTAIN)").unwrap();
+        for i in 0..N {
+            a.execute(&format!("INSERT INTO t VALUES ({i}, UNIFORM(0, 1))")).unwrap();
         }
+        // B: one first-committer-wins conflict between two of its sessions.
+        b.execute("CREATE TABLE t (a INT, x REAL UNCERTAIN)").unwrap();
+        b.execute("INSERT INTO t VALUES (1, UNIFORM(0, 1))").unwrap();
+        let mut b2 = DurableSession::from_db(b.db().clone());
+        b.execute("BEGIN").unwrap();
+        b2.execute("BEGIN").unwrap();
+        b.execute("DELETE FROM t WHERE a = 1").unwrap();
+        b2.execute("DELETE FROM t WHERE a = 1").unwrap();
+        b.execute("COMMIT").unwrap();
+        assert!(b2.execute("COMMIT").is_err(), "the second committer conflicts");
+
+        // (session, commits, conflicts): CREATE + INSERTs on A; CREATE,
+        // INSERT and the winning DELETE on B.
+        for (s, commits, conflicts) in [(&mut a, N + 1, 0), (&mut b, 3, 1)] {
+            let Output::Table(rel) = s.execute("SELECT name, count FROM orion.metrics").unwrap()
+            else {
+                panic!("expected table")
+            };
+            let m: HashMap<String, i64> = (0..rel.len())
+                .map(|i| match (rel.value(i, "name").unwrap(), rel.value(i, "count").unwrap()) {
+                    (Value::Text(name), Value::Int(count)) => (name.clone(), *count),
+                    other => panic!("unexpected row {other:?}"),
+                })
+                .collect();
+            assert_eq!(m["txn_commits"], commits, "{m:?}");
+            assert_eq!(m["txn_conflicts"], conflicts, "{m:?}");
+            let fsyncs = s.db().wal_stats().fsyncs.get() as i64;
+            assert_eq!(m["wal.fsync_nanos"], fsyncs, "{m:?}");
+        }
+        std::fs::remove_dir_all(&dir_a).ok();
+        std::fs::remove_dir_all(&dir_b).ok();
     }
 
     #[test]
     fn orion_io_is_queryable() {
         let mut db = sensor_db();
-        let Output::Table(rel) = db.execute("SELECT * FROM orion.io").unwrap() else {
+        let Output::Table(rel) = db.execute("SELECT * FROM orion.metrics").unwrap() else {
             panic!("expected table")
         };
         assert_eq!(rel.len(), 8, "one row per buffer-pool counter");
-        assert_eq!(rel.value(0, "counter").unwrap(), &Value::Text("physical_reads".into()));
-        assert_eq!(rel.value(0, "value").unwrap(), &Value::Int(0), "detached io defaults to zero");
+        assert_eq!(rel.value(0, "name").unwrap(), &Value::Text("io.physical_reads".into()));
+        assert_eq!(rel.value(0, "count").unwrap(), &Value::Int(0), "detached io defaults to zero");
         // Attached counters surface through the same query.
         let io = Arc::new(IoStats::default());
         io.cache_hits.add(5);
         db.set_io_stats(Arc::clone(&io));
         let Output::Table(rel) =
-            db.execute("SELECT value FROM orion.io WHERE counter = 'cache_hits'").unwrap()
+            db.execute("SELECT count FROM orion.metrics WHERE name = 'io.cache_hits'").unwrap()
         else {
             panic!("expected table")
         };
-        assert_eq!(rel.value(0, "value").unwrap(), &Value::Int(5));
+        assert_eq!(rel.value(0, "count").unwrap(), &Value::Int(5));
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!   stats catalog;
 //! * read-only system virtual tables in the reserved `orion.` namespace
 //!   (`orion.tables`, `orion.columns`, `orion.stats`, `orion.metrics`,
-//!   `orion.io`, `orion.txns`, `orion.indexes`,
-//!   `orion.statements`, `orion.slow_queries`, `orion.plan_feedback`),
+//!   `orion.txns`, `orion.indexes`, `orion.statements`,
+//!   `orion.slow_queries`, `orion.plan_feedback`),
 //!   queryable and joinable like any user table;
 //! * `BEGIN` / `COMMIT` / `ROLLBACK` snapshot-isolation transactions on a
 //!   durable engine via [`DurableSession`] (DML outside a transaction

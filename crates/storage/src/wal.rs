@@ -32,28 +32,8 @@ use parking_lot::{Condvar, Mutex};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Always-on durability histograms on the process-wide metrics registry.
-/// Recording a sample is two relaxed atomic adds, so these are not gated
-/// on tracing — `MetricsRegistry::render_prometheus` can expose fsync
-/// latency from any long-running process.
-struct WalHists {
-    batch_bytes: Arc<Histogram>,
-    fsync_nanos: Arc<Histogram>,
-}
-
-fn wal_hists() -> &'static WalHists {
-    static HISTS: OnceLock<WalHists> = OnceLock::new();
-    HISTS.get_or_init(|| {
-        let reg = orion_obs::metrics::global();
-        WalHists {
-            batch_bytes: reg.histogram("wal.batch_bytes"),
-            fsync_nanos: reg.histogram("wal.fsync_nanos"),
-        }
-    })
-}
 
 /// Frame header size: payload length + CRC32.
 pub const FRAME_HEADER: usize = 8;
@@ -266,7 +246,8 @@ impl Wal {
     }
 }
 
-/// Counters for the group-commit pipeline, shared with the stats JSON.
+/// Counters and histograms for the group-commit pipeline, shared with the
+/// stats JSON and the `orion.metrics` rows of the engine that owns the log.
 #[derive(Debug, Default)]
 pub struct WalStats {
     /// Frames made durable, one per commit (epoch stamps not counted).
@@ -280,6 +261,10 @@ pub struct WalStats {
     /// Fsyncs avoided by batching: `commits − 1` for every multi-commit
     /// batch. The headline group-commit win.
     pub fsyncs_saved: Counter,
+    /// Bytes of frames per flushed batch.
+    pub batch_bytes: Histogram,
+    /// Latency of each fsync, in nanoseconds.
+    pub fsync_nanos: Histogram,
 }
 
 impl WalStats {
@@ -508,7 +493,7 @@ impl GroupWal {
     fn flush(&self, stamp: &Option<Vec<u8>>, frames: &[u8], ncommits: u64) -> std::io::Result<()> {
         let mut wal = self.io.lock();
         let start = wal.len();
-        wal_hists().batch_bytes.record(frames.len() as u64);
+        self.stats.batch_bytes.record(frames.len() as u64);
         let res = (|| {
             if wal.is_empty() {
                 if let Some(s) = stamp {
@@ -518,7 +503,7 @@ impl GroupWal {
             wal.append_frames(frames)?;
             let t0 = Instant::now();
             let r = wal.sync();
-            wal_hists().fsync_nanos.record_duration(t0.elapsed());
+            self.stats.fsync_nanos.record_duration(t0.elapsed());
             r
         })();
         match res {

@@ -53,11 +53,11 @@ done
 echo "== ANALYZE + system-table smoke =="
 # Queryable introspection must stay wired end to end: ANALYZE stats
 # collection, the schema-stable orion.* virtual tables, and the gate that
-# fails when orion.metrics rows disagree with the render_prometheus
-# exposition of the same registry.
+# fails when one engine's orion.metrics rows count another engine's
+# commits, conflicts or fsyncs.
 cargo test -q -p orion-sql analyze_statement_collects_and_installs_stats
 cargo test -q -p orion-sql every_system_table_is_queryable_with_stable_schema
-cargo test -q -p orion-sql orion_metrics_rows_match_prometheus_export
+cargo test -q -p orion-sql orion_metrics_counts_only_its_own_engine
 
 echo "== cargo test -q (fault injection, fixed seeds) =="
 cargo test -q -p orion-storage -p orion-core -p orion-tests --features failpoints
