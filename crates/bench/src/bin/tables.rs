@@ -1,13 +1,14 @@
 //! Regenerates the paper's worked tables and examples through the real
 //! engine: Table I (sensor relation), Tables II/III (possible worlds), the
 //! Section III-C selection, Table IV (partial pdfs vs NULL), and the
-//! Figure 3 history example.
+//! Figure 3 history example. The SQL tables live in scratch directories
+//! that are removed when each section ends.
 
 use orion_core::plan::execute;
 use orion_core::prelude::*;
 use orion_core::pws::{engine_row_distribution, pws_row_distribution};
 use orion_pdf::prelude::*;
-use orion_sql::{render_relation, Database, Output};
+use orion_sql::{render_relation, DurableSession, Output};
 use std::collections::HashMap;
 
 fn main() {
@@ -20,7 +21,7 @@ fn main() {
 
 fn table1() {
     println!("== Table I: sensor database with symbolic Gaussian pdfs ==");
-    let mut db = Database::new();
+    let mut db = DurableSession::temporary("tables-table1").unwrap();
     db.execute("CREATE TABLE sensors (id INT, location REAL UNCERTAIN)").unwrap();
     db.execute(
         "INSERT INTO sensors VALUES (1, GAUSSIAN(20, 5)), (2, GAUSSIAN(25, 4)), \
@@ -102,7 +103,7 @@ fn section3c_selection() {
 
 fn table4() {
     println!("== Table IV: missing attribute values vs missing tuples ==");
-    let mut db = Database::new();
+    let mut db = DurableSession::temporary("tables-table4").unwrap();
     db.execute("CREATE TABLE t (a INT, b REAL UNCERTAIN, c REAL UNCERTAIN, CORRELATED (b, c))")
         .unwrap();
     // Row 1: tuple certainly exists (mass 1).

@@ -15,7 +15,7 @@
 use orion_core::batch::ExecMode;
 use orion_obs::{json, OpProfile};
 use orion_pdf::prelude::{Interval, Pdf1, Pdf1Batch};
-use orion_sql::{Database, DurableSession, Output};
+use orion_sql::{DurableSession, Output};
 use orion_storage::codec::{decode_pdf1, decode_pdf1_into, encode_pdf1};
 use orion_storage::{FileStore, HeapFile, IoSnapshot};
 use orion_workload::SensorWorkload;
@@ -258,11 +258,11 @@ fn collect_ops(p: &OpProfile, out: &mut Vec<OpEstimate>) {
     }
 }
 
-/// Builds an in-memory SQL relation from the seeded sensor workload and
-/// profiles the threshold query, with or without a preceding `ANALYZE`.
+/// Loads the seeded sensor workload into a scratch database and profiles
+/// the threshold query, with or without a preceding `ANALYZE`.
 pub fn estimate_report(n: usize, seed: u64, analyzed: bool) -> EstimateReport {
     let query = "SELECT rid FROM readings WHERE PROB(value < 50) > 0.5";
-    let mut db = Database::new();
+    let mut db = DurableSession::temporary("fig5-estimates").expect("open a scratch database");
     db.execute("CREATE TABLE readings (rid INT, value REAL UNCERTAIN)").expect("create");
     let mut workload = SensorWorkload::new(seed);
     for chunk in workload.readings(n).chunks(256) {

@@ -29,7 +29,7 @@
 //! already contains its records.
 //!
 //! **Recovery.** [`SharedDurableDb::open`] loads `snapshot.db` in one
-//! streaming scan ([`crate::persist::load_into`]), truncates any torn WAL
+//! streaming scan (`persist::load_into`), truncates any torn WAL
 //! tail, discards the whole WAL if its epoch predates the snapshot's, and
 //! otherwise replays every frame, in one loop, through the same
 //! [`crate::persist::apply_record`] decoder the snapshot loader uses,
@@ -147,7 +147,7 @@ fn set_epoch_stamp(wal: &GroupWal, epoch: u64) -> Result<()> {
 /// when not forced). The same kind/column compatibility check
 /// [`crate::pindex::BuiltIndex::build`] applies runs here, so an
 /// unbuildable definition is never logged.
-pub fn validate_index_def(
+fn validate_index_def(
     tables: &HashMap<String, Relation>,
     indexes: &IndexHandle,
     name: &str,
@@ -408,7 +408,7 @@ impl SharedDurableDb {
     }
 
     /// Checkpoint: atomically writes the whole database as a snapshot
-    /// stamped with the next epoch ([`crate::persist::save_snapshot_full`]:
+    /// stamped with the next epoch (`persist::save_snapshot_full`:
     /// temp file → fsync → rename → directory fsync), then empties the
     /// WAL, whose records the snapshot now contains. Holds the core lock
     /// throughout, so no commit lands mid-snapshot. Crash-atomic at every

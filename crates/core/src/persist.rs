@@ -38,7 +38,7 @@
 //! committed state and therefore never carry tags 9, 10 or 13.
 //!
 //! A record longer than one heap page holds is written to a snapshot as a
-//! chain of chunk records; [`load_into`] joins the chain back before
+//! chain of chunk records; `load_into` joins the chain back before
 //! applying it. Every other record is written byte for byte as encoded.
 //!
 //! Schemas are written first, then bases, then tuples, so a single pass
@@ -54,7 +54,7 @@
 //! [`apply_record`] applies one tagged record to an in-memory database and
 //! is shared between snapshot loading and WAL replay:
 //! [`crate::durable::SharedDurableDb::open`] streams the one snapshot file
-//! through [`load_into`], then replays the WAL into the same state.
+//! through `load_into`, then replays the WAL into the same state.
 
 use crate::error::{EngineError, Result};
 use crate::history::{Ancestors, BasePdf, HistoryRegistry, PdfId};
@@ -356,7 +356,7 @@ pub fn save_snapshot(
 /// per definition. Only index definitions are durable — trees are rebuilt
 /// deterministically on first use. Empty catalogs write nothing, matching
 /// the legacy format byte for byte.
-pub fn save_snapshot_full(
+pub(crate) fn save_snapshot_full(
     path: &Path,
     tables: &HashMap<String, Relation>,
     reg: &HistoryRegistry,
@@ -550,14 +550,14 @@ impl LoadState {
 
     /// Takes the rebuilt stats catalog out of the state (call before
     /// [`LoadState::finish`]).
-    pub fn take_stats(&mut self) -> StatsCatalog {
+    pub(crate) fn take_stats(&mut self) -> StatsCatalog {
         std::mem::take(&mut self.stats)
     }
 
     /// Takes the rebuilt index catalog out of the state (call before
     /// [`LoadState::finish`]). Only definitions are durable — the trees
     /// themselves are rebuilt deterministically on first use.
-    pub fn take_indexes(&mut self) -> IndexCatalog {
+    pub(crate) fn take_indexes(&mut self) -> IndexCatalog {
         std::mem::take(&mut self.indexes)
     }
 }
@@ -744,7 +744,7 @@ pub fn apply_record(rec: &[u8], state: &mut LoadState) -> Result<()> {
 /// finishing it — [`crate::durable::SharedDurableDb::open`] replays WAL
 /// records into the same state afterwards. A chain of chunk records is
 /// joined back into the one record it was split from before it applies.
-pub fn load_into(path: &Path, state: &mut LoadState) -> Result<()> {
+pub(crate) fn load_into(path: &Path, state: &mut LoadState) -> Result<()> {
     let heap = HeapFile::new(FileStore::open(path)?, 64);
     let mut err: Option<EngineError> = None;
     // The pieces of a chunked record read so far.

@@ -615,7 +615,7 @@ impl IndexCatalog {
 
     /// Re-applies a definition idempotently (WAL replay / checkpoint load:
     /// the same create record may be seen twice).
-    pub fn install(&mut self, def: IndexDef) {
+    pub(crate) fn install(&mut self, def: IndexDef) {
         self.defs.insert(def.name.clone(), def);
     }
 
@@ -625,14 +625,6 @@ impl IndexCatalog {
         self.defs
             .remove(name)
             .ok_or_else(|| EngineError::Operator(format!("unknown index '{name}'")))
-    }
-
-    /// Drops every definition over `table` (DROP TABLE).
-    pub fn drop_table(&mut self, table: &str) {
-        self.defs.retain(|_, d| d.table != table);
-        self.built.0.trees.retain(|d| d.table != table);
-        self.built.0.supports.retain(|(t, _)| t != table);
-        self.epochs.remove(table);
     }
 
     /// Bumps `table`'s staleness epoch (every committed DML against an

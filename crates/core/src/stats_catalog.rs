@@ -469,11 +469,6 @@ impl StatsCatalog {
         self.tables.insert(stats.table.clone(), stats);
     }
 
-    /// Drops the stats of one table (on `DROP TABLE`).
-    pub fn remove(&mut self, table: &str) -> Option<TableStats> {
-        self.tables.remove(table)
-    }
-
     /// Number of analyzed tables.
     pub fn len(&self) -> usize {
         self.tables.len()
@@ -856,7 +851,5 @@ mod tests {
         let enc1 = cat.encode();
         let enc2 = cat.clone().encode();
         assert_eq!(enc1, enc2);
-        cat.remove("aaa");
-        assert_eq!(cat.len(), 1);
     }
 }

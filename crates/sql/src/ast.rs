@@ -28,8 +28,6 @@ pub enum Statement {
     Update { table: String, sets: Vec<(String, InsertValue)>, filter: Option<Pred> },
     /// `DELETE FROM name [WHERE pred]`.
     Delete { table: String, filter: Option<Pred> },
-    /// `DROP TABLE name`.
-    DropTable { name: String },
     /// `CREATE INDEX name ON table (col) [USING evx|cdf]` — a persistent
     /// secondary index; the kind defaults by column certainty (`cdf` for
     /// uncertain columns, `evx` for certain ones).

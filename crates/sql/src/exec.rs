@@ -1,14 +1,17 @@
-//! SQL execution: a [`Database`] session holding named relations, the
-//! shared history registry, and execution options.
+//! SQL execution: [`Database`], the read-only statement runner every
+//! SELECT and EXPLAIN goes through, and the `orion.*` system tables it
+//! serves. Writes and transactions go through
+//! [`DurableSession`](crate::DurableSession).
 
 use crate::ast::*;
 use crate::error::{Result, SqlError};
+use crate::fingerprint::fingerprint;
 use crate::lower::{lower, Lowered};
 use crate::parser::parse;
+use crate::session::{table_schema, translate_rows};
 use orion_core::plan::{self, annotate_estimates, Plan};
 use orion_core::prelude::*;
 use orion_obs::{ExecStats, Histogram, OpProfile, Tracer, WorkloadRepo};
-use orion_pdf::prelude::*;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,9 +38,10 @@ pub enum Output {
     Table(Relation),
     /// Computed rows (EXPECTED / PROB select items, aggregates).
     Rows { header: Vec<String>, rows: Vec<Vec<String>> },
-    /// Number of affected tuples (INSERT / DELETE).
+    /// Number of affected tuples (INSERT / UPDATE / DELETE).
     Count(usize),
-    /// Statement completed with nothing to return (CREATE / DROP).
+    /// Statement completed with nothing to return (CREATE TABLE,
+    /// CREATE / DROP INDEX, BEGIN / COMMIT / ROLLBACK).
     Ok,
     /// The statistics collected by `ANALYZE <table>` (a copy of what was
     /// installed into the session's stats catalog).
@@ -48,7 +52,14 @@ pub enum Output {
     Explain { profile: Box<OpProfile>, analyze: bool, trace: Option<ExplainTrace> },
 }
 
-/// An in-memory Orion SQL session.
+/// A read-only statement runner over the relations, history registry and
+/// catalogs it is given: it answers SELECT, EXPLAIN and the `orion.*`
+/// tables. [`DurableSession`](crate::DurableSession) builds one per read
+/// from a point-in-time view of its engine, and such a runner refuses every
+/// write and transaction statement. A detached runner (no engine attached
+/// with [`Database::set_txn_db`]) also takes CREATE TABLE and INSERT into
+/// its own tables, so it can be filled from SQL; nothing it holds is
+/// durable.
 pub struct Database {
     tables: HashMap<String, Relation>,
     reg: HistoryRegistry,
@@ -75,8 +86,8 @@ impl Database {
     }
 
     /// Overrides execution options (resolution, history maintenance, ...).
-    /// A session without an index catalog gets a fresh private one, so
-    /// `CREATE INDEX` and the access-path planner work out of the box.
+    /// Options without an index catalog get a fresh, empty one until
+    /// [`Database::set_index_handle`] attaches the engine's.
     pub fn with_options(mut opts: ExecOptions) -> Self {
         if opts.indexes.is_none() {
             opts.indexes = Some(IndexHandle::new());
@@ -94,12 +105,6 @@ impl Database {
         }
     }
 
-    /// The session's stats catalog, filled by `ANALYZE` and surfaced by
-    /// `orion.stats` / `EXPLAIN` cardinality estimates.
-    pub fn stats_catalog(&self) -> &StatsCatalog {
-        &self.stats
-    }
-
     /// Attaches the buffer-pool counters behind the `io.*` rows of
     /// `orion.metrics` (e.g. a durable engine's
     /// [`SharedDurableDb::io_stats`]; defaults to a detached all-zero
@@ -115,8 +120,8 @@ impl Database {
         self.txn_db = Some(db);
     }
 
-    /// Replaces the session's ANALYZE stats catalog (durable sessions seed
-    /// their per-statement query databases with the session-held catalog).
+    /// Replaces the ANALYZE stats catalog behind `orion.stats` and the
+    /// planner's estimates (durable sessions attach the engine's).
     pub fn set_stats_catalog(&mut self, stats: StatsCatalog) {
         self.stats = stats;
     }
@@ -126,11 +131,6 @@ impl Database {
     /// catalog that shares its build cache; see [`IndexCatalog::snapshot`]).
     pub fn set_index_handle(&mut self, indexes: IndexHandle) {
         self.opts.indexes = Some(indexes);
-    }
-
-    /// The session's index catalog handle.
-    pub fn index_handle(&self) -> IndexHandle {
-        self.opts.indexes.clone().expect("seeded at construction")
     }
 
     /// Attaches the workload repository behind `orion.statements` /
@@ -145,11 +145,6 @@ impl Database {
     /// so feedback accumulates across statements and sessions.
     pub fn set_plan_feedback(&mut self, store: Arc<PlanFeedbackStore>) {
         self.feedback = store;
-    }
-
-    /// The planner-feedback store profiled executions fold into.
-    pub fn plan_feedback(&self) -> Arc<PlanFeedbackStore> {
-        Arc::clone(&self.feedback)
     }
 
     /// Attaches a per-statement operator-stats collector: operators count
@@ -168,25 +163,6 @@ impl Database {
         self.profile.take()
     }
 
-    /// Bumps the staleness epoch of every index over `table`, as reported
-    /// by `orion.indexes` (built trees go stale on their own: DML writes a
-    /// new table version, which the build cache keys on).
-    fn note_index_mutation(&self, table: &str) {
-        if let Some(h) = &self.opts.indexes {
-            h.lock().note_mutation(table);
-        }
-    }
-
-    /// Direct access to a stored relation.
-    pub fn table(&self, name: &str) -> Option<&Relation> {
-        self.tables.get(name)
-    }
-
-    /// Names of all stored tables (unordered).
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.keys().cloned().collect()
-    }
-
     /// Registers an externally built relation (e.g. from a workload
     /// generator that used [`Database::registry_mut`]).
     pub fn register_table(&mut self, rel: Relation) {
@@ -198,53 +174,6 @@ impl Database {
         &mut self.reg
     }
 
-    /// Saves every table, the history registry, the ANALYZE stats catalog,
-    /// and the secondary-index definitions to one file. Only index
-    /// definitions are persisted — trees are rebuilt deterministically on
-    /// first use after reopening.
-    pub fn save(&self, path: &std::path::Path) -> Result<()> {
-        let indexes = match &self.opts.indexes {
-            Some(h) => h.lock().snapshot(),
-            None => orion_core::pindex::IndexCatalog::new(),
-        };
-        orion_core::persist::save_snapshot_full(
-            path,
-            &self.tables,
-            &self.reg,
-            &self.stats,
-            &indexes,
-            0,
-        )?;
-        Ok(())
-    }
-
-    /// Opens a database previously written by [`Database::save`].
-    pub fn open(path: &std::path::Path) -> Result<Self> {
-        Self::open_with_options(path, ExecOptions::default())
-    }
-
-    /// Opens a saved database with specific execution options. Persisted
-    /// index definitions are installed into the session's index handle (the
-    /// caller-supplied one, if `opts` carries one).
-    pub fn open_with_options(path: &std::path::Path, opts: ExecOptions) -> Result<Self> {
-        let mut state = orion_core::persist::LoadState::default();
-        orion_core::persist::load_into(path, &mut state)?;
-        let stats = state.take_stats();
-        let indexes = state.take_indexes();
-        let (tables, reg) = state.finish();
-        let mut db = Self::with_options(opts);
-        db.tables = tables;
-        db.reg = reg;
-        db.stats = stats;
-        if let Some(h) = &db.opts.indexes {
-            let mut cat = h.lock();
-            for def in indexes.defs() {
-                cat.install(def.clone());
-            }
-        }
-        Ok(db)
-    }
-
     /// Parses and executes one statement.
     pub fn execute(&mut self, sql: &str) -> Result<Output> {
         let stmt = parse(sql)?;
@@ -253,102 +182,31 @@ impl Database {
 
     pub(crate) fn run(&mut self, stmt: Statement) -> Result<Output> {
         match stmt {
-            Statement::CreateTable { name, columns, correlated } => {
-                if name.starts_with(SYS_PREFIX) {
-                    return Err(SqlError::Exec(format!(
-                        "the '{SYS_PREFIX}' namespace is reserved for system tables"
-                    )));
-                }
+            select @ Statement::Select { .. } => self.select(lower(select)?),
+            Statement::Explain { analyze, trace, inner } => self.explain(analyze, trace, *inner),
+            Statement::CreateTable { name, columns, correlated } if self.txn_db.is_none() => {
+                let schema = table_schema(&name, &columns, &correlated)?;
                 if self.tables.contains_key(&name) {
                     return Err(SqlError::Exec(format!("table '{name}' already exists")));
                 }
-                let cols: Vec<(&str, ColumnType, bool)> =
-                    columns.iter().map(|c| (c.name.as_str(), c.ty, c.uncertain)).collect();
-                let groups: Vec<Vec<&str>> =
-                    correlated.iter().map(|g| g.iter().map(|s| s.as_str()).collect()).collect();
-                let schema = ProbSchema::new(cols, groups)?;
                 self.tables.insert(name.clone(), Relation::new(name, schema));
                 Ok(Output::Ok)
             }
-            Statement::Insert { table, rows } => {
-                let n = rows.len();
-                for row in rows {
-                    self.insert_row(&table, row)?;
-                }
-                self.note_index_mutation(&table);
-                Ok(Output::Count(n))
-            }
-            select @ Statement::Select { .. } => self.select(lower(select)?),
-            Statement::Update { table, sets, filter } => self.update(table, sets, filter),
-            Statement::Delete { table, filter } => {
-                let pred = filter.map(|p| translate_pred(&p)).transpose()?;
+            Statement::Insert { table, rows } if self.txn_db.is_none() => {
                 let rel = self
                     .tables
                     .get_mut(&table)
                     .ok_or_else(|| SqlError::Exec(format!("unknown table '{table}'")))?;
-                // DELETE decides tuple-by-tuple on the certain attributes
-                // (deleting by uncertain predicate would need user-specified
-                // semantics: a tuple either stays or goes).
-                let schema = rel.schema.clone();
-                let removed = match pred {
-                    None => {
-                        let all = rel.len();
-                        let reg = &mut self.reg;
-                        rel.delete_where(reg, |_| true);
-                        all
-                    }
-                    Some(p) => {
-                        check_certain_pred(&schema, &p, "DELETE")?;
-                        let reg = &mut self.reg;
-                        rel.delete_where(reg, |t| certain_eval(&schema, t, &p))
-                    }
-                };
-                self.note_index_mutation(&table);
-                Ok(Output::Count(removed))
-            }
-            Statement::DropTable { name } => {
-                let rel = self
-                    .tables
-                    .remove(&name)
-                    .ok_or_else(|| SqlError::Exec(format!("unknown table '{name}'")))?;
-                rel.release(&mut self.reg);
-                self.stats.remove(&name);
-                if let Some(h) = &self.opts.indexes {
-                    h.lock().drop_table(&name);
+                let (schema, n) = (rel.schema.clone(), rows.len());
+                for (certain, uncertain) in translate_rows(&schema, rows)? {
+                    rel.insert(&mut self.reg, &certain, uncertain)?;
                 }
-                Ok(Output::Ok)
+                Ok(Output::Count(n))
             }
-            Statement::CreateIndex { name, table, column, kind } => {
-                let kind = translate_index_kind(kind.as_deref())?;
-                let handle = self.index_handle();
-                let def = orion_core::durable::validate_index_def(
-                    &self.tables,
-                    &handle,
-                    &name,
-                    &table,
-                    &column,
-                    kind,
-                )?;
-                handle.lock().create(def)?;
-                Ok(Output::Ok)
-            }
-            Statement::DropIndex { name } => {
-                self.index_handle().lock().drop_index(&name)?;
-                Ok(Output::Ok)
-            }
-            Statement::Analyze { table } => {
-                let rel = self
-                    .tables
-                    .get(&table)
-                    .ok_or_else(|| SqlError::Exec(format!("unknown table '{table}'")))?;
-                let ts = analyze_relation(rel)?;
-                self.stats.insert(ts.clone());
-                Ok(Output::Analyze(ts))
-            }
-            Statement::Explain { analyze, trace, inner } => self.explain(analyze, trace, *inner),
-            Statement::Begin | Statement::Commit | Statement::Rollback => Err(SqlError::Exec(
-                "transactions need a durable session (open one with DurableSession::open)".into(),
-            )),
+            write => Err(SqlError::Exec(format!(
+                "`{}` needs a DurableSession: Database runs SELECT and EXPLAIN only",
+                fingerprint(&write).1
+            ))),
         }
     }
 
@@ -794,81 +652,6 @@ impl Database {
         )
     }
 
-    fn insert_row(&mut self, table: &str, row: Vec<InsertValue>) -> Result<()> {
-        let rel = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| SqlError::Exec(format!("unknown table '{table}'")))?;
-        let (certain, uncertain) = translate_insert_row(&rel.schema, row)?;
-        let certain_refs: Vec<(&str, Value)> =
-            certain.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-        let uncertain_refs: Vec<(Vec<&str>, JointPdf)> = uncertain
-            .iter()
-            .map(|(ns, j)| (ns.iter().map(|s| s.as_str()).collect(), j.clone()))
-            .collect();
-        rel.insert(&mut self.reg, &certain_refs, uncertain_refs)?;
-        Ok(())
-    }
-
-    /// `UPDATE t SET col = v [WHERE pred]`: the predicate must be over
-    /// certain columns (a tuple is either updated or not). Updating an
-    /// uncertain column replaces its dependency set with a fresh base pdf
-    /// (new history); updating one member of a correlated group is
-    /// rejected — supply the whole group via JOINT.
-    fn update(
-        &mut self,
-        table: String,
-        sets: Vec<(String, InsertValue)>,
-        filter: Option<Pred>,
-    ) -> Result<Output> {
-        let pred = filter.map(|p| translate_pred(&p)).transpose()?;
-        let rel = self
-            .tables
-            .get_mut(&table)
-            .ok_or_else(|| SqlError::Exec(format!("unknown table '{table}'")))?;
-        let schema = rel.schema.clone();
-        if let Some(p) = &pred {
-            check_certain_pred(&schema, p, "UPDATE")?;
-        }
-        let assigns = translate_assignments(&schema, &sets)?;
-        let mut updated = 0usize;
-        for t in rel.tuples_mut().iter_mut() {
-            let keep = match &pred {
-                None => true,
-                Some(p) => certain_eval(&schema, t, p),
-            };
-            if !keep {
-                continue;
-            }
-            updated += 1;
-            for a in &assigns {
-                match a {
-                    Assign::Certain(idx, v) => t.certain[*idx] = v.clone(),
-                    Assign::Node(group, joint) => {
-                        // Replace the node covering the group with a fresh
-                        // base pdf, releasing the old history.
-                        let ni = t.node_index_for(group[0]).ok_or_else(|| {
-                            SqlError::Exec("uncertain column lost its node".into())
-                        })?;
-                        let old = t.nodes[ni].clone();
-                        self.reg.release_refs(&old.ancestors);
-                        if old.ancestors.len() == 1 {
-                            let id = *old.ancestors.iter().next().expect("one ancestor");
-                            self.reg.delete_base(id);
-                        }
-                        let id = self.reg.register(group.clone(), joint.clone());
-                        let anc: orion_core::history::Ancestors = [id].into_iter().collect();
-                        self.reg.add_refs(&anc);
-                        t.nodes[ni] =
-                            orion_core::tuple::PdfNode::base(id, group, joint.clone(), anc);
-                    }
-                }
-            }
-        }
-        self.note_index_mutation(&table);
-        Ok(Output::Count(updated))
-    }
-
     /// Runs a lowered SELECT: the plan through the core runner (system
     /// tables resolve like stored ones), then the post stages. A profiled
     /// run (collector attached) keeps its profile for [`Self::take_profile`].
@@ -937,170 +720,6 @@ fn system_rel(name: &str, cols: &[(&str, ColumnType)], rows: Vec<Vec<Value>>) ->
     Ok(rel)
 }
 
-/// The uncertain half of a translated INSERT row: one `(column names,
-/// joint pdf)` entry per dependency group.
-pub(crate) type UncertainGroups = Vec<(Vec<String>, JointPdf)>;
-
-/// Translates one INSERT row against a schema into the `(certain,
-/// uncertain)` pairs [`Relation::insert`] expects. Walks columns in order;
-/// a correlated group consumes ONE value (a JOINT constructor) at the
-/// position of its first column. Shared by the in-memory [`Database`] and
-/// the durable transactional session.
-pub(crate) fn translate_insert_row(
-    schema: &ProbSchema,
-    row: Vec<InsertValue>,
-) -> Result<(Vec<(String, Value)>, UncertainGroups)> {
-    let mut certain: Vec<(String, Value)> = Vec::new();
-    let mut uncertain: Vec<(Vec<String>, JointPdf)> = Vec::new();
-    let mut vals = row.into_iter();
-    let mut consumed: Vec<AttrId> = Vec::new();
-    for col in schema.columns() {
-        if consumed.contains(&col.id) {
-            continue;
-        }
-        let v = vals.next().ok_or_else(|| SqlError::Exec("too few values in INSERT".into()))?;
-        if !col.uncertain {
-            certain.push((col.name.clone(), certain_literal(&v, col)?));
-            continue;
-        }
-        // Uncertain: which dependency group does this column lead?
-        let group = dep_group(schema, col.id);
-        let names: Vec<String> = group
-            .iter()
-            .map(|id| schema.column_by_id(*id).expect("dep attr visible").name.clone())
-            .collect();
-        consumed.extend(&group);
-        let joint = match v {
-            InsertValue::Pdf(expr) => build_joint(&expr, group.len())?,
-            InsertValue::Number(n) => {
-                if group.len() != 1 {
-                    return Err(SqlError::Exec(format!(
-                        "correlated group led by '{}' needs a JOINT(...) value",
-                        col.name
-                    )));
-                }
-                JointPdf::from_pdf1(Pdf1::certain(n))
-            }
-            other => {
-                return Err(SqlError::Exec(format!(
-                    "uncertain column '{}' needs a pdf, got {other:?}",
-                    col.name
-                )))
-            }
-        };
-        uncertain.push((names, joint));
-    }
-    if vals.next().is_some() {
-        return Err(SqlError::Exec("too many values in INSERT".into()));
-    }
-    Ok((certain, uncertain))
-}
-
-/// One pre-validated UPDATE assignment.
-pub(crate) enum Assign {
-    /// Overwrite the certain value at this tuple index.
-    Certain(usize, Value),
-    /// Replace the node covering this dependency group with a fresh base
-    /// pdf (new history).
-    Node(Vec<AttrId>, JointPdf),
-}
-
-/// Pre-validates and pre-builds UPDATE assignments against a schema.
-/// Updating one member of a correlated group is rejected — supply the
-/// whole group via JOINT.
-pub(crate) fn translate_assignments(
-    schema: &ProbSchema,
-    sets: &[(String, InsertValue)],
-) -> Result<Vec<Assign>> {
-    let mut assigns = Vec::with_capacity(sets.len());
-    for (col_name, v) in sets {
-        let col = schema
-            .column(col_name)
-            .ok_or_else(|| SqlError::Exec(format!("unknown column '{col_name}'")))?;
-        if !col.uncertain {
-            let val = certain_literal(v, col)?;
-            assigns.push(Assign::Certain(schema.index_of(col_name).expect("column exists"), val));
-            continue;
-        }
-        let group = dep_group(schema, col.id);
-        let joint = match v {
-            InsertValue::Pdf(expr) => build_joint(expr, group.len())?,
-            InsertValue::Number(n) if group.len() == 1 => JointPdf::from_pdf1(Pdf1::certain(*n)),
-            other => {
-                return Err(SqlError::Exec(format!(
-                    "uncertain column '{col_name}' needs a pdf \
-                     (its correlated group has {} columns), got {other:?}",
-                    group.len()
-                )))
-            }
-        };
-        assigns.push(Assign::Node(group, joint));
-    }
-    Ok(assigns)
-}
-
-/// Coerces an INSERT/UPDATE literal for a certain column.
-fn certain_literal(v: &InsertValue, col: &Column) -> Result<Value> {
-    Ok(match v {
-        InsertValue::Null => Value::Null,
-        InsertValue::Number(n) => match col.ty {
-            ColumnType::Int => Value::Int(*n as i64),
-            _ => Value::Real(*n),
-        },
-        InsertValue::Text(s) => Value::Text(s.clone()),
-        InsertValue::Bool(b) => Value::Bool(*b),
-        InsertValue::Pdf(_) => {
-            return Err(SqlError::Exec(format!("column '{}' is certain; got a pdf", col.name)))
-        }
-    })
-}
-
-/// The dependency group a column belongs to (itself when independent).
-fn dep_group(schema: &ProbSchema, id: AttrId) -> Vec<AttrId> {
-    schema.deps().iter().find(|g| g.contains(&id)).cloned().unwrap_or_else(|| vec![id])
-}
-
-/// Resolves an optional `USING <kind>` clause to an [`IndexKind`].
-pub(crate) fn translate_index_kind(kind: Option<&str>) -> Result<Option<IndexKind>> {
-    match kind {
-        None => Ok(None),
-        Some(s) => IndexKind::parse(s).map(Some).ok_or_else(|| {
-            SqlError::Exec(format!("unknown index kind '{s}' (expected 'evx' or 'cdf')"))
-        }),
-    }
-}
-
-/// Rejects DML predicates that touch uncertain columns (a tuple is either
-/// affected or not; probabilistic DML would need user-specified
-/// semantics).
-pub(crate) fn check_certain_pred(schema: &ProbSchema, p: &Predicate, stmt: &str) -> Result<()> {
-    for c in p.columns() {
-        match schema.column(&c) {
-            None => return Err(SqlError::Exec(format!("unknown column '{c}'"))),
-            Some(col) if col.uncertain => {
-                let hint = if stmt == "DELETE" {
-                    "; use PROB() thresholds with SELECT instead"
-                } else {
-                    ""
-                };
-                return Err(SqlError::Exec(format!(
-                    "{stmt} predicates must use certain columns ('{c}' is uncertain){hint}"
-                )));
-            }
-            Some(_) => {}
-        }
-    }
-    Ok(())
-}
-
-/// Evaluates a certain-column predicate against one tuple.
-pub(crate) fn certain_eval(schema: &ProbSchema, t: &ProbTuple, p: &Predicate) -> bool {
-    let lookup = |name: &str| -> Value {
-        schema.index_of(name).map(|i| t.certain[i].clone()).unwrap_or(Value::Null)
-    };
-    p.eval(&lookup) == Some(true)
-}
-
 /// Translates an AST predicate into an engine predicate. Threshold forms
 /// are rejected here — they are only legal as top-level conjuncts.
 pub fn translate_pred(p: &Pred) -> Result<Predicate> {
@@ -1130,56 +749,33 @@ pub fn translate_pred(p: &Pred) -> Result<Predicate> {
     })
 }
 
-/// Builds the joint pdf for one dependency group from a constructor.
-fn build_joint(expr: &PdfExpr, group_arity: usize) -> Result<JointPdf> {
-    let single = |p: Pdf1| -> Result<JointPdf> {
-        if group_arity != 1 {
-            return Err(SqlError::Exec(format!(
-                "correlated group of {group_arity} columns needs a JOINT(...) value"
-            )));
-        }
-        Ok(JointPdf::from_pdf1(p))
-    };
-    match expr {
-        PdfExpr::Gaussian(m, v) => single(Pdf1::gaussian(*m, *v)?),
-        PdfExpr::Uniform(a, b) => single(Pdf1::uniform(*a, *b)?),
-        PdfExpr::Exponential(r) => single(Pdf1::symbolic(Symbolic::exponential(*r)?)),
-        PdfExpr::Poisson(l) => single(Pdf1::symbolic(Symbolic::poisson(*l)?)),
-        PdfExpr::Binomial(n, p) => single(Pdf1::symbolic(Symbolic::binomial(*n, *p)?)),
-        PdfExpr::Bernoulli(p) => single(Pdf1::symbolic(Symbolic::bernoulli(*p)?)),
-        PdfExpr::Geometric(p) => single(Pdf1::symbolic(Symbolic::geometric(*p)?)),
-        PdfExpr::Discrete(pts) => single(Pdf1::discrete(pts.clone())?),
-        PdfExpr::Histogram { lo, width, masses } => {
-            single(Pdf1::histogram(*lo, *width, masses.clone())?)
-        }
-        PdfExpr::Joint(pts) => {
-            if pts.is_empty() {
-                return Err(SqlError::Exec("JOINT needs at least one point".into()));
-            }
-            let arity = pts[0].0.len();
-            if arity != group_arity {
-                return Err(SqlError::Exec(format!(
-                    "JOINT arity {arity} does not match correlated group of {group_arity}"
-                )));
-            }
-            Ok(JointPdf::from_points(JointDiscrete::from_points(arity, pts.clone())?))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::testing::{reopen, stored, temp_session};
+    use crate::session::DurableSession;
 
-    fn sensor_db() -> Database {
-        let mut db = Database::new();
+    impl Database {
+        /// Direct access to a relation of the runner's view.
+        pub(crate) fn table(&self, name: &str) -> Option<&Relation> {
+            self.tables.get(name)
+        }
+    }
+
+    /// An ephemeral database holding the paper's Table I readings.
+    fn sensor_db() -> DurableSession {
+        let mut db = temp_session("sensors");
+        load_sensors(&mut db);
+        db
+    }
+
+    fn load_sensors(db: &mut DurableSession) {
         db.execute("CREATE TABLE readings (rid INT, value REAL UNCERTAIN)").unwrap();
         db.execute(
             "INSERT INTO readings VALUES (1, GAUSSIAN(20, 5)), (2, GAUSSIAN(25, 4)), \
              (3, GAUSSIAN(13, 1))",
         )
         .unwrap();
-        db
     }
 
     #[test]
@@ -1262,10 +858,10 @@ mod tests {
 
     #[test]
     fn correlated_group_with_joint_insert() {
-        let mut db = Database::new();
+        let mut db = temp_session("joint");
         db.execute("CREATE TABLE t (a INT UNCERTAIN, b INT UNCERTAIN, CORRELATED (a, b))").unwrap();
         db.execute("INSERT INTO t VALUES (JOINT((4,5):0.9, (2,3):0.1))").unwrap();
-        let rel = db.table("t").unwrap();
+        let rel = stored(&db, "t");
         assert_eq!(rel.tuples[0].nodes.len(), 1);
         assert_eq!(rel.tuples[0].nodes[0].dims.len(), 2);
         // Joint arity mismatch is rejected.
@@ -1276,7 +872,7 @@ mod tests {
 
     #[test]
     fn join_via_sql() {
-        let mut db = Database::new();
+        let mut db = temp_session("join");
         db.execute("CREATE TABLE l (id INT, x REAL UNCERTAIN)").unwrap();
         db.execute("CREATE TABLE r (id INT, y REAL UNCERTAIN)").unwrap();
         db.execute("INSERT INTO l VALUES (1, DISCRETE(1:0.5, 3:0.5))").unwrap();
@@ -1297,20 +893,20 @@ mod tests {
         let mut db = sensor_db();
         let out = db.execute("DELETE FROM readings WHERE rid = 1").unwrap();
         assert!(matches!(out, Output::Count(1)));
-        assert_eq!(db.table("readings").unwrap().len(), 2);
+        assert_eq!(stored(&db, "readings").len(), 2);
         // Uncertain predicate deletion is rejected.
         assert!(db.execute("DELETE FROM readings WHERE value < 20").is_err());
-        db.execute("DROP TABLE readings").unwrap();
-        assert!(db.table("readings").is_none());
-        assert!(db.execute("SELECT * FROM readings").is_err());
+        // Tables are never dropped: the grammar has no DROP TABLE.
+        assert!(matches!(db.execute("DROP TABLE readings"), Err(SqlError::Parse(_))));
+        assert_eq!(stored(&db, "readings").len(), 2);
     }
 
     #[test]
     fn certain_value_for_uncertain_column() {
-        let mut db = Database::new();
+        let mut db = temp_session("certain_pdf");
         db.execute("CREATE TABLE t (x REAL UNCERTAIN)").unwrap();
         db.execute("INSERT INTO t VALUES (7.5)").unwrap();
-        let m = db.table("t").unwrap().marginal(0, "x").unwrap();
+        let m = stored(&db, "t").marginal(0, "x").unwrap();
         assert_eq!(m.density(7.5), 1.0);
     }
 
@@ -1324,10 +920,10 @@ mod tests {
 
     #[test]
     fn null_for_certain_column() {
-        let mut db = Database::new();
+        let mut db = temp_session("null");
         db.execute("CREATE TABLE t (a INT, x REAL UNCERTAIN)").unwrap();
         db.execute("INSERT INTO t VALUES (NULL, UNIFORM(0, 1))").unwrap();
-        assert_eq!(db.table("t").unwrap().value(0, "a").unwrap(), &Value::Null);
+        assert_eq!(stored(&db, "t").value(0, "a").unwrap(), &Value::Null);
     }
 
     #[test]
@@ -1360,14 +956,14 @@ mod tests {
         let mut db = sensor_db();
         let out = db.execute("UPDATE readings SET value = GAUSSIAN(99, 1) WHERE rid = 2").unwrap();
         assert!(matches!(out, Output::Count(1)));
-        let m = db.table("readings").unwrap().marginal(1, "value").unwrap();
+        let m = stored(&db, "readings").marginal(1, "value").unwrap();
         assert_eq!(m.to_string(), "Gaus(99,1)");
         // Other tuples untouched.
-        let m = db.table("readings").unwrap().marginal(0, "value").unwrap();
+        let m = stored(&db, "readings").marginal(0, "value").unwrap();
         assert_eq!(m.to_string(), "Gaus(20,5)");
         // Certain-column update.
         db.execute("UPDATE readings SET rid = 42 WHERE rid = 3").unwrap();
-        assert_eq!(db.table("readings").unwrap().value(2, "rid").unwrap(), &Value::Int(42));
+        assert_eq!(stored(&db, "readings").value(2, "rid").unwrap(), &Value::Int(42));
         // Uncertain predicate rejected.
         assert!(db.execute("UPDATE readings SET rid = 1 WHERE value < 5").is_err());
         // Pdf into certain column rejected.
@@ -1397,7 +993,7 @@ mod tests {
 
     #[test]
     fn distinct_on_certain_columns() {
-        let mut db = Database::new();
+        let mut db = temp_session("distinct");
         db.execute("CREATE TABLE t (region TEXT, v REAL UNCERTAIN)").unwrap();
         db.execute(
             "INSERT INTO t VALUES ('a', GAUSSIAN(0,1)), ('a', GAUSSIAN(1,1)), \
@@ -1417,15 +1013,11 @@ mod tests {
 
     #[test]
     fn save_and_open_round_trip() {
-        let dir = orion_obs::scratch_dir("sql-persist");
-        let path = dir.join("db.orion");
-        {
-            let mut db = sensor_db();
-            db.execute("CREATE TABLE tags (rid INT, label TEXT)").unwrap();
-            db.execute("INSERT INTO tags VALUES (1, 'calibrated')").unwrap();
-            db.save(&path).unwrap();
-        }
-        let mut db = Database::open(&path).unwrap();
+        let mut db = sensor_db();
+        db.execute("CREATE TABLE tags (rid INT, label TEXT)").unwrap();
+        db.execute("INSERT INTO tags VALUES (1, 'calibrated')").unwrap();
+        db.db().checkpoint().unwrap();
+        let mut db = reopen(db);
         let out = db.execute("SELECT * FROM readings WHERE rid = 1").unwrap();
         match out {
             Output::Table(rel) => {
@@ -1440,21 +1032,16 @@ mod tests {
             Output::Table(rel) => assert_eq!(rel.len(), 1),
             other => panic!("wrong output: {other:?}"),
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn save_and_open_keeps_index_definitions() {
-        let dir = orion_obs::scratch_dir("sql-persist-ix");
-        let path = dir.join("db.orion");
-        {
-            let mut db = sensor_db();
-            db.execute("CREATE INDEX ix_val ON readings (value) USING cdf").unwrap();
-            db.execute("CREATE INDEX ix_rid ON readings (rid)").unwrap();
-            db.execute("DROP INDEX ix_rid").unwrap();
-            db.save(&path).unwrap();
-        }
-        let mut db = Database::open(&path).unwrap();
+        let mut db = sensor_db();
+        db.execute("CREATE INDEX ix_val ON readings (value) USING cdf").unwrap();
+        db.execute("CREATE INDEX ix_rid ON readings (rid)").unwrap();
+        db.execute("DROP INDEX ix_rid").unwrap();
+        db.db().checkpoint().unwrap();
+        let mut db = reopen(db);
         let Output::Table(rel) = db.execute("SELECT * FROM orion.indexes").unwrap() else {
             panic!("expected a table");
         };
@@ -1469,21 +1056,17 @@ mod tests {
             panic!("expected a table");
         };
         assert!(!rel.is_empty());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn save_and_open_round_trip_keeps_analyze_stats() {
-        let dir = orion_obs::scratch_dir("sql-persist-stats");
-        let path = dir.join("db.orion");
-        let saved = {
-            let mut db = sensor_db();
-            db.execute("ANALYZE readings").unwrap();
-            db.save(&path).unwrap();
-            db.stats_catalog().get("readings").unwrap().clone()
-        };
-        let mut db = Database::open(&path).unwrap();
-        let loaded = db.stats_catalog().get("readings").expect("stats survive save/open");
+        let mut db = sensor_db();
+        db.execute("ANALYZE readings").unwrap();
+        db.db().checkpoint().unwrap();
+        let saved = db.db().stats_catalog().get("readings").unwrap().clone();
+        let mut db = reopen(db);
+        let catalog = db.db().stats_catalog();
+        let loaded = catalog.get("readings").expect("stats survive save/open");
         assert_eq!(loaded, &saved);
         assert_eq!(loaded.encode(), saved.encode());
         // The reopened catalog feeds the virtual tables and the planner.
@@ -1494,7 +1077,6 @@ mod tests {
             }
             other => panic!("wrong output: {other:?}"),
         }
-        std::fs::remove_file(&path).ok();
     }
 
     /// Replaces the variable `time=...` token of each EXPLAIN ANALYZE row
@@ -1516,7 +1098,7 @@ mod tests {
 
     #[test]
     fn explain_analyze_golden_select_project_join() {
-        let mut db = Database::new();
+        let mut db = temp_session("golden");
         db.execute("CREATE TABLE l (id INT, x REAL UNCERTAIN)").unwrap();
         db.execute("CREATE TABLE r (id INT, y REAL UNCERTAIN)").unwrap();
         db.execute("INSERT INTO l VALUES (1, DISCRETE(1:0.5, 3:0.5))").unwrap();
@@ -1547,19 +1129,13 @@ mod tests {
         // select node's stats must then carry per-worker lanes, and the
         // result must match the serial run exactly.
         let opts = ExecOptions { threads: 2, morsel_size: 1, ..ExecOptions::default() };
-        let mut db = Database::with_options(opts);
-        db.execute("CREATE TABLE readings (rid INT, value REAL UNCERTAIN)").unwrap();
-        db.execute(
-            "INSERT INTO readings VALUES (1, GAUSSIAN(20, 5)), (2, GAUSSIAN(25, 4)), \
-             (3, GAUSSIAN(13, 1))",
-        )
-        .unwrap();
+        let mut serial = sensor_db();
+        let mut db = serial.query_db(opts);
         let out = db.execute("EXPLAIN ANALYZE SELECT rid FROM readings WHERE value < 20").unwrap();
         let Output::Explain { profile, .. } = out else { panic!("expected explain") };
         let text = profile.render(true);
         assert!(text.contains("workers=["), "no worker lanes in:\n{text}");
 
-        let mut serial = sensor_db();
         let Output::Table(a) = db.execute("SELECT rid FROM readings WHERE value < 20").unwrap()
         else {
             panic!("expected table")
@@ -1656,11 +1232,8 @@ mod tests {
         };
         assert_eq!(ts.table, "readings");
         assert_eq!(ts.rows, 3);
-        assert_eq!(db.stats_catalog().get("readings").unwrap(), &ts);
+        assert_eq!(db.db().stats_catalog().get("readings").unwrap(), &ts);
         assert!(db.execute("ANALYZE missing").is_err());
-        // DROP TABLE drops the stats along with the data.
-        db.execute("DROP TABLE readings").unwrap();
-        assert!(db.stats_catalog().get("readings").is_none());
     }
 
     #[test]
@@ -1725,6 +1298,7 @@ mod tests {
             rows: 3,
             ..Default::default()
         });
+        let mut db = db.query_db(ExecOptions::default());
         db.set_workload(Arc::clone(&repo));
         // Detached database: the new vtables render empty, not error.
         let mut bare = Database::new();
@@ -1824,7 +1398,6 @@ mod tests {
 
     #[test]
     fn orion_metrics_counts_only_its_own_engine() {
-        use crate::session::DurableSession;
         const N: i64 = 5;
         let (dir_a, dir_b) =
             (orion_obs::scratch_dir("metrics-a"), orion_obs::scratch_dir("metrics-b"));
@@ -1869,7 +1442,8 @@ mod tests {
 
     #[test]
     fn orion_io_is_queryable() {
-        let mut db = sensor_db();
+        // A detached runner: no engine behind it, so no txn / wal rows.
+        let mut db = Database::new();
         let Output::Table(rel) = db.execute("SELECT * FROM orion.metrics").unwrap() else {
             panic!("expected table")
         };
@@ -1928,12 +1502,6 @@ mod tests {
         assert_eq!(rel.value(1, "epoch").unwrap(), &Value::Int(1));
         db.execute("DROP INDEX ix_val").unwrap();
         assert!(db.execute("DROP INDEX ix_val").is_err(), "already dropped");
-        // DROP TABLE sweeps the catalog.
-        db.execute("DROP TABLE readings").unwrap();
-        let Output::Table(rel) = db.execute("SELECT * FROM orion.indexes").unwrap() else {
-            panic!("expected table")
-        };
-        assert_eq!(rel.len(), 0);
     }
 
     /// The access-path planner never changes results: an indexed threshold
@@ -1945,14 +1513,14 @@ mod tests {
             (0..60).map(|i| format!("({i}, GAUSSIAN({}, 2))", (i % 20) * 10)).collect();
         let sql_insert = format!("INSERT INTO t VALUES {}", rows.join(", "));
         let run = |planner: PlannerMode, indexed: bool| -> Vec<i64> {
-            let opts = ExecOptions { planner, ..ExecOptions::default() };
-            let mut db = Database::with_options(opts);
-            db.execute("CREATE TABLE t (rid INT, v REAL UNCERTAIN)").unwrap();
-            db.execute(&sql_insert).unwrap();
-            db.execute("ANALYZE t").unwrap();
+            let mut s = temp_session("indexed_threshold");
+            s.execute("CREATE TABLE t (rid INT, v REAL UNCERTAIN)").unwrap();
+            s.execute(&sql_insert).unwrap();
+            s.execute("ANALYZE t").unwrap();
             if indexed {
-                db.execute("CREATE INDEX ix_v ON t (v) USING cdf").unwrap();
+                s.execute("CREATE INDEX ix_v ON t (v) USING cdf").unwrap();
             }
+            let mut db = s.query_db(ExecOptions { planner, ..ExecOptions::default() });
             let out = db.execute("SELECT rid FROM t WHERE PROB(v > 150) > 0.5").unwrap();
             let Output::Table(rel) = out else { panic!("expected table") };
             (0..rel.len())
@@ -1967,14 +1535,12 @@ mod tests {
         assert_eq!(run(PlannerMode::Cost, true), scan);
         assert_eq!(run(PlannerMode::Rule, true), scan);
         // EXPLAIN prices both paths on the indexed session.
-        let mut db = Database::with_options(ExecOptions {
-            planner: PlannerMode::Cost,
-            ..Default::default()
-        });
-        db.execute("CREATE TABLE t (rid INT, v REAL UNCERTAIN)").unwrap();
-        db.execute(&sql_insert).unwrap();
-        db.execute("ANALYZE t").unwrap();
-        db.execute("CREATE INDEX ix_v ON t (v) USING cdf").unwrap();
+        let mut s = temp_session("indexed_explain");
+        s.execute("CREATE TABLE t (rid INT, v REAL UNCERTAIN)").unwrap();
+        s.execute(&sql_insert).unwrap();
+        s.execute("ANALYZE t").unwrap();
+        s.execute("CREATE INDEX ix_v ON t (v) USING cdf").unwrap();
+        let mut db = s.query_db(ExecOptions { planner: PlannerMode::Cost, ..Default::default() });
         let Output::Explain { profile, .. } =
             db.execute("EXPLAIN SELECT * FROM t WHERE PROB(v > 150) > 0.5").unwrap()
         else {
@@ -1983,5 +1549,55 @@ mod tests {
         let rendered = profile.render(false);
         assert!(rendered.contains("paths: scan="), "{rendered}");
         assert!(rendered.contains("index-threshold(ix_v)"), "{rendered}");
+    }
+
+    /// A session's read runner answers reads only: every write and
+    /// transaction statement is refused by name and leaves its view
+    /// untouched, and DROP TABLE does not parse. Only a detached runner
+    /// takes CREATE TABLE and INSERT, into its own tables.
+    #[test]
+    fn read_runner_refuses_writes() {
+        let mut s = sensor_db();
+        s.execute("CREATE INDEX ix_val ON readings (value)").unwrap();
+        s.execute("ANALYZE readings").unwrap();
+        let mut db = s.query_db(ExecOptions::default());
+        let state = |db: &Database| {
+            let mut names: Vec<&String> = db.tables.keys().collect();
+            names.sort();
+            let rows: Vec<_> = names.iter().map(|n| (n, db.tables[*n].tuples.to_vec())).collect();
+            let bases: Vec<_> =
+                db.reg.iter_bases().map(|(id, b)| (id, b.clone(), db.reg.ref_count(id))).collect();
+            let indexes = db
+                .opts
+                .indexes
+                .as_ref()
+                .map(|h| format!("{:?}", h.lock().defs().collect::<Vec<_>>()));
+            format!("{rows:?} {bases:?} {:?} {indexes:?}", db.stats.encode())
+        };
+        let before = state(&db);
+        for sql in [
+            "CREATE TABLE other (a INT)",
+            "INSERT INTO readings VALUES (4, GAUSSIAN(30, 2))",
+            "UPDATE readings SET rid = 9",
+            "DELETE FROM readings WHERE rid = 1",
+            "CREATE INDEX ix_rid ON readings (rid)",
+            "DROP INDEX ix_val",
+            "ANALYZE readings",
+            "BEGIN",
+            "COMMIT",
+            "ROLLBACK",
+        ] {
+            let err = db.execute(sql).unwrap_err();
+            let SqlError::Exec(msg) = &err else { panic!("{sql}: {err:?}") };
+            assert!(msg.contains("DurableSession"), "{sql}: {msg}");
+            assert_eq!(state(&db), before, "{sql} changed the view");
+        }
+        assert!(matches!(db.execute("DROP TABLE readings"), Err(SqlError::Parse(_))));
+        assert!(matches!(s.execute("DROP TABLE readings"), Err(SqlError::Parse(_))));
+        assert_eq!(stored(&s, "readings").len(), 3, "nothing reached the engine");
+        let mut detached = Database::new();
+        detached.execute("CREATE TABLE t (a INT, x REAL UNCERTAIN)").unwrap();
+        detached.execute("INSERT INTO t VALUES (1, GAUSSIAN(30, 2))").unwrap();
+        assert_eq!(detached.table("t").unwrap().len(), 1);
     }
 }

@@ -136,10 +136,6 @@ fn write_stmt(out: &mut String, stmt: &Statement) {
                 write_pred(out, p);
             }
         }
-        Statement::DropTable { name } => {
-            out.push_str("DROP TABLE ");
-            out.push_str(name);
-        }
         Statement::CreateIndex { name, table, column, kind } => {
             out.push_str("CREATE INDEX ");
             out.push_str(name);

@@ -15,30 +15,33 @@
 //!   and `PROB(pred)` select items, plus the `ECOUNT` / `ESUM` / `EAVG`
 //!   aggregates (Gaussian-approximated, Section I);
 //! * `UPDATE`, `DELETE`, `ORDER BY` (expectation order for uncertain
-//!   columns), `LIMIT`, certain-only `DISTINCT`, and whole-database
-//!   `save`/`open` persistence;
+//!   columns), `LIMIT` and certain-only `DISTINCT`;
 //! * `ANALYZE <table>` — collects per-column statistics (equi-depth
 //!   histograms, cdf-bound summaries and per-tuple cdf sketches for
-//!   uncertain columns, a tuple-existence histogram) into the session's
-//!   stats catalog;
+//!   uncertain columns, a tuple-existence histogram) into the engine's
+//!   durable stats catalog;
 //! * read-only system virtual tables in the reserved `orion.` namespace
 //!   (`orion.tables`, `orion.columns`, `orion.stats`, `orion.metrics`,
 //!   `orion.txns`, `orion.indexes`, `orion.statements`,
 //!   `orion.slow_queries`, `orion.plan_feedback`),
 //!   queryable and joinable like any user table;
-//! * `BEGIN` / `COMMIT` / `ROLLBACK` snapshot-isolation transactions on a
-//!   durable engine via [`DurableSession`] (DML outside a transaction
-//!   auto-commits with bounded conflict retry);
+//! * `BEGIN` / `COMMIT` / `ROLLBACK` snapshot-isolation transactions (DML
+//!   outside a transaction auto-commits with bounded conflict retry);
 //! * `EXPLAIN [ANALYZE] SELECT ...` — the executed operator tree with
 //!   planner cardinality estimates from the stats catalog (`est_rows`),
 //!   and, under `ANALYZE`, per-operator tuple counts, estimate-vs-actual
 //!   relative error, pdf-operation counts, and wall time (both forms
 //!   execute the query).
 //!
-//! ```
-//! use orion_sql::{Database, Output};
+//! Statements run through a [`DurableSession`] over a database directory:
+//! every write is logged and survives a restart. [`Database`] is the
+//! read-only runner each SELECT and EXPLAIN runs on. A throwaway database
+//! is a [`DurableSession::temporary`], whose scratch directory goes with it:
 //!
-//! let mut db = Database::new();
+//! ```
+//! use orion_sql::{DurableSession, Output};
+//!
+//! let mut db = DurableSession::temporary("doc-quickstart").unwrap();
 //! db.execute("CREATE TABLE readings (rid INT, value REAL UNCERTAIN)").unwrap();
 //! db.execute("INSERT INTO readings VALUES (1, GAUSSIAN(20, 5))").unwrap();
 //! let out = db.execute("SELECT * FROM readings WHERE PROB(value BETWEEN 18 AND 22) > 0.5").unwrap();

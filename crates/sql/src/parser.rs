@@ -139,14 +139,9 @@ impl Parser {
             let filter = if self.eat_kw("where") { Some(self.pred()?) } else { None };
             Ok(Statement::Delete { table, filter })
         } else if self.eat_kw("drop") {
-            if self.eat_kw("index") {
-                let name = self.ident("index name")?;
-                Ok(Statement::DropIndex { name })
-            } else {
-                self.expect_kw("table")?;
-                let name = self.ident("table name")?;
-                Ok(Statement::DropTable { name })
-            }
+            self.expect_kw("index")?;
+            let name = self.ident("index name")?;
+            Ok(Statement::DropIndex { name })
         } else if self.eat_kw("analyze") {
             let table = self.ident("table name")?;
             Ok(Statement::Analyze { table })
@@ -738,7 +733,8 @@ mod tests {
                 filter: Some(Pred::Cmp(Term::Col("rid".into()), CmpOp::Eq, Term::Num(3.0))),
             }
         );
-        assert_eq!(parse("DROP TABLE t;").unwrap(), Statement::DropTable { name: "t".into() });
+        // Tables are never dropped: DROP names only an index.
+        assert!(parse("DROP TABLE t;").is_err());
     }
 
     #[test]

@@ -171,11 +171,11 @@ fn render_grid(header: &[String], rows: &[Vec<String>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Database;
+    use crate::session::testing::temp_session;
 
     #[test]
     fn renders_sensor_table() {
-        let mut db = Database::new();
+        let mut db = temp_session("render_sensor");
         db.execute("CREATE TABLE r (rid INT, v REAL UNCERTAIN)").unwrap();
         db.execute("INSERT INTO r VALUES (1, GAUSSIAN(20, 5))").unwrap();
         let out = db.execute("SELECT * FROM r").unwrap();
@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn shows_existence_for_maybe_tuples() {
-        let mut db = Database::new();
+        let mut db = temp_session("render_maybe");
         db.execute("CREATE TABLE r (v REAL UNCERTAIN)").unwrap();
         db.execute("INSERT INTO r VALUES (DISCRETE(1:0.4))").unwrap();
         let out = db.execute("SELECT * FROM r").unwrap();
@@ -198,7 +198,7 @@ mod tests {
 
     #[test]
     fn renders_analyze_summary() {
-        let mut db = Database::new();
+        let mut db = temp_session("render_analyze");
         db.execute("CREATE TABLE r (rid INT, v REAL UNCERTAIN)").unwrap();
         db.execute("INSERT INTO r VALUES (1, GAUSSIAN(20, 5)), (2, GAUSSIAN(30, 5))").unwrap();
         let out = db.execute("ANALYZE r").unwrap();

@@ -19,21 +19,24 @@
 //!   committed state otherwise. Either view shares its tuples and history
 //!   segments copy-on-write, so taking it is O(tables + segments).
 //!
-//! `DROP TABLE` is not supported durably, and `ANALYZE` cannot run inside
-//! a transaction (statistics are session/engine state, not row data).
+//! This is the only place SQL writes: every CREATE TABLE, INSERT, UPDATE
+//! and DELETE is staged by `apply_dml`, and index DDL and `ANALYZE` go
+//! to the engine. A statement either takes effect whole or not at all,
+//! inside a transaction too. Tables are never dropped (the grammar has no
+//! `DROP TABLE`), and `ANALYZE` and index DDL cannot run inside a
+//! transaction (statistics and index definitions are engine state, not
+//! row data).
 
-use crate::ast::Statement;
+use crate::ast::{ColumnDef, InsertValue, PdfExpr, Statement};
 use crate::error::{Result, SqlError};
-use crate::exec::{
-    certain_eval, check_certain_pred, translate_assignments, translate_insert_row, translate_pred,
-    Assign, Database, Output, SYS_PREFIX,
-};
+use crate::exec::{translate_pred, Database, Output, SYS_PREFIX};
 use crate::fingerprint::fingerprint;
 use crate::parser::parse;
 use orion_core::prelude::*;
 use orion_core::tuple::PdfNode;
-use orion_obs::{ExecSample, ExecStats, OpProfile, SlowQuery};
-use std::path::Path;
+use orion_obs::{scratch_dir, ExecSample, ExecStats, OpProfile, SlowQuery};
+use orion_pdf::prelude::*;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,6 +55,18 @@ pub struct DurableSession {
     /// every query database when the workload repository is enabled so the
     /// statement repository can charge pdf work to statements.
     exec_stats: Arc<ExecStats>,
+    /// The scratch directory of a [`temporary`](Self::temporary) session.
+    /// Declared last so the engine closes before the directory is removed.
+    scratch: Option<ScratchDir>,
+}
+
+/// A scratch directory removed, with everything in it, when dropped.
+struct ScratchDir(PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
 }
 
 impl DurableSession {
@@ -67,9 +82,18 @@ impl DurableSession {
         Ok(Self::from_db(db))
     }
 
+    /// Opens a fresh database in a scratch directory named after `name`,
+    /// which is removed with everything in it when the session is dropped.
+    pub fn temporary(name: &str) -> Result<Self> {
+        let scratch = ScratchDir(scratch_dir(name));
+        let mut session = Self::open(&scratch.0)?;
+        session.scratch = Some(scratch);
+        Ok(session)
+    }
+
     /// Wraps an already-open shared engine.
     pub fn from_db(db: SharedDurableDb) -> Self {
-        DurableSession { db, txn: None, exec_stats: Arc::new(ExecStats::new()) }
+        DurableSession { db, txn: None, exec_stats: Arc::new(ExecStats::new()), scratch: None }
     }
 
     /// The underlying shared engine.
@@ -182,14 +206,9 @@ impl DurableSession {
                 Some(txn) => apply_dml(txn, dml),
                 None => self.autocommit(dml, retries),
             },
-            Statement::DropTable { .. } => Err(SqlError::Exec(
-                "DROP TABLE is not supported on durable sessions (deleted base tuples may \
-                 still anchor histories of derived data)"
-                    .into(),
-            )),
             Statement::CreateIndex { name, table, column, kind } => {
                 self.reject_in_txn("CREATE INDEX")?;
-                let kind = crate::exec::translate_index_kind(kind.as_deref())?;
+                let kind = translate_index_kind(kind.as_deref())?;
                 self.db.create_index(&name, &table, &column, kind)?;
                 Ok(Output::Ok)
             }
@@ -209,7 +228,7 @@ impl DurableSession {
                 Ok(Output::Analyze(self.db.analyze_table(&table)?))
             }
             read => {
-                let mut qdb = self.query_db();
+                let mut qdb = self.query_db(ExecOptions::default());
                 let out = qdb.run(read);
                 *profile = qdb.take_profile();
                 out
@@ -250,18 +269,19 @@ impl DurableSession {
         }
     }
 
-    /// Builds the per-statement query database: a point-in-time view of
-    /// the current state (the transaction's view, own writes included, or
-    /// the committed state) with the engine's durable stats catalog and its
-    /// IO / transaction registries attached for the `orion.*` system
-    /// tables. The view shares tuple storage and registry segments with
-    /// the state it was taken from; taking it copies pointers only.
-    fn query_db(&mut self) -> Database {
+    /// Builds the per-statement query database every read runs on, with
+    /// execution options `opts`: a point-in-time view of the current state
+    /// (the transaction's view, own writes included, or the committed
+    /// state) with the engine's durable stats catalog and its IO /
+    /// transaction registries attached for the `orion.*` system tables.
+    /// The view shares tuple storage and registry segments with the state
+    /// it was taken from; taking it copies pointers only.
+    pub fn query_db(&mut self, opts: ExecOptions) -> Database {
         let (tables, reg) = match self.txn.as_mut() {
             Some(txn) => txn.with_view(|t, r| (t.clone(), r.clone())),
             None => self.db.with_tables(|t, r| (t.clone(), r.clone())),
         };
-        let mut qdb = Database::new();
+        let mut qdb = Database::with_options(opts);
         for rel in tables.into_values() {
             qdb.register_table(rel);
         }
@@ -288,35 +308,20 @@ impl DurableSession {
     }
 }
 
-/// Stages one DML statement into a transaction.
+/// Stages one DML statement into a transaction. A statement that fails
+/// stages nothing: every INSERT row is translated before the first is
+/// staged, and a translated row always fits its table.
 fn apply_dml(txn: &mut Txn, stmt: Statement) -> Result<Output> {
     match stmt {
         Statement::CreateTable { name, columns, correlated } => {
-            if name.starts_with(SYS_PREFIX) {
-                return Err(SqlError::Exec(format!(
-                    "the '{SYS_PREFIX}' namespace is reserved for system tables"
-                )));
-            }
-            let cols: Vec<(&str, ColumnType, bool)> =
-                columns.iter().map(|c| (c.name.as_str(), c.ty, c.uncertain)).collect();
-            let groups: Vec<Vec<&str>> =
-                correlated.iter().map(|g| g.iter().map(|s| s.as_str()).collect()).collect();
-            let schema = ProbSchema::new(cols, groups)?;
-            txn.create_table(&name, schema)?;
+            txn.create_table(&name, table_schema(&name, &columns, &correlated)?)?;
             Ok(Output::Ok)
         }
         Statement::Insert { table, rows } => {
             let n = rows.len();
             let schema = txn.schema(&table)?.clone();
-            for row in rows {
-                let (certain, uncertain) = translate_insert_row(&schema, row)?;
-                let certain_refs: Vec<(&str, Value)> =
-                    certain.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-                let uncertain_refs: Vec<(Vec<&str>, orion_pdf::prelude::JointPdf)> = uncertain
-                    .iter()
-                    .map(|(ns, j)| (ns.iter().map(|s| s.as_str()).collect(), j.clone()))
-                    .collect();
-                txn.insert(&table, &certain_refs, uncertain_refs)?;
+            for (certain, uncertain) in translate_rows(&schema, rows)? {
+                txn.insert(&table, &certain, uncertain)?;
             }
             Ok(Output::Count(n))
         }
@@ -374,6 +379,231 @@ fn apply_dml(txn: &mut Txn, stmt: Statement) -> Result<Output> {
             Ok(Output::Count(updated))
         }
         other => unreachable!("apply_dml only receives DML, got {other:?}"),
+    }
+}
+
+/// The schema of `CREATE TABLE name (...)`; the system namespace is
+/// reserved.
+pub(crate) fn table_schema(
+    name: &str,
+    columns: &[ColumnDef],
+    correlated: &[Vec<String>],
+) -> Result<ProbSchema> {
+    if name.starts_with(SYS_PREFIX) {
+        return Err(SqlError::Exec(format!(
+            "the '{SYS_PREFIX}' namespace is reserved for system tables"
+        )));
+    }
+    let cols: Vec<(&str, ColumnType, bool)> =
+        columns.iter().map(|c| (c.name.as_str(), c.ty, c.uncertain)).collect();
+    let groups: Vec<Vec<&str>> =
+        correlated.iter().map(|g| g.iter().map(|s| s.as_str()).collect()).collect();
+    Ok(ProbSchema::new(cols, groups)?)
+}
+
+/// One translated INSERT row, in the form [`Relation::insert`] takes: the
+/// certain `(column, value)` pairs and one `(column names, joint pdf)`
+/// entry per dependency group, naming columns by the schema's strings.
+pub(crate) type Row<'s> = (Vec<(&'s str, Value)>, Vec<(Vec<&'s str>, JointPdf)>);
+
+/// Translates every row of an INSERT against `schema`, failing on the
+/// first bad one before any is used.
+pub(crate) fn translate_rows(
+    schema: &ProbSchema,
+    rows: Vec<Vec<InsertValue>>,
+) -> Result<Vec<Row<'_>>> {
+    rows.into_iter().map(|row| translate_insert_row(schema, row)).collect()
+}
+
+/// Translates one INSERT row against a schema. Walks columns in order; a
+/// correlated group consumes ONE value (a JOINT constructor) at the
+/// position of its first column.
+fn translate_insert_row(schema: &ProbSchema, row: Vec<InsertValue>) -> Result<Row<'_>> {
+    let mut certain = Vec::new();
+    let mut uncertain = Vec::new();
+    let mut vals = row.into_iter();
+    let mut consumed: Vec<AttrId> = Vec::new();
+    for col in schema.columns() {
+        if consumed.contains(&col.id) {
+            continue;
+        }
+        let v = vals.next().ok_or_else(|| SqlError::Exec("too few values in INSERT".into()))?;
+        if !col.uncertain {
+            certain.push((col.name.as_str(), certain_literal(&v, col)?));
+            continue;
+        }
+        // Uncertain: which dependency group does this column lead?
+        let group = dep_group(schema, col.id);
+        let names: Vec<&str> = group
+            .iter()
+            .map(|id| schema.column_by_id(*id).expect("dep attr visible").name.as_str())
+            .collect();
+        consumed.extend(&group);
+        let joint = match v {
+            InsertValue::Pdf(expr) => build_joint(&expr, group.len())?,
+            InsertValue::Number(n) => {
+                if group.len() != 1 {
+                    return Err(SqlError::Exec(format!(
+                        "correlated group led by '{}' needs a JOINT(...) value",
+                        col.name
+                    )));
+                }
+                JointPdf::from_pdf1(Pdf1::certain(n))
+            }
+            other => {
+                return Err(SqlError::Exec(format!(
+                    "uncertain column '{}' needs a pdf, got {other:?}",
+                    col.name
+                )))
+            }
+        };
+        uncertain.push((names, joint));
+    }
+    if vals.next().is_some() {
+        return Err(SqlError::Exec("too many values in INSERT".into()));
+    }
+    Ok((certain, uncertain))
+}
+
+/// One pre-validated UPDATE assignment.
+enum Assign {
+    /// Overwrite the certain value at this tuple index.
+    Certain(usize, Value),
+    /// Replace the node covering this dependency group with a fresh base
+    /// pdf (new history).
+    Node(Vec<AttrId>, JointPdf),
+}
+
+/// Pre-validates and pre-builds UPDATE assignments against a schema.
+/// Updating one member of a correlated group is rejected — supply the
+/// whole group via JOINT.
+fn translate_assignments(
+    schema: &ProbSchema,
+    sets: &[(String, InsertValue)],
+) -> Result<Vec<Assign>> {
+    let mut assigns = Vec::with_capacity(sets.len());
+    for (col_name, v) in sets {
+        let col = schema
+            .column(col_name)
+            .ok_or_else(|| SqlError::Exec(format!("unknown column '{col_name}'")))?;
+        if !col.uncertain {
+            let val = certain_literal(v, col)?;
+            assigns.push(Assign::Certain(schema.index_of(col_name).expect("column exists"), val));
+            continue;
+        }
+        let group = dep_group(schema, col.id);
+        let joint = match v {
+            InsertValue::Pdf(expr) => build_joint(expr, group.len())?,
+            InsertValue::Number(n) if group.len() == 1 => JointPdf::from_pdf1(Pdf1::certain(*n)),
+            other => {
+                return Err(SqlError::Exec(format!(
+                    "uncertain column '{col_name}' needs a pdf \
+                     (its correlated group has {} columns), got {other:?}",
+                    group.len()
+                )))
+            }
+        };
+        assigns.push(Assign::Node(group, joint));
+    }
+    Ok(assigns)
+}
+
+/// Coerces an INSERT/UPDATE literal for a certain column.
+fn certain_literal(v: &InsertValue, col: &Column) -> Result<Value> {
+    Ok(match v {
+        InsertValue::Null => Value::Null,
+        InsertValue::Number(n) => match col.ty {
+            ColumnType::Int => Value::Int(*n as i64),
+            _ => Value::Real(*n),
+        },
+        InsertValue::Text(s) => Value::Text(s.clone()),
+        InsertValue::Bool(b) => Value::Bool(*b),
+        InsertValue::Pdf(_) => {
+            return Err(SqlError::Exec(format!("column '{}' is certain; got a pdf", col.name)))
+        }
+    })
+}
+
+/// The dependency group a column belongs to (itself when independent).
+fn dep_group(schema: &ProbSchema, id: AttrId) -> Vec<AttrId> {
+    schema.deps().iter().find(|g| g.contains(&id)).cloned().unwrap_or_else(|| vec![id])
+}
+
+/// Resolves an optional `USING <kind>` clause to an [`IndexKind`].
+fn translate_index_kind(kind: Option<&str>) -> Result<Option<IndexKind>> {
+    match kind {
+        None => Ok(None),
+        Some(s) => IndexKind::parse(s).map(Some).ok_or_else(|| {
+            SqlError::Exec(format!("unknown index kind '{s}' (expected 'evx' or 'cdf')"))
+        }),
+    }
+}
+
+/// Rejects DML predicates that touch uncertain columns (a tuple is either
+/// affected or not; probabilistic DML would need user-specified
+/// semantics).
+fn check_certain_pred(schema: &ProbSchema, p: &Predicate, stmt: &str) -> Result<()> {
+    for c in p.columns() {
+        match schema.column(&c) {
+            None => return Err(SqlError::Exec(format!("unknown column '{c}'"))),
+            Some(col) if col.uncertain => {
+                let hint = if stmt == "DELETE" {
+                    "; use PROB() thresholds with SELECT instead"
+                } else {
+                    ""
+                };
+                return Err(SqlError::Exec(format!(
+                    "{stmt} predicates must use certain columns ('{c}' is uncertain){hint}"
+                )));
+            }
+            Some(_) => {}
+        }
+    }
+    Ok(())
+}
+
+/// Evaluates a certain-column predicate against one tuple.
+fn certain_eval(schema: &ProbSchema, t: &ProbTuple, p: &Predicate) -> bool {
+    let lookup = |name: &str| -> Value {
+        schema.index_of(name).map(|i| t.certain[i].clone()).unwrap_or(Value::Null)
+    };
+    p.eval(&lookup) == Some(true)
+}
+
+/// Builds the joint pdf for one dependency group from a constructor.
+fn build_joint(expr: &PdfExpr, group_arity: usize) -> Result<JointPdf> {
+    let single = |p: Pdf1| -> Result<JointPdf> {
+        if group_arity != 1 {
+            return Err(SqlError::Exec(format!(
+                "correlated group of {group_arity} columns needs a JOINT(...) value"
+            )));
+        }
+        Ok(JointPdf::from_pdf1(p))
+    };
+    match expr {
+        PdfExpr::Gaussian(m, v) => single(Pdf1::gaussian(*m, *v)?),
+        PdfExpr::Uniform(a, b) => single(Pdf1::uniform(*a, *b)?),
+        PdfExpr::Exponential(r) => single(Pdf1::symbolic(Symbolic::exponential(*r)?)),
+        PdfExpr::Poisson(l) => single(Pdf1::symbolic(Symbolic::poisson(*l)?)),
+        PdfExpr::Binomial(n, p) => single(Pdf1::symbolic(Symbolic::binomial(*n, *p)?)),
+        PdfExpr::Bernoulli(p) => single(Pdf1::symbolic(Symbolic::bernoulli(*p)?)),
+        PdfExpr::Geometric(p) => single(Pdf1::symbolic(Symbolic::geometric(*p)?)),
+        PdfExpr::Discrete(pts) => single(Pdf1::discrete(pts.clone())?),
+        PdfExpr::Histogram { lo, width, masses } => {
+            single(Pdf1::histogram(*lo, *width, masses.clone())?)
+        }
+        PdfExpr::Joint(pts) => {
+            if pts.is_empty() {
+                return Err(SqlError::Exec("JOINT needs at least one point".into()));
+            }
+            let arity = pts[0].0.len();
+            if arity != group_arity {
+                return Err(SqlError::Exec(format!(
+                    "JOINT arity {arity} does not match correlated group of {group_arity}"
+                )));
+            }
+            Ok(JointPdf::from_points(JointDiscrete::from_points(arity, pts.clone())?))
+        }
     }
 }
 
@@ -463,14 +693,14 @@ mod tests {
         s.execute("INSERT INTO t VALUES (1, UNIFORM(0, 1)), (2, UNIFORM(1, 2))").unwrap();
         let committed = s.db().with_tables(|t, _| Arc::clone(&t["t"].tuples));
         let shares = |s: &mut DurableSession| {
-            Arc::ptr_eq(&s.query_db().table("t").unwrap().tuples, &committed)
+            Arc::ptr_eq(&s.query_db(ExecOptions::default()).table("t").unwrap().tuples, &committed)
         };
         assert!(shares(&mut s), "a SELECT copies no tuple");
         s.execute("BEGIN").unwrap();
         assert!(shares(&mut s), "nor does one inside a transaction that wrote nothing");
         s.execute("INSERT INTO t VALUES (3, UNIFORM(2, 3))").unwrap();
         assert!(!shares(&mut s), "reading after writing reads a private copy");
-        assert_eq!(s.query_db().table("t").unwrap().len(), 3);
+        assert_eq!(s.query_db(ExecOptions::default()).table("t").unwrap().len(), 3);
         s.execute("ROLLBACK").unwrap();
         assert_eq!(committed.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
@@ -523,10 +753,36 @@ mod tests {
         assert!(s.execute("ANALYZE t").is_err(), "analyze inside txn");
         s.execute("ROLLBACK").unwrap();
         assert!(s.execute("DROP TABLE t").is_err(), "drop unsupported");
-        // Plain in-memory Database refuses transaction statements.
-        let mut mem = Database::new();
-        assert!(mem.execute("BEGIN").is_err());
+        // The read runner a session builds refuses transaction statements.
+        let mut reader = s.query_db(ExecOptions::default());
+        assert!(reader.execute("BEGIN").is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_insert_in_txn_stages_nothing() {
+        let mut s = testing::temp_session("atomic_insert");
+        s.execute("CREATE TABLE t (a INT, x REAL UNCERTAIN)").unwrap();
+        let rows = |s: &mut DurableSession| {
+            let Output::Table(rel) = s.execute("SELECT a FROM t").unwrap() else { panic!("table") };
+            (0..rel.len()).map(|i| rel.value(i, "a").unwrap().clone()).collect::<Vec<_>>()
+        };
+        // The second row is short, so the statement fails as a whole.
+        let bad = "INSERT INTO t VALUES (1, GAUSSIAN(0, 1)), (2)";
+        s.execute("BEGIN").unwrap();
+        let err = s.execute(bad).unwrap_err();
+        assert!(err.to_string().contains("too few values"), "{err}");
+        s.execute("COMMIT").unwrap();
+        assert_eq!(rows(&mut s), vec![], "the failed INSERT staged no row");
+        // An earlier statement of the same transaction survives it.
+        s.execute("BEGIN").unwrap();
+        s.execute("INSERT INTO t VALUES (3, GAUSSIAN(3, 1))").unwrap();
+        assert!(s.execute(bad).is_err());
+        s.execute("COMMIT").unwrap();
+        assert_eq!(rows(&mut s), vec![Value::Int(3)]);
+        assert!(s.execute(bad).is_err(), "autocommit");
+        assert_eq!(rows(&mut s), vec![Value::Int(3)]);
+        s.db().check_invariants().unwrap();
     }
 
     #[test]
@@ -744,5 +1000,32 @@ mod tests {
         let mut reopened = DurableSession::open(&dir).unwrap();
         assert_planned_with_stats(&mut reopened, "after reopen");
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Helpers for the crate's unit tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::DurableSession;
+    use orion_core::prelude::Relation;
+
+    /// A session over a fresh scratch directory named after `name`.
+    pub(crate) fn temp_session(name: &str) -> DurableSession {
+        DurableSession::temporary(&format!("sql-test-{name}")).unwrap()
+    }
+
+    /// Closes the engine of a temporary session and opens its directory
+    /// again (recovery runs).
+    pub(crate) fn reopen(mut session: DurableSession) -> DurableSession {
+        let scratch = session.scratch.take().expect("a temporary session");
+        drop(session);
+        let mut session = DurableSession::open(&scratch.0).unwrap();
+        session.scratch = Some(scratch);
+        session
+    }
+
+    /// A copy of the committed table `name`.
+    pub(crate) fn stored(session: &DurableSession, name: &str) -> Relation {
+        session.db().with_tables(|t, _| t[name].clone())
     }
 }

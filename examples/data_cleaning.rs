@@ -3,16 +3,17 @@
 //!
 //! Shows discrete uncertainty living natively next to continuous pdfs,
 //! maybe-tuples via partial pdfs, and deletion with phantom-node history
-//! preservation.
+//! preservation. The database lives in a scratch directory that is removed
+//! when the example ends.
 //!
 //! Run with: `cargo run -p orion-examples --bin data_cleaning`
 
 use orion_examples::{banner, run_and_show};
-use orion_sql::Database;
+use orion_sql::DurableSession;
 
 fn main() {
     banner("Data cleaning: candidate repairs as discrete pdfs");
-    let mut db = Database::new();
+    let mut db = DurableSession::temporary("data_cleaning").expect("open a scratch database");
     run_and_show(&mut db, "CREATE TABLE invoices (inv INT, amount REAL UNCERTAIN, region TEXT)");
     // Three dirty rows: OCR produced candidate amounts with confidences.
     run_and_show(

@@ -1,9 +1,9 @@
 //! Shared helpers for the Orion-RS example binaries.
 
-use orion_sql::{render_output, Database, Output};
+use orion_sql::{render_output, DurableSession, Output};
 
 /// Executes a statement, printing the SQL and its rendered result.
-pub fn run_and_show(db: &mut Database, sql: &str) -> Output {
+pub fn run_and_show(db: &mut DurableSession, sql: &str) -> Output {
     println!("orion> {sql}");
     let out = db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
     println!("{}\n", render_output(&out).expect("renderable output"));

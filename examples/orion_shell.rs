@@ -1,37 +1,39 @@
 //! An interactive Orion SQL shell.
 //!
 //! ```text
-//! cargo run -p orion-examples --bin orion_shell [-- database.orion]
+//! cargo run -p orion-examples --bin orion_shell [-- DATABASE_DIR]
 //! ```
 //!
-//! Reads statements from stdin (terminated by `;`), executes them against
-//! an in-memory database, and renders results. Meta-commands:
+//! Reads statements from stdin (terminated by `;`), executes them through a
+//! durable session over `DATABASE_DIR` (created if absent), and renders
+//! results. Every statement is durable as soon as it returns; reopening the
+//! directory recovers it. Without a directory the database lives in a
+//! scratch directory that is removed at exit. Meta-commands:
 //!
-//! * `\tables` — list tables with tuple counts;
-//! * `\save PATH` / `\open PATH` — persist / load the whole database;
+//! * `\tables` — list tables with tuple counts (a query on `orion.tables`);
 //! * `\quit` — exit (also Ctrl-D).
-//!
-//! If a path is given on the command line and exists, it is opened; on
-//! exit the database is saved back to it.
 
-use orion_sql::{render_output, Database};
+use orion_sql::{render_output, DurableSession};
 use std::io::{BufRead, Write};
+use std::path::PathBuf;
+use std::process::ExitCode;
 
-fn main() {
-    let path = std::env::args().nth(1).map(std::path::PathBuf::from);
-    let mut db = match &path {
-        Some(p) if p.exists() => match Database::open(p) {
-            Ok(db) => {
-                eprintln!("opened {}", p.display());
-                db
-            }
-            Err(e) => {
-                eprintln!("cannot open {}: {e}", p.display());
-                std::process::exit(1);
-            }
-        },
-        _ => Database::new(),
+fn main() -> ExitCode {
+    let arg = std::env::args().nth(1).map(PathBuf::from);
+    let opened = match &arg {
+        Some(dir) => DurableSession::open(dir),
+        None => DurableSession::temporary("orion-shell"),
     };
+    let mut db = match opened {
+        Ok(db) => db,
+        Err(e) => {
+            eprintln!("cannot open the database: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if let Some(dir) = &arg {
+        eprintln!("opened {}", dir.display());
+    }
 
     eprintln!("Orion-RS SQL shell — end statements with ';', \\quit to exit");
     let stdin = std::io::stdin();
@@ -45,9 +47,10 @@ fn main() {
         };
         let trimmed = line.trim();
         if buffer.is_empty() && trimmed.starts_with('\\') {
-            match run_meta(&mut db, trimmed) {
-                MetaResult::Continue => {}
-                MetaResult::Quit => break,
+            match trimmed {
+                "\\quit" | "\\q" => break,
+                "\\tables" => run(&mut db, "SELECT tbl, rows FROM orion.tables"),
+                other => eprintln!("unknown meta-command '{other}' (try \\tables, \\quit)"),
             }
             print!("orion> ");
             std::io::stdout().flush().ok();
@@ -57,66 +60,22 @@ fn main() {
         buffer.push('\n');
         if trimmed.ends_with(';') {
             let stmt = std::mem::take(&mut buffer);
-            match db.execute(&stmt) {
-                Ok(out) => match render_output(&out) {
-                    Ok(text) => println!("{text}"),
-                    Err(e) => eprintln!("render error: {e}"),
-                },
-                Err(e) => eprintln!("error: {e}"),
-            }
+            run(&mut db, &stmt);
         }
         let prompt = if buffer.is_empty() { "orion> " } else { "   ... " };
         print!("{prompt}");
         std::io::stdout().flush().ok();
     }
-    if let Some(p) = path {
-        match db.save(&p) {
-            Ok(()) => eprintln!("\nsaved {}", p.display()),
-            Err(e) => eprintln!("\nsave failed: {e}"),
-        }
-    }
+    ExitCode::SUCCESS
 }
 
-enum MetaResult {
-    Continue,
-    Quit,
-}
-
-fn run_meta(db: &mut Database, cmd: &str) -> MetaResult {
-    let mut parts = cmd.splitn(2, ' ');
-    match parts.next().unwrap_or("") {
-        "\\quit" | "\\q" => return MetaResult::Quit,
-        "\\tables" => {
-            // Render via a throwaway query per table name is wasteful;
-            // Database exposes direct table access instead.
-            let mut names = db.table_names();
-            names.sort();
-            if names.is_empty() {
-                println!("(no tables)");
-            }
-            for n in names {
-                let len = db.table(&n).map(|r| r.len()).unwrap_or(0);
-                println!("{n}  ({len} tuples)");
-            }
-        }
-        "\\save" => match parts.next() {
-            Some(p) => match db.save(std::path::Path::new(p.trim())) {
-                Ok(()) => println!("saved {p}"),
-                Err(e) => eprintln!("save failed: {e}"),
-            },
-            None => eprintln!("usage: \\save PATH"),
+/// Executes one statement, printing its rendered result or the error.
+fn run(db: &mut DurableSession, sql: &str) {
+    match db.execute(sql) {
+        Ok(out) => match render_output(&out) {
+            Ok(text) => println!("{text}"),
+            Err(e) => eprintln!("render error: {e}"),
         },
-        "\\open" => match parts.next() {
-            Some(p) => match Database::open(std::path::Path::new(p.trim())) {
-                Ok(loaded) => {
-                    *db = loaded;
-                    println!("opened {p}");
-                }
-                Err(e) => eprintln!("open failed: {e}"),
-            },
-            None => eprintln!("usage: \\open PATH"),
-        },
-        other => eprintln!("unknown meta-command '{other}' (try \\tables, \\save, \\open, \\quit)"),
+        Err(e) => eprintln!("error: {e}"),
     }
-    MetaResult::Continue
 }

@@ -2,16 +2,17 @@
 //!
 //! Creates an uncertain relation, inserts symbolic Gaussian readings,
 //! and runs certain selections, uncertain (flooring) selections, and
-//! probabilistic threshold range queries.
+//! probabilistic threshold range queries. The database lives in a scratch
+//! directory that is removed when the example ends.
 //!
 //! Run with: `cargo run -p orion-examples --bin quickstart`
 
 use orion_examples::{banner, run_and_show};
-use orion_sql::Database;
+use orion_sql::DurableSession;
 
 fn main() {
     banner("Orion-RS quickstart: probabilistic attributes in SQL");
-    let mut db = Database::new();
+    let mut db = DurableSession::temporary("quickstart").expect("open a scratch database");
 
     // The paper's Table I: sensor locations with Gaussian error.
     run_and_show(&mut db, "CREATE TABLE sensors (id INT, location REAL UNCERTAIN)");

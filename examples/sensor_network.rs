@@ -4,18 +4,19 @@
 //! Demonstrates the evaluation workload of the paper's Section IV at
 //! application scale: symbolic pdfs in storage, threshold range queries,
 //! floors composing across repeated selections, and the accuracy gap
-//! against discretized storage.
+//! against discretized storage. The database lives in a scratch directory
+//! that is removed when the example ends.
 //!
 //! Run with: `cargo run -p orion-examples --bin sensor_network`
 
 use orion_examples::banner;
 use orion_pdf::prelude::*;
-use orion_sql::{render_output, Database};
+use orion_sql::{render_output, DurableSession};
 use orion_workload::SensorWorkload;
 
 fn main() {
     banner("Sensor network: 500 uncertain readings");
-    let mut db = Database::new();
+    let mut db = DurableSession::temporary("sensor_network").expect("open a scratch database");
     db.execute("CREATE TABLE readings (rid INT, temp REAL UNCERTAIN)").unwrap();
 
     // Bulk-insert workload readings through SQL.
@@ -49,7 +50,6 @@ fn main() {
     banner("Floors compose: temp > 40 then temp < 60 leaves a window");
     db.execute("CREATE TABLE window (rid INT, temp REAL UNCERTAIN)").unwrap();
     db.execute("INSERT INTO window VALUES (1, GAUSSIAN(50, 100))").unwrap();
-    db.execute("DROP TABLE window").unwrap();
     let exact = Pdf1::gaussian(50.0, 100.0).unwrap();
     let floored = exact
         .floor_region(&RegionSet::from_interval(Interval::at_most(40.0)))

@@ -55,9 +55,18 @@ echo "== ANALYZE + system-table smoke =="
 # collection, the schema-stable orion.* virtual tables, and the gate that
 # fails when one engine's orion.metrics rows count another engine's
 # commits, conflicts or fsyncs.
-cargo test -q -p orion-sql analyze_statement_collects_and_installs_stats
-cargo test -q -p orion-sql every_system_table_is_queryable_with_stable_schema
-cargo test -q -p orion-sql orion_metrics_counts_only_its_own_engine
+# `cargo test NAME` exits 0 when NAME matches no test, so a renamed test
+# would drop out of this stage silently: each name must run at least one.
+for name in analyze_statement_collects_and_installs_stats \
+    every_system_table_is_queryable_with_stable_schema \
+    orion_metrics_counts_only_its_own_engine; do
+    out=$(cargo test -q -p orion-sql "$name" 2>&1) || { echo "$out"; exit 1; }
+    echo "$out"
+    if ! grep -Eq 'test result: ok\. [1-9][0-9]* passed' <<<"$out"; then
+        echo "check.sh: no orion-sql test matched '$name'" >&2
+        exit 1
+    fi
+done
 
 echo "== cargo test -q (fault injection, fixed seeds) =="
 cargo test -q -p orion-storage -p orion-core -p orion-tests --features failpoints

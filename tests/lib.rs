@@ -3,6 +3,7 @@
 use orion_core::durable::{SNAPSHOT_FILE, WAL_FILE};
 use orion_core::prelude::*;
 use orion_pdf::prelude::*;
+use orion_sql::DurableSession;
 use orion_storage::codec::encode_joint;
 use orion_storage::GroupCommitConfig;
 use std::collections::HashMap;
@@ -10,6 +11,16 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 pub use orion_obs::scratch_dir;
+
+/// A copy of the committed table `name` of a session's engine.
+pub fn stored(session: &DurableSession, name: &str) -> Relation {
+    session.db().with_tables(|t, _| t[name].clone())
+}
+
+/// A copy of every committed table of a session's engine, keyed by name.
+pub fn stored_tables(session: &DurableSession) -> HashMap<String, Relation> {
+    session.db().with_tables(|t, _| t.clone())
+}
 
 /// Builds the paper's Table II relation and its registry.
 pub fn table2() -> (HashMap<String, Relation>, HistoryRegistry) {

@@ -8,7 +8,7 @@
 
 use orion_core::prelude::*;
 use orion_obs::{json, validate_chrome_trace};
-use orion_sql::{Database, Output};
+use orion_sql::{DurableSession, Output};
 
 /// `(sorted lane names, complete spans)` of one Chrome trace file. Workers
 /// open their lanes in whatever order they start, so the names are sorted.
@@ -29,15 +29,17 @@ fn lanes_and_spans(path: &str) -> (Vec<String>, usize) {
 
 #[test]
 fn repeated_explain_trace_keeps_lane_registry_bounded() {
-    let opts = ExecOptions { threads: 4, morsel_size: 1, ..ExecOptions::default() };
-    let mut db = Database::with_options(opts);
-    db.execute("CREATE TABLE readings (rid INT, value REAL UNCERTAIN)").unwrap();
-    db.execute(
-        "INSERT INTO readings VALUES (1, GAUSSIAN(20, 5)), (2, GAUSSIAN(25, 4)), \
+    let mut session = DurableSession::temporary("trace_lanes").unwrap();
+    session.execute("CREATE TABLE readings (rid INT, value REAL UNCERTAIN)").unwrap();
+    session
+        .execute(
+            "INSERT INTO readings VALUES (1, GAUSSIAN(20, 5)), (2, GAUSSIAN(25, 4)), \
          (3, GAUSSIAN(13, 1)), (4, GAUSSIAN(30, 2)), (5, GAUSSIAN(17, 3)), \
          (6, GAUSSIAN(22, 2)), (7, GAUSSIAN(11, 1)), (8, GAUSSIAN(28, 4))",
-    )
-    .unwrap();
+        )
+        .unwrap();
+    let opts = ExecOptions { threads: 4, morsel_size: 1, ..ExecOptions::default() };
+    let mut db = session.query_db(opts);
     let mut files = Vec::new();
     for _ in 0..3 {
         let out = db.execute("EXPLAIN TRACE SELECT rid FROM readings WHERE value < 20").unwrap();

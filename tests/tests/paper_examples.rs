@@ -5,8 +5,8 @@ use orion_core::plan::Plan;
 use orion_core::prelude::*;
 use orion_core::pws::{pws_row_distribution, CanonValue};
 use orion_pdf::prelude::*;
-use orion_sql::{Database, Output};
-use orion_tests::table2;
+use orion_sql::{DurableSession, Output};
+use orion_tests::{stored, table2};
 
 fn real_row(vals: &[f64]) -> Vec<CanonValue> {
     vals.iter().map(|v| CanonValue::Real(v.to_bits())).collect()
@@ -15,14 +15,14 @@ fn real_row(vals: &[f64]) -> Vec<CanonValue> {
 #[test]
 fn table1_sensor_database() {
     // Table I: three sensors with Gaus(20,5), Gaus(25,4), Gaus(13,1).
-    let mut db = Database::new();
+    let mut db = DurableSession::temporary("paper-table1").unwrap();
     db.execute("CREATE TABLE sensors (id INT, location REAL UNCERTAIN)").unwrap();
     db.execute(
         "INSERT INTO sensors VALUES (1, GAUSSIAN(20, 5)), (2, GAUSSIAN(25, 4)), \
          (3, GAUSSIAN(13, 1))",
     )
     .unwrap();
-    let rel = db.table("sensors").unwrap();
+    let rel = stored(&db, "sensors");
     assert_eq!(rel.len(), 3);
     for (i, (m, v)) in [(20.0, 5.0), (25.0, 4.0), (13.0, 1.0)].iter().enumerate() {
         let pdf = rel.marginal(i, "location").unwrap();
@@ -86,7 +86,7 @@ fn section_3c_selection_example() {
 
 #[test]
 fn table4_missing_values_vs_missing_tuples() {
-    let mut db = Database::new();
+    let mut db = DurableSession::temporary("paper-table4").unwrap();
     db.execute("CREATE TABLE t (a INT, b REAL UNCERTAIN, c REAL UNCERTAIN, CORRELATED (b, c))")
         .unwrap();
     // Missing *attribute values*: the tuple certainly exists but b, c are
@@ -95,7 +95,7 @@ fn table4_missing_values_vs_missing_tuples() {
     db.execute("INSERT INTO t VALUES (1, JOINT((2, 3):0.8, (0, 0):0.2))").unwrap();
     // Missing *tuple*: partial pdf summing to 0.8 (closed world).
     db.execute("INSERT INTO t VALUES (2, JOINT((4, 7):0.2, (4.1, 3.7):0.6))").unwrap();
-    let rel = db.table("t").unwrap();
+    let rel = stored(&db, "t");
     assert!((rel.tuples[0].naive_existence() - 1.0).abs() < 1e-12);
     assert!((rel.tuples[1].naive_existence() - 0.8).abs() < 1e-12);
 }
@@ -169,7 +169,7 @@ fn figure3_complete_pipeline() {
 fn gaussian_floor_representation_example() {
     // Section III-A: Gaus(5,1) under x < 5 is stored as
     // [Gaus(5,1), Floor{[5, oo]}].
-    let mut db = Database::new();
+    let mut db = DurableSession::temporary("paper-floor").unwrap();
     db.execute("CREATE TABLE t (x REAL UNCERTAIN)").unwrap();
     db.execute("INSERT INTO t VALUES (GAUSSIAN(5, 1))").unwrap();
     let out = db.execute("SELECT * FROM t WHERE x < 5").unwrap();

@@ -2,7 +2,9 @@
 //! layers.
 
 use orion_core::prelude::Value;
-use orion_sql::{render_output, Database, Output};
+use orion_core::prelude::{check_invariants, ExecOptions};
+use orion_sql::{render_output, Database, DurableSession, Output};
+use orion_tests::stored_tables;
 
 fn table(out: Output) -> orion_core::prelude::Relation {
     match out {
@@ -20,7 +22,7 @@ fn rows(out: Output) -> (Vec<String>, Vec<Vec<String>>) {
 
 #[test]
 fn sensor_monitoring_scenario() {
-    let mut db = Database::new();
+    let mut db = DurableSession::temporary("sql_e2e-sensor_monitoring").unwrap();
     db.execute("CREATE TABLE readings (rid INT, site TEXT, temp REAL UNCERTAIN)").unwrap();
     db.execute(
         "INSERT INTO readings VALUES \
@@ -56,7 +58,7 @@ fn sensor_monitoring_scenario() {
 
 #[test]
 fn join_pipeline_scenario() {
-    let mut db = Database::new();
+    let mut db = DurableSession::temporary("sql_e2e-join_pipeline").unwrap();
     db.execute("CREATE TABLE trucks (tid INT, pos REAL UNCERTAIN)").unwrap();
     db.execute("CREATE TABLE zones (zid INT, boundary REAL UNCERTAIN)").unwrap();
     db.execute("INSERT INTO trucks VALUES (1, GAUSSIAN(10, 4)), (2, GAUSSIAN(45, 4))").unwrap();
@@ -83,7 +85,7 @@ fn join_pipeline_scenario() {
 
 #[test]
 fn correlated_insert_and_query() {
-    let mut db = Database::new();
+    let mut db = DurableSession::temporary("sql_e2e-correlated_insert").unwrap();
     db.execute("CREATE TABLE obj (oid INT, x REAL UNCERTAIN, y REAL UNCERTAIN, CORRELATED (x, y))")
         .unwrap();
     db.execute(
@@ -101,7 +103,7 @@ fn correlated_insert_and_query() {
 
 #[test]
 fn discrete_and_symbolic_families_coexist() {
-    let mut db = Database::new();
+    let mut db = DurableSession::temporary("sql_e2e-families").unwrap();
     db.execute("CREATE TABLE mixed (k INT, v REAL UNCERTAIN)").unwrap();
     db.execute(
         "INSERT INTO mixed VALUES \
@@ -135,7 +137,7 @@ fn discrete_and_symbolic_families_coexist() {
 
 #[test]
 fn update_workflow_delete_and_reinsert() {
-    let mut db = Database::new();
+    let mut db = DurableSession::temporary("sql_e2e-update_workflow").unwrap();
     db.execute("CREATE TABLE t (k INT, v REAL UNCERTAIN)").unwrap();
     db.execute("INSERT INTO t VALUES (1, GAUSSIAN(0, 1)), (2, GAUSSIAN(5, 1))").unwrap();
     assert!(matches!(db.execute("DELETE FROM t WHERE k = 1").unwrap(), Output::Count(1)));
@@ -147,7 +149,7 @@ fn update_workflow_delete_and_reinsert() {
 
 #[test]
 fn error_paths_are_reported() {
-    let mut db = Database::new();
+    let mut db = DurableSession::temporary("sql_e2e-error_paths").unwrap();
     assert!(db.execute("SELECT * FROM missing").is_err());
     db.execute("CREATE TABLE t (v REAL UNCERTAIN)").unwrap();
     assert!(db.execute("CREATE TABLE t (v REAL UNCERTAIN)").is_err());
@@ -164,7 +166,7 @@ fn error_paths_are_reported() {
 fn three_statement_composition_keeps_histories_consistent() {
     // Build a view chain through SQL and check existence probabilities stay
     // PWS-consistent (composition of floors).
-    let mut db = Database::new();
+    let mut db = DurableSession::temporary("sql_e2e-composition").unwrap();
     db.execute("CREATE TABLE t (k INT, v REAL UNCERTAIN)").unwrap();
     db.execute("INSERT INTO t VALUES (1, DISCRETE(1:0.25, 2:0.25, 3:0.25, 4:0.25))").unwrap();
     let rel = table(db.execute("SELECT * FROM t WHERE v > 1 AND v < 4").unwrap());
@@ -174,8 +176,8 @@ fn three_statement_composition_keeps_histories_consistent() {
 }
 
 /// A database holding every table the scenarios above use.
-fn corpus_db() -> Database {
-    let mut db = Database::new();
+fn corpus_db() -> DurableSession {
+    let mut db = DurableSession::temporary("sql_e2e-corpus").unwrap();
     for sql in [
         "CREATE TABLE readings (rid INT, site TEXT, temp REAL UNCERTAIN)",
         "INSERT INTO readings VALUES (1, 'north', GAUSSIAN(20, 4)), (2, 'north', GAUSSIAN(35, 9)), \
@@ -194,13 +196,6 @@ fn corpus_db() -> Database {
         db.execute(sql).unwrap();
     }
     db
-}
-
-/// A copy of every stored table, keyed by name.
-fn stored_tables(
-    db: &Database,
-) -> std::collections::HashMap<String, orion_core::prelude::Relation> {
-    db.table_names().into_iter().map(|n| (n.clone(), db.table(&n).unwrap().clone())).collect()
 }
 
 /// The SELECT shapes of the scenarios above, plus the post-relational
@@ -240,9 +235,10 @@ fn shape(p: &orion_obs::OpProfile, out: &mut Vec<(String, String, u64)>) {
 #[test]
 fn select_runs_the_plan_explain_prints() {
     use orion_core::plan::execute;
-    use orion_core::prelude::ExecOptions;
 
-    let mut db = corpus_db();
+    let mut session = corpus_db();
+    let tables = stored_tables(&session);
+    let mut db = session.query_db(ExecOptions::default());
     db.set_exec_stats(std::sync::Arc::default());
     let mut explained = 0;
     for sql in CORPUS {
@@ -253,7 +249,6 @@ fn select_runs_the_plan_explain_prints() {
             continue;
         }
         explained += 1;
-        let tables = stored_tables(&db);
         let reg = db.registry_mut().clone();
         let oracle = execute(&lowered.plan, &tables, &reg, &ExecOptions::default()).unwrap();
 
@@ -274,17 +269,17 @@ fn select_runs_the_plan_explain_prints() {
 }
 
 /// Statements whose shape is wrong are refused before any operator runs:
-/// the stored tables and the history registry (reference counts included)
-/// are exactly as they were.
+/// the tables and the history registry (reference counts included) of the
+/// runner they ran on are exactly as they were.
 #[test]
 fn shape_errors_leave_the_registry_untouched() {
-    let mut db = corpus_db();
-    let state = |db: &mut Database| {
-        let tables = stored_tables(db);
-        let reg = db.registry_mut().clone();
-        orion_tests::fingerprint(&tables, &reg, db.stats_catalog())
-    };
+    let mut session = corpus_db();
+    let tables = stored_tables(&session);
+    let stats = session.db().stats_catalog();
+    let mut db = session.query_db(ExecOptions::default());
+    let state = |db: &mut Database| orion_tests::fingerprint(&tables, db.registry_mut(), &stats);
     let before = state(&mut db);
+    assert_eq!(before, session.db().with_tables(|t, reg| orion_tests::fingerprint(t, reg, &stats)));
     for sql in [
         "SELECT *, rid FROM readings WHERE temp < 30",
         "SELECT DISTINCT * FROM readings WHERE temp < 30",
@@ -292,7 +287,7 @@ fn shape_errors_leave_the_registry_untouched() {
         "SELECT ESUM(temp), EXPECTED(temp) FROM readings WHERE temp < 30",
     ] {
         assert!(db.execute(sql).is_err(), "{sql}");
-        assert!(state(&mut db) == before, "{sql} changed the stored state");
+        assert!(state(&mut db) == before, "{sql} changed the runner's state");
     }
 }
 
@@ -301,7 +296,7 @@ fn shape_errors_leave_the_registry_untouched() {
 /// rows a σ already floored) must not change in any digit.
 #[test]
 fn prob_items_render_unchanged() {
-    let mut db = Database::new();
+    let mut db = DurableSession::temporary("sql_e2e-prob_items").unwrap();
     db.execute("CREATE TABLE r (rid INT, v REAL UNCERTAIN)").unwrap();
     db.execute(
         "INSERT INTO r VALUES \
@@ -310,7 +305,7 @@ fn prob_items_render_unchanged() {
          (6, DISCRETE(15:0.2, 20:0.3, 25:0.4)), (7, DISCRETE(21:1.0))",
     )
     .unwrap();
-    let render = |db: &mut Database, q: &str| render_output(&db.execute(q).unwrap()).unwrap();
+    let render = |db: &mut DurableSession, q: &str| render_output(&db.execute(q).unwrap()).unwrap();
     assert_eq!(
         render(&mut db, "SELECT rid, PROB(v BETWEEN 18 AND 24) FROM r"),
         "\
@@ -343,28 +338,25 @@ fn prob_items_render_unchanged() {
 }
 
 /// Reads leave the registry as they found it: a SELECT's result is not
-/// stored, so it takes no references on the bases it cites. After each
-/// read the stored tables and the live registry still agree (every base's
-/// ref count equals its citing stored nodes), and deleting every row
-/// reclaims every base.
+/// stored, so it takes no references on the bases it cites. Every read runs
+/// on one runner, and after each one the stored tables and that runner's
+/// registry still agree (every base's ref count equals its citing stored
+/// nodes). Deleting every row reclaims every base.
 #[test]
 fn reads_leave_reference_counts_untouched() {
-    let mut db = Database::new();
-    db.execute("CREATE TABLE r (rid INT, v REAL UNCERTAIN)").unwrap();
-    db.execute("CREATE TABLE s (sid INT, w REAL UNCERTAIN)").unwrap();
-    db.execute(
-        "INSERT INTO r VALUES (1, GAUSSIAN(20, 4)), (2, UNIFORM(10, 40)), (3, GAUSSIAN(30, 1))",
-    )
-    .unwrap();
-    db.execute("INSERT INTO s VALUES (1, UNIFORM(15, 35)), (2, GAUSSIAN(25, 2))").unwrap();
+    let mut session = DurableSession::temporary("sql_e2e-reads_refcounts").unwrap();
+    session.execute("CREATE TABLE r (rid INT, v REAL UNCERTAIN)").unwrap();
+    session.execute("CREATE TABLE s (sid INT, w REAL UNCERTAIN)").unwrap();
+    session
+        .execute(
+            "INSERT INTO r VALUES (1, GAUSSIAN(20, 4)), (2, UNIFORM(10, 40)), (3, GAUSSIAN(30, 1))",
+        )
+        .unwrap();
+    session.execute("INSERT INTO s VALUES (1, UNIFORM(15, 35)), (2, GAUSSIAN(25, 2))").unwrap();
+    let tables = stored_tables(&session);
+    let mut db = session.query_db(ExecOptions::default());
     let check = |db: &mut Database, sql: &str| {
-        let tables: std::collections::HashMap<_, _> = db
-            .table_names()
-            .into_iter()
-            .map(|n| (n.clone(), db.table(&n).unwrap().clone()))
-            .collect();
-        let reg = db.registry_mut();
-        if let Err(e) = orion_core::prelude::check_invariants(&tables, reg) {
+        if let Err(e) = check_invariants(&tables, db.registry_mut()) {
             panic!("after `{sql}`: {e}");
         }
     };
@@ -382,9 +374,12 @@ fn reads_leave_reference_counts_untouched() {
         db.execute(sql).unwrap();
         check(&mut db, sql);
     }
-    db.execute("DELETE FROM r").unwrap();
-    check(&mut db, "DELETE FROM r");
-    assert_eq!(db.registry_mut().len(), 2, "only s's bases are left");
-    db.execute("DELETE FROM s").unwrap();
-    assert!(db.registry_mut().is_empty(), "{} bases left", db.registry_mut().len());
+    session.execute("DELETE FROM r").unwrap();
+    if let Err(e) = session.db().with_tables(check_invariants) {
+        panic!("after `DELETE FROM r`: {e}");
+    }
+    let bases = |session: &DurableSession| session.db().with_tables(|_, reg| reg.len());
+    assert_eq!(bases(&session), 2, "only s's bases are left");
+    session.execute("DELETE FROM s").unwrap();
+    assert!(session.db().with_tables(|_, reg| reg.is_empty()), "{} bases left", bases(&session));
 }

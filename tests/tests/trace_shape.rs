@@ -10,7 +10,7 @@
 
 use orion_core::prelude::*;
 use orion_obs::{json, validate_chrome_trace, Tracer};
-use orion_sql::{render_output, Database, DurableSession, Output};
+use orion_sql::{render_output, DurableSession, Output};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -138,10 +138,11 @@ fn explain_trace_end_to_end_records_workers_and_morsels() {
     // is forced down the parallel path, so the trace must carry one lane
     // per worker and a span per morsel claim, and only the statement's
     // own lanes (`explain_trace_lanes.rs` repeats the statement).
+    let mut session = DurableSession::temporary("trace_shape_readings").unwrap();
+    session.execute("CREATE TABLE readings (rid INT, value REAL UNCERTAIN)").expect("create");
+    session.execute(&format!("INSERT INTO readings VALUES {READINGS}")).expect("insert");
     let opts = ExecOptions { threads: 4, morsel_size: 1, ..ExecOptions::default() };
-    let mut db = Database::with_options(opts);
-    db.execute("CREATE TABLE readings (rid INT, value REAL UNCERTAIN)").expect("create");
-    db.execute(&format!("INSERT INTO readings VALUES {READINGS}")).expect("insert");
+    let mut db = session.query_db(opts);
     let out = db
         .execute("EXPLAIN TRACE SELECT rid FROM readings WHERE value < 20")
         .expect("explain trace");
@@ -267,7 +268,7 @@ fn tracing_leaves_the_index_threshold_answer_unchanged() {
             trace,
             ..ExecOptions::default()
         };
-        let mut db = Database::with_options(opts);
+        let mut session = DurableSession::temporary("trace_shape_answer").unwrap();
         for sql in [
             "CREATE TABLE t (id INT, v REAL UNCERTAIN)",
             "CREATE INDEX ix_v ON t (v) USING cdf",
@@ -277,8 +278,9 @@ fn tracing_leaves_the_index_threshold_answer_unchanged() {
             "UPDATE t SET v = GAUSSIAN(12, 1) WHERE id = 2",
             "DELETE FROM t WHERE id = 4",
         ] {
-            db.execute(sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+            session.execute(sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
         }
+        let mut db = session.query_db(opts);
         let sql = "SELECT id FROM t WHERE PROB(v < 15) > 0.5";
         let plan = render_output(&db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap()).unwrap();
         assert!(plan.contains("ix_v"), "the threshold must be offered the cdf index:\n{plan}");
